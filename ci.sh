@@ -156,6 +156,10 @@ cargo test -q -p dasp-apps --test transport_equivalence
 echo "== E20 socket throughput regression gate (>15% loss vs baseline fails) =="
 cargo run --release -q -p dasp-bench --bin experiments -- --check BENCH_net.json
 
+echo "== dasp-benchmark: own tests, then every workload verified against the oracle (--quick) =="
+cargo test -q --manifest-path benchmark/Cargo.toml --target-dir target
+bash benchmark/run.sh --quick > /dev/null
+
 echo "== cargo bench --no-run =="
 cargo bench --no-run --workspace
 

@@ -1,16 +1,20 @@
 //! Micro-benchmarks of the substrates: field arithmetic, share
 //! construction/reconstruction (the client's per-value costs), the
-//! from-scratch crypto used by baselines, and the storage engine (E11).
+//! from-scratch crypto used by baselines, the storage engine (E11), and
+//! the provider's persistent table map against std's `BTreeMap`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dasp_bigint::{mod_pow, mod_pow_plain, BigUint, MontgomeryCtx};
 use dasp_crypto::{sha256, Aes128, OpeCipher, SipHash24};
 use dasp_field::{Fp, Poly};
+use dasp_server::pmap::PMap;
+use dasp_server::{ProviderEngine, Request, Response, Row};
 use dasp_sss::{DomainKey, FieldSharing, OpSharing, OpssParams, StringCodec};
 use dasp_storage::btree::compose_key;
 use dasp_storage::{BTree, BufferPool, Pager};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -165,9 +169,146 @@ fn bench_storage(c: &mut Criterion) {
     g.finish();
 }
 
+/// `PMap` next to `BTreeMap` at 100 000 entries, on the engine's two map
+/// shapes: rows (`id -> shares`, probed by `get` once per candidate row)
+/// and an index (`(share high, share low, id)` keys, walked by `range`,
+/// written on every row change). Reads and unshared inserts (WAL replay, bulk load) should
+/// stay near std; the `_shared` row adds what a published clone costs the
+/// next writes: one copied path per touched leaf.
+fn bench_pmap(c: &mut Criterion) {
+    type Key = (i64, u64, u64);
+    let mut g = c.benchmark_group("pmap");
+    let mut rng = StdRng::seed_from_u64(3);
+    let rows: Vec<(u64, Vec<i128>)> = (0..100_000u64).map(|i| (i, vec![i as i128; 4])).collect();
+    let pmap_rows = PMap::from_sorted(rows.clone()).unwrap();
+    let std_rows: BTreeMap<u64, Vec<i128>> = rows.into_iter().collect();
+    let ids: Vec<u64> = (0..1000).map(|_| rng.gen_range(0..100_000u64)).collect();
+    g.bench_function("pmap_get_rows_x1000_of_100k", |bench| {
+        bench.iter(|| ids.iter().filter_map(|id| pmap_rows.get(id)).count())
+    });
+    g.bench_function("btreemap_get_rows_x1000_of_100k", |bench| {
+        bench.iter(|| ids.iter().filter_map(|id| std_rows.get(id)).count())
+    });
+
+    let sorted: Vec<(Key, ())> = (0..100_000u64).map(|i| ((0, i * 3, i), ())).collect();
+    let pmap = PMap::from_sorted(sorted.clone()).unwrap();
+    let std_map: BTreeMap<Key, ()> = sorted.iter().copied().collect();
+    let mut near = |offset: u64| -> Vec<Key> {
+        (0..1000)
+            .map(|_| {
+                let i = rng.gen_range(0..100_000u64);
+                (0, i * 3 + offset, i)
+            })
+            .collect()
+    };
+    let (probes, fresh) = (near(0), near(1));
+    g.bench_function("pmap_get_index_x1000_of_100k", |bench| {
+        bench.iter(|| probes.iter().filter_map(|k| pmap.get(k)).count())
+    });
+    g.bench_function("btreemap_get_index_x1000_of_100k", |bench| {
+        bench.iter(|| probes.iter().filter_map(|k| std_map.get(k)).count())
+    });
+    let (lo, hi) = ((0, 90_000, 0), (0, 92_999, u64::MAX));
+    g.bench_function("pmap_range_1000_of_100k", |bench| {
+        bench.iter(|| {
+            pmap.range(black_box(lo)..=hi)
+                .map(|(k, _)| k.2)
+                .sum::<u64>()
+        })
+    });
+    g.bench_function("btreemap_range_1000_of_100k", |bench| {
+        bench.iter(|| {
+            std_map
+                .range(black_box(lo)..=hi)
+                .map(|(k, _)| k.2)
+                .sum::<u64>()
+        })
+    });
+    // The written maps go to `kept_*`, so freeing them is not timed.
+    let mut kept_pmaps = Vec::new();
+    let mut insert_all = |mut map: PMap<Key, ()>| {
+        for k in &fresh {
+            map.insert(*k, ());
+        }
+        kept_pmaps.push(map);
+    };
+    g.bench_function("pmap_insert_x1000_at_100k", |bench| {
+        bench.iter_batched(
+            || PMap::from_sorted(sorted.clone()).unwrap(),
+            &mut insert_all,
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("pmap_insert_x1000_at_100k_shared", |bench| {
+        bench.iter_batched(|| pmap.clone(), &mut insert_all, BatchSize::LargeInput)
+    });
+    let mut kept_std = Vec::new();
+    g.bench_function("btreemap_insert_x1000_at_100k", |bench| {
+        bench.iter_batched(
+            || std_map.clone(),
+            |mut map| {
+                for k in &fresh {
+                    map.insert(*k, ());
+                }
+                kept_std.push(map);
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
+/// One-row `Insert` through `ProviderEngine::execute` at three table
+/// sizes: flat now that a write copies tree paths, not the table.
+fn bench_engine_insert(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine");
+    for (label, size) in [("1k", 1_000u64), ("100k", 100_000), ("1m", 1_000_000)] {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut rows = |ids: std::ops::Range<u64>| Request::Insert {
+            table: "t".into(),
+            rows: ids
+                .map(|id| Row {
+                    id,
+                    shares: (0..4).map(|_| rng.gen::<u64>() as i128).collect(),
+                })
+                .collect(),
+        };
+        let engine = ProviderEngine::new();
+        let ack = engine.execute(&Request::CreateTable {
+            name: "t".into(),
+            columns: ["eid", "name", "salary", "ssn"].map(String::from).to_vec(),
+            indexed: vec![true, true, true, false],
+        });
+        assert_eq!(ack, Response::Ack);
+        for start in (0..size).step_by(10_000) {
+            let ack = engine.execute(&rows(start..(start + 10_000).min(size)));
+            assert_eq!(ack, Response::Ack);
+        }
+        let mut next = size;
+        // The first small write after the bulk fill pays the allocator's
+        // one-off consolidation of everything the fill freed; keep it out.
+        for _ in 0..100 {
+            next += 1;
+            engine.execute(&rows(next - 1..next));
+        }
+        g.bench_function(format!("engine_insert_1row_at_{label}"), |bench| {
+            bench.iter_batched(
+                || {
+                    next += 1;
+                    rows(next - 1..next)
+                },
+                |request| engine.execute(&request),
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_field, bench_sss, bench_crypto, bench_bigint, bench_storage
+    targets = bench_field, bench_sss, bench_crypto, bench_bigint, bench_storage, bench_pmap,
+        bench_engine_insert
 }
 criterion_main!(benches);

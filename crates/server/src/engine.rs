@@ -13,13 +13,21 @@
 //! a read request clones the `Arc`, drops the lock, and runs entirely
 //! against that pinned epoch — a bulk insert committing concurrently is
 //! invisible until its snapshot is installed, and a reader mid-query
-//! keeps its old epoch alive via the `Arc` until it finishes (dropping
-//! the last `Arc` reclaims the superseded version). Writers serialize on
-//! a separate mutex, apply copy-on-write to the master tables, append
-//! the encoded request to the write-ahead log, wait for group commit
-//! *outside* the write mutex (so concurrent writers share one fsync),
-//! and then install their snapshot — acknowledged only after it is both
-//! durable and visible, which is what makes read-own-write hold.
+//! keeps its old epoch alive via the `Arc` until it finishes. Writers
+//! serialize on a separate mutex, apply copy-on-write to the master
+//! tables, append the encoded request to the write-ahead log, wait for
+//! group commit *outside* the write mutex (so concurrent writers share
+//! one fsync), and then install their snapshot — acknowledged only after
+//! it is both durable and visible, which is what makes read-own-write
+//! hold.
+//!
+//! Copy-on-write means path copying. Rows and indexes live in
+//! persistent B+trees ([`crate::pmap::PMap`]) whose nodes are shared
+//! between versions: a write copies the nodes on the root-to-leaf path
+//! of each key it touches, in each map it touches — O(height) nodes per
+//! key, each copied at most once per request — and shares the rest with
+//! the published version. Dropping the last `Arc` of a superseded
+//! version frees only the nodes it did not share with its successors.
 //!
 //! # Durability
 //!
@@ -35,9 +43,10 @@
 //! pages — a crash at any point leaves one consistent (meta, wal) pair.
 //! [`EngineStats`] counters are atomics updated outside all locks.
 
+use crate::pmap::PMap;
 use crate::proto::{AggOp, PredAtom, Request, Response, Row, WireMerkleProof, WireRangeProof};
 use dasp_crypto::merkle::MerkleProof;
-use dasp_net::{WireReader, WireWriter};
+use dasp_net::WireReader;
 use dasp_storage::recovery::provider_paths;
 use dasp_storage::wal::{crash_point_hit, CrashPoint, Wal, WalConfig, WalStats};
 use dasp_storage::{
@@ -46,7 +55,7 @@ use dasp_storage::{
 use dasp_verify::merkle_table::{AuthenticatedTable, CommittedRow};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -88,32 +97,76 @@ impl SharedStats {
     }
 }
 
+/// An ordered `(share, row id)` index over one column.
+type ShareIndex = PMap<IndexKey, ()>;
+
+/// An index entry: the share's high and low halves, then the row id. It
+/// orders like `(share, id)` in 24 bytes; an `i128` field would align the
+/// key to 32, a third more to read per comparison and copy per write.
+type IndexKey = (i64, u64, u64);
+
+fn index_key(share: i128, id: u64) -> IndexKey {
+    ((share >> 64) as i64, share as u64, id)
+}
+
 /// One immutable version of a table: rows by id (the canonical order for
 /// commitments and stable query output) plus ordered `(share, row id)`
-/// sets for the indexed columns.
+/// sets for the indexed columns. The maps are persistent, so `clone()`
+/// is a handful of reference-count bumps and a write to the clone copies
+/// only the tree paths it touches.
 #[derive(Clone)]
 struct TableSnap {
-    columns: Vec<String>,
-    indexed: Vec<bool>,
-    rows: BTreeMap<u64, Vec<i128>>,
-    indexes: Vec<Option<BTreeSet<(i128, u64)>>>,
+    columns: Arc<[String]>,
+    indexed: Arc<[bool]>,
+    rows: PMap<u64, Vec<i128>>,
+    indexes: Vec<Option<ShareIndex>>,
 }
 
 impl TableSnap {
-    fn new(columns: Vec<String>, indexed: Vec<bool>) -> Self {
-        let indexes = indexed.iter().map(|&b| b.then(BTreeSet::new)).collect();
+    fn new(columns: &[String], indexed: &[bool]) -> Self {
         TableSnap {
-            columns,
-            indexed,
-            rows: BTreeMap::new(),
-            indexes,
+            columns: columns.into(),
+            indexed: indexed.into(),
+            rows: PMap::new(),
+            indexes: indexed.iter().map(|&b| b.then(PMap::new)).collect(),
         }
+    }
+
+    /// Bulk-build a table from rows in ascending id order, each of the
+    /// table's arity: the row map straight from `rows`, each index from
+    /// one sort. `None` if the ids do not ascend strictly.
+    fn from_sorted_rows(
+        columns: &[String],
+        indexed: &[bool],
+        rows: Vec<(u64, Vec<i128>)>,
+    ) -> Option<Self> {
+        let indexes = indexed
+            .iter()
+            .enumerate()
+            .map(|(col, &is_indexed)| {
+                if !is_indexed {
+                    return Some(None);
+                }
+                let mut keys: Vec<(IndexKey, ())> = rows
+                    .iter()
+                    .filter_map(|(id, shares)| Some((index_key(*shares.get(col)?, *id), ())))
+                    .collect();
+                keys.sort_unstable();
+                PMap::from_sorted(keys).map(Some)
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(TableSnap {
+            columns: columns.into(),
+            indexed: indexed.into(),
+            rows: PMap::from_sorted(rows)?,
+            indexes,
+        })
     }
 
     fn insert_row(&mut self, id: u64, shares: Vec<i128>) {
         for (index, &share) in self.indexes.iter_mut().zip(shares.iter()) {
             if let Some(set) = index {
-                set.insert((share, id));
+                set.insert(index_key(share, id), ());
             }
         }
         self.rows.insert(id, shares);
@@ -123,7 +176,7 @@ impl TableSnap {
         let shares = self.rows.remove(&id)?;
         for (index, &share) in self.indexes.iter_mut().zip(shares.iter()) {
             if let Some(set) = index {
-                set.remove(&(share, id));
+                set.remove(&index_key(share, id));
             }
         }
         Some(shares)
@@ -179,7 +232,7 @@ struct DurableStore {
 
 /// Master state, guarded by the writer mutex. `tables` here is the
 /// newest version (possibly not yet durable/published); snapshots share
-/// its `Arc`s copy-on-write.
+/// its `Arc`s, and a write to a shared table copies tree paths only.
 struct WriteState {
     tables: HashMap<String, Arc<TableSnap>>,
     commitments: HashMap<(String, usize), Arc<AuthenticatedTable>>,
@@ -236,13 +289,15 @@ pub struct ProviderEngine {
     stats: SharedStats,
 }
 
-fn encode_row(row: &Row) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(row.id);
-    w.seq(&row.shares, |w, s| {
-        w.i128(*s);
-    });
-    w.finish()
+/// Encode one checkpoint record into `buf` (cleared first): the layout
+/// [`decode_row`] reads back — id, share count, shares, little-endian.
+fn encode_row_into(buf: &mut Vec<u8>, id: u64, shares: &[i128]) {
+    buf.clear();
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(&(shares.len() as u64).to_le_bytes());
+    for share in shares {
+        buf.extend_from_slice(&share.to_le_bytes());
+    }
 }
 
 fn decode_row(bytes: &[u8]) -> Option<Row> {
@@ -361,8 +416,9 @@ impl ProviderEngine {
         let mut image = Vec::new();
         for tm in &meta.tables {
             let heap = HeapFile::open(tm.pages.clone());
-            let mut snap = TableSnap::new(tm.columns.clone(), tm.indexed.clone());
-            for (_, bytes) in heap.scan(&pool)? {
+            let records = heap.scan(&pool)?;
+            let mut rows = Vec::with_capacity(records.len());
+            for (_, bytes) in records {
                 let row = decode_row(&bytes).ok_or_else(|| {
                     RecoveryError::Replay(format!("corrupt checkpoint row in table {:?}", tm.name))
                 })?;
@@ -372,9 +428,17 @@ impl ProviderEngine {
                         tm.name
                     )));
                 }
-                snap.insert_row(row.id, row.shares);
-                report.checkpoint_rows += 1;
+                rows.push((row.id, row.shares));
             }
+            report.checkpoint_rows += rows.len() as u64;
+            // Checkpoints write rows in id order, so the image bulk-builds.
+            let snap =
+                TableSnap::from_sorted_rows(&tm.columns, &tm.indexed, rows).ok_or_else(|| {
+                    RecoveryError::Replay(format!(
+                        "checkpoint rows out of id order in table {:?}",
+                        tm.name
+                    ))
+                })?;
             image.extend_from_slice(&tm.pages);
             tables.insert(tm.name.clone(), Arc::new(snap));
         }
@@ -498,25 +562,22 @@ impl ProviderEngine {
         names.sort();
         let mut metas = Vec::new();
         let mut new_image = Vec::new();
+        let mut record = Vec::new();
         for name in names {
             if crash_point_hit(CrashPoint::MidCheckpoint) {
                 return Err("simulated crash mid-checkpoint".into());
             }
             let Some(t) = tables.get(&name) else { continue };
             let mut heap = HeapFile::create(pool).map_err(|e| e.to_string())?;
-            for (&id, shares) in &t.rows {
-                let row = Row {
-                    id,
-                    shares: shares.clone(),
-                };
-                heap.insert(pool, &encode_row(&row))
-                    .map_err(|e| e.to_string())?;
+            for (&id, shares) in t.rows.iter() {
+                encode_row_into(&mut record, id, shares);
+                heap.insert(pool, &record).map_err(|e| e.to_string())?;
             }
             new_image.extend_from_slice(heap.pages());
             metas.push(TableMeta {
                 name: name.clone(),
-                columns: t.columns.clone(),
-                indexed: t.indexed.clone(),
+                columns: t.columns.to_vec(),
+                indexed: t.indexed.to_vec(),
                 pages: heap.pages().to_vec(),
             });
         }
@@ -658,13 +719,18 @@ impl ProviderEngine {
             }
         }
         // Publish-if-newer: a later writer woken first has already made
-        // this op visible (its snapshot contains it).
-        {
+        // this op visible (its snapshot contains it). Whichever version
+        // loses is dropped after the guard is released, so no reader's
+        // `published.read()` waits on a deallocation.
+        let superseded = {
             let mut published = self.published.write();
             if snap.seq > published.seq {
-                *published = snap;
+                std::mem::replace(&mut *published, snap)
+            } else {
+                snap
             }
-        }
+        };
+        drop(superseded);
         if matches!(request, Request::DropAllTables) {
             self.stats.reset();
         }
@@ -676,7 +742,8 @@ impl ProviderEngine {
         Ok(response)
     }
 
-    /// Apply one mutating request to the master state, copy-on-write.
+    /// Apply one mutating request to the master state, path-copying
+    /// whatever the published snapshot still shares.
     /// Validation precedes mutation: a failed request leaves the master
     /// untouched (and is never logged). `stats` is `None` during replay.
     fn apply(
@@ -731,10 +798,8 @@ impl ProviderEngine {
         if columns.is_empty() {
             return Err("table needs at least one column".into());
         }
-        ws.tables.insert(
-            name.to_string(),
-            Arc::new(TableSnap::new(columns.to_vec(), indexed.to_vec())),
-        );
+        ws.tables
+            .insert(name.to_string(), Arc::new(TableSnap::new(columns, indexed)));
         Ok(Response::Ack)
     }
 
@@ -961,7 +1026,7 @@ impl ProviderEngine {
         // Pair each atom with its index up front, so a pick can't dangle
         // between the filter and the lookup. Eq atoms sort first: equal
         // probe cost, usually tighter hit sets.
-        let mut probes: Vec<(&PredAtom, &BTreeSet<(i128, u64)>)> = predicate
+        let mut probes: Vec<(&PredAtom, &ShareIndex)> = predicate
             .iter()
             .filter_map(|a| {
                 let set = t.indexes.get(a.col()).and_then(|i| i.as_ref())?;
@@ -977,12 +1042,14 @@ impl ProviderEngine {
             PredAtom::Range { .. } => 1u8,
         });
         self.stats.index_probes.fetch_add(1, Ordering::Relaxed);
-        let probe = |atom: &PredAtom, set: &BTreeSet<(i128, u64)>| -> Vec<u64> {
+        let probe = |atom: &PredAtom, set: &ShareIndex| -> Vec<u64> {
             let (lo, hi) = match atom {
-                PredAtom::Eq { share, .. } => ((*share, 0u64), (*share, u64::MAX)),
-                PredAtom::Range { lo, hi, .. } => ((*lo, 0u64), (*hi, u64::MAX)),
+                PredAtom::Eq { share, .. } => (*share, *share),
+                PredAtom::Range { lo, hi, .. } => (*lo, *hi),
             };
-            set.range(lo..=hi).map(|&(_, id)| id).collect()
+            set.range(index_key(lo, 0)..=index_key(hi, u64::MAX))
+                .map(|(&(_, _, id), ())| id)
+                .collect()
         };
         if let [(atom, set)] = probes[..] {
             return probe(atom, set);
@@ -1011,11 +1078,16 @@ impl ProviderEngine {
         self.stats
             .rows_examined
             .fetch_add(candidates.len() as u64, Ordering::Relaxed);
-        let mut out = Vec::new();
-        for id in candidates {
-            let Some(shares) = t.rows.get(&id) else {
-                continue; // impossible by construction: indexes mirror rows
-            };
+        // Two passes: finding the rows walks the tree, reading them does
+        // not, so the reads of the second pass do not queue up behind the
+        // dependent loads of the first. An id without a row is impossible
+        // by construction (indexes mirror rows) and is skipped.
+        let found: Vec<(u64, &Vec<i128>)> = candidates
+            .into_iter()
+            .filter_map(|id| Some((id, t.rows.get(&id)?)))
+            .collect();
+        let mut out = Vec::with_capacity(found.len());
+        for (id, shares) in found {
             if predicate.iter().all(|a| a.matches(shares)) {
                 out.push(Row {
                     id,
@@ -2279,5 +2351,169 @@ mod tests {
                 row: None
             }
         );
+    }
+
+    #[test]
+    fn pinned_reader_gets_identical_rows_after_later_writes() {
+        let e = ProviderEngine::new();
+        e.execute(&Request::CreateTable {
+            name: "t".into(),
+            columns: vec!["a".into(), "b".into()],
+            indexed: vec![true, false],
+        });
+        let data: Vec<Row> = (0..3000u64)
+            .map(|id| Row {
+                id,
+                shares: vec![id as i128 * 3, 0],
+            })
+            .collect();
+        assert_eq!(
+            e.execute(&Request::Insert {
+                table: "t".into(),
+                rows: data,
+            }),
+            Response::Ack
+        );
+        let reads = [
+            Request::Query {
+                table: "t".into(),
+                predicate: vec![],
+                agg: None,
+            },
+            Request::Query {
+                table: "t".into(),
+                predicate: vec![PredAtom::Range {
+                    col: 0,
+                    lo: 600,
+                    hi: 2400,
+                }],
+                agg: None,
+            },
+        ];
+        // Pin the epoch the way `try_execute` does, and hold it across
+        // the writes.
+        let pinned = e.published.read().clone();
+        let answer = |snap: &Snapshot| -> Vec<Vec<u8>> {
+            reads
+                .iter()
+                .map(|r| e.execute_read(snap, r).expect("read").encode())
+                .collect()
+        };
+        let before = answer(&pinned);
+        // Every write kind, on rows from before the pin and on new ones.
+        let writes = [
+            Request::Insert {
+                table: "t".into(),
+                rows: (5000..5200u64)
+                    .map(|id| Row {
+                        id,
+                        shares: vec![id as i128 * 3, 1],
+                    })
+                    .collect(),
+            },
+            Request::Update {
+                table: "t".into(),
+                rows: (100..400u64)
+                    .map(|id| Row {
+                        id,
+                        shares: vec![-(id as i128), 2],
+                    })
+                    .collect(),
+            },
+            Request::Delete {
+                table: "t".into(),
+                ids: (0..5100u64).step_by(7).collect(),
+            },
+            Request::Increment {
+                table: "t".into(),
+                col: 1,
+                deltas: (1..3000u64).step_by(7).map(|id| (id, 40)).collect(),
+            },
+        ];
+        for write in &writes {
+            assert_eq!(e.execute(write), Response::Ack, "{write:?}");
+        }
+        assert_eq!(answer(&pinned), before, "a pinned epoch saw a later write");
+        let live = e.published.read().clone();
+        assert_ne!(answer(&live), before);
+    }
+
+    #[test]
+    fn bulk_built_table_equals_row_by_row_inserts() {
+        let columns = ["a".to_string(), "b".to_string(), "c".to_string()];
+        let indexed = [true, false, true];
+        let rows: Vec<(u64, Vec<i128>)> = (0..500u64)
+            .map(|id| (id * 2, vec![(id % 13) as i128, id as i128, -(id as i128)]))
+            .collect();
+        let bulk = TableSnap::from_sorted_rows(&columns, &indexed, rows.clone()).unwrap();
+        let mut one_by_one = TableSnap::new(&columns, &indexed);
+        for (id, shares) in rows.iter().rev() {
+            one_by_one.insert_row(*id, shares.clone());
+        }
+        assert!(bulk.rows.iter().eq(one_by_one.rows.iter()));
+        assert_eq!(bulk.indexes.len(), 3);
+        for (b, o) in bulk.indexes.iter().zip(&one_by_one.indexes) {
+            match (b, o) {
+                (Some(b), Some(o)) => assert!(b.keys().eq(o.keys())),
+                (None, None) => {}
+                _ => panic!("index presence differs"),
+            }
+        }
+        // Ids out of order or repeated mean a corrupt image.
+        let mut swapped = rows.clone();
+        swapped.swap(3, 4);
+        assert!(TableSnap::from_sorted_rows(&columns, &indexed, swapped).is_none());
+        let mut repeated = rows;
+        repeated[4].0 = repeated[3].0;
+        assert!(TableSnap::from_sorted_rows(&columns, &indexed, repeated).is_none());
+    }
+
+    #[test]
+    fn index_keys_order_like_share_then_id() {
+        let shares = [
+            i128::MIN,
+            -(1 << 64) - 1,
+            -(1 << 64),
+            -1,
+            0,
+            1,
+            u64::MAX as i128,
+        ];
+        let shares = shares
+            .into_iter()
+            .chain([1 << 64, (1 << 64) + 1, i128::MAX]);
+        let pairs: Vec<(i128, u64)> = shares
+            .flat_map(|s| [0, 7, u64::MAX].map(|id| (s, id)))
+            .collect();
+        for a in &pairs {
+            for b in &pairs {
+                assert_eq!(
+                    index_key(a.0, a.1).cmp(&index_key(b.0, b.1)),
+                    a.cmp(b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_record_matches_the_wire_layout() {
+        let mut buf = Vec::new();
+        for shares in [vec![i128::MIN, -1, 0, i128::MAX], vec![7]] {
+            encode_row_into(&mut buf, u64::MAX - 1, &shares);
+            let mut w = dasp_net::WireWriter::new();
+            w.u64(u64::MAX - 1);
+            w.seq(&shares, |w, s| {
+                w.i128(*s);
+            });
+            assert_eq!(buf, w.finish());
+            assert_eq!(
+                decode_row(&buf),
+                Some(Row {
+                    id: u64::MAX - 1,
+                    shares
+                })
+            );
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! *public* plaintext tables for the §V-D private/public mash-up.
 //!
 //! * [`proto`] — the request/response wire protocol.
-//! * [`engine`] — the share-table engine over `dasp-storage` (heap files
-//!   plus B+tree indexes on share values).
+//! * [`engine`] — the share-table engine: snapshot-versioned in-memory
+//!   tables, checkpointed and write-ahead logged through `dasp-storage`.
+//! * [`pmap`] — the persistent ordered map the table versions are made of.
 //! * [`service`] — the [`dasp_net::Service`] adapter gluing the engine to
 //!   the RPC fabric.
 //!
@@ -18,6 +19,7 @@
 //! module structure.
 
 pub mod engine;
+pub mod pmap;
 pub mod proto;
 pub mod service;
 
