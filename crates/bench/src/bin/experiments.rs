@@ -30,7 +30,7 @@ use dasp_server::{DurableConfig, ProviderEngine, Request, Response, Row};
 use dasp_sss::opss::AffineStrawman;
 use dasp_sss::{DomainKey, FieldSharing, OpSharing, OpssParams, ShareMode};
 use dasp_storage::btree::compose_key;
-use dasp_storage::{BTree, BufferPool, Pager, WalConfig};
+use dasp_storage::{BTree, BufferPool, Pager};
 use dasp_workload::employees::{self, SalaryDist};
 use dasp_workload::{documents, places, queries};
 use rand::rngs::StdRng;
@@ -1299,32 +1299,29 @@ fn e18_concurrency(cfg: &Config) {
     println!();
 }
 
-/// E19 — durability cost: commit latency and throughput vs the WAL
-/// group-commit batch size, plus recovery time for the resulting log.
+/// E19 — durability cost: commit latency, throughput and fsyncs per
+/// commit vs the number of concurrent committers, plus recovery time for
+/// the resulting log.
 ///
-/// `fsync_every = 1` syncs each logged op individually; larger batches
-/// amortise the fsync over concurrent committers (four writer threads
-/// here), trading single-op latency for throughput. Recovery replays the
-/// surviving log tail into a fresh engine, so its time bounds restart
-/// cost at that batch size. Results land in BENCH_wal.json.
+/// The WAL has no batching knob: a lone committer pays one write + fsync
+/// per op, and with `c` committers the records queued during one fsync
+/// ride the next, so fsyncs per commit falls below 1 as `c` grows.
+/// Recovery replays the whole log into a fresh engine. Results land in
+/// BENCH_wal.json.
 fn e19_wal(cfg: &Config) {
-    println!("== E19 (durability): commit latency + recovery time vs WAL batch size ==");
-    let writers = 4usize;
-    let rows_per_writer = if cfg.quick { 150 } else { 500 };
-    let total = writers * rows_per_writer;
-    let batch_sizes = [1usize, 4, 16, 64];
-    let mut results: Vec<(usize, f64, f64, f64)> = Vec::new();
-    println!("  fsync_every   mean commit   ops/s      recovery");
-    for &batch in &batch_sizes {
-        let dir = std::env::temp_dir().join(format!("dasp-e19-{}-b{batch}", std::process::id()));
+    println!("== E19 (durability): group commit vs concurrent committers ==");
+    let total = if cfg.quick { 640usize } else { 2000 };
+    let committers = [1usize, 4, 16];
+    let mut results: Vec<(usize, f64, f64, f64, f64)> = Vec::new();
+    println!("  committers   mean commit   ops/s   fsyncs/commit   recovery");
+    for &writers in &committers {
+        let rows_per_writer = total / writers;
+        let dir = std::env::temp_dir().join(format!("dasp-e19-{}-c{writers}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg_d = DurableConfig {
-            wal: WalConfig {
-                fsync_every: batch,
-                batch_window: std::time::Duration::from_micros(500),
-            },
             checkpoint_every: 0, // measure the log, not checkpoints
             pool_frames: 256,
+            ..DurableConfig::default()
         };
         let (engine, _) = ProviderEngine::durable(&dir, cfg_d).expect("e19: open");
         assert_eq!(
@@ -1335,12 +1332,12 @@ fn e19_wal(cfg: &Config) {
             }),
             Response::Ack
         );
-        let engine = std::sync::Arc::new(engine);
+        let fsyncs_before = engine.wal_stats().map_or(0, |w| w.fsyncs);
         let start = Instant::now();
         let latency_ns: u64 = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..writers as u64)
                 .map(|t| {
-                    let engine = std::sync::Arc::clone(&engine);
+                    let engine = &engine;
                     scope.spawn(move || {
                         let mut ns = 0u64;
                         for i in 0..rows_per_writer as u64 {
@@ -1365,6 +1362,8 @@ fn e19_wal(cfg: &Config) {
         let elapsed = start.elapsed().as_secs_f64();
         let ops_per_s = total as f64 / elapsed;
         let mean_commit_us = latency_ns as f64 / total as f64 / 1e3;
+        let fsyncs = engine.wal_stats().map_or(0, |w| w.fsyncs) - fsyncs_before;
+        let fsyncs_per_commit = fsyncs as f64 / total as f64;
         drop(engine);
         let t0 = Instant::now();
         let (recovered, report) = ProviderEngine::recover(&dir).expect("e19: recover");
@@ -1378,27 +1377,32 @@ fn e19_wal(cfg: &Config) {
         };
         assert_eq!(count as usize, total, "e19: recovery lost rows");
         assert_eq!(report.wal_records as usize, total + 1); // +1 create
-        results.push((batch, mean_commit_us, ops_per_s, recovery_ms));
-        println!("  {batch:>11} {mean_commit_us:>10.0}us {ops_per_s:>10.0} {recovery_ms:>9.1}ms");
+        results.push((
+            writers,
+            mean_commit_us,
+            ops_per_s,
+            fsyncs_per_commit,
+            recovery_ms,
+        ));
+        println!(
+            "  {writers:>10} {mean_commit_us:>10.0}us {ops_per_s:>8.0} {fsyncs_per_commit:>13.2} {recovery_ms:>9.1}ms"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
     let gain = results.last().map(|r| r.2).unwrap_or(f64::NAN)
         / results.first().map(|r| r.2).unwrap_or(f64::NAN);
-    println!("  batch=64 vs batch=1 throughput: {gain:.1}x");
+    println!("  16 committers vs 1 throughput: {gain:.1}x");
     let mut json = String::from("{\n  \"experiment\": \"e19_wal\",\n");
-    json.push_str(&format!(
-        "  \"writers\": {writers},\n  \"rows_total\": {total},\n  \"results\": [\n"
-    ));
-    for (i, (batch, lat, ops, rec)) in results.iter().enumerate() {
+    json.push_str(&format!("  \"rows_total\": {total},\n  \"results\": [\n"));
+    for (i, (writers, lat, ops, fsyncs, rec)) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"fsync_every\": {batch}, \"mean_commit_us\": {lat:.1}, \
-             \"ops_per_s\": {ops:.1}, \"recovery_ms\": {rec:.2}}}{}\n",
+            "    {{\"committers\": {writers}, \"mean_commit_us\": {lat:.1}, \
+             \"ops_per_s\": {ops:.1}, \"fsyncs_per_commit\": {fsyncs:.3}, \
+             \"recovery_ms\": {rec:.2}}}{}\n",
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
-    json.push_str(&format!(
-        "  ],\n  \"throughput_batch64_vs_1\": {gain:.2}\n}}\n"
-    ));
+    json.push_str(&format!("  ],\n  \"throughput_16_vs_1\": {gain:.2}\n}}\n"));
     if let Err(e) = std::fs::write("BENCH_wal.json", json) {
         println!("  (could not write BENCH_wal.json: {e})");
     }

@@ -36,10 +36,7 @@ fn share_of(id: u64) -> i128 {
 
 fn stress_cfg() -> DurableConfig {
     DurableConfig {
-        wal: WalConfig {
-            fsync_every: 4,
-            batch_window: Duration::from_micros(200),
-        },
+        wal: WalConfig::default(),
         checkpoint_every: 64, // several checkpoints per run
         pool_frames: 256,
     }

@@ -67,14 +67,11 @@ impl LazyJournal {
     /// queue it represents. A torn tail from a crashed append is
     /// truncated by the WAL layer; every intact record replays.
     pub fn open(path: &Path) -> Result<(Self, RecoveredQueue)> {
-        let cfg = WalConfig {
-            fsync_every: 1, // queue mutations are rare; never defer them
-            ..WalConfig::default()
-        };
         // The client journal always runs generation 0: compaction
         // truncates in place instead of switching generations, so an
         // open can never mistake live records for superseded ones.
-        let rec = Wal::open(path, 0, cfg).map_err(|e| journal_err("journal open", e))?;
+        let rec =
+            Wal::open(path, 0, WalConfig::default()).map_err(|e| journal_err("journal open", e))?;
         let mut queue = RecoveredQueue::new();
         for record in &rec.records {
             Self::replay(&mut queue, record)?;

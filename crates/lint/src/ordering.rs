@@ -48,8 +48,9 @@ struct Effects {
     publish: Option<Vec<String>>,
 }
 
-/// True for the fns that *are* the durable append: blocking until the
-/// group-commit flusher has fsynced past the requested LSN.
+/// True for the fns that *are* the durable append: blocking until a
+/// group-commit leader (possibly the caller) has fsynced past the
+/// requested LSN.
 fn is_durable_seed(f: &FnItem) -> bool {
     f.impl_type.as_deref() == Some("Wal") && (f.name == "commit" || f.name == "append_durable")
 }

@@ -89,9 +89,11 @@ pub struct TcpClientConfig {
     /// Largest accepted response frame body.
     pub max_frame_body: u32,
     /// Coalescing window for outbound requests — "group commit for
-    /// RPCs", mirroring the WAL flusher. `Duration::ZERO` (the default
-    /// unless `DASP_BATCH_WINDOW_US` is set) disables batching: every
-    /// call writes its own frame, exactly the pre-batching behavior.
+    /// RPCs", the WAL's group commit applied to a socket (which, unlike
+    /// an fsync, needs a window to collect a batch). `Duration::ZERO`
+    /// (the default unless `DASP_BATCH_WINDOW_US` is set) disables
+    /// batching: every call writes its own frame, exactly the
+    /// pre-batching behavior.
     /// A nonzero window routes calls through a batcher thread that packs
     /// concurrent requests (quorum fan-out, `query_many` workers) into
     /// one [`FrameKind::BatchRequest`] frame — one CRC, one length

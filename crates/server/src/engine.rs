@@ -246,7 +246,7 @@ struct WriteState {
 /// Tuning for a durable provider.
 #[derive(Debug, Clone, Copy)]
 pub struct DurableConfig {
-    /// Group-commit settings for the write-ahead log.
+    /// Write-ahead log settings (none left: group commit needs no tuning).
     pub wal: WalConfig,
     /// Checkpoint automatically after this many logged ops (0 disables;
     /// call [`ProviderEngine::checkpoint`] manually).
@@ -1996,14 +1996,11 @@ mod tests {
         dir
     }
 
-    /// Durable config with per-op fsync and no auto-checkpoint, so tests
-    /// control exactly what is in the log vs the image.
+    /// Durable config with no auto-checkpoint, so tests control exactly
+    /// what is in the log vs the image.
     fn tight_cfg() -> DurableConfig {
         DurableConfig {
-            wal: WalConfig {
-                fsync_every: 1,
-                ..WalConfig::default()
-            },
+            wal: WalConfig::default(),
             checkpoint_every: 0,
             pool_frames: 64,
         }

@@ -72,6 +72,14 @@ pub enum StorageError {
     RecordTooLarge(usize),
     /// Page payload corrupted (bad type tag or offsets).
     Corrupt(&'static str),
+    /// A WAL commit named an LSN past the end of the log: no such record
+    /// was ever appended, so no flush could make it durable.
+    LsnPastEnd {
+        /// The LSN asked for.
+        lsn: u64,
+        /// The log's end at the time.
+        end: u64,
+    },
 }
 
 impl std::fmt::Display for StorageError {
@@ -82,6 +90,9 @@ impl std::fmt::Display for StorageError {
             StorageError::BadSlot(r) => write!(f, "bad slot {r:?}"),
             StorageError::RecordTooLarge(n) => write!(f, "record of {n} bytes too large"),
             StorageError::Corrupt(what) => write!(f, "corrupt page: {what}"),
+            StorageError::LsnPastEnd { lsn, end } => {
+                write!(f, "wal commit of lsn {lsn} past the end of the log ({end})")
+            }
         }
     }
 }

@@ -1,13 +1,29 @@
-//! Durable write-ahead log with group commit.
+//! Durable write-ahead log with leader/follower group commit.
 //!
 //! The log stores opaque payloads (the provider engine logs encoded
 //! requests; the client's lazy-update journal logs buffered assignments)
 //! in length + CRC32-framed records behind a generation-stamped header.
-//! Appends are queued in memory and a dedicated flusher thread coalesces
-//! everything queued since the last fsync into **one** write + fsync —
-//! group commit — so `c` concurrent committers pay one disk sync between
-//! them instead of `c`. [`Wal::commit`] blocks until the record's
-//! [`Lsn`] is durable.
+//!
+//! **Who flushes.** [`Wal::append`] only queues the framed record in
+//! memory. The first [`Wal::commit`] that finds its [`Lsn`] not yet
+//! durable and no flush in flight becomes the *leader*: it takes
+//! everything queued, releases the state lock, does one write + one
+//! fsync itself, then publishes the new durable LSN and wakes everyone.
+//! A committer that finds a flush in flight is a *follower*: it waits,
+//! re-checks, and if its record missed that batch it leads the next
+//! one, which by then carries every record queued during the previous
+//! fsync. Batching therefore comes from the disk's own latency: a lone
+//! writer pays exactly one write + fsync and `c` concurrent writers
+//! share one, with no flusher thread, no timer and nothing to tune.
+//!
+//! **The contract.** `commit(lsn)` returns `Ok` only after a
+//! `sync_data` that covered `lsn` has returned. A failed flush poisons
+//! the log: every waiting and every later `append`/`commit` gets the
+//! error, and nothing queued after a simulated tear reaches the file.
+//! `append` alone promises nothing: the record stays in memory until
+//! the next `commit` (anyone's) or until the [`Wal`] is dropped, which
+//! flushes what is queued unless the log is poisoned. There is no
+//! background flush.
 //!
 //! Recovery ([`Wal::open`]) scans the file, returns every complete
 //! record, and truncates a torn tail (a crash mid-write leaves a partial
@@ -28,11 +44,13 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
-/// Log sequence number: the byte offset one past a record's frame. A
-/// record is durable once the log's durable LSN reaches its own.
+/// Log sequence number: the count of framed bytes appended up to and
+/// including a record. It starts at the recovered length and keeps
+/// counting across [`Wal::switch_generation`], so an LSN handed out
+/// before a checkpoint still reads as durable after it. A record is
+/// durable once the log's durable LSN reaches its own.
 pub type Lsn = u64;
 
 const WAL_MAGIC: [u8; 4] = *b"DWAL";
@@ -176,32 +194,17 @@ pub fn crash_point_hit(point: CrashPoint) -> bool {
 
 // ---- configuration ----
 
-/// Group-commit tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct WalConfig {
-    /// Flush as soon as this many records are queued (1 = sync every
-    /// record; larger values trade commit latency for fewer fsyncs).
-    pub fsync_every: usize,
-    /// With fewer queued records than `fsync_every`, wait at most this
-    /// long for stragglers to join the batch before flushing anyway.
-    pub batch_window: Duration,
-}
-
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            fsync_every: 8,
-            batch_window: Duration::from_millis(2),
-        }
-    }
-}
+/// Placeholder kept for [`Wal::open`]'s signature: group commit needs no
+/// tuning (see the module docs).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WalConfig {}
 
 /// Counters for the E19 experiment and tests.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WalStats {
     /// Records appended (this generation).
     pub records: u64,
-    /// fsync calls issued by the flusher.
+    /// fsync calls issued by commit leaders.
     pub fsyncs: u64,
     /// Durable bytes past the header.
     pub durable_bytes: u64,
@@ -210,29 +213,20 @@ pub struct WalStats {
 // ---- the log ----
 
 struct WalState {
-    /// Framed bytes queued since the last flush, in append order.
+    /// Framed bytes appended since the last leader took its batch.
     queued: Vec<u8>,
-    /// Records represented in `queued`.
-    queued_records: usize,
-    /// Logical end offset (durable + queued), relative to the header.
+    /// LSN of the last appended record (durable, in flight or queued).
     end_lsn: Lsn,
     durable_lsn: Lsn,
+    /// LSN at which the current generation's file body starts.
+    gen_start: Lsn,
+    /// A leader has taken a batch and is writing it with `state` released.
+    flushing: bool,
     records: u64,
     fsyncs: u64,
     /// First failure; everything after it errors out.
     error: Option<&'static str>,
-    shutdown: bool,
     generation: u64,
-}
-
-struct WalShared {
-    state: Mutex<WalState>,
-    /// Wakes the flusher (records queued / shutdown).
-    work: Condvar,
-    /// Wakes committers (durable LSN advanced / error).
-    durable: Condvar,
-    /// The log file, touched only while the flush in progress owns it.
-    file: Mutex<File>,
 }
 
 /// What [`Wal::open`] found on disk.
@@ -251,10 +245,14 @@ pub struct WalRecovery {
 /// A durable append-only record log with group commit. See the module
 /// docs for the protocol.
 pub struct Wal {
-    shared: Arc<WalShared>,
-    flusher: Option<std::thread::JoinHandle<()>>,
+    state: Mutex<WalState>,
+    /// Wakes followers: a flush finished (durable LSN advanced / error).
+    durable: Condvar,
+    /// The log file. Locked only by the leader (after releasing `state`)
+    /// and by `switch_generation` (while holding `state`, no leader in
+    /// flight).
+    file: Mutex<File>,
     path: PathBuf,
-    config: WalConfig,
 }
 
 impl Wal {
@@ -262,7 +260,7 @@ impl Wal {
     /// replaying complete records and truncating any torn tail. A log
     /// stamped with a different generation is reset to an empty log of
     /// the requested generation.
-    pub fn open(path: &Path, generation: u64, config: WalConfig) -> Result<WalRecovery> {
+    pub fn open(path: &Path, generation: u64, _config: WalConfig) -> Result<WalRecovery> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -305,29 +303,22 @@ impl Wal {
             }
         }
         file.seek(SeekFrom::End(0))?;
-        let shared = Arc::new(WalShared {
-            state: Mutex::new(WalState {
-                queued: Vec::new(),
-                queued_records: 0,
-                end_lsn: end,
-                durable_lsn: end,
-                records: records.len() as u64,
-                fsyncs: 0,
-                error: None,
-                shutdown: false,
-                generation,
-            }),
-            work: Condvar::new(),
-            durable: Condvar::new(),
-            file: Mutex::new(file),
-        });
-        let flusher = Self::spawn_flusher(Arc::clone(&shared), config);
         Ok(WalRecovery {
             wal: Wal {
-                shared,
-                flusher,
+                state: Mutex::new(WalState {
+                    queued: Vec::new(),
+                    end_lsn: end,
+                    durable_lsn: end,
+                    gen_start: 0,
+                    flushing: false,
+                    records: records.len() as u64,
+                    fsyncs: 0,
+                    error: None,
+                    generation,
+                }),
+                durable: Condvar::new(),
+                file: Mutex::new(file),
                 path: path.to_path_buf(),
-                config,
             },
             records,
             torn_bytes,
@@ -372,151 +363,58 @@ impl Wal {
         (records, at as u64)
     }
 
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    }
-
-    fn spawn_flusher(
-        shared: Arc<WalShared>,
-        config: WalConfig,
-    ) -> Option<std::thread::JoinHandle<()>> {
-        std::thread::Builder::new()
-            .name("dasp-wal-flusher".into())
-            .spawn(move || Self::flusher_loop(&shared, config))
-            .ok()
-    }
-
-    fn flusher_loop(shared: &WalShared, config: WalConfig) {
-        loop {
-            // Phase 1: wait for work, giving stragglers one batch window
-            // to pile onto the same fsync.
-            let (batch, batch_end, record_batch) = {
-                let Ok(mut state) = shared.state.lock() else {
-                    return;
-                };
-                while state.queued.is_empty() && !state.shutdown {
-                    let Ok((next, _)) = shared.work.wait_timeout(state, config.batch_window) else {
-                        return;
-                    };
-                    state = next;
-                }
-                if state.queued.is_empty() && state.shutdown {
-                    return;
-                }
-                if state.queued_records < config.fsync_every && !state.shutdown {
-                    // Straggler window: a short nap lets concurrent
-                    // committers coalesce; fsync_every short-circuits it.
-                    let Ok((next, _)) = shared.work.wait_timeout(state, config.batch_window) else {
-                        return;
-                    };
-                    state = next;
-                }
-                if state.error.is_some() {
-                    // Poisoned (e.g. a simulated torn record): stop
-                    // flushing so nothing after the tear reaches disk.
-                    state.shutdown = true;
-                    shared.durable.notify_all();
-                    return;
-                }
-                let batch = std::mem::take(&mut state.queued);
-                state.queued_records = 0;
-                (batch, state.end_lsn, state.records)
-            };
-            let _ = record_batch;
-            if batch.is_empty() {
-                continue;
-            }
-            // Phase 2: one write + one fsync for the whole batch, outside
-            // the state lock so appenders keep queueing.
-            let io = {
-                let Ok(mut file) = shared.file.lock() else {
-                    return;
-                };
-                file.write_all(&batch)
-                    .and_then(|()| {
-                        if crash_point_hit(CrashPoint::BeforeFsync) {
-                            // Bytes are in the file, durability was never
-                            // promised: fail without syncing.
-                            return Err(std::io::Error::other("crash before fsync"));
-                        }
-                        file.sync_data()
-                    })
-                    .map(|()| crash_point_hit(CrashPoint::AfterFsync))
-            };
-            // Phase 3: publish durability (or the failure) and wake
-            // committers.
-            let Ok(mut state) = shared.state.lock() else {
-                return;
-            };
-            match io {
-                Ok(crashed_after_fsync) => {
-                    state.durable_lsn = batch_end;
-                    state.fsyncs += 1;
-                    if crashed_after_fsync {
-                        state.error = Some("wal crashed after fsync");
-                        state.shutdown = true;
-                    }
-                }
-                Err(_) => {
-                    state.error = Some("wal flush failed");
-                    state.shutdown = true;
-                }
-            }
-            let done = state.shutdown && state.queued.is_empty();
-            shared.durable.notify_all();
-            if done {
-                return;
-            }
-        }
+    /// Park until the flush in flight publishes its outcome.
+    fn wait_flush<'a>(
+        &'a self,
+        state: MutexGuard<'a, WalState>,
+    ) -> Result<MutexGuard<'a, WalState>> {
+        self.durable
+            .wait(state)
+            .map_err(|_| StorageError::Corrupt("wal state poisoned"))
     }
 
     /// Queue one record, returning the [`Lsn`] to pass to
-    /// [`Wal::commit`]. The record is *not* durable yet.
+    /// [`Wal::commit`]. The record is *not* durable yet, and nothing
+    /// writes it until some `commit` (or `Drop`) flushes the queue.
     pub fn append(&self, payload: &[u8]) -> Result<Lsn> {
-        let frame = Self::frame(payload);
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_RECORD)
+            .ok_or(StorageError::RecordTooLarge(payload.len()))?;
+        let crc = crc32(payload);
+        let frame_len = payload.len() + 8;
         let mut state = self
-            .shared
             .state
             .lock()
             .map_err(|_| StorageError::Corrupt("wal state poisoned"))?;
         if let Some(err) = state.error {
             return Err(StorageError::Corrupt(err));
         }
+        let start = state.queued.len();
+        state.queued.reserve(frame_len);
+        state.queued.extend_from_slice(&len.to_le_bytes());
+        state.queued.extend_from_slice(&crc.to_le_bytes());
+        state.queued.extend_from_slice(payload);
         if crash_point_hit(CrashPoint::MidRecord) {
-            // Simulate a crash halfway through the frame: the torn half
-            // joins the queue (so it lands *after* everything already
-            // queued, exactly as the real write order would), and the
-            // log is poisoned before it can ever count as a record.
-            let half = frame.len() / 2;
-            // dasp::allow(P3): half = len/2 is always in bounds
-            state.queued.extend_from_slice(&frame[..half]);
+            // Simulate a crash halfway through the frame: only the first
+            // half stays queued (after everything already queued, as the
+            // real write order would have it), and the log is poisoned
+            // before the half can ever count as a record.
+            state.queued.truncate(start + frame_len / 2);
             state.error = Some("wal crashed mid-record");
-            self.shared.work.notify_all();
-            self.shared.durable.notify_all();
+            self.durable.notify_all();
             return Err(StorageError::Corrupt("wal crashed mid-record"));
         }
-        state.queued.extend_from_slice(&frame);
-        state.queued_records += 1;
-        state.end_lsn += frame.len() as u64;
+        state.end_lsn += frame_len as u64;
         state.records += 1;
-        let lsn = state.end_lsn;
-        if state.queued_records >= self.config.fsync_every {
-            self.shared.work.notify_all();
-        } else {
-            self.shared.work.notify_one();
-        }
-        Ok(lsn)
+        Ok(state.end_lsn)
     }
 
-    /// Block until everything up to `lsn` is durable. Concurrent
-    /// committers waiting on the same flush share one fsync.
+    /// Block until everything up to `lsn` is durable, flushing the queue
+    /// as leader if nobody else is (see the module docs). An `lsn` that
+    /// was never handed out by [`Wal::append`] is an error, not a wait.
     pub fn commit(&self, lsn: Lsn) -> Result<()> {
         let mut state = self
-            .shared
             .state
             .lock()
             .map_err(|_| StorageError::Corrupt("wal state poisoned"))?;
@@ -527,12 +425,66 @@ impl Wal {
             if let Some(err) = state.error {
                 return Err(StorageError::Corrupt(err));
             }
-            self.shared.work.notify_one();
-            let Ok(next) = self.shared.durable.wait(state) else {
-                return Err(StorageError::Corrupt("wal state poisoned"));
+            if lsn > state.end_lsn {
+                return Err(StorageError::LsnPastEnd {
+                    lsn,
+                    end: state.end_lsn,
+                });
+            }
+            state = if state.flushing {
+                self.wait_flush(state)?
+            } else {
+                self.lead_flush(state)?
             };
-            state = next;
         }
+    }
+
+    /// Lead one flush: take everything queued, write + fsync it with
+    /// `state` released so appenders keep queueing, then publish the
+    /// outcome and wake the followers.
+    fn lead_flush<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, WalState>,
+    ) -> Result<MutexGuard<'a, WalState>> {
+        let batch = std::mem::take(&mut state.queued);
+        let batch_end = state.end_lsn;
+        state.flushing = true;
+        drop(state);
+        let io = self.write_batch(&batch);
+        let mut state = self
+            .state
+            .lock()
+            .map_err(|_| StorageError::Corrupt("wal state poisoned"))?;
+        state.flushing = false;
+        match io {
+            Ok(crashed_after_fsync) => {
+                state.durable_lsn = batch_end;
+                state.fsyncs += 1;
+                if crashed_after_fsync {
+                    state.error = Some("wal crashed after fsync");
+                }
+            }
+            Err(_) => state.error = Some("wal flush failed"),
+        }
+        self.durable.notify_all();
+        Ok(state)
+    }
+
+    /// One write + one fsync for a whole batch. `Ok(true)`: the bytes are
+    /// durable but the `AfterFsync` hook fired.
+    fn write_batch(&self, batch: &[u8]) -> std::io::Result<bool> {
+        let mut file = self
+            .file
+            .lock()
+            .map_err(|_| std::io::Error::other("wal file poisoned"))?;
+        file.write_all(batch)?;
+        if crash_point_hit(CrashPoint::BeforeFsync) {
+            // Bytes are in the file, durability was never promised: fail
+            // without syncing.
+            return Err(std::io::Error::other("crash before fsync"));
+        }
+        file.sync_data()?;
+        Ok(crash_point_hit(CrashPoint::AfterFsync))
     }
 
     /// Append + commit in one call (fsync-per-record semantics for this
@@ -545,43 +497,45 @@ impl Wal {
 
     /// The current logical end of the log (including queued records).
     pub fn end_lsn(&self) -> Lsn {
-        self.shared.state.lock().map(|s| s.end_lsn).unwrap_or(0)
+        self.state.lock().map(|s| s.end_lsn).unwrap_or(0)
     }
 
     /// The log's checkpoint generation.
     pub fn generation(&self) -> u64 {
-        self.shared.state.lock().map(|s| s.generation).unwrap_or(0)
+        self.state.lock().map(|s| s.generation).unwrap_or(0)
     }
 
     /// Counters snapshot.
     pub fn stats(&self) -> WalStats {
-        self.shared
-            .state
+        self.state
             .lock()
             .map(|s| WalStats {
                 records: s.records,
                 fsyncs: s.fsyncs,
-                durable_bytes: s.durable_lsn,
+                durable_bytes: s.durable_lsn - s.gen_start,
             })
             .unwrap_or_default()
     }
 
     /// Retire every record and restamp the log as `generation`: the
     /// checkpoint that superseded the records has been made durable.
-    /// Queued-but-unflushed records are dropped (they are part of the
-    /// checkpoint image by construction — the caller quiesced writers).
+    /// Waits out an in-flight flush first. Queued-but-unflushed records
+    /// are dropped and count as durable (they are part of the checkpoint
+    /// image by construction — the caller quiesced writers), so a
+    /// `commit` of any LSN handed out before the switch returns `Ok`.
     pub fn switch_generation(&self, generation: u64) -> Result<()> {
         let mut state = self
-            .shared
             .state
             .lock()
             .map_err(|_| StorageError::Corrupt("wal state poisoned"))?;
+        while state.flushing {
+            state = self.wait_flush(state)?;
+        }
         if let Some(err) = state.error {
             return Err(StorageError::Corrupt(err));
         }
         {
             let mut file = self
-                .shared
                 .file
                 .lock()
                 .map_err(|_| StorageError::Corrupt("wal file poisoned"))?;
@@ -589,9 +543,8 @@ impl Wal {
             file.seek(SeekFrom::End(0))?;
         }
         state.queued.clear();
-        state.queued_records = 0;
-        state.end_lsn = 0;
-        state.durable_lsn = 0;
+        state.gen_start = state.end_lsn;
+        state.durable_lsn = state.end_lsn;
         state.records = 0;
         state.generation = generation;
         Ok(())
@@ -604,209 +557,18 @@ impl Wal {
 }
 
 impl Drop for Wal {
+    /// Flush whatever was appended but never committed, unless the log
+    /// is poisoned. Errors have nobody to go to: a caller that needs to
+    /// know calls [`Wal::commit`] first.
     fn drop(&mut self) {
-        if let Ok(mut state) = self.shared.state.lock() {
-            state.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        if let Some(handle) = self.flusher.take() {
-            let _ = handle.join();
+        if let Ok(state) = self.state.lock() {
+            if state.error.is_none() && !state.queued.is_empty() {
+                drop(self.lead_flush(state));
+            }
         }
     }
 }
 
+// In `wal/tests/mod.rs`: dasp-lint skips `tests/` directories, not files.
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn temp_wal_path(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dasp-wal-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("wal.log")
-    }
-
-    fn fast() -> WalConfig {
-        WalConfig {
-            fsync_every: 1,
-            batch_window: Duration::from_micros(200),
-        }
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // IEEE CRC32 of "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn append_commit_reopen_roundtrip() {
-        let path = temp_wal_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
-        {
-            let rec = Wal::open(&path, 0, fast()).unwrap();
-            assert!(rec.records.is_empty());
-            for i in 0..10u32 {
-                rec.wal.append_durable(&i.to_le_bytes()).unwrap();
-            }
-            assert_eq!(rec.wal.stats().records, 10);
-            assert!(rec.wal.stats().fsyncs >= 1);
-        }
-        let rec = Wal::open(&path, 0, fast()).unwrap();
-        assert_eq!(rec.records.len(), 10);
-        assert_eq!(rec.torn_bytes, 0);
-        assert!(!rec.reset);
-        for (i, r) in rec.records.iter().enumerate() {
-            assert_eq!(r.as_slice(), (i as u32).to_le_bytes());
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn group_commit_coalesces_fsyncs() {
-        let path = temp_wal_path("group");
-        let _ = std::fs::remove_file(&path);
-        let rec = Wal::open(
-            &path,
-            0,
-            WalConfig {
-                fsync_every: 64,
-                batch_window: Duration::from_millis(5),
-            },
-        )
-        .unwrap();
-        let wal = Arc::new(rec.wal);
-        std::thread::scope(|s| {
-            for t in 0..8u64 {
-                let wal = Arc::clone(&wal);
-                s.spawn(move || {
-                    for i in 0..8u64 {
-                        wal.append_durable(&(t * 100 + i).to_le_bytes()).unwrap();
-                    }
-                });
-            }
-        });
-        let stats = wal.stats();
-        assert_eq!(stats.records, 64);
-        assert!(
-            stats.fsyncs < 64,
-            "64 concurrent commits used {} fsyncs; group commit must coalesce",
-            stats.fsyncs
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_on_open() {
-        let path = temp_wal_path("torn");
-        let _ = std::fs::remove_file(&path);
-        {
-            let rec = Wal::open(&path, 0, fast()).unwrap();
-            rec.wal.append_durable(b"keep-me").unwrap();
-        }
-        // Simulate a crash mid-append: half a frame at the tail.
-        let frame = Wal::frame(b"torn-away");
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(&frame[..frame.len() / 2]).unwrap();
-        }
-        let rec = Wal::open(&path, 0, fast()).unwrap();
-        assert_eq!(rec.records.len(), 1);
-        assert_eq!(rec.records[0], b"keep-me");
-        assert!(rec.torn_bytes > 0);
-        // The truncation is durable: reopening is clean.
-        drop(rec);
-        let rec = Wal::open(&path, 0, fast()).unwrap();
-        assert_eq!((rec.records.len(), rec.torn_bytes), (1, 0));
-        // Appending after recovery extends the intact prefix.
-        rec.wal.append_durable(b"after").unwrap();
-        drop(rec);
-        let rec = Wal::open(&path, 0, fast()).unwrap();
-        assert_eq!(rec.records, vec![b"keep-me".to_vec(), b"after".to_vec()]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_crc_truncates_from_corruption() {
-        let path = temp_wal_path("crc");
-        let _ = std::fs::remove_file(&path);
-        {
-            let rec = Wal::open(&path, 0, fast()).unwrap();
-            rec.wal.append_durable(b"one").unwrap();
-            rec.wal.append_durable(b"two").unwrap();
-        }
-        // Flip a payload byte of the second record.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let rec = Wal::open(&path, 0, fast()).unwrap();
-        assert_eq!(rec.records, vec![b"one".to_vec()]);
-        assert!(rec.torn_bytes > 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn generation_mismatch_resets_log() {
-        let path = temp_wal_path("gen");
-        let _ = std::fs::remove_file(&path);
-        {
-            let rec = Wal::open(&path, 3, fast()).unwrap();
-            rec.wal.append_durable(b"old-epoch").unwrap();
-        }
-        let rec = Wal::open(&path, 4, fast()).unwrap();
-        assert!(rec.reset);
-        assert!(rec.records.is_empty());
-        assert_eq!(rec.wal.generation(), 4);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn switch_generation_retires_records() {
-        let path = temp_wal_path("switch");
-        let _ = std::fs::remove_file(&path);
-        let rec = Wal::open(&path, 0, fast()).unwrap();
-        rec.wal.append_durable(b"pre-checkpoint").unwrap();
-        rec.wal.switch_generation(1).unwrap();
-        rec.wal.append_durable(b"post-checkpoint").unwrap();
-        drop(rec);
-        let rec = Wal::open(&path, 1, fast()).unwrap();
-        assert!(!rec.reset);
-        assert_eq!(rec.records, vec![b"post-checkpoint".to_vec()]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mid_record_hook_leaves_recoverable_torn_tail() {
-        let path = temp_wal_path("hook");
-        let _ = std::fs::remove_file(&path);
-        let rec = Wal::open(&path, 0, fast()).unwrap();
-        rec.wal.append_durable(b"committed").unwrap();
-        arm_crash_point(CrashPoint::MidRecord);
-        assert!(rec.wal.append(b"torn-by-hook").is_err());
-        disarm_crash_points();
-        // Everything after the simulated crash fails.
-        assert!(rec.wal.append(b"nope").is_err());
-        drop(rec);
-        let rec = Wal::open(&path, 0, fast()).unwrap();
-        assert_eq!(rec.records, vec![b"committed".to_vec()]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn empty_payloads_and_large_payloads_roundtrip() {
-        let path = temp_wal_path("sizes");
-        let _ = std::fs::remove_file(&path);
-        let big = vec![0xA5u8; 100_000];
-        {
-            let rec = Wal::open(&path, 0, fast()).unwrap();
-            rec.wal.append_durable(b"").unwrap();
-            rec.wal.append_durable(&big).unwrap();
-        }
-        let rec = Wal::open(&path, 0, fast()).unwrap();
-        assert_eq!(rec.records.len(), 2);
-        assert!(rec.records[0].is_empty());
-        assert_eq!(rec.records[1], big);
-        let _ = std::fs::remove_file(&path);
-    }
-}
+mod tests;

@@ -221,17 +221,12 @@ fn aggregate_queries_survive_crash_minority() {
 #[test]
 fn torn_or_corrupt_wal_tail_never_panics_recovery() {
     use dasp_server::{DurableConfig, ProviderEngine, Request, Response, Row};
-    use dasp_storage::WalConfig;
 
     let base = std::env::temp_dir().join(format!("dasp-torn-fuzz-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
     let dir = base.join("provider");
     let cfg = DurableConfig {
-        wal: WalConfig {
-            fsync_every: 1,
-            ..WalConfig::default()
-        },
         checkpoint_every: 0,
         ..DurableConfig::default()
     };
