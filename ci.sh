@@ -29,21 +29,23 @@ if cargo run -q -p dasp-lint -- --root "$smoke" --deny-all > /dev/null 2>&1; the
     rm -rf "$smoke"
     exit 1
 fi
-cat > "$smoke/crates/app/src/reactor.rs" <<'EOF'
-pub struct Shard;
-impl Shard {
-    pub fn run(&mut self) {
-        std::thread::sleep(std::time::Duration::from_millis(5));
+cat > "$smoke/crates/app/src/engine.rs" <<'EOF'
+pub struct ProviderEngine {
+    log: File,
+}
+impl ProviderEngine {
+    pub fn execute_read(&self) {
+        self.log.sync_all();
     }
 }
 EOF
 report="$(cargo run -q -p dasp-lint -- --root "$smoke" --format json 2>/dev/null)"
 if ! grep -q '"rule": "B1"' <<< "$report"; then
-    echo "smoke FAILED: seeded B1 reactor-blocking violation was not caught" >&2
+    echo "smoke FAILED: seeded B1 fsync on the inline read path was not caught" >&2
     rm -rf "$smoke"
     exit 1
 fi
-rm -f "$smoke/crates/app/src/reactor.rs"
+rm -f "$smoke/crates/app/src/engine.rs"
 cat > "$smoke/crates/app/src/engine.rs" <<'EOF'
 pub struct Wal;
 impl Wal {

@@ -1484,6 +1484,19 @@ fn e20_percentiles(mut lat_us: Vec<u64>) -> (f64, f64) {
     (pick(0.50), pick(0.99))
 }
 
+/// Wall time of one trial: from the first driver thread the barrier
+/// released to the last one done. The spawning thread cannot clock it:
+/// released together with up to 1 024 others on a couple of cores, it
+/// may not run again until most of the work is over.
+fn e20_wall(spans: &[(Instant, Instant)]) -> f64 {
+    let first = spans.iter().map(|s| s.0).min();
+    let last = spans.iter().map(|s| s.1).max();
+    match (first, last) {
+        (Some(first), Some(last)) => last.duration_since(first).as_secs_f64(),
+        _ => f64::NAN,
+    }
+}
+
 /// Drive `conns` blocking socket connections against one TCP provider.
 fn e20_trial_tcp(
     addr: std::net::SocketAddr,
@@ -1518,6 +1531,7 @@ fn e20_trial_tcp(
                     }
                     let mut conn = conn.expect("e20: connect");
                     barrier.wait();
+                    let released = Instant::now();
                     let mut lat_us = Vec::with_capacity(per_conn);
                     for q in 0..per_conn {
                         let req = &reqs[(t * per_conn + q) % reqs.len()];
@@ -1527,17 +1541,18 @@ fn e20_trial_tcp(
                         let decoded = Response::decode(&resp).expect("e20: decode");
                         assert!(matches!(decoded, Response::Rows(_)));
                     }
-                    lat_us
+                    (released, Instant::now(), lat_us)
                 })
             })
             .collect();
         barrier.wait();
-        let start = Instant::now();
-        let mut all = Vec::new();
+        let (mut spans, mut all) = (Vec::new(), Vec::new());
         for h in handles {
-            all.extend(h.join().expect("e20: tcp thread"));
+            let (released, done, lat_us) = h.join().expect("e20: tcp thread");
+            spans.push((released, done));
+            all.extend(lat_us);
         }
-        (start.elapsed().as_secs_f64(), all)
+        (e20_wall(&spans), all)
     });
     let total = conns * per_conn;
     let (p50, p99) = e20_percentiles(lat);
@@ -1598,6 +1613,7 @@ fn e21_trial_call_many(
                     // Unmeasured warmup round trip.
                     conn.call(&reqs[t % reqs.len()]).expect("e21: warmup");
                     barrier.wait();
+                    let released = Instant::now();
                     let mut lat_us = Vec::with_capacity(per_conn / chunk + 1);
                     let mut done = 0usize;
                     while done < per_conn {
@@ -1614,17 +1630,18 @@ fn e21_trial_call_many(
                         }
                         done += n;
                     }
-                    lat_us
+                    (released, Instant::now(), lat_us)
                 })
             })
             .collect();
         barrier.wait();
-        let start = Instant::now();
-        let mut all = Vec::new();
+        let (mut spans, mut all) = (Vec::new(), Vec::new());
         for h in handles {
-            all.extend(h.join().expect("e21: call_many thread"));
+            let (released, done, lat_us) = h.join().expect("e21: call_many thread");
+            spans.push((released, done));
+            all.extend(lat_us);
         }
-        (start.elapsed().as_secs_f64(), all)
+        (e20_wall(&spans), all)
     });
     let total = conns * per_conn;
     let (p50, p99) = e20_percentiles(lat);
@@ -1692,6 +1709,7 @@ fn e21_trial_batched(
                             Response::Rows(_)
                         ));
                         barrier.wait();
+                        let released = Instant::now();
                         let mut lat_us = Vec::with_capacity(per_caller);
                         for q in 0..per_caller {
                             let req = &reqs[(t * per_caller + q) % reqs.len()];
@@ -1701,18 +1719,19 @@ fn e21_trial_batched(
                             let decoded = Response::decode(&resp).expect("e21: decode");
                             assert!(matches!(decoded, Response::Rows(_)));
                         }
-                        lat_us
+                        (released, Instant::now(), lat_us)
                     })
                     .expect("e21: spawn caller")
             })
             .collect();
         barrier.wait();
-        let start = Instant::now();
-        let mut all = Vec::new();
+        let (mut spans, mut all) = (Vec::new(), Vec::new());
         for h in handles {
-            all.extend(h.join().expect("e21: caller thread"));
+            let (released, done, lat_us) = h.join().expect("e21: caller thread");
+            spans.push((released, done));
+            all.extend(lat_us);
         }
-        (start.elapsed().as_secs_f64(), all)
+        (e20_wall(&spans), all)
     });
     let total = callers * per_caller;
     let (p50, p99) = e20_percentiles(lat);
@@ -1741,6 +1760,7 @@ fn e20_trial_inproc(
                 let cluster = std::sync::Arc::clone(&cluster);
                 scope.spawn(move || {
                     barrier.wait();
+                    let released = Instant::now();
                     let mut lat_us = Vec::with_capacity(per_conn);
                     for q in 0..per_conn {
                         let req = reqs[(t * per_conn + q) % reqs.len()].clone();
@@ -1750,17 +1770,18 @@ fn e20_trial_inproc(
                         let decoded = Response::decode(&resp).expect("e20: decode");
                         assert!(matches!(decoded, Response::Rows(_)));
                     }
-                    lat_us
+                    (released, Instant::now(), lat_us)
                 })
             })
             .collect();
         barrier.wait();
-        let start = Instant::now();
-        let mut all = Vec::new();
+        let (mut spans, mut all) = (Vec::new(), Vec::new());
         for h in handles {
-            all.extend(h.join().expect("e20: inproc thread"));
+            let (released, done, lat_us) = h.join().expect("e20: inproc thread");
+            spans.push((released, done));
+            all.extend(lat_us);
         }
-        (start.elapsed().as_secs_f64(), all)
+        (e20_wall(&spans), all)
     });
     let total = conns * per_conn;
     let (p50, p99) = e20_percentiles(lat);
@@ -1801,8 +1822,8 @@ fn e20_measure(quick: bool) -> Vec<E20Row> {
 
     let tcp_service = e20_service(rows);
     // Inline mode (workers = 0): share-table queries are short and
-    // non-blocking, so the reactor runs them on the shard threads —
-    // the low-latency configuration a cheap-handler deployment picks.
+    // non-blocking, so every connection's thread runs its own — the
+    // low-latency configuration a cheap-handler deployment picks.
     let server = dasp_net::TcpServer::serve(
         "127.0.0.1:0",
         tcp_service as std::sync::Arc<dyn dasp_net::SharedService>,
@@ -1932,13 +1953,12 @@ fn e20_measure(quick: bool) -> Vec<E20Row> {
     out
 }
 
-/// E20 — the tentpole experiment: a real TCP provider behind the
-/// reactor vs the in-process channel transport, swept over concurrent
-/// connections. The reactor serves every connection count from the same
-/// handful of threads (shards + workers); the in-process side needs a
-/// client thread per connection. Results land in BENCH_net.json.
+/// E20 — a real TCP provider behind `TcpServer` vs the in-process
+/// channel transport, swept over concurrent connections. The server
+/// spends a thread per connection, as the driver does on both
+/// transports. Results land in BENCH_net.json.
 fn e20_net(cfg: &Config) {
-    println!("== E20/E21 (net): TCP reactor vs in-process, plus batched wire RPC ==");
+    println!("== E20/E21 (net): TCP server vs in-process, plus batched wire RPC ==");
     let results = e20_measure(cfg.quick);
     println!("  transport   conns   queries/s     p50        p99");
     for r in &results {

@@ -1,27 +1,31 @@
-//! Rule **B1** — no blocking on reactor paths.
+//! Rule **B1** — nothing a connection thread runs inline blocks.
 //!
-//! The PR-7 transport runs every connection on a poll-based shard loop:
-//! one thread ticks accept, read, dispatch, and flush for all of its
-//! connections. A single blocking call anywhere on that path — an
-//! fsync, a durable WAL append, a write-capable engine lock, a sleep,
-//! an unbounded channel send, or straight blocking I/O — stalls every
-//! connection on the shard, which is exactly the availability failure
-//! the paper's provider model cannot afford (§V-B).
+//! The TCP server gives every connection one thread, and that thread
+//! runs a request itself — no hand-off to the worker pool — when the
+//! service promises the request cannot block (`SharedService::
+//! runs_inline`). `ProviderService` makes that promise for exactly what
+//! `ProviderEngine::execute_read` serves. A blocking call anywhere under
+//! it — an fsync, a durable WAL append, a write-capable engine lock, a
+//! sleep, an unbounded channel send, or straight blocking I/O — stalls
+//! every request pipelined behind it on the connection and puts reads
+//! back behind writes, which is exactly the availability failure the
+//! paper's provider model cannot afford (§V-B).
 //!
-//! The rule walks the call graph from the reactor entry points (the
-//! `Shard` tick/read/flush methods and `Conn` helpers in `reactor.rs`,
-//! plus the `FrameDecoder` feed methods in `wire.rs`) and reports every
-//! blocking operation reachable from them, with the witness chain in
-//! the message like P3's. Traversal stops at the `vendor/` boundary:
-//! the vendored channel internals are the runtime the reactor links
-//! against, so blocking facts are classified at the first-party call
-//! site by name instead.
+//! The rule walks the call graph from the inline entry points
+//! (`ProviderEngine::execute_read` in `engine.rs`, plus the
+//! `FrameDecoder` feed methods in `wire.rs`, which run on the connection
+//! thread between `read` and dispatch) and reports every blocking
+//! operation reachable from them, with the witness chain in the message
+//! like P3's. Traversal stops at the `vendor/` boundary: the vendored
+//! channel internals are the runtime the server links against, so
+//! blocking facts are classified at the first-party call site by name
+//! instead.
 //!
 //! Sanctioned sinks (never reported): `try_send` / `try_recv` /
 //! `recv_timeout` / `send_timeout` / `wait_timeout` (bounded by
 //! construction), `RwLock::read` (shared, held briefly), and
 //! `read`/`write` calls inside a fn whose body handles
-//! `WouldBlock` (the nonblocking-I/O idiom the reactor is built on).
+//! `WouldBlock` (the nonblocking-I/O idiom).
 
 use crate::callgraph::{resolve_call, resolve_recv_types, CallGraph, Reach};
 use crate::ir::{Ctx, CtxKind, FnId, FnItem, WorkspaceIr};
@@ -43,11 +47,11 @@ pub struct B1Hit {
     pub path: Vec<String>,
 }
 
-/// The B1 entry points: every bodied method of `Shard` / `Conn` in a
-/// `reactor.rs` and of `FrameDecoder` in a `wire.rs`, minus
-/// constructors (which run before the loop starts). Scoping by file
-/// *and* impl type keeps unrelated same-named types (the buffer pool
-/// also has a `Shard`) out of the root set.
+/// The B1 entry points: `ProviderEngine::execute_read` in an
+/// `engine.rs` — what `runs_inline` promises about — and every bodied
+/// method of `FrameDecoder` in a `wire.rs`, minus constructors. Scoping
+/// by file *and* impl type keeps unrelated same-named items out of the
+/// root set.
 pub fn b1_roots(ws: &WorkspaceIr) -> Vec<FnId> {
     let mut roots = Vec::new();
     for (id, f) in ws.fns.iter().enumerate() {
@@ -55,24 +59,22 @@ pub fn b1_roots(ws: &WorkspaceIr) -> Vec<FnId> {
         if file.vendor || f.body.is_none() {
             continue;
         }
-        let reactor = file.path.ends_with("reactor.rs")
-            && matches!(f.impl_type.as_deref(), Some("Shard") | Some("Conn"));
-        let decoder =
-            file.path.ends_with("wire.rs") && f.impl_type.as_deref() == Some("FrameDecoder");
-        if !(reactor || decoder) {
-            continue;
+        let inline = file.path.ends_with("engine.rs")
+            && f.impl_type.as_deref() == Some("ProviderEngine")
+            && f.name == "execute_read";
+        let decoder = file.path.ends_with("wire.rs")
+            && f.impl_type.as_deref() == Some("FrameDecoder")
+            && !(f.name == "new" || f.name == "default" || f.name.starts_with("with_"));
+        if inline || decoder {
+            roots.push(id);
         }
-        if f.name == "new" || f.name == "default" || f.name.starts_with("with_") {
-            continue;
-        }
-        roots.push(id);
     }
     roots
 }
 
 /// True when the fn body mentions `WouldBlock`: it is written against
 /// the nonblocking-I/O contract, so its `read`/`write` calls return
-/// instead of parking the shard.
+/// instead of parking the thread.
 fn wouldblock_aware(ws: &WorkspaceIr, f: &FnItem) -> bool {
     let Some((start, end)) = f.body else {
         return false;
@@ -102,7 +104,7 @@ fn blocking_desc(
     }
     if let Some(class) = crate::locks::lock_class(ws, f, ctx) {
         // RwLock::read is shared and held briefly; everything
-        // write-capable excludes the whole engine while the shard spins.
+        // write-capable can wait behind a writer's fsync.
         return class
             .write_capable()
             .then_some("write-capable lock acquisition");
@@ -120,8 +122,7 @@ fn blocking_desc(
         "send" if ctx.method => Some("unbounded channel send"),
         "recv" if ctx.method => Some("blocking channel recv"),
         // Dynamic dispatch through a bodyless first-party trait method:
-        // the analyzer cannot see past it, and the inline (`workers=0`)
-        // contract makes the handler's cost the shard's cost.
+        // the analyzer cannot see past it, so it cannot vouch for it.
         "handle" | "call" => {
             (ctx.method && !resolved.is_empty()).then_some("dynamic service dispatch")
         }

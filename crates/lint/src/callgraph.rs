@@ -89,6 +89,7 @@ const STD_COLLIDING: &[&str] = &[
     "resize",
     "rev",
     "send",
+    "shutdown",
     "sort",
     "sort_by",
     "split",

@@ -66,7 +66,8 @@ pub enum Rule {
     L1,
     /// Transitive panic reachability from provider/client entry points.
     P3,
-    /// No blocking operations reachable from reactor entry points.
+    /// No blocking operations reachable from what runs inline on a
+    /// connection thread.
     B1,
     /// Durability ordering: publish/ack dominated by durable WAL
     /// append; crash-point results steer control.
@@ -178,7 +179,7 @@ impl Config {
         match rule {
             // The interprocedural rules manage their own scope: T1/L1
             // skip vendor/, P3 follows the call graph wherever it
-            // goes, B1 starts from the reactor roots, W1 from the
+            // goes, B1 starts from the inline roots, W1 from the
             // WAL/publish effect seeds, C1/C2 model every first-party
             // fn.
             Rule::S1
@@ -272,7 +273,7 @@ pub struct Timing {
 /// Two phases: the per-file token rules run first, then the files are
 /// parsed into a [`ir::WorkspaceIr`], linked into a call graph, and the
 /// interprocedural rules (T1 taint, L1 lock discipline, P3 transitive
-/// panic reachability, B1 reactor blocking, W1 durability ordering,
+/// panic reachability, B1 inline-path blocking, W1 durability ordering,
 /// C1/C2 deadlock detection) run over the whole program. Each file is
 /// lexed exactly once; the token stream is shared between the token
 /// rules and the IR. Findings come back normalized: sorted by (file,
@@ -404,7 +405,7 @@ fn interproc_findings(
     }
     for hit in blocking::run_b1(ws, graph) {
         let message = format!(
-            "B1 blocking on reactor path: {} in {}, reachable via {}",
+            "B1 blocking on inline path: {} in {}, reachable via {}",
             hit.desc,
             ws.label(hit.fn_id),
             hit.path.join(" -> ")

@@ -208,7 +208,7 @@ struct Summary {
 }
 
 /// Classify a context as a lock acquisition. Shared with rule B1,
-/// which treats any write-capable acquisition on a reactor path as a
+/// which treats any write-capable acquisition on an inline path as a
 /// blocking sink.
 pub(crate) fn lock_class(ws: &WorkspaceIr, f: &FnItem, ctx: &Ctx) -> Option<LockClass> {
     if ctx.kind != CtxKind::Call || !ctx.method || ctx.args_start != ctx.args_end {

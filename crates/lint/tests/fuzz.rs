@@ -4,7 +4,8 @@
 //! input is a lint that gets disabled. The workspace IR build runs the
 //! full pipeline: items, structs, fn bodies, ctx/panic/unit extraction,
 //! then the call graph and the B1/W1 interprocedural passes on top
-//! (the path hint is a `reactor.rs` so the B1 root filter can match).
+//! (the path hint is an `engine.rs` so the B1 and W1 root filters can
+//! match).
 
 use dasp_lint::{blocking, callgraph, deadlock, lexer, ordering, parser};
 use proptest::prelude::*;
@@ -16,7 +17,7 @@ fn build(src: String) {
     for t in &tokens {
         assert!(t.line <= max_line, "token line {} out of range", t.line);
     }
-    let ws = parser::build_workspace(vec![("crates/app/src/reactor.rs".to_string(), false, src)]);
+    let ws = parser::build_workspace(vec![("crates/app/src/engine.rs".to_string(), false, src)]);
     // Walk everything the analyzer would: no index may be out of range.
     for f in &ws.fns {
         for ctx in &f.ctxs {
@@ -42,7 +43,7 @@ proptest! {
     /// Rust-shaped punctuation soup: unbalanced braces, dangling
     /// generics, half-open comments and strings, stray `#` and `!`.
     /// Uppercase letters let the soup spell type names the B1/W1 root
-    /// and seed filters match on (`Shard`, `Wal`, `WouldBlock`).
+    /// and seed filters match on (`ProviderEngine`, `Wal`, `WouldBlock`).
     #[test]
     fn lexer_parser_survive_token_soup(src in "[a-zA-Z0-9 {}();=.,:<>#!&*'\"/_\n-]{0,300}") {
         build(src);

@@ -17,10 +17,10 @@
 //! * [`resilience`] — retry policies with jittered backoff, per-provider
 //!   health tracking (latency EWMAs), and circuit breakers backing the
 //!   first-k-wins quorum engine in [`rpc`].
-//! * [`reactor`] — a real TCP server: nonblocking accept loop, poll-style
-//!   readiness-scanning reactor shards, CRC-framed request/response
-//!   multiplexing by token, per-connection write backpressure, fan-in to
-//!   the MPMC worker pools.
+//! * [`reactor`] — a real TCP server: a blocking thread per connection
+//!   that runs non-blocking requests itself and hands the rest to a
+//!   worker pool, CRC-framed request/response multiplexing by token,
+//!   per-connection backpressure, and no thread that polls.
 //! * [`transport`] — the socket-backed client: a multiplexing
 //!   [`transport::TcpClient`] implementing [`SharedService`] so
 //!   `Cluster`, quorum, hedging, retries, and breakers run unchanged

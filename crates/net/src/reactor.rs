@@ -1,86 +1,81 @@
-//! A hand-rolled, FFI-free, poll-style reactor serving framed RPC over
-//! real TCP sockets.
+//! The TCP server: one blocking thread per connection, serving framed
+//! RPC with nothing that polls.
 //!
-//! The in-process fabric in [`crate::rpc`] scales to a handful of client
-//! threads; a provider that must fan in *thousands* of connections cannot
-//! afford a thread per connection. This module is the unlock: a small
-//! event-loop server in the `poll(2)` tradition, built entirely from safe
-//! `std` primitives (the workspace denies `unsafe_code`, which rules out
-//! `libc::poll`/`epoll` FFI — see DESIGN.md §11 for why that trade was
-//! made and what it costs):
+//! The workspace denies `unsafe_code`, so there is no `epoll`; what safe
+//! `std` offers at zero idle cost is a thread blocked in a system call.
+//! Every thread here is blocked in one until it has work (DESIGN.md §11):
 //!
-//! * every accepted [`TcpStream`] is set nonblocking and owned by one of
-//!   a few *reactor shard* threads;
-//! * a shard's event loop performs a **level-triggered readiness scan**:
-//!   each tick it attempts the pending I/O on every connection directly —
-//!   a nonblocking `read`/`write` that returns `WouldBlock` is exactly
-//!   the "not ready" answer `poll(2)` would have given, without the FFI;
-//! * when a tick makes no progress the shard parks on its completion
-//!   channel with an exponentially growing backoff (capped at
-//!   [`ReactorConfig::idle_backoff`]), so a hot server spins usefully and
-//!   an idle one sleeps;
-//! * decoded request frames are dispatched into one MPMC worker pool
-//!   (the same fan-in shape [`crate::rpc::Cluster`] uses in-process);
-//!   workers run the [`SharedService`] and push completions back to the
-//!   owning shard, which writes the response frame out — out of order,
-//!   multiplexed by token;
-//! * a [`FrameKind::BatchRequest`] decodes into one job per sub-message;
-//!   once a connection has sent a batch frame its responses are
-//!   *re-coalesced*: completions are staged per tick and packed into
-//!   [`FrameKind::BatchResponse`] frames at flush time, so a loaded
-//!   connection pays one CRC, one length prefix and one `write` per tick
-//!   instead of one per response (connections that never batch still get
-//!   plain `Response` frames — the batcher is invisible to old clients);
-//! * the hot path is allocation-free in steady state: responses encode
-//!   into the connection's coalesced write buffer
-//!   ([`crate::wire::encode_frame_into`]), request payloads draw from a
-//!   shard-local buffer pool and ride back for reuse on the completion,
-//!   and both the write buffer and the decoder shrink to a high-water
-//!   mark after bursts;
-//! * backpressure is per connection: a connection with too many requests
-//!   in service or too many un-flushed response bytes is not read from
-//!   until it drains, so one slow consumer cannot balloon server memory.
+//! * **Who reads.** The acceptor (`dasp-acceptor`) blocks in `accept` and
+//!   gives every connection its own thread (`dasp-reactor-<n>`), which
+//!   blocks in `read`, feeds a [`FrameDecoder`] and dispatches every
+//!   complete request; a [`FrameKind::BatchRequest`] is one dispatch per
+//!   sub-message.
+//! * **Who runs.** The connection thread runs a request itself when
+//!   [`SharedService::runs_inline`] returned `true` for it, or when there
+//!   is no pool (`workers == 0`: everything inline) — and never
+//!   otherwise. `runs_inline` is the service's promise that the request
+//!   cannot block, so a connection's reads are never queued behind its
+//!   own or anyone's writes. Every other request is copied to the bounded
+//!   worker pool (`dasp-tcp-worker-<w>`).
+//! * **Who writes.** Whoever produced the response. It is staged on the
+//!   connection, and the thread that finds no flush in flight becomes the
+//!   leader: outside the lock it encodes everything staged, writes it,
+//!   and repeats until nothing is staged; a thread that finds a leader
+//!   leaves its response for it. So at most one thread is ever blocked
+//!   on one peer, and responses finishing together share a `write` — for
+//!   a peer that has sent a batch frame, a [`FrameKind::BatchResponse`]
+//!   envelope (a peer that never batches only ever sees plain
+//!   `Response` frames).
+//! * **Backpressure.** The connection thread stops reading — blocks —
+//!   while the connection has [`ReactorConfig::max_inflight_per_conn`]
+//!   requests in the pool or [`ReactorConfig::max_outbound_bytes`] of
+//!   responses not yet written, or while the job queue is full. Together
+//!   with the decoder's frame cap these bound a connection's memory.
+//! * **Stall.** A response write that makes no progress for
+//!   [`WRITE_STALL_LIMIT`] closes the connection: a peer that does not
+//!   read holds one thread, for that long.
+//! * **Errors.** Any byte stream ends in a typed [`crate::FrameError`],
+//!   a `protocol_errors` count and a clean close, never a panic.
+//! * **Shutdown.** [`TcpServer::shutdown`] returns only after every
+//!   thread above has exited and every socket is closed.
 
 use crate::wire::{
     batch_items, encode_frame_into, BatchFrameBuilder, FrameDecoder, FrameKind, MAX_FRAME_BODY,
 };
 use crate::SharedService;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use std::collections::{HashMap, VecDeque};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning for a [`TcpServer`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Reactor (event-loop) threads; connections are sharded across them
-    /// round-robin at accept time.
+    /// Ignored. There are no shards: every connection has its own
+    /// thread. The field remains only because `benchmark/` names it.
     pub shards: usize,
     /// Service worker threads draining the shared request queue.
-    /// `0` selects *inline mode*: no worker pool — each shard runs the
-    /// [`SharedService`] directly on its event-loop thread, saving two
-    /// thread handoffs per request. Lowest latency for cheap handlers;
-    /// a slow handler stalls every connection on its shard, so keep a
-    /// worker pool (the default) for blocking or long-running services.
+    /// `0` selects *inline mode*: no worker pool — every request runs on
+    /// the thread of the connection that sent it, which then serves
+    /// nothing else until the handler returns. Right for cheap handlers;
+    /// keep a pool (the default) for services that can block.
     pub workers: usize,
     /// Largest accepted frame body (guards a corrupt length prefix).
     pub max_frame_body: u32,
-    /// Requests a single connection may have in service before the
-    /// reactor stops reading from it.
+    /// Requests a single connection may have in the pool before its
+    /// thread stops reading.
     pub max_inflight_per_conn: usize,
-    /// Un-flushed response bytes a connection may queue before the
-    /// reactor stops reading from it.
+    /// Response bytes a connection may hold un-written before its thread
+    /// stops reading.
     pub max_outbound_bytes: usize,
-    /// Capacity of the shared request queue; when full, shards pause
-    /// reading everywhere (global backpressure) instead of buffering.
+    /// Capacity of the shared request queue; a connection thread that
+    /// finds it full blocks until a worker takes a job.
     pub job_queue: usize,
-    /// Longest an idle shard sleeps between readiness scans. Bounds the
-    /// added latency of the first request after an idle period.
-    pub idle_backoff: Duration,
 }
 
 impl Default for ReactorConfig {
@@ -89,16 +84,33 @@ impl Default for ReactorConfig {
             .map(|n| n.get())
             .unwrap_or(1);
         ReactorConfig {
-            shards: cores.min(4),
+            shards: 1,
             workers: cores.min(4),
             max_frame_body: MAX_FRAME_BODY,
             max_inflight_per_conn: 256,
             max_outbound_bytes: 8 << 20,
             job_queue: 4096,
-            idle_backoff: Duration::from_millis(1),
         }
     }
 }
+
+/// Longest a response write may make no progress before the connection
+/// is closed — the bound [`crate::TcpClientConfig::write_timeout`] puts
+/// on the client's own writes.
+pub const WRITE_STALL_LIMIT: Duration = Duration::from_secs(1);
+
+/// How long the acceptor parks after a failed `accept` (or `shutdown`
+/// after a failed wake-up connect). Running out of descriptors does not
+/// consume the pending connection, so an immediate retry would spin.
+/// Armed by a failure only: an idle server has no timer.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// Bytes a connection thread asks the socket for at a time.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Write-buffer capacity a connection keeps through quiet periods; see
+/// [`Conn::flush`] for the shrink policy.
+const OUT_RETAIN: usize = 64 * 1024;
 
 #[derive(Default)]
 struct StatsInner {
@@ -119,9 +131,9 @@ pub struct ServerStatsSnapshot {
     pub accepted: u64,
     /// Connections currently open.
     pub open: u64,
-    /// Request messages decoded (batch sub-requests count individually).
+    /// Request messages admitted (batch sub-requests count individually).
     pub frames_in: u64,
-    /// Response messages queued for write (batch sub-responses count
+    /// Response messages written (batch sub-responses count
     /// individually).
     pub frames_out: u64,
     /// Batch envelopes decoded from clients.
@@ -130,8 +142,7 @@ pub struct ServerStatsSnapshot {
     pub batch_frames_out: u64,
     /// Connections closed for violating the frame protocol.
     pub protocol_errors: u64,
-    /// Ticks on which at least one connection was read-paused for
-    /// backpressure.
+    /// Times a connection thread stopped reading for backpressure.
     pub backpressure_pauses: u64,
 }
 
@@ -155,558 +166,415 @@ impl ServerStats {
     }
 }
 
-/// One decoded request handed to the worker pool.
+/// One request on its way through the worker pool.
 struct Job {
-    conn: u64,
+    conn: Arc<Conn>,
     token: u64,
     payload: Vec<u8>,
-    done: Sender<Completion>,
 }
 
-/// One finished response routed back to the owning shard. The request
-/// payload buffer rides back as `scratch` so the shard's pool can reuse
-/// its allocation for the next request.
-struct Completion {
-    conn: u64,
-    token: u64,
-    payload: Vec<u8>,
-    scratch: Vec<u8>,
-}
-
-/// Shard-local free list of request-payload buffers. Jobs draw here and
-/// the buffers ride back on completions, so a steady request rate
-/// recycles a small working set instead of allocating per frame.
-#[derive(Default)]
-struct BufPool {
-    bufs: Vec<Vec<u8>>,
-}
-
-/// Most buffers a [`BufPool`] holds.
-const POOL_MAX_BUFS: usize = 64;
-
-/// Largest buffer capacity a [`BufPool`] keeps; oversized one-off
-/// payloads are dropped rather than pinned.
-const POOL_MAX_BYTES: usize = 256 * 1024;
-
-impl BufPool {
-    fn get(&mut self) -> Vec<u8> {
-        self.bufs.pop().unwrap_or_default()
-    }
-
-    fn put(&mut self, mut buf: Vec<u8>) {
-        if self.bufs.len() < POOL_MAX_BUFS && buf.capacity() <= POOL_MAX_BYTES {
-            buf.clear();
-            self.bufs.push(buf);
-        }
-    }
-}
-
-/// Write-buffer capacity a connection keeps through quiet periods; see
-/// [`Conn::flush`] for the shrink policy.
-const OUT_RETAIN: usize = 64 * 1024;
-
+/// What a connection's thread and the workers answering its requests
+/// share. `out` is held only to stage a response or to claim or release
+/// the flush — never across a socket write, a `jobs` send, a handler, or
+/// a wait on anything but `resumed` (the condvar is why it is a `std`
+/// mutex). Every critical section is a few field updates that leave
+/// [`Outbound`] valid at each step, which is why a poisoned lock is
+/// entered rather than propagated.
 struct Conn {
     stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Coalesced outbound bytes: every staged response encodes onto the
-    /// tail and the flush writes the un-sent range `[out_pos..]` — one
-    /// `write` syscall per tick for a loaded connection, regardless of
-    /// how many responses completed.
-    out: Vec<u8>,
-    /// First un-written byte of `out`.
-    out_pos: usize,
-    /// Completions staged this tick, packed into frames at flush time.
-    staged: Vec<(u64, Vec<u8>)>,
-    /// The peer has sent at least one batch frame, opting in to
-    /// coalesced [`FrameKind::BatchResponse`] replies. Plain clients
-    /// never see a batch frame.
-    batching: bool,
-    inflight: usize,
-    dead: bool,
-    /// Last read attempt yielded bytes. Hot connections are scanned
-    /// every tick; cold ones every [`COLD_SCAN_PERIOD`] ticks when the
-    /// shard is busy (see the readiness scan).
-    hot: bool,
+    out: std::sync::Mutex<Outbound>,
+    /// Where the connection thread parks while a limit holds.
+    resumed: Condvar,
 }
 
-/// Under load, a cold connection is read-polled every this many ticks.
-/// Bounds both the wasted-`EAGAIN` syscall rate on large fan-in and the
-/// extra latency a newly-chatty connection can see (a few busy ticks).
-const COLD_SCAN_PERIOD: u64 = 4;
-
-/// Below this many connections a shard always scans everything — the
-/// full scan is cheaper than the bookkeeping it would skip.
-const STAGGER_THRESHOLD: usize = 8;
-
-/// A shard that moved a frame within this window is "mid-burst": its
-/// idle sleeps stay capped at [`ACTIVE_SLEEP_CAP`] so a client turning
-/// a request around never waits behind an escalated timer.
-const ACTIVE_WINDOW: Duration = Duration::from_millis(5);
-
-/// Idle-sleep cap while mid-burst. Bounds the worst-case stall between
-/// a request landing in the kernel buffer and the shard reading it.
-const ACTIVE_SLEEP_CAP: Duration = Duration::from_micros(20);
-
-/// Up to this many connections the mid-burst cap is the tight
-/// [`ACTIVE_SLEEP_CAP`]: a readiness scan is cheap, so waking every
-/// 20us to catch the next request is nearly free. Beyond it each wake
-/// scans hundreds of sockets, so the cap relaxes to
-/// [`ACTIVE_SLEEP_CAP_WIDE`] — requests batch behind the longer sleep,
-/// which costs less than the extra `EAGAIN` churn, while still
-/// bounding the stall well under the full idle backoff.
-const ACTIVE_CAP_MAX_CONNS: usize = 64;
-
-/// Mid-burst idle-sleep cap for shards with a large fan-in.
-const ACTIVE_SLEEP_CAP_WIDE: Duration = Duration::from_micros(200);
+#[derive(Default)]
+struct Outbound {
+    /// Responses waiting for the next flush round.
+    staged: Vec<(u64, Vec<u8>)>,
+    /// Payload bytes staged or in the round being written.
+    unflushed: usize,
+    /// Requests in the pool and not yet answered.
+    inflight: usize,
+    /// A leader is encoding or writing, outside the lock.
+    flushing: bool,
+    /// The peer has sent a batch frame, opting in to coalesced
+    /// [`FrameKind::BatchResponse`] replies.
+    batching: bool,
+    /// The connection thread is parked on `resumed`.
+    paused: bool,
+    /// Closed: nothing more is staged, admitted or written.
+    dead: bool,
+    /// The write buffer, kept between flushes.
+    wire: Vec<u8>,
+}
 
 impl Conn {
-    fn new(stream: TcpStream, max_body: u32) -> Self {
-        Conn {
-            stream,
-            decoder: FrameDecoder::with_max_body(max_body),
-            out: Vec::new(),
-            out_pos: 0,
-            staged: Vec::new(),
-            batching: false,
-            inflight: 0,
-            dead: false,
-            hot: true,
+    /// The backpressure gate, passed before every request: parks the
+    /// connection thread while a per-connection limit holds, and counts
+    /// the request into `inflight` if it is bound for the pool. False
+    /// once the connection is dead.
+    fn admit(&self, shared: &Shared, to_pool: bool) -> bool {
+        let cfg = &shared.cfg;
+        let over = |out: &Outbound| {
+            !out.dead
+                && (out.inflight >= cfg.max_inflight_per_conn
+                    || out.unflushed >= cfg.max_outbound_bytes)
+        };
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        if over(&out) {
+            drop(out);
+            let stats = &shared.stats.0;
+            stats.backpressure_pauses.fetch_add(1, Ordering::Relaxed);
+            // What this thread staged goes out before it parks; if the
+            // un-flushed bytes are its own, that alone lifts the limit.
+            self.flush(shared);
+            out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+            while over(&out) {
+                out.paused = true;
+                out = self
+                    .resumed
+                    .wait(out)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            out.paused = false;
+        }
+        if to_pool && !out.dead {
+            out.inflight += 1;
+        }
+        !out.dead
+    }
+
+    /// Stage one response; `from_pool` when it answers a request that
+    /// [`Conn::admit`] counted into `inflight`.
+    fn stage(&self, token: u64, payload: Vec<u8>, from_pool: bool) {
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        if from_pool {
+            out.inflight -= 1;
+            if out.paused {
+                self.resumed.notify_all();
+            }
+        }
+        if !out.dead {
+            out.unflushed += payload.len();
+            out.staged.push((token, payload));
         }
     }
 
-    /// Un-flushed outbound bytes (the backpressure gauge).
-    fn out_pending(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
-    /// Pack staged completions into outbound frames. A batching peer gets
-    /// them coalesced into [`FrameKind::BatchResponse`] envelopes (split
-    /// whenever the next sub-message would push the body past `max_body`);
-    /// everyone else gets one [`FrameKind::Response`] frame per
-    /// completion. Either way the bytes land on the tail of the coalesced
-    /// write buffer — no per-response allocation.
-    fn encode_staged(&mut self, max_body: u32, stats: &ServerStats) {
-        let n = self.staged.len();
-        if n == 0 {
+    /// Write out everything staged unless a flush is already in flight,
+    /// in which case its leader will: each round takes what is staged,
+    /// encodes and writes it outside the lock, and looks again. A write
+    /// error — [`WRITE_STALL_LIMIT`] without progress included — kills
+    /// the connection. On the way out the write buffer shrinks toward
+    /// the larger of [`OUT_RETAIN`] and the last round, so a burst does
+    /// not pin megabytes per connection and steady large responses do
+    /// not thrash the allocator.
+    fn flush(&self, shared: &Shared) {
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        if out.flushing || out.staged.is_empty() {
             return;
         }
-        if !self.batching || n == 1 {
-            for (token, payload) in self.staged.drain(..) {
-                encode_frame_into(&mut self.out, token, FrameKind::Response, &payload);
+        out.flushing = true;
+        let mut wire = std::mem::take(&mut out.wire);
+        let mut round = Vec::new();
+        loop {
+            std::mem::swap(&mut out.staged, &mut round);
+            let batching = out.batching;
+            drop(out);
+            let bytes: usize = round.iter().map(|(_, payload)| payload.len()).sum();
+            wire.clear();
+            encode_responses(&mut wire, &mut round, batching, shared);
+            if (&self.stream).write_all(&wire).is_err() {
+                self.kill();
             }
-        } else {
-            let mut i = 0;
-            let mut envelopes = 0u64;
-            while i < n {
-                let mut b = BatchFrameBuilder::begin(&mut self.out, FrameKind::BatchResponse);
-                while i < n {
-                    // dasp::allow(P3): `i < n` bounds the index.
-                    let (token, payload) = &self.staged[i];
-                    if b.count() > 0 && b.body_len_with(payload.len()) > max_body as usize {
-                        break;
-                    }
-                    b.push(*token, payload);
-                    i += 1;
-                }
-                b.finish();
-                envelopes += 1;
+            out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+            out.unflushed -= bytes;
+            if out.paused {
+                self.resumed.notify_all();
             }
-            self.staged.clear();
-            stats
-                .0
-                .batch_frames_out
-                .fetch_add(envelopes, Ordering::Relaxed);
+            if out.staged.is_empty() {
+                break;
+            }
         }
-        stats.0.frames_out.fetch_add(n as u64, Ordering::Relaxed);
+        let keep = OUT_RETAIN.max(wire.len());
+        if wire.capacity() > keep * 2 {
+            wire.shrink_to(keep);
+        }
+        out.wire = wire;
+        out.flushing = false;
+        // Both are empty; `staged` keeps the allocation.
+        std::mem::swap(&mut out.staged, &mut round);
     }
 
-    /// Nonblocking write of the coalesced outbound buffer; true if bytes
-    /// moved. On a full drain the buffer's capacity shrinks back toward
-    /// the larger of [`OUT_RETAIN`] and this drain's own high-water mark,
-    /// so a response burst does not pin megabytes per connection forever
-    /// while sustained large traffic never thrashes the allocator.
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
-        while self.out_pos < self.out.len() {
-            // dasp::allow(P3): `out_pos <= out.len()` is the loop guard.
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    progressed = true;
-                    self.out_pos += n;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
+    /// Close the connection from any thread: whatever is staged is
+    /// dropped, a blocked `read` or `write` on the socket returns, and
+    /// the connection thread leaves its park.
+    fn kill(&self) {
+        {
+            let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+            out.dead = true;
+            out.unflushed -= out.staged.iter().map(|(_, p)| p.len()).sum::<usize>();
+            out.staged.clear();
         }
-        if self.out_pos >= self.out.len() && !self.out.is_empty() {
-            let keep = OUT_RETAIN.max(self.out.len());
-            self.out.clear();
-            self.out_pos = 0;
-            if self.out.capacity() > keep * 2 {
-                self.out.shrink_to(keep);
-            }
-        }
-        progressed
+        // An error here means the socket is already shut down.
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.resumed.notify_all();
     }
 }
 
-/// Everything one reactor shard thread needs.
-struct Shard {
-    accept_rx: Receiver<TcpStream>,
-    completion_tx: Sender<Completion>,
-    completion_rx: Receiver<Completion>,
-    jobs_tx: Sender<Job>,
-    /// `Some` in inline mode (`workers == 0`): requests run right here
-    /// on the shard thread instead of crossing to the worker pool.
-    inline: Option<Arc<dyn SharedService>>,
-    shutdown: Arc<AtomicBool>,
+/// Pack one flush round onto `wire`. A batching peer gets the round
+/// coalesced into [`FrameKind::BatchResponse`] envelopes (split whenever
+/// the next sub-message would push the body past the frame cap);
+/// everyone else, and a round of one, gets a plain
+/// [`FrameKind::Response`] frame per response.
+fn encode_responses(
+    wire: &mut Vec<u8>,
+    round: &mut Vec<(u64, Vec<u8>)>,
+    batching: bool,
+    shared: &Shared,
+) {
+    let stats = &shared.stats.0;
+    let max_body = shared.cfg.max_frame_body as usize;
+    stats
+        .frames_out
+        .fetch_add(round.len() as u64, Ordering::Relaxed);
+    if !batching || round.len() == 1 {
+        for (token, payload) in round.drain(..) {
+            encode_frame_into(wire, token, FrameKind::Response, &payload);
+        }
+        return;
+    }
+    let mut rest = round.drain(..).peekable();
+    while rest.peek().is_some() {
+        let mut b = BatchFrameBuilder::begin(wire, FrameKind::BatchResponse);
+        while let Some((token, payload)) =
+            rest.next_if(|(_, p)| b.count() == 0 || b.body_len_with(p.len()) <= max_body)
+        {
+            b.push(token, &payload);
+        }
+        b.finish();
+        stats.batch_frames_out.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// What every thread of one server shares.
+struct Shared {
+    service: Arc<dyn SharedService>,
     cfg: ReactorConfig,
     stats: ServerStats,
+    shutdown: AtomicBool,
+    registry: Mutex<Registry>,
 }
 
-impl Shard {
+/// The live connections, so [`TcpServer::shutdown`] can close and join
+/// them, and the handles of connection threads that have ended.
+#[derive(Default)]
+struct Registry {
+    live: HashMap<u64, Live>,
+    /// Joined by the acceptor at the next accept, or by `shutdown`.
+    ended: Vec<JoinHandle<()>>,
+}
+
+struct Live {
+    conn: Arc<Conn>,
+    /// `None` until the acceptor has stored the handle `spawn` returned.
+    thread: Option<JoinHandle<()>>,
+}
+
+/// A connection's thread: read, decode, run or hand off, write.
+struct ConnThread {
+    id: u64,
+    conn: Arc<Conn>,
+    shared: Arc<Shared>,
+    /// `None` in inline mode.
+    jobs: Option<Sender<Job>>,
+}
+
+impl ConnThread {
     fn run(self) {
-        let mut conns: HashMap<u64, Conn> = HashMap::new();
-        let mut next_conn: u64 = 0;
-        let mut stalled: VecDeque<Job> = VecDeque::new();
-        let mut dead: Vec<u64> = Vec::new();
-        let min_backoff = Duration::from_micros(10);
-        let mut backoff = min_backoff;
-        let mut idle_streak = 0u32;
-        let mut tick = 0u64;
-        let mut last_progress = Instant::now();
-        let mut buf = vec![0u8; 64 * 1024];
-        let mut pool = BufPool::default();
-        while !self.shutdown.load(Ordering::Relaxed) {
-            let mut progressed = false;
-
-            // Adopt connections the acceptor assigned to this shard.
-            while let Ok(stream) = self.accept_rx.try_recv() {
-                progressed = true;
-                let ok = stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok();
-                if ok {
-                    conns.insert(next_conn, Conn::new(stream, self.cfg.max_frame_body));
-                    next_conn += 1;
-                } else {
-                    self.stats.0.open.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-
-            // Re-offer jobs that found the worker queue full.
-            while let Some(job) = stalled.pop_front() {
-                match self.jobs_tx.try_send(job) {
-                    Ok(()) => progressed = true,
-                    Err(TrySendError::Full(job)) => {
-                        stalled.push_front(job);
-                        break;
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-
-            // Stage finished responses on their connections; the scan
-            // below packs each connection's staged set into coalesced
-            // frames, so responses completing in the same tick share an
-            // envelope and a `write`.
-            while let Ok(c) = self.completion_rx.try_recv() {
-                progressed = true;
-                Self::stage(&mut conns, c, &mut pool);
-            }
-
-            // The readiness scan: attempt the pending I/O everywhere.
-            // On large fan-in a busy shard staggers the cold
-            // connections — most `read` attempts on them would burn a
-            // syscall just to hear `EAGAIN`. Any idle tick (or a small
-            // connection count) reverts to scanning everything, so a
-            // request arriving after a quiet spell is never stalled by
-            // the stagger.
-            tick = tick.wrapping_add(1);
-            let stagger = conns.len() > STAGGER_THRESHOLD && idle_streak == 0;
-            let mut paused = false;
-            for (&id, conn) in conns.iter_mut() {
-                conn.encode_staged(self.cfg.max_frame_body, &self.stats);
-                if conn.flush() {
-                    progressed = true;
-                }
-                if !conn.dead {
-                    let readable = stalled.is_empty()
-                        && conn.inflight < self.cfg.max_inflight_per_conn
-                        && conn.out_pending() < self.cfg.max_outbound_bytes;
-                    let due =
-                        !stagger || conn.hot || id % COLD_SCAN_PERIOD == tick % COLD_SCAN_PERIOD;
-                    if readable && due {
-                        let got =
-                            self.read_and_dispatch(id, conn, &mut buf, &mut stalled, &mut pool);
-                        conn.hot = got;
-                        if got {
-                            progressed = true;
-                        }
-                    } else if !readable {
-                        paused = true;
-                    }
-                }
-                if conn.dead {
-                    dead.push(id);
-                }
-            }
-            if paused {
-                self.stats
-                    .0
-                    .backpressure_pauses
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            for id in dead.drain(..) {
-                if conns.remove(&id).is_some() {
-                    self.stats.0.open.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-
-            if progressed {
-                backoff = min_backoff;
-                idle_streak = 0;
-                last_progress = Instant::now();
-                continue;
-            }
-            idle_streak += 1;
-            // Mid-burst, a brief lull just means clients are turning
-            // requests around; an escalated sleep here would stall the
-            // next request behind a timer (`sched_yield` alone is not
-            // reliable — CFS may keep running this thread). Keep sleeps
-            // short while frames flowed recently; only a genuinely
-            // quiet shard escalates to the full idle backoff.
-            let cap = if last_progress.elapsed() < ACTIVE_WINDOW {
-                let active_cap = if conns.len() <= ACTIVE_CAP_MAX_CONNS {
-                    ACTIVE_SLEEP_CAP
-                } else {
-                    ACTIVE_SLEEP_CAP_WIDE
-                };
-                active_cap.min(self.cfg.idle_backoff)
-            } else {
-                self.cfg.idle_backoff
-            };
-            if self.inline.is_some() {
-                // Inline mode has no completions to park on. A fresh
-                // idle tick usually means clients are turning requests
-                // around right now — yield them the core (nearly free
-                // on a loaded box) before falling back to timer sleeps.
-                if idle_streak <= 8 {
-                    std::thread::yield_now();
-                } else {
-                    // No connection has pending work on a fully idle
-                    // tick, and the sleep is capped by cfg.idle_backoff.
-                    // dasp::allow(B1): bounded idle backoff on an empty tick
-                    std::thread::sleep(backoff.min(cap));
-                    backoff = (backoff * 2).min(self.cfg.idle_backoff);
-                }
-                continue;
-            }
-            // Idle: park on the completion channel so a finishing worker
-            // wakes the shard immediately; otherwise retry after backoff.
-            match self.completion_rx.recv_timeout(backoff.min(cap)) {
-                Ok(c) => {
-                    // Stage the waking completion plus any burst right
-                    // behind it; the next tick's scan packs and flushes
-                    // them together.
-                    Self::stage(&mut conns, c, &mut pool);
-                    while let Ok(c) = self.completion_rx.try_recv() {
-                        Self::stage(&mut conns, c, &mut pool);
-                    }
-                    backoff = min_backoff;
-                }
-                Err(_) => backoff = (backoff * 2).min(self.cfg.idle_backoff),
-            }
-        }
-    }
-
-    /// Record a finished response on its connection and recycle the
-    /// request buffer that rode back on the completion.
-    fn stage(conns: &mut HashMap<u64, Conn>, c: Completion, pool: &mut BufPool) {
-        pool.put(c.scratch);
-        let Some(conn) = conns.get_mut(&c.conn) else {
-            return; // connection closed while the request was in service
-        };
-        conn.inflight = conn.inflight.saturating_sub(1);
-        if conn.dead {
-            return;
-        }
-        conn.staged.push((c.token, c.payload));
-    }
-
-    /// Dispatch one decoded request message: inline mode runs the handler
-    /// right here and stages the response; pool mode copies the payload
-    /// into a recycled buffer and hands it to the workers.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_one(
-        &self,
-        id: u64,
-        token: u64,
-        payload: &[u8],
-        inflight: &mut usize,
-        staged: &mut Vec<(u64, Vec<u8>)>,
-        dead: &mut bool,
-        stalled: &mut VecDeque<Job>,
-        pool: &mut BufPool,
-    ) {
-        self.stats.0.frames_in.fetch_add(1, Ordering::Relaxed);
-        if let Some(service) = &self.inline {
-            // Inline mode: run the handler here on the decoder's borrowed
-            // payload (zero copy) and stage the response. workers=0 is an
-            // explicit opt-in that trades shard latency for zero hand-off.
-            // dasp::allow(B1): inline mode runs the handler on the shard by contract
-            staged.push((token, service.handle(payload)));
-            return;
-        }
-        *inflight += 1;
-        let mut owned = pool.get();
-        owned.extend_from_slice(payload);
-        let job = Job {
-            conn: id,
-            token,
-            payload: owned,
-            done: self.completion_tx.clone(),
-        };
-        match self.jobs_tx.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => stalled.push_back(job),
-            Err(TrySendError::Disconnected(_)) => *dead = true,
-        }
-    }
-
-    /// Drain the socket's readable bytes (bounded per tick for fairness),
-    /// decode frames (unpacking batch envelopes into one dispatch per
-    /// sub-message), dispatch them to the worker pool.
-    fn read_and_dispatch(
-        &self,
-        id: u64,
-        conn: &mut Conn,
-        buf: &mut [u8],
-        stalled: &mut VecDeque<Job>,
-        pool: &mut BufPool,
-    ) -> bool {
-        let mut progressed = false;
-        for _ in 0..4 {
-            match conn.stream.read(buf) {
-                Ok(0) => {
-                    conn.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    progressed = true;
-                    // Disjoint field borrows: the decoder's frame view
-                    // stays live while staged/inflight/dead mutate.
-                    let Conn {
-                        decoder,
-                        staged,
-                        batching,
-                        inflight,
-                        dead,
-                        ..
-                    } = conn;
-                    decoder.extend(&buf[..n]);
-                    loop {
-                        match decoder.next_frame_view() {
-                            Ok(Some(view)) => match view.kind {
-                                FrameKind::Request => {
-                                    self.dispatch_one(
-                                        id,
-                                        view.token,
-                                        view.payload,
-                                        inflight,
-                                        staged,
-                                        dead,
-                                        stalled,
-                                        pool,
-                                    );
-                                    if *dead {
-                                        break;
-                                    }
-                                }
-                                FrameKind::BatchRequest => {
-                                    *batching = true;
-                                    self.stats.0.batch_frames_in.fetch_add(1, Ordering::Relaxed);
-                                    for item in batch_items(view.payload) {
-                                        match item {
-                                            Ok((token, payload)) => {
-                                                self.dispatch_one(
-                                                    id, token, payload, inflight, staged, dead,
-                                                    stalled, pool,
-                                                );
-                                            }
-                                            Err(_) => {
-                                                // Truncated batch body: a
-                                                // typed error, a clean
-                                                // close — never a panic.
-                                                self.stats
-                                                    .0
-                                                    .protocol_errors
-                                                    .fetch_add(1, Ordering::Relaxed);
-                                                *dead = true;
-                                            }
-                                        }
-                                        if *dead {
-                                            break;
-                                        }
-                                    }
-                                    if *dead {
-                                        break;
-                                    }
-                                }
-                                FrameKind::Response | FrameKind::BatchResponse => {
-                                    // Clients must not send response kinds.
-                                    self.stats.0.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                    *dead = true;
-                                    break;
-                                }
-                            },
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Corrupt stream: close. A typed error, a
-                                // clean close — never a panic or over-read.
-                                self.stats.0.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                *dead = true;
-                                break;
-                            }
-                        }
-                    }
-                    if conn.dead || n < buf.len() || conn.inflight >= self.cfg.max_inflight_per_conn
-                    {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+        let mut decoder = FrameDecoder::with_max_body(self.shared.cfg.max_frame_body);
+        let mut buf = vec![0u8; READ_CHUNK];
+        loop {
+            let n = match (&self.conn.stream).read(&mut buf) {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn.dead = true;
-                    break;
+                Ok(0) | Err(_) => return,
+                Ok(n) => n,
+            };
+            decoder.extend(&buf[..n]);
+            if !self.serve_frames(&mut decoder) {
+                return;
+            }
+            // Everything this read's requests produced inline goes out
+            // in one round: a batch of reads comes back as one envelope.
+            self.conn.flush(&self.shared);
+        }
+    }
+
+    /// Dispatch every complete frame the decoder holds. False means the
+    /// connection is over.
+    fn serve_frames(&self, decoder: &mut FrameDecoder) -> bool {
+        let stats = &self.shared.stats.0;
+        loop {
+            let view = match decoder.next_frame_view() {
+                Ok(Some(view)) => view,
+                Ok(None) => return true,
+                Err(_) => break,
+            };
+            match view.kind {
+                FrameKind::Request => {
+                    if !self.dispatch(view.token, view.payload) {
+                        return false;
+                    }
                 }
+                FrameKind::BatchRequest => {
+                    self.conn
+                        .out
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .batching = true;
+                    stats.batch_frames_in.fetch_add(1, Ordering::Relaxed);
+                    for item in batch_items(view.payload) {
+                        let Ok((token, payload)) = item else {
+                            // Truncated batch body: the sub-messages
+                            // before it were served, the rest is noise.
+                            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                            return false;
+                        };
+                        if !self.dispatch(token, payload) {
+                            return false;
+                        }
+                    }
+                }
+                // Clients must not send response kinds.
+                FrameKind::Response | FrameKind::BatchResponse => break,
             }
         }
-        // Inline responses are ready now — pack and push them onto the
-        // wire without waiting for the next scan tick.
-        if self.inline.is_some() && !conn.dead && !conn.staged.is_empty() {
-            conn.encode_staged(self.cfg.max_frame_body, &self.stats);
-            conn.flush();
+        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        false
+    }
+
+    /// One request: through the gate, then run here or handed to the
+    /// pool. False means the connection is over.
+    fn dispatch(&self, token: u64, payload: &[u8]) -> bool {
+        let shared = &*self.shared;
+        let pool = self
+            .jobs
+            .as_ref()
+            .filter(|_| !shared.service.runs_inline(payload));
+        if !self.conn.admit(shared, pool.is_some()) {
+            return false;
         }
-        progressed
+        shared.stats.0.frames_in.fetch_add(1, Ordering::Relaxed);
+        let Some(jobs) = pool else {
+            let response = shared.service.handle(payload);
+            self.conn.stage(token, response, false);
+            return true;
+        };
+        let job = Job {
+            conn: Arc::clone(&self.conn),
+            token,
+            payload: payload.to_vec(),
+        };
+        match jobs.try_send(job) {
+            Ok(()) => true,
+            Err(TrySendError::Full(job)) => {
+                let stats = &shared.stats.0;
+                stats.backpressure_pauses.fetch_add(1, Ordering::Relaxed);
+                self.conn.flush(shared);
+                jobs.send(job).is_ok()
+            }
+            Err(TrySendError::Disconnected(_)) => false,
+        }
     }
 }
 
-/// A running TCP RPC server: acceptor + reactor shards + worker pool,
-/// serving one [`SharedService`]. Shuts down (and joins every thread) on
-/// drop.
+impl Drop for ConnThread {
+    /// The one way a connection ends, also when its thread could not be
+    /// spawned (the closure that owns `self` is dropped) or a handler
+    /// panicked on it.
+    fn drop(&mut self) {
+        self.conn.kill();
+        let stats = &self.shared.stats.0;
+        stats.open.fetch_sub(1, Ordering::Relaxed);
+        let mut registry = self.shared.registry.lock();
+        // No entry: `shutdown` took it and joins this thread itself.
+        // No handle yet: the acceptor will file it under `ended`.
+        if let Some(thread) = registry.live.remove(&self.id).and_then(|l| l.thread) {
+            registry.ended.push(thread);
+        }
+    }
+}
+
+fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
+    while let Ok(job) = jobs.recv() {
+        let response = shared.service.handle(&job.payload);
+        job.conn.stage(job.token, response, true);
+        job.conn.flush(&shared);
+    }
+}
+
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, jobs: Option<Sender<Job>>) {
+    let stats = &shared.stats.0;
+    for id in 0u64.. {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return; // `accepted` is shutdown's wake-up connection
+        }
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => {
+                std::thread::park_timeout(ACCEPT_RETRY);
+                continue;
+            }
+        };
+        stats.accepted.fetch_add(1, Ordering::Relaxed);
+        if stream.set_nodelay(true).is_err()
+            || stream.set_write_timeout(Some(WRITE_STALL_LIMIT)).is_err()
+        {
+            continue;
+        }
+        stats.open.fetch_add(1, Ordering::Relaxed);
+        let conn = Arc::new(Conn {
+            stream,
+            out: Default::default(),
+            resumed: Condvar::new(),
+        });
+        let thread = ConnThread {
+            id,
+            conn: Arc::clone(&conn),
+            shared: Arc::clone(&shared),
+            jobs: jobs.clone(),
+        };
+        let live = Live { conn, thread: None };
+        shared.registry.lock().live.insert(id, live);
+        // A failed spawn drops the closure and `thread` with it, which
+        // closes the connection; the server keeps accepting.
+        let spawned = std::thread::Builder::new()
+            .name(format!("dasp-reactor-{id}"))
+            .spawn(move || thread.run());
+        let mut registry = shared.registry.lock();
+        if let Ok(handle) = spawned {
+            match registry.live.get_mut(&id) {
+                Some(live) => live.thread = Some(handle),
+                None => registry.ended.push(handle), // already over
+            }
+        }
+        let ended = std::mem::take(&mut registry.ended);
+        drop(registry);
+        for t in ended {
+            let _ = t.join();
+        }
+    }
+}
+
+/// A running TCP RPC server: acceptor + a thread per connection + worker
+/// pool, serving one [`SharedService`]. Shuts down (and joins every
+/// thread) on drop.
 pub struct TcpServer {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    stats: ServerStats,
+    shared: Arc<Shared>,
+    acceptor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl TcpServer {
@@ -717,122 +585,43 @@ impl TcpServer {
         cfg: ReactorConfig,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shards = cfg.shards.max(1);
-        let workers = cfg.workers; // 0 = inline mode, no pool
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = ServerStats::default();
-        let mut threads = Vec::new();
-
         let (jobs_tx, jobs_rx) = bounded::<Job>(cfg.job_queue.max(1));
-        for w in 0..workers {
-            let jobs_rx = jobs_rx.clone();
-            let service = Arc::clone(&service);
+        let pool = cfg.workers; // 0 = inline mode, no pool
+        let shared = Arc::new(Shared {
+            service,
+            cfg,
+            stats: ServerStats::default(),
+            shutdown: AtomicBool::new(false),
+            registry: Mutex::default(),
+        });
+        let mut server = TcpServer {
+            local_addr,
+            shared: Arc::clone(&shared),
+            acceptor: None,
+            workers: Vec::new(),
+        };
+        for w in 0..pool {
+            let (jobs_rx, shared) = (jobs_rx.clone(), Arc::clone(&shared));
             let spawned = std::thread::Builder::new()
                 .name(format!("dasp-tcp-worker-{w}"))
-                .spawn(move || {
-                    while let Ok(job) = jobs_rx.recv() {
-                        let payload = service.handle(&job.payload);
-                        // The request buffer rides back for the shard's
-                        // pool to reuse.
-                        // dasp::allow(E1): a send failure means the reactor
-                        // dropped the completion channel at shutdown; the
-                        // worker loop exits on the next recv.
-                        let _ = job.done.send(Completion {
-                            conn: job.conn,
-                            token: job.token,
-                            payload,
-                            scratch: job.payload,
-                        });
-                    }
-                });
-            if let Ok(handle) = spawned {
-                threads.push(handle);
-            }
+                .spawn(move || worker_loop(jobs_rx, shared));
+            server.workers.extend(spawned); // a failed spawn adds none
         }
         drop(jobs_rx);
-        if workers > 0 && threads.is_empty() {
-            shutdown.store(true, Ordering::Relaxed);
+        if pool > 0 && server.workers.is_empty() {
             return Err(std::io::Error::other("could not spawn any worker thread"));
         }
-
-        let mut accept_txs = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let (accept_tx, accept_rx) = unbounded::<TcpStream>();
-            let (completion_tx, completion_rx) = unbounded::<Completion>();
-            let shard = Shard {
-                accept_rx,
-                completion_tx,
-                completion_rx,
-                jobs_tx: jobs_tx.clone(),
-                inline: (workers == 0).then(|| Arc::clone(&service)),
-                shutdown: Arc::clone(&shutdown),
-                cfg: cfg.clone(),
-                stats: stats.clone(),
-            };
-            let spawned = std::thread::Builder::new()
-                .name(format!("dasp-reactor-{s}"))
-                .spawn(move || shard.run());
-            if let Ok(handle) = spawned {
-                threads.push(handle);
-                accept_txs.push(accept_tx);
-            }
-        }
-        drop(jobs_tx);
-        if accept_txs.is_empty() {
-            shutdown.store(true, Ordering::Relaxed);
-            for t in threads {
-                let _ = t.join();
-            }
-            return Err(std::io::Error::other("could not spawn any reactor shard"));
-        }
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let stats = stats.clone();
-            std::thread::Builder::new()
-                .name("dasp-acceptor".to_string())
-                .spawn(move || {
-                    let mut next = 0usize;
-                    while !shutdown.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                stats.0.accepted.fetch_add(1, Ordering::Relaxed);
-                                stats.0.open.fetch_add(1, Ordering::Relaxed);
-                                let tx = &accept_txs[next % accept_txs.len()];
-                                next = next.wrapping_add(1);
-                                if tx.send(stream).is_err() {
-                                    stats.0.open.fetch_sub(1, Ordering::Relaxed);
-                                }
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                        }
-                    }
-                })
-        };
-        match acceptor {
-            Ok(handle) => threads.push(handle),
-            Err(e) => {
-                // Without an acceptor the server would look alive
-                // (`local_addr` works) yet never serve a connection.
-                shutdown.store(true, Ordering::Relaxed);
-                for t in threads {
-                    let _ = t.join();
-                }
-                return Err(std::io::Error::other(format!("spawn acceptor: {e}")));
-            }
-        }
-
-        Ok(TcpServer {
-            local_addr,
-            shutdown,
-            threads,
-            stats,
-        })
+        // The acceptor and the connection threads hold the only senders:
+        // once they are gone (or were never spawned) the workers drain
+        // the queue and exit, which is what `shutdown` and `Drop` join.
+        let jobs = (pool > 0).then_some(jobs_tx);
+        let acceptor = std::thread::Builder::new()
+            .name("dasp-acceptor".to_string())
+            .spawn(move || accept_loop(listener, shared, jobs))
+            .map_err(|e| std::io::Error::other(format!("spawn acceptor: {e}")))?;
+        server.acceptor = Some(acceptor);
+        Ok(server)
     }
 
     /// The bound address (resolves port 0 to the chosen port).
@@ -842,14 +631,43 @@ impl TcpServer {
 
     /// Live server counters.
     pub fn stats(&self) -> ServerStatsSnapshot {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
-    /// Stop accepting, drop every connection, join every thread.
-    /// Idempotent; also invoked by `Drop`.
+    /// Stop accepting, close every connection, and return once every
+    /// server thread has exited and every socket is closed: the address
+    /// can be bound again at once, and nothing still serves the old
+    /// service. A handler still running is waited for. Idempotent; also
+    /// invoked by `Drop`.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        if let Some(acceptor) = self.acceptor.take() {
+            // The acceptor is blocked in `accept`: connect to it.
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            while !acceptor.is_finished() && TcpStream::connect(wake).is_err() {
+                std::thread::park_timeout(ACCEPT_RETRY);
+            }
+            let _ = acceptor.join();
+        }
+        // With the acceptor gone every live entry has its handle.
+        let (live, ended) = {
+            let mut registry = self.shared.registry.lock();
+            (
+                std::mem::take(&mut registry.live),
+                std::mem::take(&mut registry.ended),
+            )
+        };
+        for live in live.values() {
+            live.conn.kill();
+        }
+        let threads = live.into_values().filter_map(|live| live.thread);
+        for t in threads.chain(ended).chain(self.workers.drain(..)) {
             let _ = t.join();
         }
     }

@@ -67,6 +67,15 @@ where
 pub trait SharedService: Send + Sync {
     /// Handle one request payload, producing a response payload.
     fn handle(&self, request: &[u8]) -> Vec<u8>;
+
+    /// A promise that [`handle`](Self::handle) cannot block on
+    /// `request`: it takes no lock a writer holds across I/O and waits
+    /// for no disk, peer or other request. [`crate::TcpServer`] runs such
+    /// a request on the thread that read it instead of handing it to the
+    /// worker pool. The default promises nothing.
+    fn runs_inline(&self, _request: &[u8]) -> bool {
+        false
+    }
 }
 
 impl<F> SharedService for F

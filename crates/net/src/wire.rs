@@ -667,8 +667,8 @@ pub fn decode_batch(payload: &[u8]) -> Result<Vec<(u64, Vec<u8>)>, FrameError> {
 
 /// A decoded frame borrowing its payload from the decoder's buffer — the
 /// zero-copy form of [`Frame`] returned by
-/// [`FrameDecoder::next_frame_view`]. The reactor dispatches straight off
-/// the view; only payloads that outlive the read tick (worker jobs,
+/// [`FrameDecoder::next_frame_view`]. The server dispatches straight off
+/// the view; only payloads that outlive the dispatch (worker jobs,
 /// client completions) are copied out.
 pub struct FrameView<'a> {
     /// Correlation token (for batch frames: the sub-message count).

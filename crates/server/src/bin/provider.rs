@@ -1,6 +1,6 @@
 //! Standalone TCP provider process.
 //!
-//! Runs one database service provider behind the dasp-net reactor so
+//! Runs one database service provider behind `dasp_net::TcpServer` so
 //! clients (or a whole [`dasp_net::Cluster`]) connect over real
 //! sockets. In-memory by default; `--data <dir>` makes it durable
 //! (WAL + checkpoint recovery on restart).
@@ -17,22 +17,19 @@ use std::sync::Arc;
 struct Args {
     listen: String,
     data: Option<std::path::PathBuf>,
-    shards: Option<usize>,
     workers: Option<usize>,
 }
 
-const USAGE: &str = "usage: provider [--listen ADDR] [--data DIR] [--shards N] [--workers N]
+const USAGE: &str = "usage: provider [--listen ADDR] [--data DIR] [--workers N]
 
   --listen ADDR   address to bind (default 127.0.0.1:7171; port 0 = ephemeral)
   --data DIR      durable storage directory (default: in-memory)
-  --shards N      reactor shard threads (default: min(cores, 4))
   --workers N     request worker threads (default: min(cores, 4))";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7171".to_string(),
         data: None,
-        shards: None,
         workers: None,
     };
     let mut it = std::env::args().skip(1);
@@ -41,13 +38,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--listen" => args.listen = value("--listen")?,
             "--data" => args.data = Some(std::path::PathBuf::from(value("--data")?)),
-            "--shards" => {
-                args.shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                )
-            }
             "--workers" => {
                 args.workers = Some(
                     value("--workers")?
@@ -80,9 +70,6 @@ fn run() -> Result<(), String> {
         None => ProviderService::new(),
     };
     let mut cfg = ReactorConfig::default();
-    if let Some(shards) = args.shards {
-        cfg.shards = shards.max(1);
-    }
     if let Some(workers) = args.workers {
         cfg.workers = workers.max(1);
     }
@@ -90,7 +77,7 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("bind {}: {e}", args.listen))?;
     // Stdout so scripts can scrape the bound (possibly ephemeral) port.
     println!("listening on {}", server.local_addr());
-    // Serve until killed. The reactor threads own all the work; this
+    // Serve until killed. The server's threads own all the work; this
     // thread just sleeps and periodically logs load.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(60));

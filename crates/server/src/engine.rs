@@ -647,21 +647,8 @@ impl ProviderEngine {
         }
     }
 
-    fn is_write(request: &Request) -> bool {
-        matches!(
-            request,
-            Request::CreateTable { .. }
-                | Request::Insert { .. }
-                | Request::Delete { .. }
-                | Request::Update { .. }
-                | Request::Increment { .. }
-                | Request::Commit { .. }
-                | Request::DropAllTables
-        )
-    }
-
     fn try_execute(&self, request: &Request) -> Result<Response, String> {
-        if Self::is_write(request) {
+        if request.is_write() {
             self.execute_write(request)
         } else {
             // Pin an epoch: the snapshot stays alive (and consistent)

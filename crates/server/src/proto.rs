@@ -437,17 +437,83 @@ fn read_range_proof(r: &mut WireReader) -> Result<WireRangeProof, WireError> {
     })
 }
 
+/// The byte that leads each request's encoding.
+mod tag {
+    pub const CREATE_TABLE: u8 = 0;
+    pub const INSERT: u8 = 1;
+    pub const DELETE: u8 = 2;
+    pub const UPDATE: u8 = 3;
+    pub const QUERY: u8 = 4;
+    pub const JOIN: u8 = 5;
+    pub const STATS: u8 = 6;
+    pub const QUERY_ORDERED: u8 = 7;
+    pub const GROUPED_AGGREGATE: u8 = 8;
+    pub const COMMIT: u8 = 9;
+    pub const VERIFIED_RANGE: u8 = 10;
+    pub const INCREMENT: u8 = 11;
+    pub const DROP_ALL_TABLES: u8 = 12;
+}
+
 impl Request {
+    /// The byte that leads this request's encoding.
+    pub fn tag(&self) -> u8 {
+        match self {
+            Request::CreateTable { .. } => tag::CREATE_TABLE,
+            Request::Insert { .. } => tag::INSERT,
+            Request::Delete { .. } => tag::DELETE,
+            Request::Update { .. } => tag::UPDATE,
+            Request::Query { .. } => tag::QUERY,
+            Request::Join { .. } => tag::JOIN,
+            Request::Stats => tag::STATS,
+            Request::QueryOrdered { .. } => tag::QUERY_ORDERED,
+            Request::GroupedAggregate { .. } => tag::GROUPED_AGGREGATE,
+            Request::Commit { .. } => tag::COMMIT,
+            Request::VerifiedRange { .. } => tag::VERIFIED_RANGE,
+            Request::Increment { .. } => tag::INCREMENT,
+            Request::DropAllTables => tag::DROP_ALL_TABLES,
+        }
+    }
+
+    /// The one definition of "write", on the tag byte so a transport can
+    /// ask it of an encoded request without decoding: `Some(true)` for a
+    /// request that mutates the provider (it takes the writer mutex and
+    /// waits for an fsync), `Some(false)` for one served from the
+    /// published snapshot, `None` for a byte that leads no request.
+    pub fn tag_is_write(tag: u8) -> Option<bool> {
+        match tag {
+            tag::CREATE_TABLE
+            | tag::INSERT
+            | tag::DELETE
+            | tag::UPDATE
+            | tag::INCREMENT
+            | tag::COMMIT
+            | tag::DROP_ALL_TABLES => Some(true),
+            tag::QUERY
+            | tag::QUERY_ORDERED
+            | tag::GROUPED_AGGREGATE
+            | tag::JOIN
+            | tag::VERIFIED_RANGE
+            | tag::STATS => Some(false),
+            _ => None,
+        }
+    }
+
+    /// True if executing this request mutates the provider.
+    pub fn is_write(&self) -> bool {
+        Self::tag_is_write(self.tag()) == Some(true)
+    }
+
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
+        w.u8(self.tag());
         match self {
             Request::CreateTable {
                 name,
                 columns,
                 indexed,
             } => {
-                w.u8(0).string(name);
+                w.string(name);
                 w.seq(columns, |w, c| {
                     w.string(c);
                 });
@@ -456,17 +522,17 @@ impl Request {
                 });
             }
             Request::Insert { table, rows } => {
-                w.u8(1).string(table);
+                w.string(table);
                 w.seq(rows, write_row);
             }
             Request::Delete { table, ids } => {
-                w.u8(2).string(table);
+                w.string(table);
                 w.seq(ids, |w, id| {
                     w.u64(*id);
                 });
             }
             Request::Update { table, rows } => {
-                w.u8(3).string(table);
+                w.string(table);
                 w.seq(rows, write_row);
             }
             Request::Query {
@@ -474,7 +540,7 @@ impl Request {
                 predicate,
                 agg,
             } => {
-                w.u8(4).string(table);
+                w.string(table);
                 write_preds(&mut w, predicate);
                 match agg {
                     None => {
@@ -490,7 +556,7 @@ impl Request {
                 desc,
                 limit,
             } => {
-                w.u8(7).string(table);
+                w.string(table);
                 write_preds(&mut w, predicate);
                 w.u64(*order_col as u64).bool(*desc).u64(*limit);
             }
@@ -500,7 +566,7 @@ impl Request {
                 group_col,
                 agg,
             } => {
-                w.u8(8).string(table);
+                w.string(table);
                 write_preds(&mut w, predicate);
                 w.u64(*group_col as u64);
                 write_agg(&mut w, agg);
@@ -511,29 +577,23 @@ impl Request {
                 left_col,
                 right_col,
             } => {
-                w.u8(5)
-                    .string(left)
+                w.string(left)
                     .string(right)
                     .u64(*left_col as u64)
                     .u64(*right_col as u64);
             }
-            Request::Stats => {
-                w.u8(6);
-            }
+            Request::Stats | Request::DropAllTables => {}
             Request::Commit { table, col } => {
-                w.u8(9).string(table).u64(*col as u64);
+                w.string(table).u64(*col as u64);
             }
             Request::VerifiedRange { table, col, lo, hi } => {
-                w.u8(10).string(table).u64(*col as u64).i128(*lo).i128(*hi);
+                w.string(table).u64(*col as u64).i128(*lo).i128(*hi);
             }
             Request::Increment { table, col, deltas } => {
-                w.u8(11).string(table).u64(*col as u64);
+                w.string(table).u64(*col as u64);
                 w.seq(deltas, |w, (id, d)| {
                     w.u64(*id).i128(*d);
                 });
-            }
-            Request::DropAllTables => {
-                w.u8(12);
             }
         }
         w.finish()
@@ -543,24 +603,24 @@ impl Request {
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(bytes);
         let req = match r.u8()? {
-            0 => Request::CreateTable {
+            tag::CREATE_TABLE => Request::CreateTable {
                 name: r.string()?,
                 columns: r.seq(|r| r.string())?,
                 indexed: r.seq(|r| r.bool())?,
             },
-            1 => Request::Insert {
+            tag::INSERT => Request::Insert {
                 table: r.string()?,
                 rows: r.seq(read_row)?,
             },
-            2 => Request::Delete {
+            tag::DELETE => Request::Delete {
                 table: r.string()?,
                 ids: r.seq(|r| r.u64())?,
             },
-            3 => Request::Update {
+            tag::UPDATE => Request::Update {
                 table: r.string()?,
                 rows: r.seq(read_row)?,
             },
-            4 => {
+            tag::QUERY => {
                 let table = r.string()?;
                 let predicate = read_preds(&mut r)?;
                 // Peek the agg tag: 0 means none, otherwise re-read inline.
@@ -593,14 +653,14 @@ impl Request {
                     agg,
                 }
             }
-            5 => Request::Join {
+            tag::JOIN => Request::Join {
                 left: r.string()?,
                 right: r.string()?,
                 left_col: r.u64()? as usize,
                 right_col: r.u64()? as usize,
             },
-            6 => Request::Stats,
-            7 => {
+            tag::STATS => Request::Stats,
+            tag::QUERY_ORDERED => {
                 let table = r.string()?;
                 let predicate = read_preds(&mut r)?;
                 Request::QueryOrdered {
@@ -611,7 +671,7 @@ impl Request {
                     limit: r.u64()?,
                 }
             }
-            8 => {
+            tag::GROUPED_AGGREGATE => {
                 let table = r.string()?;
                 let predicate = read_preds(&mut r)?;
                 Request::GroupedAggregate {
@@ -621,22 +681,22 @@ impl Request {
                     agg: read_agg(&mut r)?,
                 }
             }
-            9 => Request::Commit {
+            tag::COMMIT => Request::Commit {
                 table: r.string()?,
                 col: r.u64()? as usize,
             },
-            10 => Request::VerifiedRange {
+            tag::VERIFIED_RANGE => Request::VerifiedRange {
                 table: r.string()?,
                 col: r.u64()? as usize,
                 lo: r.i128()?,
                 hi: r.i128()?,
             },
-            11 => Request::Increment {
+            tag::INCREMENT => Request::Increment {
                 table: r.string()?,
                 col: r.u64()? as usize,
                 deltas: r.seq(|r| Ok((r.u64()?, r.i128()?)))?,
             },
-            12 => Request::DropAllTables,
+            tag::DROP_ALL_TABLES => Request::DropAllTables,
             t => return Err(WireError::BadTag(t)),
         };
         r.expect_end()?;

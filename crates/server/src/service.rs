@@ -73,6 +73,15 @@ impl SharedService for ProviderService {
     fn handle(&self, request: &[u8]) -> Vec<u8> {
         self.serve(request)
     }
+
+    /// Exactly the requests `ProviderEngine::execute_read` serves, told
+    /// from the tag byte: they run against the published snapshot and
+    /// never meet the writer mutex or an fsync. An empty payload or an
+    /// unknown tag is not inline; it reaches `Request::decode` on a
+    /// worker and comes back as a [`Response::Error`].
+    fn runs_inline(&self, request: &[u8]) -> bool {
+        request.first().and_then(|&tag| Request::tag_is_write(tag)) == Some(false)
+    }
 }
 
 /// Build `n` independent provider services for a cluster.
@@ -93,8 +102,9 @@ pub fn shared_provider_fleet(n: usize) -> Vec<Arc<dyn SharedService>> {
 
 /// Serve one fresh provider over real TCP on `addr` (use port 0 for an
 /// ephemeral port; read it back via [`dasp_net::TcpServer::local_addr`]).
-/// The reactor fans every connection into the engine through the shared
-/// read lock, so thousands of client sockets share one provider.
+/// Every connection's thread runs its reads against the published
+/// snapshot and hands its writes to the server's worker pool, so any
+/// number of client sockets share one provider.
 pub fn serve_provider_tcp(
     addr: &str,
     cfg: dasp_net::ReactorConfig,
@@ -105,7 +115,7 @@ pub fn serve_provider_tcp(
 /// Serve a caller-prepared service over TCP on `addr` — the hook for
 /// preloading tables or wrapping an engine before exposing it (the
 /// experiment harness preloads its corpus this way). Batch-frame
-/// clients work transparently: the reactor unpacks multi-query frames
+/// clients work transparently: the server unpacks multi-query frames
 /// into individual engine requests and re-coalesces the responses.
 pub fn serve_shared_provider_tcp(
     addr: &str,
@@ -307,6 +317,120 @@ mod tests {
                 rows: 400
             }
         );
+    }
+
+    /// One request of every variant. The `match` stops compiling when a
+    /// variant is added, until it is listed here too.
+    fn one_of_each_request() -> Vec<Request> {
+        let t = || "t".to_string();
+        let all = vec![
+            Request::CreateTable {
+                name: t(),
+                columns: vec!["v".into()],
+                indexed: vec![true],
+            },
+            Request::Insert {
+                table: t(),
+                rows: vec![],
+            },
+            Request::Delete {
+                table: t(),
+                ids: vec![1],
+            },
+            Request::Update {
+                table: t(),
+                rows: vec![],
+            },
+            Request::Query {
+                table: t(),
+                predicate: vec![],
+                agg: None,
+            },
+            Request::QueryOrdered {
+                table: t(),
+                predicate: vec![],
+                order_col: 0,
+                desc: false,
+                limit: 1,
+            },
+            Request::GroupedAggregate {
+                table: t(),
+                predicate: vec![],
+                group_col: 0,
+                agg: crate::proto::AggOp::Count,
+            },
+            Request::Join {
+                left: t(),
+                right: t(),
+                left_col: 0,
+                right_col: 0,
+            },
+            Request::Commit { table: t(), col: 0 },
+            Request::VerifiedRange {
+                table: t(),
+                col: 0,
+                lo: 0,
+                hi: 1,
+            },
+            Request::Increment {
+                table: t(),
+                col: 0,
+                deltas: vec![],
+            },
+            Request::DropAllTables,
+            Request::Stats,
+        ];
+        for request in &all {
+            match request {
+                Request::CreateTable { .. }
+                | Request::Insert { .. }
+                | Request::Delete { .. }
+                | Request::Update { .. }
+                | Request::Query { .. }
+                | Request::QueryOrdered { .. }
+                | Request::GroupedAggregate { .. }
+                | Request::Join { .. }
+                | Request::Commit { .. }
+                | Request::VerifiedRange { .. }
+                | Request::Increment { .. }
+                | Request::DropAllTables
+                | Request::Stats => {}
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn a_request_runs_inline_exactly_when_it_is_not_a_write() {
+        let service = ProviderService::new();
+        let inline = |bytes: &[u8]| SharedService::runs_inline(&service, bytes);
+        let all = one_of_each_request();
+        for request in &all {
+            assert_eq!(
+                inline(&request.encode()),
+                !request.is_write(),
+                "{request:?}"
+            );
+        }
+        // The list above and the tag table agree on what exists.
+        let tags: std::collections::BTreeSet<u8> = all.iter().map(Request::tag).collect();
+        assert_eq!(tags.len(), all.len(), "two variants share a tag");
+        let known = |tag: &u8| Request::tag_is_write(*tag).is_some();
+        assert_eq!(
+            (0..=u8::MAX).filter(known).collect::<Vec<_>>(),
+            tags.into_iter().collect::<Vec<_>>()
+        );
+        // What is not a request is not inline: it reaches `decode` on a
+        // worker and comes back as an error, not as a panic.
+        assert!(!inline(&[]));
+        for tag in (0..=u8::MAX).filter(|tag| !known(tag)) {
+            assert!(!inline(&[tag, 0, 0]), "unknown tag {tag} is inline");
+            let response = SharedService::handle(&service, &[tag, 0, 0]);
+            assert!(matches!(
+                Response::decode(&response),
+                Ok(Response::Error(_))
+            ));
+        }
     }
 
     #[test]
