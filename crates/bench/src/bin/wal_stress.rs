@@ -128,6 +128,7 @@ fn run_case(exe: &Path, base: &Path, point: &str, after: u64) -> Result<(), Stri
     let Response::Rows(rows) = resp else {
         return Err(format!("{point}: post-recovery query failed: {resp:?}"));
     };
+    let rows = rows.to_rows();
     let recovered: BTreeSet<u64> = rows.iter().map(|r| r.id).collect();
     // 1. No acknowledged write may be lost.
     if let Some(lost) = acked.difference(&recovered).next() {

@@ -127,7 +127,7 @@ impl<'a> BucketJoin<'a> {
         let want_lo = private_key.saturating_sub(radius);
         let want_hi = private_key + radius;
         let matching: Vec<PublicRow> = rows
-            .into_iter()
+            .iter()
             .filter_map(|r| {
                 let vals: Option<Vec<u64>> =
                     r.shares.iter().map(|&s| u64::try_from(s).ok()).collect();

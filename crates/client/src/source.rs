@@ -18,13 +18,14 @@ use crate::{ClientError, Result};
 use dasp_crypto::merkle::MerkleProof;
 use dasp_field::{lagrange_eval_at, Fp};
 use dasp_net::{Cluster, HealthSnapshot, ProviderId, QuorumMode, QuorumOptions, RetryPolicy};
-use dasp_server::proto::{AggOp, PredAtom, Request, Response, Row};
+use dasp_server::proto::{AggOp, PredAtom, Request, Response, Row, RowBlock};
 use dasp_server::proto::{WireMerkleProof, WireRangeProof};
 use dasp_sss::{DomainKey, FieldBasis, FieldShare, FieldSharing, OpSharing, ShareMode};
 use dasp_verify::merkle_table::{CommittedRow, RangeProof};
 use dasp_verify::{majority_reconstruct_field, majority_reconstruct_op, RingerSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Per-query options.
@@ -173,9 +174,92 @@ fn encode_chunk(
     Ok(out)
 }
 
-/// One zipped result row: its id plus, per responding provider, one
-/// share per column.
-type ZippedRow = (u64, Vec<(ProviderId, Vec<i128>)>);
+/// Quorum answers zipped by row id: the rows that at least k providers
+/// returned, in id order, each with where it sits in every answer.
+struct Zipped {
+    /// Who sent each answer, in response order.
+    providers: Vec<ProviderId>,
+    /// Each answer's columns.
+    cols: Vec<Vec<Vec<i128>>>,
+    /// The zipped rows' ids, ascending.
+    ids: Vec<u64>,
+    /// `ids.len()` × `providers.len()`: the row's index in that answer's
+    /// columns, or [`ABSENT`].
+    at: Vec<usize>,
+}
+
+/// The provider did not return the row.
+const ABSENT: usize = usize::MAX;
+
+impl Zipped {
+    /// Zip the answers by merging their id lists, one copy of a row per
+    /// provider (a join result can list a row several times). Providers
+    /// answer in id order, so a list is sorted only if it does not ascend.
+    fn new(responses: Vec<(ProviderId, RowBlock)>, k: usize) -> Self {
+        let mut providers = Vec::with_capacity(responses.len());
+        let mut cols = Vec::with_capacity(responses.len());
+        // Per answer, its (id, row index) pairs in ascending id order.
+        let mut lists: Vec<std::vec::IntoIter<(u64, usize)>> = Vec::with_capacity(responses.len());
+        for (p, block) in responses {
+            let (ids, columns) = block.into_parts();
+            let ascends = ids.is_sorted_by(|a, b| a < b);
+            let mut list: Vec<(u64, usize)> = ids.into_iter().zip(0..).collect();
+            if !ascends {
+                list.sort_by_key(|&(id, _)| id);
+                list.dedup_by_key(|&mut (id, _)| id);
+            }
+            providers.push(p);
+            cols.push(columns);
+            lists.push(list.into_iter());
+        }
+        let mut heads: Vec<Option<(u64, usize)>> = lists.iter_mut().map(Iterator::next).collect();
+        let mut zipped = Zipped {
+            providers,
+            cols,
+            ids: Vec::new(),
+            at: Vec::new(),
+        };
+        while let Some(id) = heads.iter().flatten().map(|&(id, _)| id).min() {
+            let row_start = zipped.at.len();
+            for (head, list) in heads.iter_mut().zip(&mut lists) {
+                match *head {
+                    Some((head_id, row)) if head_id == id => {
+                        zipped.at.push(row);
+                        *head = list.next();
+                    }
+                    _ => zipped.at.push(ABSENT),
+                }
+            }
+            // Rows not confirmed by k providers cannot be reconstructed;
+            // under verification this is suspicious but non-fatal (the row
+            // may genuinely not match at a lagging provider after an
+            // update race).
+            let confirmed = zipped
+                .at
+                .iter()
+                .skip(row_start)
+                .filter(|&&row| row != ABSENT);
+            if confirmed.count() >= k {
+                zipped.ids.push(id);
+            } else {
+                zipped.at.truncate(row_start);
+            }
+        }
+        zipped
+    }
+
+    /// Where zipped row `r` sits in each answer.
+    fn places(&self, r: usize) -> &[usize] {
+        let width = self.providers.len();
+        self.at.get(r * width..(r + 1) * width).unwrap_or_default()
+    }
+
+    /// The share answer `slot` holds for column `col` of zipped row `r`.
+    fn share(&self, r: usize, slot: usize, col: usize) -> Option<i128> {
+        let row = *self.places(r).get(slot)?;
+        self.cols.get(slot)?.get(col)?.get(row).copied()
+    }
+}
 
 enum DecodeCodec {
     /// Order-preserving: binary-search decode against this sharer.
@@ -184,33 +268,80 @@ enum DecodeCodec {
     Field,
 }
 
-/// Decode the field-mode columns of one chunk of rows against a
-/// precomputed basis. Stored field shares are canonical (< p) when
-/// written, but provider-side additive increments (§V-C) accumulate
-/// without reduction — so reduce mod p first. Corrupt values (including
-/// negatives) reduce to *wrong* field elements and fail the basis
-/// cross-check.
+/// Decode the field-mode columns of one chunk of rows, all answered by
+/// the answers `slots`, against the basis precomputed for those. Stored
+/// field shares are canonical (< p) when written, but provider-side
+/// additive increments (§V-C) accumulate without reduction — so reduce
+/// mod p first. Corrupt values (including negatives) reduce to *wrong*
+/// field elements and fail the basis cross-check.
 fn decode_field_chunk(
-    entries: &[ZippedRow],
+    zipped: &Zipped,
+    slots: &[usize],
     rows_idx: &[usize],
     field_cols: &[usize],
     basis: &FieldBasis,
 ) -> Result<Vec<Vec<u64>>> {
     let p_mod = dasp_field::MODULUS as i128;
+    let mut ys = Vec::with_capacity(slots.len());
     rows_idx
         .iter()
         .map(|&r| {
-            let per_provider = &entries[r].1;
             field_cols
                 .iter()
                 .map(|&c| {
-                    let ys: Vec<Fp> = per_provider
-                        .iter()
-                        .map(|(_, shares)| Fp::from_u64(shares[c].rem_euclid(p_mod) as u64))
-                        .collect();
+                    ys.clear();
+                    for &slot in slots {
+                        let share = zipped.share(r, slot, c).ok_or_else(arity_mismatch)?;
+                        ys.push(Fp::from_u64(share.rem_euclid(p_mod) as u64));
+                    }
                     Ok(basis.reconstruct_row(&ys)?.to_u64())
                 })
                 .collect()
+        })
+        .collect()
+}
+
+fn arity_mismatch() -> ClientError {
+    ClientError::Reconstruction("row arity mismatch".into())
+}
+
+/// Run one read quorum and decode each response once: the validator's
+/// decode is the one the caller gets. An erroring provider (e.g. freshly
+/// re-imaged, missing the table) drops out of the quorum like a crashed
+/// one; reads must survive any n-k such failures. The rejection reason
+/// lands in the QuorumError post-mortem if the quorum collapses entirely.
+fn quorum_decoded(
+    cluster: &Cluster,
+    reqs: Vec<(ProviderId, Vec<u8>)>,
+    need: usize,
+    opts: QuorumOptions,
+) -> Result<Vec<(ProviderId, Response)>> {
+    // What each provider's accepted response decoded to. The quorum
+    // engine settles a provider on the first response it accepts and
+    // validates nothing after that, so a slot only ever holds the
+    // response whose bytes the quorum returns for that provider.
+    let accepted: RefCell<HashMap<ProviderId, Response>> = RefCell::new(HashMap::new());
+    let validate = |p: ProviderId, bytes: &[u8]| match Response::decode(bytes) {
+        Ok(Response::Error(msg)) => Err(format!("provider {p}: {msg}")),
+        Ok(resp) => {
+            accepted.borrow_mut().insert(p, resp);
+            Ok(())
+        }
+        Err(e) => Err(format!("provider {p}: undecodable response: {e}")),
+    };
+    let opts = QuorumOptions {
+        validate: Some(&validate),
+        ..opts
+    };
+    let winners = cluster.call_quorum_opts(reqs, need, &opts)?;
+    let mut accepted = accepted.into_inner();
+    winners
+        .into_iter()
+        .map(|(p, _)| {
+            let resp = accepted.remove(&p).ok_or_else(|| {
+                ClientError::Provider(format!("provider {p}: response was never validated"))
+            })?;
+            Ok((p, resp))
         })
         .collect()
 }
@@ -696,27 +827,14 @@ impl DataSource {
         for p in 0..n {
             reqs.push((p, make_req(self, p)?));
         }
-        // An erroring provider (e.g. freshly re-imaged, missing the
-        // table) drops out of the quorum like a crashed one; reads must
-        // survive any n-k such failures. The rejection reason lands in
-        // the QuorumError post-mortem if the quorum collapses entirely.
-        let validate = |p: ProviderId, bytes: &[u8]| match Response::decode(bytes) {
-            Ok(Response::Error(msg)) => Err(format!("provider {p}: {msg}")),
-            Ok(_) => Ok(()),
-            Err(e) => Err(format!("provider {p}: undecodable response: {e}")),
-        };
         let opts = QuorumOptions {
             retry: self.retry.clone(),
             hedge: self.hedge,
             extra,
             mode,
-            validate: Some(&validate),
+            validate: None,
         };
-        self.cluster
-            .call_quorum_opts(reqs, need, &opts)?
-            .into_iter()
-            .map(|(p, bytes)| Ok((p, Response::decode(&bytes)?)))
-            .collect()
+        quorum_decoded(&self.cluster, reqs, need, opts)
     }
 
     // ---- reconstruction ----
@@ -801,67 +919,48 @@ impl DataSource {
         }
     }
 
-    /// Zip per-provider row lists by row id and reconstruct each row.
+    /// Zip per-provider row blocks by row id and reconstruct each row.
     fn reconstruct_rows(
         &mut self,
         schema: &TableSchema,
-        responses: Vec<(ProviderId, Vec<Row>)>,
+        responses: Vec<(ProviderId, RowBlock)>,
         verify: bool,
     ) -> Result<Vec<DecodedRow>> {
-        let k = self.keys.k();
-        let mut by_id: HashMap<u64, Vec<(ProviderId, Vec<i128>)>> = HashMap::new();
-        for (p, rows) in responses {
-            for row in rows {
-                let entry = by_id.entry(row.id).or_default();
-                // A join result can list the same row several times per
-                // provider; keep one copy per provider so Lagrange never
-                // sees a duplicated evaluation point.
-                if !entry.iter().any(|(ep, _)| *ep == p) {
-                    entry.push((p, row.shares));
-                }
-            }
+        let ncols = schema.columns.len();
+        if responses
+            .iter()
+            .any(|(_, block)| !block.is_empty() && block.cols().len() < ncols)
+        {
+            return Err(arity_mismatch());
         }
-        // Rows not confirmed by k providers cannot be reconstructed;
-        // under verification this is suspicious but non-fatal (the row
-        // may genuinely not match at a lagging provider after an update
-        // race).
-        let mut entries: Vec<ZippedRow> = by_id
-            .into_iter()
-            .filter(|(_, per_provider)| per_provider.len() >= k)
-            .collect();
-        entries.sort_by_key(|(id, _)| *id);
+        let zipped = Zipped::new(responses, self.keys.k());
         let codes = if verify {
             // Verified reads majority-vote per value and record faulty
             // providers — inherently per-share bookkeeping, kept scalar.
-            let mut all = Vec::with_capacity(entries.len());
-            for (_, per_provider) in &entries {
-                let mut row_codes = Vec::with_capacity(schema.columns.len());
-                for col_idx in 0..schema.columns.len() {
-                    let shares: Vec<(ProviderId, i128)> = per_provider
+            let mut all = Vec::with_capacity(zipped.ids.len());
+            for r in 0..zipped.ids.len() {
+                let mut row_codes = Vec::with_capacity(ncols);
+                for col_idx in 0..ncols {
+                    let shares: Vec<(ProviderId, i128)> = zipped
+                        .providers
                         .iter()
-                        .map(|(p, shares)| {
-                            shares
-                                .get(col_idx)
-                                .copied()
-                                .map(|s| (*p, s))
-                                .ok_or_else(|| {
-                                    ClientError::Reconstruction("row arity mismatch".into())
-                                })
-                        })
-                        .collect::<Result<_>>()?;
+                        .enumerate()
+                        .filter_map(|(slot, &p)| Some((p, zipped.share(r, slot, col_idx)?)))
+                        .collect();
                     row_codes.push(self.decode_column(schema, col_idx, &shares, true)?);
                 }
                 all.push(row_codes);
             }
             all
         } else {
-            self.decode_rows_batched(schema, &entries)?
+            self.decode_rows_batched(schema, &zipped)?
         };
         // Decode codes into typed values.
-        entries
+        zipped
+            .ids
             .iter()
             .zip(codes)
-            .map(|((id, _), row_codes)| {
+            .map(|(id, row_codes)| {
                 let values = row_codes
                     .into_iter()
                     .zip(&schema.columns)
@@ -880,18 +979,12 @@ impl DataSource {
     fn decode_rows_batched(
         &mut self,
         schema: &TableSchema,
-        entries: &[ZippedRow],
+        zipped: &Zipped,
     ) -> Result<Vec<Vec<u64>>> {
         let ncols = schema.columns.len();
-        for (_, per_provider) in entries {
-            if per_provider.iter().any(|(_, shares)| shares.len() < ncols) {
-                return Err(ClientError::Reconstruction("row arity mismatch".into()));
-            }
-        }
         // Resolve per-column decode state once per statement.
         let mut codecs = Vec::with_capacity(ncols);
-        for idx in 0..ncols {
-            let col = &schema.columns[idx];
+        for col in &schema.columns {
             codecs.push(match col.mode {
                 ShareMode::OrderPreserving => {
                     let sharing = self.op_sharing(&col.domain, col.ctype.domain_size())?;
@@ -900,24 +993,46 @@ impl DataSource {
                 ShareMode::Deterministic | ShareMode::Random => DecodeCodec::Field,
             });
         }
-        let field_cols: Vec<usize> = (0..ncols)
-            .filter(|&c| matches!(codecs[c], DecodeCodec::Field))
+        let field_cols: Vec<usize> = codecs
+            .iter()
+            .enumerate()
+            .filter_map(|(c, codec)| matches!(codec, DecodeCodec::Field).then_some(c))
             .collect();
+        // Group rows by the answers that hold them, in response order.
         let mut groups: HashMap<Vec<usize>, Vec<usize>> = HashMap::new();
-        for (r, (_, per_provider)) in entries.iter().enumerate() {
-            let sig: Vec<usize> = per_provider.iter().map(|&(p, _)| p).collect();
-            groups.entry(sig).or_default().push(r);
+        let mut slots = Vec::with_capacity(zipped.providers.len());
+        for r in 0..zipped.ids.len() {
+            slots.clear();
+            let places = zipped.places(r).iter().enumerate();
+            slots.extend(places.filter_map(|(slot, &row)| (row != ABSENT).then_some(slot)));
+            match groups.get_mut(slots.as_slice()) {
+                Some(rows_idx) => rows_idx.push(r),
+                None => {
+                    groups.insert(slots.clone(), vec![r]);
+                }
+            }
         }
-        let mut out = vec![vec![0u64; ncols]; entries.len()];
-        for (providers, rows_idx) in groups {
+        let mut out = vec![vec![0u64; ncols]; zipped.ids.len()];
+        for (slots, rows_idx) in groups {
+            let providers: Vec<ProviderId> = slots
+                .iter()
+                .filter_map(|&slot| zipped.providers.get(slot).copied())
+                .collect();
+            let (Some(&first_slot), Some(&first_provider)) = (slots.first(), providers.first())
+            else {
+                continue; // k ≥ 1 answers hold every zipped row
+            };
             // Order-preserving columns: one share per row from the first
             // responder, all decoded in one narrowing binary-search pass.
             for (c, codec) in codecs.iter().enumerate() {
                 let DecodeCodec::Op(sharing) = codec else {
                     continue;
                 };
-                let shares: Vec<i128> = rows_idx.iter().map(|&r| entries[r].1[0].1[c]).collect();
-                let decoded = sharing.reconstruct_search_batch(providers[0], &shares)?;
+                let shares: Vec<i128> = rows_idx
+                    .iter()
+                    .map(|&r| zipped.share(r, first_slot, c).ok_or_else(arity_mismatch))
+                    .collect::<Result<_>>()?;
+                let decoded = sharing.reconstruct_search_batch(first_provider, &shares)?;
                 for (&r, d) in rows_idx.iter().zip(decoded) {
                     out[r][c] = d.ok_or_else(|| {
                         ClientError::Reconstruction(
@@ -932,15 +1047,17 @@ impl DataSource {
             let basis = self.cached_basis(&providers)?;
             let workers = self.workers.min(rows_idx.len()).max(1);
             let flat: Vec<Vec<u64>> = if workers == 1 {
-                decode_field_chunk(entries, &rows_idx, &field_cols, &basis)?
+                decode_field_chunk(zipped, &slots, &rows_idx, &field_cols, &basis)?
             } else {
                 let chunk = rows_idx.len().div_ceil(workers);
                 let results = crossbeam::thread::scope(|s| {
                     let handles: Vec<_> = rows_idx
                         .chunks(chunk)
                         .map(|idx| {
-                            let (basis, field_cols) = (&basis, &field_cols);
-                            s.spawn(move |_| decode_field_chunk(entries, idx, field_cols, basis))
+                            let (basis, field_cols, slots) = (&basis, &field_cols, &slots);
+                            s.spawn(move |_| {
+                                decode_field_chunk(zipped, slots, idx, field_cols, basis)
+                            })
                         })
                         .collect();
                     handles
@@ -1100,7 +1217,7 @@ impl DataSource {
         responses: Vec<(ProviderId, Response)>,
         verify: bool,
     ) -> Result<Vec<DecodedRow>> {
-        let rows: Vec<(ProviderId, Vec<Row>)> = responses
+        let rows: Vec<(ProviderId, RowBlock)> = responses
             .into_iter()
             .map(|(p, resp)| match resp {
                 Response::Rows(rows) => Ok((p, rows)),
@@ -1186,23 +1303,14 @@ impl DataSource {
             let retry = self.retry.clone();
             let hedge = self.hedge;
             let quorum = |reqs: Vec<(ProviderId, Vec<u8>)>| -> Result<Vec<(ProviderId, Response)>> {
-                let validate = |p: ProviderId, bytes: &[u8]| match Response::decode(bytes) {
-                    Ok(Response::Error(msg)) => Err(format!("provider {p}: {msg}")),
-                    Ok(_) => Ok(()),
-                    Err(e) => Err(format!("provider {p}: undecodable response: {e}")),
-                };
                 let opts = QuorumOptions {
                     retry: retry.clone(),
                     hedge,
                     extra,
                     mode: QuorumMode::FirstK,
-                    validate: Some(&validate),
+                    validate: None,
                 };
-                cluster
-                    .call_quorum_opts(reqs, need, &opts)?
-                    .into_iter()
-                    .map(|(p, bytes)| Ok((p, Response::decode(&bytes)?)))
-                    .collect()
+                quorum_decoded(cluster, reqs, need, opts)
             };
             let workers = self.workers.min(batches.len()).max(1);
             if workers == 1 {
@@ -1394,7 +1502,7 @@ impl DataSource {
             0,
             QuorumMode::FirstK,
         )?;
-        let rows: Vec<(ProviderId, Vec<Row>)> = responses
+        let rows: Vec<(ProviderId, RowBlock)> = responses
             .into_iter()
             .map(|(p, resp)| match resp {
                 Response::Rows(rows) => Ok((p, rows)),
@@ -1406,7 +1514,7 @@ impl DataSource {
         // reconstruction resorts by id.
         let order: Vec<u64> = rows
             .first()
-            .map(|(_, r)| r.iter().map(|row| row.id).collect())
+            .map(|(_, block)| block.ids().to_vec())
             .unwrap_or_default();
         let decoded = self.reconstruct_rows(&schema, rows, false)?;
         let by_id: HashMap<u64, Vec<Value>> = decoded.into_iter().collect();
@@ -1683,10 +1791,10 @@ impl DataSource {
                 }
                 // Every provider returns the same logical row (order is
                 // preserved identically); zip and reconstruct it.
-                let rows: Vec<(ProviderId, Vec<Row>)> = partials
+                let rows: Vec<(ProviderId, RowBlock)> = partials
                     .into_iter()
                     .map(|(p, _, _, row)| {
-                        row.map(|r| (p, vec![r]))
+                        row.map(|r| (p, [r].iter().collect()))
                             .ok_or_else(|| ClientError::Provider("missing extremal row".into()))
                     })
                     .collect::<Result<_>>()?;
@@ -1787,8 +1895,8 @@ impl DataSource {
         let k = self.keys.k();
         let responses = self.gather(|_, _| Ok(req.clone()), k, 0, QuorumMode::FirstK)?;
         // Zip pairs by (left id, right id); reconstruct each side.
-        let mut left_rows: Vec<(ProviderId, Vec<Row>)> = Vec::new();
-        let mut right_rows: Vec<(ProviderId, Vec<Row>)> = Vec::new();
+        let mut left_rows: Vec<(ProviderId, RowBlock)> = Vec::new();
+        let mut right_rows: Vec<(ProviderId, RowBlock)> = Vec::new();
         let mut pair_ids: Vec<(u64, u64)> = Vec::new();
         for (p, resp) in responses {
             let Response::Joined(pairs) = resp else {
@@ -1798,8 +1906,8 @@ impl DataSource {
                 pair_ids = pairs.iter().map(|(l, r)| (l.id, r.id)).collect();
                 pair_ids.sort_unstable();
             }
-            left_rows.push((p, pairs.iter().map(|(l, _)| l.clone()).collect()));
-            right_rows.push((p, pairs.into_iter().map(|(_, r)| r).collect()));
+            left_rows.push((p, pairs.iter().map(|(l, _)| l).collect()));
+            right_rows.push((p, pairs.iter().map(|(_, r)| r).collect()));
         }
         let left_decoded = self.reconstruct_rows(&ls, left_rows, false)?;
         let right_decoded = self.reconstruct_rows(&rs, right_rows, false)?;
@@ -2102,7 +2210,7 @@ impl DataSource {
                 agg: None,
             }
             .encode();
-            let mut healthy: Vec<(ProviderId, Vec<Row>)> = Vec::new();
+            let mut healthy: Vec<(ProviderId, RowBlock)> = Vec::new();
             for p in 0..self.keys.n() {
                 if p == target || healthy.len() == k {
                     continue;
@@ -2124,7 +2232,7 @@ impl DataSource {
             // Zip rows by id.
             let mut by_id: HashMap<u64, Vec<(ProviderId, Vec<i128>)>> = HashMap::new();
             for (p, rows) in healthy {
-                for row in rows {
+                for row in rows.iter() {
                     by_id.entry(row.id).or_default().push((p, row.shares));
                 }
             }
@@ -2229,7 +2337,7 @@ impl DataSource {
         .encode();
         let want = (self.keys.k() + 1).min(self.keys.n());
         let responses = self.gather(|_, _| Ok(req.clone()), want, 0, QuorumMode::All)?;
-        let rows: Vec<(ProviderId, Vec<Row>)> = responses
+        let rows: Vec<(ProviderId, RowBlock)> = responses
             .into_iter()
             .map(|(p, resp)| match resp {
                 Response::Rows(rows) => Ok((p, rows)),
@@ -2255,7 +2363,7 @@ impl DataSource {
                 .iter()
                 .map(|r| CommittedRow {
                     id: r.id,
-                    shares: r.shares.clone(),
+                    shares: r.shares,
                 })
                 .collect();
             let expected = dasp_verify::AuthenticatedTable::build(leaves, col_idx);
@@ -2320,7 +2428,7 @@ impl DataSource {
             })?;
         let sharing = self.op_sharing(&spec.domain, spec.ctype.domain_size())?;
         let k = self.keys.k();
-        let mut verified_rows: Vec<(ProviderId, Vec<Row>)> = Vec::new();
+        let mut verified_rows: Vec<(ProviderId, RowBlock)> = Vec::new();
         for (&provider, &(root, total)) in &commitments {
             if verified_rows.len() >= k {
                 break;
@@ -2355,17 +2463,7 @@ impl DataSource {
                         "provider {provider} failed completeness verification: {e}"
                     ))
                 })?;
-            verified_rows.push((
-                provider,
-                proof
-                    .rows
-                    .into_iter()
-                    .map(|r| Row {
-                        id: r.id,
-                        shares: r.shares,
-                    })
-                    .collect(),
-            ));
+            verified_rows.push((provider, proof.rows.iter().collect()));
         }
         if verified_rows.len() < k {
             return Err(ClientError::Reconstruction(format!(

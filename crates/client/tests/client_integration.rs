@@ -734,13 +734,12 @@ fn rebuild_provider_restores_bit_identical_shares() {
 
     let after =
         dasp_server::proto::Response::decode(&ds.cluster().call(2, snapshot_req).unwrap()).unwrap();
-    let (dasp_server::proto::Response::Rows(mut b), dasp_server::proto::Response::Rows(mut a)) =
+    let (dasp_server::proto::Response::Rows(b), dasp_server::proto::Response::Rows(a)) =
         (before, after)
     else {
         panic!()
     };
-    b.sort_by_key(|r| r.id);
-    a.sort_by_key(|r| r.id);
+    // Providers answer in id order, so equal tables are equal blocks.
     assert_eq!(a, b, "rebuilt provider must hold bit-identical shares");
 
     // And the fleet behaves normally, including through provider 2.
@@ -1144,4 +1143,43 @@ fn query_many_over_concurrent_provider_pool() {
     for (preds, rows) in batch.iter().zip(&got) {
         assert_eq!(rows, &ds.select("employees", preds).unwrap());
     }
+}
+
+#[test]
+fn a_thousand_row_select_moves_under_100_kb() {
+    // Shares travel at their own width: a field share is below 2⁶¹
+    // (8 bytes), this order-preserving share a few bytes less, and an
+    // ascending row id one byte of delta — about 30 bytes a row a
+    // provider, where a fixed 16 bytes a share and 16 a row made it 80.
+    let mut ds = source(2, 3);
+    let schema = TableSchema::new(
+        "staff",
+        vec![
+            ColumnSpec::text("name", 8, ShareMode::Deterministic),
+            ColumnSpec::numeric("dept", 64, ShareMode::Deterministic),
+            ColumnSpec::numeric("salary", 1 << 20, ShareMode::OrderPreserving),
+            ColumnSpec::numeric("ssn", 1 << 30, ShareMode::Random),
+        ],
+    )
+    .unwrap();
+    ds.create_table(schema).unwrap();
+    let rows: Vec<Vec<Value>> = (0..1000u64)
+        .map(|i| {
+            vec![
+                ["ANN", "BOB", "CAROL", "DAN", "EVE"][i as usize % 5].into(),
+                Value::Int(i % 64),
+                Value::Int(1_000 + i * 37),
+                Value::Int(i * 1_000_003 % (1 << 30)),
+            ]
+        })
+        .collect();
+    ds.insert("staff", &rows).unwrap();
+    let before = ds.cluster().stats().snapshot();
+    let got = ds.select("staff", &[]).unwrap();
+    let moved = ds.cluster().stats().snapshot().since(&before).total_bytes();
+    assert_eq!(got.len(), 1000);
+    for ((_, values), row) in got.iter().zip(&rows) {
+        assert_eq!(values, row);
+    }
+    assert!(moved <= 100_000, "1000 rows × 3 providers moved {moved} B");
 }

@@ -65,6 +65,9 @@ const S2_NEUTRAL: &[&str] = &[
     "Box",
     "Iterator",
     "IntoIterator",
+    "ExactSizeIterator",
+    "Item",
+    "Borrow",
 ];
 
 /// Analyze one file's tokens under `cfg`. `path` uses `/` separators and

@@ -156,6 +156,13 @@ impl WireWriter {
         self
     }
 
+    /// Append bytes as they are, no length prefix: for a layout whose
+    /// reader learns the length some other way (see [`WireReader::raw`]).
+    pub fn raw(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.put_slice(v);
+        self
+    }
+
     /// Append a length-prefixed UTF-8 string.
     pub fn string(&mut self, v: &str) -> &mut Self {
         self.bytes(v.as_bytes())
@@ -254,6 +261,11 @@ impl<'a> WireReader<'a> {
             return Err(WireError::LengthOverflow(len));
         }
         self.take(len as usize)
+    }
+
+    /// Read exactly `n` bytes written by [`WireWriter::raw`].
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        self.take(n)
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -867,12 +879,14 @@ mod tests {
     #[test]
     fn bytes_and_strings() {
         let mut w = WireWriter::new();
-        w.bytes(b"").bytes(b"payload").string("héllo");
+        w.bytes(b"").bytes(b"payload").string("héllo").raw(b"abc");
         let bytes = w.finish();
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.bytes().unwrap(), b"");
         assert_eq!(r.bytes().unwrap(), b"payload");
         assert_eq!(r.string().unwrap(), "héllo");
+        assert_eq!(r.raw(2).unwrap(), b"ab");
+        assert_eq!(r.raw(2), Err(WireError::Truncated { wanted: 2, left: 1 }));
     }
 
     #[test]

@@ -44,13 +44,15 @@
 //! [`EngineStats`] counters are atomics updated outside all locks.
 
 use crate::pmap::PMap;
-use crate::proto::{AggOp, PredAtom, Request, Response, Row, WireMerkleProof, WireRangeProof};
+use crate::proto::{
+    AggOp, PredAtom, Request, Response, Row, RowBlock, WireMerkleProof, WireRangeProof,
+};
 use dasp_crypto::merkle::MerkleProof;
-use dasp_net::WireReader;
 use dasp_storage::recovery::provider_paths;
 use dasp_storage::wal::{crash_point_hit, CrashPoint, Wal, WalConfig, WalStats};
 use dasp_storage::{
-    BufferPool, CheckpointMeta, FileBackend, HeapFile, PageId, Pager, RecoveryError, TableMeta,
+    BufferPool, CheckpointMeta, FileBackend, HeapFile, Page, PageId, Pager, RecoveryError,
+    TableMeta,
 };
 use dasp_verify::merkle_table::{AuthenticatedTable, CommittedRow};
 use parking_lot::{Mutex, RwLock};
@@ -289,22 +291,21 @@ pub struct ProviderEngine {
     stats: SharedStats,
 }
 
-/// Encode one checkpoint record into `buf` (cleared first): the layout
-/// [`decode_row`] reads back — id, share count, shares, little-endian.
-fn encode_row_into(buf: &mut Vec<u8>, id: u64, shares: &[i128]) {
-    buf.clear();
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(&(shares.len() as u64).to_le_bytes());
-    for share in shares {
-        buf.extend_from_slice(&share.to_le_bytes());
+/// A stored row, borrowed from the snapshot it was found in.
+type RowRef<'s> = (u64, &'s [i128]);
+
+fn owned(&(id, shares): &RowRef) -> Row {
+    Row {
+        id,
+        shares: shares.to_vec(),
     }
 }
 
-fn decode_row(bytes: &[u8]) -> Option<Row> {
-    let mut r = WireReader::new(bytes);
-    let id = r.u64().ok()?;
-    let shares = r.seq(|r| r.i128()).ok()?;
-    Some(Row { id, shares })
+/// Rows per checkpoint record (one [`RowBlock`] each): as many as fit a
+/// heap record however wide their shares turn out — 10 bytes bound an id
+/// delta and 16 a share; the two counts and the width bytes are the rest.
+fn rows_per_record(arity: usize) -> usize {
+    (Page::max_record().saturating_sub(20 + arity) / (10 + 16 * arity)).max(1)
 }
 
 /// The `limit` extreme rows by `(shares[order_col], id)`, ordered
@@ -313,8 +314,8 @@ fn decode_row(bytes: &[u8]) -> Option<Row> {
 /// When the limit covers every row this is a plain unstable sort; below
 /// that, a bounded heap of `limit + 1` keys selects the extremes in
 /// O(n log k). Callers have validated `order_col` against every row.
-fn top_k(rows: Vec<Row>, order_col: usize, desc: bool, limit: usize) -> Vec<Row> {
-    let key = |r: &Row| (r.shares.get(order_col).copied().unwrap_or(i128::MIN), r.id);
+fn top_k<'s>(rows: Vec<RowRef<'s>>, order_col: usize, desc: bool, limit: usize) -> Vec<RowRef<'s>> {
+    let key = |&(id, shares): &RowRef| (shares.get(order_col).copied().unwrap_or(i128::MIN), id);
     if limit >= rows.len() {
         let mut rows = rows;
         rows.sort_unstable_by_key(key);
@@ -323,8 +324,8 @@ fn top_k(rows: Vec<Row>, order_col: usize, desc: bool, limit: usize) -> Vec<Row>
         }
         return rows;
     }
-    // Heap over (key, input position); the position retrieves the owned
-    // row afterwards. Keys are unique because ids are.
+    // Heap over (key, input position); the position retrieves the row
+    // afterwards. Keys are unique because ids are.
     let picked: Vec<(i128, u64, usize)> = if desc {
         // k largest: a min-heap (via Reverse) evicts the smallest seen.
         let mut heap = BinaryHeap::with_capacity(limit + 1);
@@ -352,10 +353,9 @@ fn top_k(rows: Vec<Row>, order_col: usize, desc: bool, limit: usize) -> Vec<Row>
         out.sort_unstable();
         out
     };
-    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
     picked
         .into_iter()
-        .filter_map(|(_, _, idx)| slots.get_mut(idx).and_then(Option::take))
+        .filter_map(|(_, _, idx)| rows.get(idx).copied())
         .collect()
 }
 
@@ -416,19 +416,21 @@ impl ProviderEngine {
         let mut image = Vec::new();
         for tm in &meta.tables {
             let heap = HeapFile::open(tm.pages.clone());
-            let records = heap.scan(&pool)?;
-            let mut rows = Vec::with_capacity(records.len());
-            for (_, bytes) in records {
-                let row = decode_row(&bytes).ok_or_else(|| {
-                    RecoveryError::Replay(format!("corrupt checkpoint row in table {:?}", tm.name))
+            let mut rows = Vec::new();
+            for (_, bytes) in heap.scan(&pool)? {
+                let block = RowBlock::decode(&bytes).map_err(|e| {
+                    RecoveryError::Replay(format!(
+                        "corrupt checkpoint record in table {:?}: {e}",
+                        tm.name
+                    ))
                 })?;
-                if row.shares.len() != tm.columns.len() {
+                if block.cols().len() != tm.columns.len() {
                     return Err(RecoveryError::Replay(format!(
                         "checkpoint row arity mismatch in table {:?}",
                         tm.name
                     )));
                 }
-                rows.push((row.id, row.shares));
+                rows.extend(block.iter().map(|row| (row.id, row.shares)));
             }
             report.checkpoint_rows += rows.len() as u64;
             // Checkpoints write rows in id order, so the image bulk-builds.
@@ -562,16 +564,19 @@ impl ProviderEngine {
         names.sort();
         let mut metas = Vec::new();
         let mut new_image = Vec::new();
-        let mut record = Vec::new();
         for name in names {
             if crash_point_hit(CrashPoint::MidCheckpoint) {
                 return Err("simulated crash mid-checkpoint".into());
             }
             let Some(t) = tables.get(&name) else { continue };
             let mut heap = HeapFile::create(pool).map_err(|e| e.to_string())?;
-            for (&id, shares) in t.rows.iter() {
-                encode_row_into(&mut record, id, shares);
-                heap.insert(pool, &record).map_err(|e| e.to_string())?;
+            let per_record = rows_per_record(t.columns.len());
+            let rows = t.rows.iter().map(|(&id, shares)| (id, shares.as_slice()));
+            let mut rows = rows.peekable();
+            while rows.peek().is_some() {
+                let block: RowBlock = rows.by_ref().take(per_record).collect();
+                heap.insert(pool, &block.encode())
+                    .map_err(|e| e.to_string())?;
             }
             new_image.extend_from_slice(heap.pages());
             metas.push(TableMeta {
@@ -1054,12 +1059,12 @@ impl ProviderEngine {
             .collect()
     }
 
-    fn matching_rows(
+    fn matching_rows<'s>(
         &self,
-        snap: &Snapshot,
+        snap: &'s Snapshot,
         table: &str,
         predicate: &[PredAtom],
-    ) -> Result<Vec<Row>, String> {
+    ) -> Result<Vec<RowRef<'s>>, String> {
         let t = snap.table(table)?;
         let candidates = self.candidates(t, predicate);
         self.stats
@@ -1069,22 +1074,15 @@ impl ProviderEngine {
         // not, so the reads of the second pass do not queue up behind the
         // dependent loads of the first. An id without a row is impossible
         // by construction (indexes mirror rows) and is skipped.
-        let found: Vec<(u64, &Vec<i128>)> = candidates
+        let mut out: Vec<RowRef> = candidates
             .into_iter()
-            .filter_map(|id| Some((id, t.rows.get(&id)?)))
+            .filter_map(|id| Some((id, t.rows.get(&id)?.as_slice())))
             .collect();
-        let mut out = Vec::with_capacity(found.len());
-        for (id, shares) in found {
-            if predicate.iter().all(|a| a.matches(shares)) {
-                out.push(Row {
-                    id,
-                    shares: shares.clone(),
-                });
-            }
-        }
-        // Stable output order helps tests and cross-provider zipping.
-        out.sort_unstable_by_key(|r| r.id);
-        out.dedup_by_key(|r| r.id);
+        out.retain(|(_, shares)| predicate.iter().all(|a| a.matches(shares)));
+        // Ascending ids: stable for tests, a merge (not a sort) when the
+        // client zips providers, and one byte per id delta on the wire.
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out.dedup_by_key(|&mut (id, _)| id);
         Ok(out)
     }
 
@@ -1097,11 +1095,12 @@ impl ProviderEngine {
     ) -> Result<Response, String> {
         let rows = self.matching_rows(snap, table, predicate)?;
         let Some(agg) = agg else {
-            return Ok(Response::Rows(rows));
+            // One block: every row of a table has the table's arity.
+            return Ok(Response::Rows(rows.into_iter().collect()));
         };
         let count = rows.len() as u64;
-        let col_share = |row: &Row, col: usize| -> Result<i128, String> {
-            row.shares
+        let col_share = |row: &RowRef, col: usize| -> Result<i128, String> {
+            row.1
                 .get(col)
                 .copied()
                 .ok_or_else(|| format!("column {col} out of range"))
@@ -1133,13 +1132,13 @@ impl ProviderEngine {
                         row: None,
                     });
                 }
-                let mut ordered: Vec<(i128, &Row)> = rows
+                let mut ordered: Vec<(i128, &RowRef)> = rows
                     .iter()
                     .map(|row| Ok((col_share(row, col)?, row)))
                     .collect::<Result<_, String>>()?;
                 // Row ids break share ties so the pick is deterministic
                 // across providers even though the sort is unstable.
-                ordered.sort_unstable_by_key(|(s, row)| (*s, row.id));
+                ordered.sort_unstable_by_key(|(s, row)| (*s, row.0));
                 let picked = match agg {
                     AggOp::Min { .. } => ordered.first(),
                     AggOp::Max { .. } => ordered.last(),
@@ -1150,7 +1149,7 @@ impl ProviderEngine {
                 Ok(Response::Agg {
                     sum: 0,
                     count,
-                    row: Some(picked.1.clone()),
+                    row: Some(owned(picked.1)),
                 })
             }
         }
@@ -1174,12 +1173,13 @@ impl ProviderEngine {
         limit: u64,
     ) -> Result<Response, String> {
         let rows = self.matching_rows(snap, table, predicate)?;
-        for row in &rows {
-            if order_col >= row.shares.len() {
+        for (_, shares) in &rows {
+            if order_col >= shares.len() {
                 return Err(format!("order column {order_col} out of range"));
             }
         }
-        Ok(Response::Rows(top_k(rows, order_col, desc, limit as usize)))
+        let top = top_k(rows, order_col, desc, limit as usize);
+        Ok(Response::Rows(top.into_iter().collect()))
     }
 
     /// Grouped aggregation partials: rows with equal `group_col` shares
@@ -1201,27 +1201,25 @@ impl ProviderEngine {
         };
         let rows = self.matching_rows(snap, table, predicate)?;
         let mut groups: HashMap<i128, crate::proto::GroupPartial> = HashMap::new();
-        for row in &rows {
-            let group_share = *row
-                .shares
+        for &(id, shares) in &rows {
+            let group_share = *shares
                 .get(group_col)
                 .ok_or_else(|| format!("group column {group_col} out of range"))?;
             let add = match sum_col {
                 None => 0i128,
-                Some(col) => *row
-                    .shares
+                Some(col) => *shares
                     .get(col)
                     .ok_or_else(|| format!("sum column {col} out of range"))?,
             };
             let entry = groups
                 .entry(group_share)
                 .or_insert(crate::proto::GroupPartial {
-                    rep_row: row.id,
+                    rep_row: id,
                     group_share,
                     sum: 0,
                     count: 0,
                 });
-            entry.rep_row = entry.rep_row.min(row.id);
+            entry.rep_row = entry.rep_row.min(id);
             entry.sum = entry.sum.checked_add(add).ok_or("group sum overflow")?;
             entry.count += 1;
         }
@@ -1281,10 +1279,10 @@ impl ProviderEngine {
         // identical shares at this provider (per-domain polynomials, §V-A).
         let left_rows = self.matching_rows(snap, left, &[])?;
         let right_rows = self.matching_rows(snap, right, &[])?;
-        let mut by_share: HashMap<i128, Vec<&Row>> = HashMap::new();
+        let mut by_share: HashMap<i128, Vec<&RowRef>> = HashMap::new();
         for row in &left_rows {
             let share = *row
-                .shares
+                .1
                 .get(left_col)
                 .ok_or_else(|| format!("left column {left_col} out of range"))?;
             by_share.entry(share).or_default().push(row);
@@ -1292,12 +1290,12 @@ impl ProviderEngine {
         let mut out = Vec::new();
         for rrow in &right_rows {
             let share = *rrow
-                .shares
+                .1
                 .get(right_col)
                 .ok_or_else(|| format!("right column {right_col} out of range"))?;
             if let Some(matches) = by_share.get(&share) {
                 for lrow in matches {
-                    out.push(((*lrow).clone(), rrow.clone()));
+                    out.push((owned(lrow), owned(rrow)));
                 }
             }
         }
@@ -1521,7 +1519,7 @@ mod tests {
             predicate: vec![PredAtom::Eq { col: 0, share: 100 }],
             agg: None,
         });
-        assert_eq!(resp, Response::Rows(vec![]));
+        assert_eq!(resp, Response::Rows(RowBlock::default()));
         // Deleting a missing id is a no-op Ack.
         assert_eq!(
             e.execute(&Request::Delete {
@@ -1552,7 +1550,7 @@ mod tests {
             predicate: vec![PredAtom::Eq { col: 0, share: 200 }],
             agg: None,
         });
-        assert_eq!(resp, Response::Rows(vec![]));
+        assert_eq!(resp, Response::Rows(RowBlock::default()));
     }
 
     #[test]
@@ -1909,22 +1907,22 @@ mod tests {
     fn top_k_heap_matches_full_sort_ties_included() {
         // Rows with duplicate shares: heap selection must reproduce the
         // stable sort's tie order (ids ascend when asc, descend when desc).
-        let data: Vec<Row> = rows(&[
+        let data: Vec<RowRef> = vec![
             (1, &[7]),
             (2, &[3]),
             (3, &[7]),
             (4, &[1]),
             (5, &[3]),
             (6, &[9]),
-        ]);
+        ];
         let asc = top_k(data.clone(), 0, false, 4);
         assert_eq!(
-            asc.iter().map(|r| (r.shares[0], r.id)).collect::<Vec<_>>(),
+            asc.iter().map(|r| (r.1[0], r.0)).collect::<Vec<_>>(),
             vec![(1, 4), (3, 2), (3, 5), (7, 1)]
         );
         let desc = top_k(data.clone(), 0, true, 4);
         assert_eq!(
-            desc.iter().map(|r| (r.shares[0], r.id)).collect::<Vec<_>>(),
+            desc.iter().map(|r| (r.1[0], r.0)).collect::<Vec<_>>(),
             vec![(9, 6), (7, 3), (7, 1), (3, 5)]
         );
         // Limit ≥ n falls back to the full sort; limit 0 yields nothing.
@@ -2481,23 +2479,88 @@ mod tests {
     }
 
     #[test]
+    fn a_directory_from_before_packed_rows_is_refused_not_misread() {
+        // The previous release's log: version 1 in the header, then one
+        // framed record in the old fixed-width layout. It holds
+        // acknowledged writes, so it must be neither replayed (the bytes
+        // mean something else now) nor reset.
+        let dir = test_dir("old-wal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (_, _, wal_path) = provider_paths(&dir);
+        let mut old_log = b"DWAL\x01\0\0\0\0\0\0\0\0\0\0\0".to_vec();
+        old_log.extend(b"\x09\0\0\0\xde\xad\xbe\xef\x01\0\0\0\0\0\0\0\0");
+        std::fs::write(&wal_path, &old_log).unwrap();
+        assert!(matches!(
+            ProviderEngine::recover(&dir),
+            Err(RecoveryError::Storage(dasp_storage::StorageError::Corrupt(
+                "unknown wal version"
+            )))
+        ));
+        assert_eq!(std::fs::read(&wal_path).unwrap(), old_log);
+        // Its checkpoint descriptor is read first and refused the same way.
+        let (_, meta_path, _) = provider_paths(&dir);
+        std::fs::write(meta_path, b"DCKP\x01\0\0\0\0\0\0\0\0\0\0\0").unwrap();
+        assert!(matches!(
+            ProviderEngine::recover(&dir),
+            Err(RecoveryError::CorruptMeta("unknown version"))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn checkpoint_record_matches_the_wire_layout() {
-        let mut buf = Vec::new();
-        for shares in [vec![i128::MIN, -1, 0, i128::MAX], vec![7]] {
-            encode_row_into(&mut buf, u64::MAX - 1, &shares);
-            let mut w = dasp_net::WireWriter::new();
-            w.u64(u64::MAX - 1);
-            w.seq(&shares, |w, s| {
-                w.i128(*s);
-            });
-            assert_eq!(buf, w.finish());
-            assert_eq!(
-                decode_row(&buf),
-                Some(Row {
-                    id: u64::MAX - 1,
-                    shares
-                })
-            );
+        // The image's heap records are wire row blocks, whole tables of
+        // them: every record decodes with the wire decoder, none outgrows
+        // a page whatever the shares, and recovery reads back every row.
+        // (Gated: a checkpoint here would consume a crash hook armed by a
+        // test running beside it.)
+        let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = test_dir("ckpt-layout");
+        let (e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        e.execute(&Request::CreateTable {
+            name: "t".into(),
+            columns: vec!["a".into(), "b".into(), "c".into(), "d".into()],
+            indexed: vec![true, false, false, false],
+        });
+        let data: Vec<Row> = (0..500u64)
+            .map(|i| Row {
+                id: u64::MAX - 2 * i,
+                shares: vec![i128::MIN + i as i128, -1, 0, i128::MAX - i as i128],
+            })
+            .collect();
+        let insert = Request::Insert {
+            table: "t".into(),
+            rows: data.clone(),
+        };
+        assert_eq!(e.execute(&insert), Response::Ack);
+        e.checkpoint().unwrap();
+        let all = Request::Query {
+            table: "t".into(),
+            predicate: vec![],
+            agg: None,
+        };
+        let live = e.execute(&all);
+        {
+            let ws = e.write.lock();
+            let heap = HeapFile::open(ws.store.image.clone());
+            let records = heap.scan(&ws.store.pool).unwrap();
+            assert!(records.len() >= 500 / rows_per_record(4));
+            let stored: usize = records
+                .iter()
+                .map(|(_, bytes)| RowBlock::decode(bytes).expect("a wire row block").len())
+                .sum();
+            assert_eq!(stored, 500);
         }
+        drop(e);
+        let (recovered, report) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        assert_eq!((report.checkpoint_rows, report.wal_records), (500, 0));
+        assert_eq!(recovered.execute(&all), live);
+        let Response::Rows(got) = live else {
+            panic!("{live:?}")
+        };
+        let mut want = data;
+        want.reverse();
+        assert_eq!(got.to_rows(), want);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

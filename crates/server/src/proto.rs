@@ -3,9 +3,12 @@
 //! All values on the wire are *shares* (`i128`) — the protocol has no
 //! representation for plaintext private values at all. Public tables
 //! (§V-D) reuse the same row shape with plaintext codes in the share
-//! slots.
+//! slots. Shares travel packed: rows go as a column-major [`RowBlock`]
+//! whose columns are each as wide as their widest share, and the
+//! write-ahead log and the checkpoint image store those same bytes.
 
 use dasp_net::{WireError, WireReader, WireWriter};
+use std::borrow::Borrow;
 
 /// A stored row: client-assigned id plus one share per column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -212,8 +215,8 @@ pub enum Request {
 pub enum Response {
     /// Success without payload.
     Ack,
-    /// Matching rows.
-    Rows(Vec<Row>),
+    /// Matching rows, as one column-major block.
+    Rows(RowBlock),
     /// Joined row pairs (left row, right row).
     Joined(Vec<(Row, Row)>),
     /// Aggregation partial: share-sum and count, or an extremal row.
@@ -294,28 +297,319 @@ pub struct WireMerkleProof {
     pub siblings: Vec<Option<[u8; 32]>>,
 }
 
-// ---- encoding ----
+// ---- the row block ----
+//
+// Every share on the wire, in the log and in the checkpoint image is
+// written here, at the width its column needs (DESIGN.md §7.1):
+//
+//   block  := rows:varint cols:varint id{rows} column{cols}
+//   id     := varint(zigzag(id - previous id))    wrapping, first from 0
+//   column := width:u8 value{rows}                width in 1..=16
+//   value  := the low `width` bytes of zigzag(share), little-endian
+//   rows   := runs:varint block{runs}             a `Vec<Row>`: one block
+//                                                 per equal-arity run
+//   int    := width:u8 value                      a lone i128
+
+/// Rows of one arity held column-major: `ids[r]` and `col(c)[r]` are
+/// row `r`. What a provider answers a query with, and what the wire
+/// carries, so the client reconstructs columns without first building a
+/// `Vec` per row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowBlock {
+    ids: Vec<u64>,
+    /// Each of `ids.len()` shares.
+    cols: Vec<Vec<i128>>,
+}
+
+impl RowBlock {
+    /// An empty block that will hold `rows` rows of `arity` shares.
+    pub fn with_capacity(rows: usize, arity: usize) -> Self {
+        RowBlock {
+            ids: Vec::with_capacity(rows),
+            cols: (0..arity).map(|_| Vec::with_capacity(rows)).collect(),
+        }
+    }
+
+    /// Append a row. The block keeps one arity: a longer row is cut to
+    /// it and a shorter one padded with zero shares (the engine checks
+    /// arity when rows are stored, so neither happens to its answers).
+    pub fn push(&mut self, id: u64, shares: &[i128]) {
+        self.ids.push(id);
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            col.push(shares.get(c).copied().unwrap_or(0));
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True iff the block holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Row ids, in row order.
+    pub fn ids(&self) -> &[u64] {
+        &self.ids
+    }
+
+    /// The columns, each in row order.
+    pub fn cols(&self) -> &[Vec<i128>] {
+        &self.cols
+    }
+
+    /// The ids and the columns, by value.
+    pub fn into_parts(self) -> (Vec<u64>, Vec<Vec<i128>>) {
+        (self.ids, self.cols)
+    }
+
+    /// The rows, one at a time.
+    pub fn iter(&self) -> impl Iterator<Item = Row> + '_ {
+        self.ids.iter().enumerate().map(|(r, &id)| Row {
+            id,
+            shares: self
+                .cols
+                .iter()
+                .filter_map(|col| col.get(r).copied())
+                .collect(),
+        })
+    }
+
+    /// The rows as a list.
+    pub fn to_rows(&self) -> Vec<Row> {
+        self.iter().collect()
+    }
+
+    /// Encode as one block (the record format of the checkpoint image).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        self.write(&mut w);
+        w.finish()
+    }
+
+    /// Decode one block that fills `bytes` exactly.
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::new(bytes);
+        let block = Self::read(&mut r)?;
+        r.expect_end()?;
+        Ok(block)
+    }
+
+    fn write(&self, w: &mut WireWriter) {
+        write_block(w, self.ids.iter().copied(), self.cols.len(), |c| {
+            self.cols.get(c).into_iter().flatten().copied()
+        });
+    }
+
+    /// Everything a count promises is checked against the bytes that are
+    /// left before anything is reserved for it: an id takes at least one
+    /// byte and so does a share, so a block never decodes to more ids or
+    /// shares than it has bytes.
+    fn read(r: &mut WireReader) -> Result<Self, WireError> {
+        let rows = read_count(r)?;
+        let cols = read_count(r)?;
+        let mut ids = Vec::with_capacity(rows);
+        let mut prev = 0u64;
+        for _ in 0..rows {
+            let delta = read_varint(r)?;
+            prev = prev.wrapping_add((delta >> 1) ^ (delta & 1).wrapping_neg());
+            ids.push(prev);
+        }
+        let mut columns = Vec::with_capacity(cols);
+        for _ in 0..cols {
+            let width = read_width(r)?;
+            let len = rows
+                .checked_mul(width)
+                .ok_or(WireError::LengthOverflow(rows as u64))?;
+            columns.push(r.raw(len)?.chunks_exact(width).map(unpack_share).collect());
+        }
+        Ok(RowBlock { ids, cols: columns })
+    }
+}
+
+impl<'a> FromIterator<(u64, &'a [i128])> for RowBlock {
+    /// The `(id, shares)` rows as one block of the first row's arity.
+    fn from_iter<I: IntoIterator<Item = (u64, &'a [i128])>>(rows: I) -> Self {
+        let mut rows = rows.into_iter().peekable();
+        let arity = rows.peek().map_or(0, |(_, shares)| shares.len());
+        let mut block = RowBlock::with_capacity(rows.size_hint().0, arity);
+        for (id, shares) in rows {
+            block.push(id, shares);
+        }
+        block
+    }
+}
+
+impl<'a> FromIterator<&'a Row> for RowBlock {
+    /// The rows as one block of the first row's arity.
+    fn from_iter<I: IntoIterator<Item = &'a Row>>(rows: I) -> Self {
+        let rows = rows.into_iter();
+        rows.map(|row| (row.id, row.shares.as_slice())).collect()
+    }
+}
+
+fn write_varint(w: &mut WireWriter, mut v: u64) {
+    while v >= 0x80 {
+        w.u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    w.u8(v as u8);
+}
+
+/// A LEB128 `u64` in its one shortest form: at most ten bytes, nothing
+/// above bit 63, no trailing zero byte.
+fn read_varint(r: &mut WireReader) -> Result<u64, WireError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = r.u8()?;
+        let bits = u64::from(byte & 0x7f);
+        if (shift == 63 && bits > 1) || (byte == 0 && shift > 0) {
+            return Err(WireError::BadTag(byte));
+        }
+        v |= bits << shift;
+        if byte < 0x80 {
+            return Ok(v);
+        }
+    }
+    Err(WireError::LengthOverflow(v))
+}
+
+/// A count of things that each take at least one byte of what follows.
+fn read_count(r: &mut WireReader) -> Result<usize, WireError> {
+    let n = read_varint(r)?;
+    match usize::try_from(n) {
+        Ok(n) if n <= r.remaining() => Ok(n),
+        _ => Err(WireError::LengthOverflow(n)),
+    }
+}
+
+fn zigzag(share: i128) -> u128 {
+    ((share << 1) ^ (share >> 127)) as u128
+}
+
+/// Bytes needed for every set bit of `zigzagged`, at least one: a column
+/// of zero width would let a single byte stand for any number of shares,
+/// and the decoder could no longer bound what it allocates by what it
+/// was sent.
+fn width_of(zigzagged: u128) -> usize {
+    (128 - zigzagged.leading_zeros() as usize)
+        .div_ceil(8)
+        .max(1)
+}
+
+/// The one place a share becomes bytes: append the low `width` of its
+/// zigzag form, little-endian. All sixteen are written and the rest cut
+/// off again, which is a fixed-size store where a `width`-byte copy would
+/// be a call.
+fn pack_share(out: &mut Vec<u8>, share: i128, width: usize) {
+    let keep = out.len() + width.min(16);
+    out.extend_from_slice(&zigzag(share).to_le_bytes());
+    out.truncate(keep);
+}
+
+/// The share whose packed form is `value` (at most 16 bytes).
+fn unpack_share(value: &[u8]) -> i128 {
+    let mut bytes = [0u8; 16];
+    if let Some(low) = bytes.get_mut(..value.len()) {
+        low.copy_from_slice(value);
+    }
+    let zigzagged = u128::from_le_bytes(bytes);
+    (zigzagged >> 1) as i128 ^ -((zigzagged & 1) as i128)
+}
+
+fn write_int(w: &mut WireWriter, v: i128) {
+    let width = width_of(zigzag(v));
+    let mut value = Vec::with_capacity(16);
+    pack_share(&mut value, v, width);
+    w.u8(width as u8).raw(&value);
+}
+
+fn read_width(r: &mut WireReader) -> Result<usize, WireError> {
+    match r.u8()? {
+        width @ 1..=16 => Ok(usize::from(width)),
+        width => Err(WireError::BadTag(width)),
+    }
+}
+
+fn read_int(r: &mut WireReader) -> Result<i128, WireError> {
+    let width = read_width(r)?;
+    Ok(unpack_share(r.raw(width)?))
+}
+
+/// Write one block: `ids`, then `cols` columns, `col(c)` yielding column
+/// `c` in row order. Each column is walked twice, once for its width.
+fn write_block<C: Iterator<Item = i128>>(
+    w: &mut WireWriter,
+    ids: impl ExactSizeIterator<Item = u64>,
+    cols: usize,
+    col: impl Fn(usize) -> C,
+) {
+    let rows = ids.len();
+    write_varint(w, rows as u64);
+    write_varint(w, cols as u64);
+    let mut prev = 0u64;
+    for id in ids {
+        let delta = id.wrapping_sub(prev) as i64;
+        write_varint(w, ((delta << 1) ^ (delta >> 63)) as u64);
+        prev = id;
+    }
+    let mut values = Vec::new();
+    for c in 0..cols {
+        let width = width_of(col(c).fold(0, |all, share| all | zigzag(share)));
+        values.clear();
+        values.reserve(rows * width + 16);
+        for share in col(c) {
+            pack_share(&mut values, share, width);
+        }
+        w.u8(width as u8).raw(&values);
+    }
+}
+
+/// Write a row list: one block per run of rows of equal arity, so a list
+/// the engine will refuse for its arity still reaches the engine intact.
+fn write_rows<R: Borrow<Row>>(w: &mut WireWriter, rows: &[R]) {
+    let same_arity = |a: &R, b: &R| a.borrow().shares.len() == b.borrow().shares.len();
+    write_varint(w, rows.chunk_by(same_arity).count() as u64);
+    for run in rows.chunk_by(same_arity) {
+        let arity = run.first().map_or(0, |row| row.borrow().shares.len());
+        write_block(w, run.iter().map(|row| row.borrow().id), arity, |c| {
+            run.iter()
+                .filter_map(move |row| row.borrow().shares.get(c).copied())
+        });
+    }
+}
+
+fn read_rows(r: &mut WireReader) -> Result<Vec<Row>, WireError> {
+    let mut rows = Vec::new();
+    for _ in 0..read_count(r)? {
+        rows.extend(RowBlock::read(r)?.iter());
+    }
+    Ok(rows)
+}
 
 fn write_row(w: &mut WireWriter, row: &Row) {
-    w.u64(row.id);
-    w.seq(&row.shares, |w, s| {
-        w.i128(*s);
-    });
+    write_rows(w, std::slice::from_ref(row));
 }
 
 fn read_row(r: &mut WireReader) -> Result<Row, WireError> {
-    let id = r.u64()?;
-    let shares = r.seq(|r| r.i128())?;
-    Ok(Row { id, shares })
+    match <[Row; 1]>::try_from(read_rows(r)?) {
+        Ok([row]) => Ok(row),
+        Err(rows) => Err(WireError::LengthOverflow(rows.len() as u64)),
+    }
 }
 
 fn write_preds(w: &mut WireWriter, predicate: &[PredAtom]) {
     w.seq(predicate, |w, atom| match *atom {
         PredAtom::Eq { col, share } => {
-            w.u8(0).u64(col as u64).i128(share);
+            w.u8(0).u64(col as u64);
+            write_int(w, share);
         }
         PredAtom::Range { col, lo, hi } => {
-            w.u8(1).u64(col as u64).i128(lo).i128(hi);
+            w.u8(1).u64(col as u64);
+            write_int(w, lo);
+            write_int(w, hi);
         }
     });
 }
@@ -325,12 +619,12 @@ fn read_preds(r: &mut WireReader) -> Result<Vec<PredAtom>, WireError> {
         Ok(match r.u8()? {
             0 => PredAtom::Eq {
                 col: r.u64()? as usize,
-                share: r.i128()?,
+                share: read_int(r)?,
             },
             1 => PredAtom::Range {
                 col: r.u64()? as usize,
-                lo: r.i128()?,
-                hi: r.i128()?,
+                lo: read_int(r)?,
+                hi: read_int(r)?,
             },
             t => return Err(WireError::BadTag(t)),
         })
@@ -421,7 +715,7 @@ fn read_boundary(r: &mut WireReader) -> Result<Option<(Row, WireMerkleProof)>, W
 
 fn write_range_proof(w: &mut WireWriter, p: &WireRangeProof) {
     w.u64(p.start);
-    w.seq(&p.rows, write_row);
+    write_rows(w, &p.rows);
     w.seq(&p.proofs, write_merkle_proof);
     write_boundary(w, &p.left_boundary);
     write_boundary(w, &p.right_boundary);
@@ -430,7 +724,7 @@ fn write_range_proof(w: &mut WireWriter, p: &WireRangeProof) {
 fn read_range_proof(r: &mut WireReader) -> Result<WireRangeProof, WireError> {
     Ok(WireRangeProof {
         start: r.u64()?,
-        rows: r.seq(read_row)?,
+        rows: read_rows(r)?,
         proofs: r.seq(read_merkle_proof)?,
         left_boundary: read_boundary(r)?,
         right_boundary: read_boundary(r)?,
@@ -521,19 +815,15 @@ impl Request {
                     w.bool(*b);
                 });
             }
-            Request::Insert { table, rows } => {
+            Request::Insert { table, rows } | Request::Update { table, rows } => {
                 w.string(table);
-                w.seq(rows, write_row);
+                write_rows(&mut w, rows);
             }
             Request::Delete { table, ids } => {
                 w.string(table);
                 w.seq(ids, |w, id| {
                     w.u64(*id);
                 });
-            }
-            Request::Update { table, rows } => {
-                w.string(table);
-                w.seq(rows, write_row);
             }
             Request::Query {
                 table,
@@ -587,12 +877,14 @@ impl Request {
                 w.string(table).u64(*col as u64);
             }
             Request::VerifiedRange { table, col, lo, hi } => {
-                w.string(table).u64(*col as u64).i128(*lo).i128(*hi);
+                w.string(table).u64(*col as u64);
+                write_int(&mut w, *lo);
+                write_int(&mut w, *hi);
             }
             Request::Increment { table, col, deltas } => {
                 w.string(table).u64(*col as u64);
-                w.seq(deltas, |w, (id, d)| {
-                    w.u64(*id).i128(*d);
+                write_block(&mut w, deltas.iter().map(|d| d.0), 1, |_| {
+                    deltas.iter().map(|d| d.1)
                 });
             }
         }
@@ -610,7 +902,7 @@ impl Request {
             },
             tag::INSERT => Request::Insert {
                 table: r.string()?,
-                rows: r.seq(read_row)?,
+                rows: read_rows(&mut r)?,
             },
             tag::DELETE => Request::Delete {
                 table: r.string()?,
@@ -618,7 +910,7 @@ impl Request {
             },
             tag::UPDATE => Request::Update {
                 table: r.string()?,
-                rows: r.seq(read_row)?,
+                rows: read_rows(&mut r)?,
             },
             tag::QUERY => {
                 let table = r.string()?;
@@ -688,13 +980,19 @@ impl Request {
             tag::VERIFIED_RANGE => Request::VerifiedRange {
                 table: r.string()?,
                 col: r.u64()? as usize,
-                lo: r.i128()?,
-                hi: r.i128()?,
+                lo: read_int(&mut r)?,
+                hi: read_int(&mut r)?,
             },
             tag::INCREMENT => Request::Increment {
                 table: r.string()?,
                 col: r.u64()? as usize,
-                deltas: r.seq(|r| Ok((r.u64()?, r.i128()?)))?,
+                deltas: {
+                    let (ids, cols) = RowBlock::read(&mut r)?.into_parts();
+                    match <[Vec<i128>; 1]>::try_from(cols) {
+                        Ok([deltas]) => ids.into_iter().zip(deltas).collect(),
+                        Err(cols) => return Err(WireError::LengthOverflow(cols.len() as u64)),
+                    }
+                },
             },
             tag::DROP_ALL_TABLES => Request::DropAllTables,
             t => return Err(WireError::BadTag(t)),
@@ -712,19 +1010,21 @@ impl Response {
             Response::Ack => {
                 w.u8(0);
             }
-            Response::Rows(rows) => {
+            Response::Rows(block) => {
                 w.u8(1);
-                w.seq(rows, write_row);
+                block.write(&mut w);
             }
             Response::Joined(pairs) => {
                 w.u8(2);
-                w.seq(pairs, |w, (l, rr)| {
-                    write_row(w, l);
-                    write_row(w, rr);
-                });
+                let (left, right): (Vec<&Row>, Vec<&Row>) =
+                    pairs.iter().map(|(l, r)| (l, r)).unzip();
+                write_rows(&mut w, &left);
+                write_rows(&mut w, &right);
             }
             Response::Agg { sum, count, row } => {
-                w.u8(3).i128(*sum).u64(*count);
+                w.u8(3);
+                write_int(&mut w, *sum);
+                w.u64(*count);
                 match row {
                     None => {
                         w.u8(0);
@@ -737,11 +1037,12 @@ impl Response {
             }
             Response::Groups(groups) => {
                 w.u8(6);
-                w.seq(groups, |w, g| {
-                    w.u64(g.rep_row)
-                        .i128(g.group_share)
-                        .i128(g.sum)
-                        .u64(g.count);
+                write_block(&mut w, groups.iter().map(|g| g.rep_row), 3, |c| {
+                    groups.iter().map(move |g| match c {
+                        0 => g.group_share,
+                        1 => g.sum,
+                        _ => i128::from(g.count),
+                    })
                 });
             }
             Response::Stats { tables, rows } => {
@@ -766,10 +1067,20 @@ impl Response {
         let mut r = WireReader::new(bytes);
         let resp = match r.u8()? {
             0 => Response::Ack,
-            1 => Response::Rows(r.seq(read_row)?),
-            2 => Response::Joined(r.seq(|r| Ok((read_row(r)?, read_row(r)?)))?),
+            1 => Response::Rows(RowBlock::read(&mut r)?),
+            2 => {
+                let left = read_rows(&mut r)?;
+                let right = read_rows(&mut r)?;
+                if left.len() != right.len() {
+                    return Err(WireError::Truncated {
+                        wanted: left.len(),
+                        left: right.len(),
+                    });
+                }
+                Response::Joined(left.into_iter().zip(right).collect())
+            }
             3 => {
-                let sum = r.i128()?;
+                let sum = read_int(&mut r)?;
                 let count = r.u64()?;
                 let row = match r.u8()? {
                     0 => None,
@@ -783,14 +1094,24 @@ impl Response {
                 rows: r.u64()?,
             },
             5 => Response::Error(r.string()?),
-            6 => Response::Groups(r.seq(|r| {
-                Ok(GroupPartial {
-                    rep_row: r.u64()?,
-                    group_share: r.i128()?,
-                    sum: r.i128()?,
-                    count: r.u64()?,
-                })
-            })?),
+            6 => {
+                let (ids, cols) = RowBlock::read(&mut r)?.into_parts();
+                let [group_shares, sums, counts] = <[Vec<i128>; 3]>::try_from(cols)
+                    .map_err(|cols| WireError::LengthOverflow(cols.len() as u64))?;
+                let mut groups = Vec::with_capacity(ids.len());
+                for (((rep_row, group_share), sum), count) in
+                    ids.into_iter().zip(group_shares).zip(sums).zip(counts)
+                {
+                    groups.push(GroupPartial {
+                        rep_row,
+                        group_share,
+                        sum,
+                        count: u64::try_from(count)
+                            .map_err(|_| WireError::LengthOverflow(count as u64))?,
+                    });
+                }
+                Response::Groups(groups)
+            }
             7 => {
                 let b = r.bytes()?;
                 let root: [u8; 32] = b.try_into().map_err(|_| WireError::Truncated {
@@ -973,10 +1294,15 @@ mod tests {
     #[test]
     fn response_roundtrips() {
         roundtrip_resp(Response::Ack);
-        roundtrip_resp(Response::Rows(vec![Row {
-            id: 7,
-            shares: vec![1, 2, 3],
-        }]));
+        roundtrip_resp(Response::Rows(RowBlock::default()));
+        roundtrip_resp(Response::Rows(
+            [Row {
+                id: 7,
+                shares: vec![1, 2, 3],
+            }]
+            .iter()
+            .collect(),
+        ));
         roundtrip_resp(Response::Joined(vec![(
             Row {
                 id: 1,
@@ -1054,6 +1380,81 @@ mod tests {
         let mut bytes = Request::Stats.encode();
         bytes.push(0);
         assert!(Request::decode(&bytes).is_err());
+        let mut bytes = Response::Rows(RowBlock::default()).encode();
+        bytes.push(0);
+        assert_eq!(Response::decode(&bytes), Err(WireError::TrailingBytes(1)));
+    }
+
+    /// A block the size of the benchmark's `range_scan` answer: 1 000
+    /// ascending ids, field shares below 2⁶¹ in three columns and
+    /// order-preserving shares below 2³⁸ in one.
+    fn scan_sized_block(rows: u64) -> RowBlock {
+        let mut block = RowBlock::with_capacity(rows as usize, 4);
+        for i in 0..rows {
+            let field = |salt: u64| ((i + salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 3) as i128;
+            let op = (1i128 << 37) + i128::from(i) * 1_000_003;
+            block.push(
+                1 + i,
+                &[
+                    field(1) | 1 << 60,
+                    field(2) | 1 << 60,
+                    op,
+                    field(3) | 1 << 60,
+                ],
+            );
+        }
+        block
+    }
+
+    #[test]
+    fn shares_cost_their_own_width_on_the_wire() {
+        // 1 B of id delta + 8 + 8 + 5 + 8 B of shares a row; the layout
+        // this one replaced spent 80.
+        let block = scan_sized_block(1000);
+        let bytes = block.encode();
+        assert!(bytes.len() <= 32_000, "{} B for 1000 rows", bytes.len());
+        assert_eq!(RowBlock::decode(&bytes), Ok(block));
+        let one = Response::Rows(scan_sized_block(1)).encode();
+        assert!(one.len() <= 40, "{} B for one row", one.len());
+    }
+
+    #[test]
+    fn hostile_blocks_are_refused_before_anything_is_reserved() {
+        // 2⁴⁰ rows promised by a message of a few bytes.
+        let mut huge_rows = vec![1u8]; // Response::Rows
+        huge_rows.extend([0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0]);
+        assert_eq!(
+            Response::decode(&huge_rows),
+            Err(WireError::LengthOverflow(1 << 40))
+        );
+        // Likewise columns, and rows × width past the end of the message.
+        assert_eq!(
+            RowBlock::decode(&[0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20]),
+            Err(WireError::LengthOverflow(1 << 40))
+        );
+        assert_eq!(
+            RowBlock::decode(&[2, 1, 2, 2, 16, 0, 0]),
+            Err(WireError::Truncated {
+                wanted: 32,
+                left: 2
+            })
+        );
+        // Widths outside 1..=16: zero would decode shares out of no bytes.
+        assert_eq!(RowBlock::decode(&[1, 1, 2, 0]), Err(WireError::BadTag(0)));
+        assert_eq!(RowBlock::decode(&[1, 1, 2, 17]), Err(WireError::BadTag(17)));
+        // Varints: an eleventh byte, bits past the 64th, a padded zero.
+        let mut eleven = vec![0xffu8; 10];
+        eleven.push(0);
+        assert!(RowBlock::decode(&eleven).is_err());
+        let mut past_64 = vec![0xffu8; 9];
+        past_64.push(2);
+        assert_eq!(RowBlock::decode(&past_64), Err(WireError::BadTag(2)));
+        assert_eq!(RowBlock::decode(&[0x80, 0, 0]), Err(WireError::BadTag(0)));
+        // Trailing bytes after a whole block.
+        assert_eq!(
+            RowBlock::decode(&[0, 0, 7]),
+            Err(WireError::TrailingBytes(1))
+        );
     }
 
     proptest! {
@@ -1064,18 +1465,69 @@ mod tests {
                 0..20,
             )
         ) {
+            // Any share, any id order, any mix of arities (runs of one).
             let rows: Vec<Row> = rows
                 .into_iter()
                 .map(|(id, shares)| Row { id, shares })
                 .collect();
-            roundtrip_resp(Response::Rows(rows.clone()));
-            roundtrip_req(Request::Insert { table: "t".into(), rows });
+            roundtrip_req(Request::Insert { table: "t".into(), rows: rows.clone() });
+            roundtrip_req(Request::Update { table: "t".into(), rows: rows.clone() });
+            let pairs: Vec<(Row, Row)> = rows.iter().cloned().zip(rows.iter().rev().cloned()).collect();
+            roundtrip_resp(Response::Joined(pairs));
+            for row in rows {
+                roundtrip_resp(Response::Agg { sum: row.shares.iter().fold(0, |a, s| a ^ s), count: row.id, row: Some(row) });
+            }
+        }
+
+        #[test]
+        fn prop_block_roundtrip(
+            ids in proptest::collection::vec(any::<u64>(), 0..40),
+            arity in 0usize..5,
+            narrow in any::<bool>(),
+            seed in any::<i128>(),
+        ) {
+            // One arity, 0 rows and 0 columns included; `narrow` keeps the
+            // shares small so columns of every width get exercised, and the
+            // extremes ride along in the wide case.
+            let mut block = RowBlock::with_capacity(ids.len(), arity);
+            for (r, &id) in ids.iter().enumerate() {
+                let shares: Vec<i128> = (0..arity)
+                    .map(|c| {
+                        let v = seed.rotate_left((r * 7 + c * 31) as u32);
+                        match (narrow, r % 4) {
+                            (true, _) => v >> (8 * (c * 4 + 1)).min(127),
+                            (false, 0) => i128::MIN,
+                            (false, 1) => i128::MAX,
+                            (false, _) => v,
+                        }
+                    })
+                    .collect();
+                block.push(id, &shares);
+            }
+            prop_assert_eq!(block.len(), ids.len());
+            prop_assert_eq!(block.to_rows().len(), ids.len());
+            prop_assert_eq!(RowBlock::decode(&block.encode()), Ok(block.clone()));
+            prop_assert_eq!(block.to_rows().iter().collect::<RowBlock>().to_rows(), block.to_rows());
+            roundtrip_resp(Response::Rows(block));
         }
 
         #[test]
         fn prop_decode_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..80)) {
             let _ = Request::decode(&bytes);
             let _ = Response::decode(&bytes);
+            let _ = RowBlock::decode(&bytes);
+            // Behind every tag that leads to the block decoder, too.
+            for tag in [tag::INSERT, tag::UPDATE, tag::INCREMENT] {
+                let mut req = vec![tag];
+                req.extend([0u8; 8]); // table ""
+                req.extend(&bytes);
+                let _ = Request::decode(&req);
+            }
+            for tag in [1u8, 2, 3, 6, 8] {
+                let mut resp = vec![tag];
+                resp.extend(&bytes);
+                let _ = Response::decode(&resp);
+            }
         }
     }
 }

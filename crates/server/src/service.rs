@@ -204,7 +204,7 @@ mod tests {
             let resp = Response::decode(&cluster.call(p, req.encode()).unwrap()).unwrap();
             let Response::Rows(rows) = resp else { panic!() };
             assert_eq!(rows.len(), 1);
-            assert_eq!(rows[0].shares, vec![100 + p as i128]);
+            assert_eq!(rows.to_rows()[0].shares, vec![100 + p as i128]);
         }
     }
 
@@ -303,7 +303,7 @@ mod tests {
                         let resp = Response::decode(&cluster.call(0, q.encode()).unwrap()).unwrap();
                         let Response::Rows(rows) = resp else { panic!() };
                         assert_eq!(rows.len(), 1);
-                        assert_eq!(rows[0].id, id);
+                        assert_eq!(rows.ids()[0], id);
                     }
                 });
             }

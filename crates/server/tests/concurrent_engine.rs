@@ -72,7 +72,7 @@ fn full_scan(engine: &ProviderEngine) -> Vec<Row> {
     let Response::Rows(rows) = resp else {
         panic!("full scan failed: {resp:?}")
     };
-    rows
+    rows.to_rows()
 }
 
 #[test]
@@ -149,7 +149,7 @@ fn readers_race_writers_without_torn_rows() {
                         panic!("ordered failed: {resp:?}")
                     };
                     assert_eq!(top.len(), 10);
-                    for pair in top.windows(2) {
+                    for pair in top.to_rows().windows(2) {
                         assert!(pair[0].shares[0] >= pair[1].shares[0]);
                     }
                     reads.fetch_add(1, Ordering::Relaxed);
@@ -328,6 +328,7 @@ fn worker_pool_cluster_survives_mixed_load() {
                     let Response::Rows(rows) = resp else {
                         panic!("client {client} row {id}: {resp:?}")
                     };
+                    let rows = rows.to_rows();
                     assert_eq!(rows.len(), 1);
                     assert_eq!(rows[0].id, id);
                     assert_eq!(rows[0].shares[1] - rows[0].shares[0], GAP);

@@ -96,7 +96,8 @@ pub struct CheckpointMeta {
 }
 
 const META_MAGIC: [u8; 4] = *b"DCKP";
-const META_VERSION: u32 = 1;
+/// Version 2: the image's heap records are packed row blocks.
+const META_VERSION: u32 = 2;
 /// Parse sanity bound: no real deployment has a billion tables.
 const MAX_COUNT: u32 = 1 << 24;
 

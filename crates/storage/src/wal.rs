@@ -54,7 +54,8 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 pub type Lsn = u64;
 
 const WAL_MAGIC: [u8; 4] = *b"DWAL";
-const WAL_VERSION: u32 = 1;
+/// Version 2: records hold requests whose rows are packed row blocks.
+const WAL_VERSION: u32 = 2;
 /// magic + version + generation.
 pub(crate) const WAL_HEADER_LEN: u64 = 16;
 /// Sanity bound on a single record (a request batch is well below this).
@@ -279,13 +280,15 @@ impl Wal {
             let mut header = [0u8; WAL_HEADER_LEN as usize];
             file.seek(SeekFrom::Start(0))?;
             file.read_exact(&mut header)?;
-            // dasp::allow(P3): fixed 16-byte array filled by read_exact
-            let magic_ok = header[0..4] == WAL_MAGIC
-                && u32::from_le_bytes([header[4], header[5], header[6], header[7]]) == WAL_VERSION;
-            let file_gen = u64::from_le_bytes([
-                header[8], header[9], header[10], header[11], header[12], header[13], header[14],
-                header[15],
-            ]);
+            let [m0, m1, m2, m3, v0, v1, v2, v3, file_gen @ ..] = header;
+            let magic_ok = [m0, m1, m2, m3] == WAL_MAGIC;
+            if magic_ok && u32::from_le_bytes([v0, v1, v2, v3]) != WAL_VERSION {
+                // Another release's log. Its records are acknowledged
+                // writes in a layout this one would misread, so neither
+                // replaying nor resetting it is safe.
+                return Err(StorageError::Corrupt("unknown wal version"));
+            }
+            let file_gen = u64::from_le_bytes(file_gen);
             if !magic_ok || file_gen != generation {
                 reset = true;
                 Self::write_header(&mut file, generation)?;

@@ -11,11 +11,18 @@
 //!   which CRC-32 makes impossible for single-bit damage;
 //! * the decoder must never read past the bytes it was given (enforced
 //!   structurally: it only sees what `extend` passed in).
+//!
+//! Inside a frame that passed its CRC sits a payload a Byzantine peer
+//! chose. The packed row block is the one part of it whose counts are
+//! not byte lengths, so it gets the same treatment: truncations, bit
+//! flips and garbage decode to a typed error or to a block no larger
+//! than the bytes that carried it.
 
 use dasp_net::{
     batch_items, decode_batch, encode_frame, BatchFrameBuilder, Frame, FrameDecoder, FrameError,
     FrameKind,
 };
+use dasp_server::proto::{Request, Response, Row, RowBlock};
 use proptest::prelude::*;
 
 fn sample_frames() -> Vec<(u64, FrameKind, Vec<u8>)> {
@@ -252,7 +259,90 @@ fn batch_at_decoder_body_cap_decodes_and_one_past_is_rejected() {
     ));
 }
 
+fn sample_block() -> RowBlock {
+    let mut block = RowBlock::with_capacity(40, 3);
+    for i in 0..40u64 {
+        let wide = i128::MAX - i128::from(i) * 0x0123_4567_89ab_cdef;
+        block.push(i * i + 3, &[wide, -(i as i128), 1 << (i % 60)]);
+    }
+    block
+}
+
+/// Whatever decodes took at least a byte per id and per share.
+fn assert_bounded(block: &RowBlock, bytes: usize) {
+    assert!(block.len() <= bytes);
+    assert!(block.len() * block.cols().len() <= bytes);
+    assert!(block.cols().iter().all(|col| col.len() == block.len()));
+}
+
+#[test]
+fn row_block_every_truncation_is_a_typed_error() {
+    let wire = Response::Rows(sample_block()).encode();
+    assert_eq!(
+        Response::decode(&wire),
+        Ok(Response::Rows(sample_block())),
+        "intact"
+    );
+    for cut in 0..wire.len() {
+        assert!(
+            Response::decode(&wire[..cut]).is_err(),
+            "truncation at {cut}/{} decoded",
+            wire.len()
+        );
+    }
+}
+
+#[test]
+fn row_block_every_single_bit_flip_errors_or_stays_bounded() {
+    let rows = sample_block().to_rows();
+    let wires = [
+        Response::Rows(sample_block()).encode(),
+        Request::Insert {
+            table: "t".into(),
+            rows: rows.clone(),
+        }
+        .encode(),
+        Response::Joined(rows.iter().cloned().zip(rows.iter().cloned()).collect()).encode(),
+    ];
+    for wire in wires {
+        for bit in 0..wire.len() * 8 {
+            let mut damaged = wire.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(Response::Rows(block)) = Response::decode(&damaged) {
+                assert_bounded(&block, damaged.len());
+            }
+            if let Ok(Request::Insert { rows, .. }) = Request::decode(&damaged) {
+                let shares: usize = rows.iter().map(|r: &Row| r.shares.len()).sum();
+                assert!(rows.len() <= damaged.len() && shares <= damaged.len());
+            }
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn prop_row_block_garbage_never_panics_or_overallocates(
+        body in proptest::collection::vec(any::<u8>(), 0..512),
+        counts in proptest::collection::vec(any::<u64>(), 2),
+    ) {
+        if let Ok(block) = RowBlock::decode(&body) {
+            assert_bounded(&block, body.len());
+        }
+        // The same garbage behind counts that promise anything at all.
+        let mut promised = Vec::new();
+        for mut count in counts {
+            while count >= 0x80 {
+                promised.push(count as u8 | 0x80);
+                count >>= 7;
+            }
+            promised.push(count as u8);
+        }
+        promised.extend(&body);
+        if let Ok(block) = RowBlock::decode(&promised) {
+            assert_bounded(&block, promised.len());
+        }
+    }
+
     #[test]
     fn prop_batch_roundtrip_zero_one_many(
         subs in proptest::collection::vec(
