@@ -43,13 +43,6 @@ struct Config {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let Some(path) = args.get(i + 1) else {
-            println!("usage: experiments --check <BENCH_net.json>");
-            std::process::exit(2);
-        };
-        std::process::exit(check_e20(path));
-    }
     let quick = args.iter().any(|a| a == "--quick");
     let wanted: Vec<String> = args
         .iter()
@@ -1560,13 +1553,13 @@ fn e20_trial_tcp(
 }
 
 /// Max concurrent callers sharing each multiplexed client in the E21
-/// window trial — the shape quorum fan-out and `query_many` worker pools
-/// produce: many threads issuing requests down one provider connection
-/// at once. The batcher needs concurrency on a connection to have
-/// anything to pack, and collapsing sockets (1024 callers over 64
-/// connections instead of 1024) is precisely the amortization batching
-/// buys; the unbatched E20 tcp cell at the same fan-in pays one socket
-/// (and one frame) per caller.
+/// shared-client trial — the shape quorum fan-out and `query_many`
+/// worker pools produce: many threads issuing requests down one
+/// provider connection at once. Callers that overlap a write coalesce
+/// into one batch frame, and collapsing sockets (1024 callers over 64
+/// connections instead of 1024) is the amortization that buys; the E20
+/// tcp cell at the same fan-in pays one socket (and one frame) per
+/// caller.
 const E21_CALLERS_PER_CONN: usize = 16;
 
 /// E21 explicit-batch driver: the same one-thread-per-connection shape
@@ -1574,9 +1567,9 @@ const E21_CALLERS_PER_CONN: usize = 16;
 /// `chunk` at a time through [`dasp_net::BlockingConn::call_many`]
 /// — one `BatchRequest` frame, one CRC, one syscall per chunk, and one
 /// coalesced `BatchResponse` back. This isolates the multi-query frame
-/// win from client-side coalescing-window dynamics: depth comes from
-/// the caller knowing its queries up front (the `query_many` /
-/// quorum-fan-out shape), not from concurrent threads racing a window.
+/// win from client-side coalescing: depth comes from the caller knowing
+/// its queries up front (the `query_many` / quorum-fan-out shape), not
+/// from concurrent threads overlapping a write.
 /// Latencies are per *chunk* round trip (every query in a chunk
 /// experiences that latency, so cells compare against per-call rows at
 /// matched in-flight queries: conns × chunk).
@@ -1648,18 +1641,16 @@ fn e21_trial_call_many(
     (total as f64 / elapsed, p50, p99)
 }
 
-/// E21 window driver: `callers` threads spread over `conns` multiplexed
-/// [`dasp_net::TcpClient`]s (up to [`E21_CALLERS_PER_CONN`] per client),
-/// with the given coalescing window. `window_us == 0` is the unbatched
-/// control (direct writes, one frame per call) on the identical driver,
-/// isolating the batching effect from the driver shape. Latencies are
-/// per-call round trips as each caller observes them.
-fn e21_trial_batched(
+/// E21 shared-client driver: `callers` threads spread over `conns`
+/// multiplexed [`dasp_net::TcpClient`]s (up to [`E21_CALLERS_PER_CONN`]
+/// per client); calls that find a write in flight on their client ride
+/// the next batch frame. Latencies are per-call round trips as each
+/// caller observes them.
+fn e21_trial_shared(
     addr: std::net::SocketAddr,
     conns: usize,
     callers: usize,
     per_caller: usize,
-    window_us: u64,
     reqs: &[Vec<u8>],
 ) -> (f64, f64, f64) {
     let clients: Vec<std::sync::Arc<dasp_net::TcpClient>> = (0..conns)
@@ -1669,13 +1660,7 @@ fn e21_trial_batched(
             // accept queue.
             let mut client = None;
             for _ in 0..100 {
-                match dasp_net::TcpClient::connect(
-                    addr,
-                    dasp_net::TcpClientConfig {
-                        batch_window: std::time::Duration::from_micros(window_us),
-                        ..dasp_net::TcpClientConfig::default()
-                    },
-                ) {
+                match dasp_net::TcpClient::connect(addr, dasp_net::TcpClientConfig::default()) {
                     Ok(c) => {
                         client = Some(c);
                         break;
@@ -1699,7 +1684,7 @@ fn e21_trial_batched(
                     .stack_size(128 << 10)
                     .spawn_scoped(scope, move || {
                         // One unmeasured warmup call: thread-spawn
-                        // storms, lazily-started batcher/reader threads
+                        // storms, lazily-started reader threads
                         // and cold caches otherwise dominate the short
                         // measured window (especially at 1024 callers
                         // on the 1-core CI box).
@@ -1788,10 +1773,9 @@ fn e20_trial_inproc(
     (total as f64 / elapsed, p50, p99)
 }
 
-/// Shared measurement core for `e20` and `--check`: one provider, both
-/// transports, a sweep of connection counts. Quick mode trims the sweep
-/// and volume; the CI gate re-runs whichever mode the baseline used so
-/// numbers stay comparable.
+/// The E20/E21 measurement: one provider, both transports and the
+/// batched drivers, a sweep of connection counts. Quick mode trims the
+/// sweep and volume.
 fn e20_measure(quick: bool) -> Vec<E20Row> {
     let rows = if quick { 2_000 } else { 10_000 };
     let total_target = if quick { 4_096 } else { 16_384 };
@@ -1808,9 +1792,8 @@ fn e20_measure(quick: bool) -> Vec<E20Row> {
     // given connection count run back to back: on a small shared box a
     // single trial is hostage to scheduler placement and background
     // load (observed swings of ±15% run to run). The best trial tracks
-    // the actual cost of the transport, interleaving lets slow spells
-    // hit both sides of the ratio equally, and a stable number is what
-    // the regression gate needs.
+    // the actual cost of the transport, and interleaving lets slow
+    // spells hit both sides of the ratio equally.
     const TRIALS: usize = 3;
     fn best(a: (f64, f64, f64), b: (f64, f64, f64)) -> (f64, f64, f64) {
         if a.0 >= b.0 {
@@ -1873,50 +1856,43 @@ fn e20_measure(quick: bool) -> Vec<E20Row> {
     }
     out.extend(inproc_rows);
 
-    // E21: batched wire RPC on the same server, swept over the coalescing
-    // window at the same fan-in axis as E20 (concurrent callers). The
-    // window's job is collapsing sockets: up to E21_CALLERS_PER_CONN
-    // callers share one multiplexed client, so 1024 callers ride 64
-    // connections where the unbatched E20 tcp cell needs 1024. Window 0
-    // is the unbatched control on the identical driver. Labels are
-    // distinct transports so the regression gate keys the batched cells
-    // like any other (transport, conns) cell; the `conns` column records
-    // fan-in (callers), matching the other rows.
-    const E21_WINDOWS: &[(u64, &str)] =
-        &[(0, "tcp_bw0"), (1000, "tcp_bw1000"), (4000, "tcp_bw4000")];
+    // E21: batched wire RPC on the same server at the same fan-in axis as
+    // E20 (concurrent callers). Up to E21_CALLERS_PER_CONN callers share
+    // one multiplexed client, so 1024 callers ride 64 connections where
+    // the E20 tcp cell needs 1024, and calls that overlap a write leave
+    // together in one batch frame. The `conns` column records fan-in
+    // (callers), matching the other rows.
     const E21_TRIALS: usize = 3;
-    // The window cells are the noisiest in the table (hundreds of caller
-    // threads racing a µs-scale window on one core); two extra trials
-    // per cell tighten best-of enough for the 15% regression gate.
-    const E21_WINDOW_TRIALS: usize = 5;
-    for &(window_us, label) in E21_WINDOWS {
-        for &callers in conn_counts {
-            let conns = callers.div_ceil(E21_CALLERS_PER_CONN);
-            // Floor of 8 measured calls per caller so steady-state
-            // batching (not per-thread cold start) dominates each cell.
-            let per_caller = (total_target / callers).max(8);
-            let mut cell = (f64::MIN, 0.0, 0.0);
-            for _ in 0..E21_WINDOW_TRIALS {
-                cell = best(
-                    cell,
-                    e21_trial_batched(addr, conns, callers, per_caller, window_us, &reqs),
-                );
-            }
-            out.push(E20Row {
-                transport: label,
-                conns: callers,
-                queries: callers * per_caller,
-                qps: cell.0,
-                p50_us: cell.1,
-                p99_us: cell.2,
-            });
+    // The shared-client cells are the noisiest in the table (hundreds of
+    // caller threads over a few sockets on two cores): two extra trials
+    // per cell tighten best-of.
+    const E21_SHARED_TRIALS: usize = 5;
+    for &callers in conn_counts {
+        let conns = callers.div_ceil(E21_CALLERS_PER_CONN);
+        // Floor of 8 measured calls per caller so steady-state
+        // batching (not per-thread cold start) dominates each cell.
+        let per_caller = (total_target / callers).max(8);
+        let mut cell = (f64::MIN, 0.0, 0.0);
+        for _ in 0..E21_SHARED_TRIALS {
+            cell = best(
+                cell,
+                e21_trial_shared(addr, conns, callers, per_caller, &reqs),
+            );
         }
+        out.push(E20Row {
+            transport: "tcp_shared",
+            conns: callers,
+            queries: callers * per_caller,
+            qps: cell.0,
+            p50_us: cell.1,
+            p99_us: cell.2,
+        });
     }
 
     // E21 explicit multi-query frames: `call_many` chunks on the E20 tcp
     // driver shape (one thread per connection) — the depth a client gets
-    // by knowing its queries up front instead of racing concurrent
-    // callers against a window. Two chunk sizes: 16 (the query_many
+    // by knowing its queries up front instead of from concurrent callers
+    // overlapping a write. Two chunk sizes: 16 (the query_many
     // default shape) and 64 (deep amortization). The extra 64-conn cell
     // gives a matched-in-flight pairing against per-call rows: chunk 16
     // × 64 conns holds 1024 queries in flight, the same as tcp @ 1024.
@@ -1978,15 +1954,13 @@ fn e20_net(cfg: &Config) {
     let scale = get("tcp", 256) / get("tcp", 16);
     println!("  tcp/inproc @16 conns: {ratio16:.2}x   tcp 256 vs 16 conns: {scale:.2}x");
     let max_conns = if cfg.quick { 256 } else { 1024 };
-    let batched_best = get("tcp_bw1000", max_conns)
-        .max(get("tcp_bw4000", max_conns))
+    let batched_best = get("tcp_shared", max_conns)
         .max(get("tcp_batch16", max_conns))
         .max(get("tcp_batch64", max_conns));
     let batch_speedup = batched_best / get("tcp", max_conns);
-    let window_gain = batched_best / get("tcp_bw0", max_conns);
     println!(
         "  E21 @{max_conns} conns: best batched {batched_best:.0} q/s — \
-         {batch_speedup:.2}x vs E20 tcp, {window_gain:.2}x vs window-0 control"
+         {batch_speedup:.2}x vs E20 tcp"
     );
     let mut json = String::from("{\n  \"experiment\": \"e20_net\",\n");
     json.push_str(&format!("  \"quick\": {},\n  \"results\": [\n", cfg.quick));
@@ -2011,122 +1985,4 @@ fn e20_net(cfg: &Config) {
         println!("  (could not write BENCH_net.json: {e})");
     }
     println!();
-}
-
-/// Parse `(transport, conns) → queries_per_s` out of a BENCH_net.json
-/// written by [`e20_net`] (hand-rolled like the writer; one result per
-/// line).
-fn parse_bench_net(text: &str) -> Vec<(String, usize, f64)> {
-    let field = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(key)? + key.len();
-        let rest = &line[at..];
-        let end = rest.find([',', '}', '"']).unwrap_or(rest.len());
-        Some(rest[..end].trim().to_string())
-    };
-    text.lines()
-        .filter(|l| l.contains("\"transport\""))
-        .filter_map(|l| {
-            let transport = field(l, "\"transport\": \"")?;
-            let conns: usize = field(l, "\"conns\": ")?.parse().ok()?;
-            let qps: f64 = field(l, "\"queries_per_s\": ")?.parse().ok()?;
-            Some((transport, conns, qps))
-        })
-        .collect()
-}
-
-/// `--check <BENCH_net.json>`: the CI perf-regression gate. Re-measures
-/// E20 in whichever mode (quick/full) the baseline was recorded with —
-/// the two modes use different table sizes and query volumes, so their
-/// numbers are not comparable — and fails (exit 1) if any
-/// (transport, conns) cell present in both runs lost more than 15%
-/// throughput vs the committed baseline. A cell below the bar triggers
-/// up to two full re-measurements with per-cell best-of merging first:
-/// on a small shared box a single pass can lose >15% to scheduler
-/// placement alone, and a real regression stays below the bar on every
-/// pass while noise does not.
-fn check_e20(baseline_path: &str) -> i32 {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            println!("check: cannot read {baseline_path}: {e}");
-            return 1;
-        }
-    };
-    let baseline = parse_bench_net(&text);
-    if baseline.is_empty() {
-        println!("check: no E20 results found in {baseline_path}");
-        return 1;
-    }
-    let quick = !text.contains("\"quick\": false");
-    println!(
-        "== E20 perf-regression check vs {baseline_path} ({} mode, >15% loss fails) ==",
-        if quick { "quick" } else { "full" }
-    );
-    let base_for = |r: &E20Row| {
-        baseline
-            .iter()
-            .find(|(t, c, _)| t == r.transport && *c == r.conns)
-            .map(|&(_, _, q)| q)
-    };
-    let mut measured = e20_measure(quick);
-    for _retry in 0..2 {
-        let noisy = measured
-            .iter()
-            .any(|r| base_for(r).map(|b| r.qps / b < 0.85).unwrap_or(false));
-        if !noisy {
-            break;
-        }
-        println!("  (cells below bar — re-measuring to reject scheduler noise)");
-        let again = e20_measure(quick);
-        for r in &mut measured {
-            if let Some(a) = again
-                .iter()
-                .find(|a| a.transport == r.transport && a.conns == r.conns)
-            {
-                if a.qps > r.qps {
-                    r.qps = a.qps;
-                    r.p50_us = a.p50_us;
-                    r.p99_us = a.p99_us;
-                }
-            }
-        }
-    }
-    let mut failed = false;
-    let mut compared = 0usize;
-    for r in &measured {
-        let Some((_, _, base_qps)) = baseline
-            .iter()
-            .find(|(t, c, _)| t == r.transport && *c == r.conns)
-        else {
-            continue; // cells only in the full sweep (e.g. 1024 conns)
-        };
-        compared += 1;
-        let ratio = r.qps / base_qps;
-        let verdict = if ratio < 0.85 {
-            failed = true;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:<9} {:>6} conns: {:>9.0} q/s vs baseline {:>9.0} ({:>5.1}%) {}",
-            r.transport,
-            r.conns,
-            r.qps,
-            base_qps,
-            ratio * 100.0,
-            verdict
-        );
-    }
-    if compared == 0 {
-        println!("check: baseline shares no (transport, conns) cells with the quick sweep");
-        return 1;
-    }
-    if failed {
-        println!("check: FAILED — throughput regressed >15% vs {baseline_path}");
-        1
-    } else {
-        println!("check: ok ({compared} cells within 15% of baseline)");
-        0
-    }
 }

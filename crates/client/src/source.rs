@@ -430,24 +430,6 @@ impl DataSource {
         Self::new(keys, cluster)
     }
 
-    /// [`Self::connect_tcp`] with an explicit transport configuration —
-    /// notably [`dasp_net::TcpClientConfig::batch_window`], which packs
-    /// the concurrent share uploads/downloads of `query_many` and the
-    /// quorum fan-out into multi-query wire frames. Result *contents*
-    /// are transport-independent either way; only wire shape and
-    /// latency change.
-    pub fn connect_tcp_with(
-        keys: ClientKeys,
-        addrs: &[std::net::SocketAddr],
-        timeout: std::time::Duration,
-        workers: usize,
-        cfg: dasp_net::TcpClientConfig,
-    ) -> Result<Self> {
-        let cluster = Cluster::connect_tcp_with(addrs, timeout, workers, cfg)
-            .map_err(|e| ClientError::Schema(format!("tcp connect: {e}")))?;
-        Self::new(keys, cluster)
-    }
-
     /// Deterministic RNG variant for reproducible tests/benchmarks. The
     /// seed also fixes retry-backoff jitter, so fault-injection runs
     /// replay with identical timing decisions.

@@ -44,9 +44,7 @@ pub use rpc::{
     Cluster, FailureMode, FailureSwitch, ProviderId, QuorumMode, QuorumOptions, RpcError, Service,
     ServiceFactory, SharedService,
 };
-pub use transport::{
-    batch_window_from_env, BlockingConn, TcpClient, TcpClientConfig, TransportError,
-};
+pub use transport::{BlockingConn, TcpClient, TcpClientConfig, TransportError};
 pub use wire::{
     batch_items, crc32, decode_batch, encode_frame, encode_frame_into, BatchFrameBuilder,
     BatchItems, Frame, FrameDecoder, FrameError, FrameKind, FrameView, WireError, WireReader,

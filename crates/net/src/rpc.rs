@@ -392,28 +392,13 @@ impl Cluster {
         timeout: Duration,
         workers: usize,
     ) -> std::io::Result<Self> {
-        Self::connect_tcp_with(addrs, timeout, workers, TcpClientConfig::default())
-    }
-
-    /// [`Cluster::connect_tcp`] with an explicit client configuration —
-    /// the hook for setting [`TcpClientConfig::batch_window`] (request
-    /// coalescing) or timeouts per fleet. `error_hold` and
-    /// `call_timeout` are still derived from the cluster timeout so the
-    /// crash/timeout equivalence contract holds regardless of the
-    /// passed-in values.
-    pub fn connect_tcp_with(
-        addrs: &[std::net::SocketAddr],
-        timeout: Duration,
-        workers: usize,
-        cfg: TcpClientConfig,
-    ) -> std::io::Result<Self> {
         let cfg = TcpClientConfig {
             // Strictly above the cluster per-attempt timeout: the
             // cluster's deadline always fires before the transport
             // gives up, preserving crash/timeout equivalence.
             error_hold: timeout.saturating_mul(2),
             call_timeout: timeout.saturating_mul(2),
-            ..cfg
+            ..TcpClientConfig::default()
         };
         let mut services: Vec<Arc<dyn SharedService>> = Vec::with_capacity(addrs.len());
         for addr in addrs {
@@ -826,7 +811,7 @@ impl Cluster {
 
             // Finalize attempts past their deadline: record the failure,
             // schedule a retry if budget and the quorum still need it,
-            // and escalate by launching the next-best unsent provider.
+            // and escalate by launching the next-best provider not yet asked.
             let timed_out: Vec<usize> = cands
                 .iter()
                 .enumerate()

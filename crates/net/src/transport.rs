@@ -11,6 +11,15 @@
 //! and a dedicated reader thread routes response frames back to callers
 //! by token — the same out-of-order multiplexing the worker pools use.
 //!
+//! Writes follow the leader/follower rule of the WAL's group commit and
+//! the server's response flush: a caller that finds no write in flight
+//! writes its own request, then everything callers staged meanwhile, as
+//! one [`FrameKind::BatchRequest`] per round, until nothing is staged. A
+//! caller that finds a write in flight stages its request and waits for
+//! its reply. No thread, timer or window: a lone caller's frame is a
+//! plain [`FrameKind::Request`], and concurrent callers coalesce exactly
+//! as deep as they overlap a write.
+//!
 //! Failure mapping keeps the cluster's semantics: a dead or unreachable
 //! provider process behaves like a crashed in-process provider. On
 //! transport failure, [`TcpClient::handle`] quietly retries (the
@@ -27,12 +36,12 @@ use crate::wire::{
     FrameKind, MAX_FRAME_BODY,
 };
 use crate::SharedService;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,11 +81,11 @@ pub struct TcpClientConfig {
     pub connect_timeout: Duration,
     /// How long one [`TcpClient::call`] waits for its response.
     pub call_timeout: Duration,
-    /// Upper bound on one blocked socket write. The request write in
-    /// [`TcpClient::call`] happens under the connection lock, so without
-    /// a bound a stalled peer with a full TCP send buffer would wedge
-    /// every concurrent caller plus `close()`. On expiry the connection
-    /// is torn down and the call fails with
+    /// Upper bound on one blocked socket write. The leading caller
+    /// writes under the connection lock, so without a bound a stalled
+    /// peer with a full TCP send buffer would wedge it, every caller
+    /// staged behind it, and `close()`. On expiry the connection is torn
+    /// down and every call in the frame fails with
     /// [`TransportError::TimedOut`].
     pub write_timeout: Duration,
     /// Minimum spacing between reconnection attempts.
@@ -88,19 +97,6 @@ pub struct TcpClientConfig {
     pub error_hold: Duration,
     /// Largest accepted response frame body.
     pub max_frame_body: u32,
-    /// Coalescing window for outbound requests — "group commit for
-    /// RPCs", the WAL's group commit applied to a socket (which, unlike
-    /// an fsync, needs a window to collect a batch). `Duration::ZERO`
-    /// (the default unless `DASP_BATCH_WINDOW_US` is set) disables
-    /// batching: every call writes its own frame, exactly the
-    /// pre-batching behavior.
-    /// A nonzero window routes calls through a batcher thread that packs
-    /// concurrent requests (quorum fan-out, `query_many` workers) into
-    /// one [`FrameKind::BatchRequest`] frame — one CRC, one length
-    /// prefix, one syscall — flushing as soon as every in-flight call is
-    /// packed, when the window expires, or at the batch size caps, so a
-    /// lone synchronous caller pays ~zero added latency.
-    pub batch_window: Duration,
 }
 
 impl Default for TcpClientConfig {
@@ -112,21 +108,8 @@ impl Default for TcpClientConfig {
             reconnect_backoff: Duration::from_millis(50),
             error_hold: Duration::from_secs(2),
             max_frame_body: MAX_FRAME_BODY,
-            batch_window: batch_window_from_env(),
         }
     }
-}
-
-/// The coalescing window `DASP_BATCH_WINDOW_US` selects (microseconds);
-/// unset, zero or unparsable means no batching. This is the knob CI and
-/// the experiment harness flip to run the whole stack batched without
-/// touching call sites.
-pub fn batch_window_from_env() -> Duration {
-    std::env::var("DASP_BATCH_WINDOW_US")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_micros)
-        .unwrap_or(Duration::ZERO)
 }
 
 /// Most sub-messages one outbound batch frame packs.
@@ -135,13 +118,17 @@ const MAX_BATCH_SUBS: usize = 128;
 /// Most payload bytes one outbound batch frame packs.
 const MAX_BATCH_BYTES: usize = 1 << 20;
 
-/// One request queued for the batcher thread.
-struct BatchItem {
-    token: u64,
-    payload: Vec<u8>,
-}
-
 type PendingMap = HashMap<u64, Sender<Result<Vec<u8>, TransportError>>>;
+
+/// Requests waiting for the write in flight.
+#[derive(Default)]
+struct Stage {
+    /// A leader is writing. Cleared only together with `reqs` empty, so
+    /// a staged request always has a leader that will write it.
+    writing: bool,
+    /// `(token, payload)` of every follower, in arrival order.
+    reqs: Vec<(u64, Vec<u8>)>,
+}
 
 struct ConnState {
     /// The live connection's write half; `None` while disconnected.
@@ -154,21 +141,11 @@ struct ConnState {
 struct Inner {
     addr: SocketAddr,
     cfg: TcpClientConfig,
-    /// Lock order: `state` before `pending` (the reader's teardown and
-    /// the writer's registration both follow it). `batch_tx` is never
-    /// held across either — callers clone the sender out and drop the
-    /// guard before touching `state` or `pending`.
+    /// Lock order: `state` before `pending` (the reader's teardown).
+    /// `stage` is never held across either.
     state: Mutex<ConnState>,
     pending: Mutex<PendingMap>,
-    /// Queue handle for the batcher thread; `None` when batching is off
-    /// or the client is closed (closing drops the sender, which ends the
-    /// batcher's `recv` loop).
-    batch_tx: Mutex<Option<Sender<BatchItem>>>,
-    /// Calls handed (or about to be handed) to the batcher that it has
-    /// not yet pulled off the queue. The batcher flushes early when this
-    /// hits zero: every in-flight call is packed, so waiting out the
-    /// window would only add latency.
-    unsent: AtomicUsize,
+    stage: Mutex<Stage>,
     next_token: AtomicU64,
     epoch: AtomicU64,
     closed: AtomicBool,
@@ -200,8 +177,7 @@ impl TcpClient {
                     last_dial: None,
                 }),
                 pending: Mutex::new(HashMap::new()),
-                batch_tx: Mutex::new(None),
-                unsent: AtomicUsize::new(0),
+                stage: Mutex::new(Stage::default()),
                 next_token: AtomicU64::new(0),
                 epoch: AtomicU64::new(0),
                 closed: AtomicBool::new(false),
@@ -213,19 +189,6 @@ impl TcpClient {
             // the analyzer's call chain into it does not run under this guard.
             Self::dial(&client.inner, &mut st)
                 .map_err(|e| std::io::Error::new(ErrorKind::ConnectionRefused, e.to_string()))?;
-        }
-        if client.inner.cfg.batch_window > Duration::ZERO {
-            let (btx, brx) = unbounded::<BatchItem>();
-            let batcher_inner = Arc::clone(&client.inner);
-            let spawned = std::thread::Builder::new()
-                .name("dasp-tcp-batcher".to_string())
-                .spawn(move || batcher_loop(batcher_inner, brx));
-            if let Ok(handle) = spawned {
-                *client.inner.batch_tx.lock() = Some(btx);
-                // The batcher joins through the same drain as readers.
-                client.inner.state.lock().readers.push(handle);
-            }
-            // Spawn failure falls back to direct per-call writes.
         }
         Ok(client)
     }
@@ -242,71 +205,37 @@ impl TcpClient {
 
     /// One request/response exchange with a typed error. Concurrent
     /// callers share the connection; responses are matched by token.
-    /// With a nonzero [`TcpClientConfig::batch_window`] the request is
-    /// queued to the batcher thread, which packs concurrent calls into
-    /// one batch frame; otherwise it is written directly.
+    /// The caller that finds no write in flight writes its own request
+    /// and then everything staged behind it (see the module docs);
+    /// every other caller stages its request and waits.
     pub fn call(&self, payload: &[u8]) -> Result<Vec<u8>, TransportError> {
         if self.inner.closed.load(Ordering::Relaxed) {
             return Err(TransportError::Closed);
         }
+        // Refused here, not in `encode_frame`'s assert: that would panic
+        // whichever thread leads the write and strand the staged calls.
+        let body = 8 + 1 + payload.len(); // token, kind, payload
+        if body > MAX_FRAME_BODY as usize {
+            return Err(TransportError::Frame(FrameError::BadLength {
+                len: u32::try_from(body).unwrap_or(u32::MAX),
+                max: MAX_FRAME_BODY,
+            }));
+        }
         let token = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
-        let batch_tx = self.inner.batch_tx.lock().clone();
-        if let Some(btx) = batch_tx {
-            // dasp::allow(L1): `pending` is taken alone here — consistent
-            // with the crate-wide `state` -> `pending` order.
-            self.inner.pending.lock().insert(token, tx);
-            // Count *before* sending so the batcher's early-flush check
-            // (`unsent == 0`) can never miss an item that is mid-send.
-            self.inner.unsent.fetch_add(1, Ordering::AcqRel);
-            let item = BatchItem {
-                token,
-                payload: payload.to_vec(),
-            };
-            if btx.send(item).is_err() {
-                self.inner.unsent.fetch_sub(1, Ordering::AcqRel);
-                self.inner.pending.lock().remove(&token);
-                return Err(TransportError::Closed);
+        self.inner.pending.lock().insert(token, tx);
+        let lead = {
+            let mut stage = self.inner.stage.lock();
+            if stage.writing {
+                stage.reqs.push((token, payload.to_vec()));
+                false
+            } else {
+                stage.writing = true;
+                true
             }
-            return match rx.recv_timeout(self.inner.cfg.call_timeout) {
-                Ok(result) => result,
-                Err(_) => {
-                    self.inner.pending.lock().remove(&token);
-                    Err(TransportError::TimedOut)
-                }
-            };
-        }
-        {
-            let mut st = self.inner.state.lock();
-            if st.stream.is_none() {
-                // dasp::allow(L1): `dial` spawns `reader_loop` on a fresh
-                // thread — that chain does not run under this guard.
-                Self::dial(&self.inner, &mut st)?;
-            }
-            // dasp::allow(L1): lock order is `state` -> `pending` everywhere
-            // (here and in `reader_loop`'s teardown); never the reverse.
-            self.inner.pending.lock().insert(token, tx);
-            let frame = encode_frame(token, FrameKind::Request, payload);
-            let Some(stream) = st.stream.as_mut() else {
-                // dasp::allow(L1): same `state` -> `pending` order as above.
-                self.inner.pending.lock().remove(&token);
-                return Err(TransportError::Closed);
-            };
-            if let Err(e) = stream.write_all(&frame) {
-                let _ = stream.shutdown(Shutdown::Both);
-                st.stream = None;
-                // dasp::allow(L1): same `state` -> `pending` order as above.
-                self.inner.pending.lock().remove(&token);
-                // A write timeout (WouldBlock on Unix, TimedOut on
-                // Windows) may have left a partial frame on the wire;
-                // the connection is already torn down above.
-                let err = if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                    TransportError::TimedOut
-                } else {
-                    TransportError::Io(e.to_string())
-                };
-                return Err(err);
-            }
+        };
+        if lead {
+            lead_writes(&self.inner, token, payload);
         }
         match rx.recv_timeout(self.inner.cfg.call_timeout) {
             Ok(result) => result,
@@ -361,9 +290,6 @@ impl TcpClient {
     /// Close the connection and wake every pending caller.
     pub fn close(&self) {
         self.inner.closed.store(true, Ordering::Relaxed);
-        // Dropping the sender ends the batcher's recv loop; it is joined
-        // through the readers drain below.
-        *self.inner.batch_tx.lock() = None;
         let readers: Vec<_> = {
             let mut st = self.inner.state.lock();
             if let Some(stream) = st.stream.take() {
@@ -390,105 +316,55 @@ impl Drop for TcpClient {
     }
 }
 
-/// The coalescing loop: park on the queue, and once a request arrives
-/// keep packing until the batch reaches the *adaptive depth target*,
-/// the window expires, or a size cap is hit — then write the whole pack
-/// as one frame. The frame scratch is reused across flushes and shrunk
-/// back after outsized bursts.
-///
-/// The depth target is the Nagle/group-commit trick that makes the
-/// window safe on a loaded box. Flushing the instant the queue drains
-/// (`unsent == 0`) degenerates under scheduler ping-pong: the reader
-/// wakes caller A, A's submit wakes this thread, and the batch flushes
-/// as a singleton before callers B..k ever run — so steady-state depth
-/// collapses to 1 and batching pays its costs without its savings.
-/// Instead the batcher remembers how deep batches have recently been
-/// and keeps parking on the queue (up to the window) until that many
-/// requests are aboard. The target grows instantly when a flush packs
-/// more, and *decays instantly* whenever a window expiry flushes fewer
-/// — so when concurrency drops, at most one flush pays the window
-/// before the target matches, and a lone synchronous caller (target 1)
-/// never waits at all.
-fn batcher_loop(inner: Arc<Inner>, rx: Receiver<BatchItem>) {
-    let window = inner.cfg.batch_window;
-    let mut items: Vec<BatchItem> = Vec::new();
-    let mut frame: Vec<u8> = Vec::new();
-    // How many requests steady state is expected to deliver per batch.
-    let mut target: usize = 1;
-    while let Ok(first) = rx.recv() {
-        inner.unsent.fetch_sub(1, Ordering::AcqRel);
-        let deadline = Instant::now() + window;
-        let mut bytes = first.payload.len();
-        let mut timed_out = false;
-        items.push(first);
-        loop {
-            if items.len() >= MAX_BATCH_SUBS || bytes >= MAX_BATCH_BYTES {
-                break;
+/// The leader's job: write its own request as a plain frame, then
+/// whatever followers staged meanwhile — a plain frame for one, one
+/// batch frame for several, within the size caps — round after round
+/// until the stage is empty. The stage lock is held only to take
+/// requests, never across `state`, `pending` or a write.
+fn lead_writes(inner: &Arc<Inner>, token: u64, payload: &[u8]) {
+    let mut frame = encode_frame(token, FrameKind::Request, payload);
+    write_pack(inner, &frame, [token]);
+    let mut pack: Vec<(u64, Vec<u8>)> = Vec::new();
+    loop {
+        {
+            let mut stage = inner.stage.lock();
+            if stage.reqs.is_empty() {
+                stage.writing = false;
+                return;
             }
-            match rx.try_recv() {
-                Ok(item) => {
-                    inner.unsent.fetch_sub(1, Ordering::AcqRel);
-                    bytes += item.payload.len();
-                    items.push(item);
-                    continue;
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => break,
-            }
-            // Met the expected depth with no submission visibly in
-            // flight: everything this round of concurrency produced is
-            // aboard — ship it without waiting out the window.
-            if items.len() >= target && inner.unsent.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                timed_out = true;
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(item) => {
-                    inner.unsent.fetch_sub(1, Ordering::AcqRel);
-                    bytes += item.payload.len();
-                    items.push(item);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    timed_out = true;
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+            let mut bytes = 0;
+            let n = stage
+                .reqs
+                .iter()
+                .take(MAX_BATCH_SUBS)
+                .take_while(|(_, p)| {
+                    bytes += p.len();
+                    bytes <= MAX_BATCH_BYTES
+                })
+                .count();
+            // A request past the byte cap on its own leaves alone.
+            pack.extend(stage.reqs.drain(..n.max(1)));
         }
-        target = if timed_out && items.len() < target {
-            items.len() // concurrency dropped: stop waiting for ghosts
+        frame.clear();
+        if let [(token, payload)] = pack.as_slice() {
+            encode_frame_into(&mut frame, *token, FrameKind::Request, payload);
         } else {
-            target.max(items.len())
-        };
-        write_pack(&inner, &items, &mut frame);
-        items.clear();
-        if frame.capacity() > 2 * MAX_BATCH_BYTES {
-            frame.shrink_to(MAX_BATCH_BYTES);
+            let mut b = BatchFrameBuilder::begin(&mut frame, FrameKind::BatchRequest);
+            for (token, payload) in &pack {
+                b.push(*token, payload);
+            }
+            b.finish();
         }
+        write_pack(inner, &frame, pack.iter().map(|(token, _)| *token));
+        pack.clear();
     }
 }
 
-/// Encode the packed requests (a plain frame for one, a batch frame for
-/// many) and write them under the connection lock — dialing first if the
-/// connection dropped, with the same error mapping as the direct path.
-/// On failure every packed call is woken with the error through
-/// `pending` (each token is removed at most once, so the capacity-1
-/// reply channels never see a second send).
-fn write_pack(inner: &Arc<Inner>, items: &[BatchItem], frame: &mut Vec<u8>) {
-    frame.clear();
-    if let [only] = items {
-        encode_frame_into(frame, only.token, FrameKind::Request, &only.payload);
-    } else {
-        let mut b = BatchFrameBuilder::begin(frame, FrameKind::BatchRequest);
-        for item in items {
-            b.push(item.token, &item.payload);
-        }
-        b.finish();
-    }
+/// Write one encoded frame under the connection lock, dialing first if
+/// the connection dropped. On failure every call packed in the frame is
+/// woken with the error through `pending` (each token is removed at
+/// most once, so the capacity-1 reply channels never see a second send).
+fn write_pack(inner: &Arc<Inner>, frame: &[u8], tokens: impl IntoIterator<Item = u64>) {
     let result = {
         let mut st = inner.state.lock();
         (|| -> Result<(), TransportError> {
@@ -503,8 +379,9 @@ fn write_pack(inner: &Arc<Inner>, items: &[BatchItem], frame: &mut Vec<u8>) {
             if let Err(e) = stream.write_all(frame) {
                 let _ = stream.shutdown(Shutdown::Both);
                 st.stream = None;
-                // A write timeout may have left a partial frame on the
-                // wire; the connection is already torn down above.
+                // A write timeout (WouldBlock on Unix, TimedOut on
+                // Windows) may have left a partial frame on the wire;
+                // the connection is already torn down above.
                 return Err(
                     if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
                         TransportError::TimedOut
@@ -517,11 +394,9 @@ fn write_pack(inner: &Arc<Inner>, items: &[BatchItem], frame: &mut Vec<u8>) {
         })()
     };
     if let Err(err) = result {
-        // dasp::allow(L1): `state` was released above; `pending` is taken
-        // alone, and each `tx` is a capacity-1, single-send channel.
         let mut pending = inner.pending.lock();
-        for item in items {
-            if let Some(tx) = pending.remove(&item.token) {
+        for token in tokens {
+            if let Some(tx) = pending.remove(&token) {
                 // dasp::allow(L1, E1): capacity-1, single-send channel — never
                 // blocks, and the waiter may have timed out and dropped it.
                 let _ = tx.send(Err(err.clone()));
@@ -759,5 +634,138 @@ impl BlockingConn {
             }
         }
         Ok(results.into_iter().map(|r| r.unwrap_or_default()).collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// More than a loopback send buffer plus the receive window of a
+    /// peer that never reads, so the leader's write blocks until the
+    /// peer reads (or goes away).
+    const BLOCKING_PAYLOAD: usize = 16 << 20;
+    const FOLLOWERS: usize = 8;
+
+    /// A client connected to a raw peer that reads nothing until told.
+    /// The listener is gone on return, so a redial is refused.
+    fn withheld_peer() -> (TcpClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let cfg = TcpClientConfig {
+            call_timeout: Duration::from_secs(60),
+            write_timeout: Duration::from_secs(60),
+            ..TcpClientConfig::default()
+        };
+        let client = TcpClient::connect(listener.local_addr().expect("addr"), cfg).expect("dial");
+        let (peer, _) = listener.accept().expect("accept");
+        // A hang guard only: the peer reads what the client wrote.
+        peer.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        (client, peer)
+    }
+
+    /// Spin until `done` holds of the stage; the clock only guards
+    /// against a hang.
+    fn wait_for_stage(client: &TcpClient, what: &str, done: impl Fn(&Stage) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done(&client.inner.stage.lock()) {
+            assert!(Instant::now() < deadline, "never saw {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Start a leader blocked in its write, then `FOLLOWERS` callers
+    /// staged behind it; returns every caller's result once `release`
+    /// (run with all of them staged) lets the leader's write end.
+    fn stage_behind_blocked_leader(
+        client: &TcpClient,
+        release: impl FnOnce(),
+    ) -> Vec<Result<Vec<u8>, TransportError>> {
+        let big = vec![7u8; BLOCKING_PAYLOAD];
+        std::thread::scope(|s| {
+            let mut calls = vec![s.spawn(|| client.call(&big))];
+            wait_for_stage(client, "a leader", |st| st.writing);
+            for i in 0..FOLLOWERS as u8 {
+                calls.push(s.spawn(move || client.call(&[i])));
+            }
+            wait_for_stage(client, "every follower staged", |st| {
+                st.reqs.len() == FOLLOWERS
+            });
+            release();
+            calls
+                .into_iter()
+                .map(|c| c.join().expect("caller"))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn followers_staged_behind_a_blocked_write_leave_in_one_batch() {
+        let (client, mut peer) = withheld_peer();
+        // `move`: a failed assertion drops the peer, which wakes the
+        // callers instead of leaving them to `call_timeout`.
+        let results = stage_behind_blocked_leader(&client, move || {
+            let mut decoder = FrameDecoder::new();
+            let mut buf = vec![0u8; 64 * 1024];
+            let mut frames = Vec::new();
+            while frames.len() < 2 {
+                match decoder.next_frame().expect("well-formed frames") {
+                    Some(frame) => frames.push(frame),
+                    None => {
+                        let n = peer.read(&mut buf).expect("read");
+                        assert!(n > 0, "client closed the connection");
+                        decoder.extend(&buf[..n]);
+                    }
+                }
+            }
+            let (lead, batch) = (&frames[0], &frames[1]);
+            assert_eq!(lead.kind, FrameKind::Request);
+            assert_eq!(lead.payload.len(), BLOCKING_PAYLOAD);
+            assert_eq!(batch.kind, FrameKind::BatchRequest);
+            assert_eq!(
+                batch.token, FOLLOWERS as u64,
+                "one batch carries every follower"
+            );
+            let mut reply = encode_frame(lead.token, FrameKind::Response, b"lead");
+            for item in batch_items(&batch.payload) {
+                let (token, payload) = item.expect("sub-message");
+                encode_frame_into(&mut reply, token, FrameKind::Response, payload);
+            }
+            peer.write_all(&reply).expect("reply");
+        });
+        assert_eq!(results[0], Ok(b"lead".to_vec()));
+        for (i, result) in results[1..].iter().enumerate() {
+            assert_eq!(result, &Ok(vec![i as u8]));
+        }
+        assert!(!client.inner.stage.lock().writing);
+    }
+
+    #[test]
+    fn a_failed_leader_write_wakes_every_staged_follower() {
+        let (client, peer) = withheld_peer();
+        // Closing with unread bytes resets the connection: the leader's
+        // blocked write fails, and the redial for the staged batch is
+        // refused.
+        let results = stage_behind_blocked_leader(&client, || drop(peer));
+        for result in results {
+            let err = result.expect_err("the connection is gone");
+            assert_ne!(err, TransportError::TimedOut, "woken by call_timeout");
+        }
+        assert!(!client.inner.stage.lock().writing);
+    }
+
+    #[test]
+    fn an_oversized_request_is_refused_before_it_is_staged() {
+        let (client, _peer) = withheld_peer();
+        let err = client
+            .call(&vec![0u8; MAX_FRAME_BODY as usize])
+            .expect_err("over the frame cap");
+        assert!(matches!(
+            err,
+            TransportError::Frame(FrameError::BadLength { .. })
+        ));
+        let stage = client.inner.stage.lock();
+        assert!(!stage.writing && stage.reqs.is_empty());
     }
 }

@@ -1971,8 +1971,10 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Mutex as StdMutex;
 
-    /// Crash-point hooks are process-global; tests that arm them must not
-    /// overlap.
+    /// Crash-point hooks are process-global, and any WAL append or
+    /// checkpoint in this binary can consume an armed one: every test
+    /// that appends or checkpoints takes this gate, not only the ones
+    /// that arm a hook.
     static HOOK_GATE: StdMutex<()> = StdMutex::new(());
 
     fn test_dir(tag: &str) -> PathBuf {
@@ -1993,6 +1995,7 @@ mod tests {
 
     #[test]
     fn durable_engine_recovers_wal_only_state() {
+        let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = test_dir("wal-only");
         let root1;
         {
@@ -2066,6 +2069,7 @@ mod tests {
 
     #[test]
     fn recovery_combines_checkpoint_image_and_log_tail() {
+        let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = test_dir("ckpt-tail");
         {
             let (e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
@@ -2512,8 +2516,6 @@ mod tests {
         // The image's heap records are wire row blocks, whole tables of
         // them: every record decodes with the wire decoder, none outgrows
         // a page whatever the shares, and recovery reads back every row.
-        // (Gated: a checkpoint here would consume a crash hook armed by a
-        // test running beside it.)
         let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = test_dir("ckpt-layout");
         let (e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();

@@ -19,12 +19,9 @@ use std::time::{Duration, Instant};
 enum Transport {
     Channel,
     Tcp,
-    /// TCP with a 1 ms client-side coalescing window: requests ride in
-    /// multi-query batch frames. Same resilience semantics required.
-    TcpBatched,
 }
 
-const TRANSPORTS: [Transport; 3] = [Transport::Channel, Transport::Tcp, Transport::TcpBatched];
+const TRANSPORTS: [Transport; 2] = [Transport::Channel, Transport::Tcp];
 
 /// Deterministic service: response = [provider tag, request bytes...].
 struct TaggedEcho(u8);
@@ -56,11 +53,7 @@ fn fixture(transport: Transport, n: usize, timeout: Duration, breaker: BreakerCo
                 _servers: Vec::new(),
             }
         }
-        Transport::Tcp | Transport::TcpBatched => {
-            let batch_window = match transport {
-                Transport::TcpBatched => Duration::from_millis(1),
-                _ => Duration::ZERO,
-            };
+        Transport::Tcp => {
             let mut servers = Vec::with_capacity(n);
             let mut clients: Vec<Arc<dyn SharedService>> = Vec::with_capacity(n);
             for i in 0..n {
@@ -73,7 +66,6 @@ fn fixture(transport: Transport, n: usize, timeout: Duration, breaker: BreakerCo
                 let cfg = TcpClientConfig {
                     call_timeout: timeout.saturating_mul(2),
                     error_hold: timeout.saturating_mul(2),
-                    batch_window,
                     ..TcpClientConfig::default()
                 };
                 clients.push(Arc::new(
@@ -252,14 +244,16 @@ fn byzantine_injection_sits_above_the_socket_on_both_transports() {
 
 #[test]
 fn query_many_positions_identical_with_batching_on_and_off() {
-    // Full client stack over real providers: the same secret-shared
-    // deployment (same key seed, same rows, same client RNG seed) is
-    // stood up twice — once with the coalescing window off, once with a
-    // 1 ms window — and `query_many` must return position-identical
-    // decoded rows. Batching may only change wire shape, never results.
+    // Full client stack: the same secret-shared deployment (same key
+    // seed, same rows, same client RNG seed) is stood up twice — behind
+    // channels, where nothing is batched, and over TCP with four
+    // cluster workers per provider and four `query_many` workers, so
+    // calls overlap on each `TcpClient` and coalesce into batch frames —
+    // and `query_many` must return position-identical decoded rows.
+    // Batching may only change wire shape, never results.
     use dasp_client::{ColumnSpec, DataSource, Predicate, TableSchema, Value};
     use dasp_core::client::ClientKeys;
-    use dasp_server::service::tcp_provider_fleet;
+    use dasp_server::service::{shared_provider_fleet, tcp_provider_fleet};
     use dasp_sss::ShareMode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -270,22 +264,23 @@ fn query_many_positions_identical_with_batching_on_and_off() {
         .collect();
     let mut outcomes = Vec::new();
     let mut fleets = Vec::new(); // keep servers alive until both queries ran
-    for window_us in [0u64, 1000] {
+    let (timeout, workers) = (Duration::from_secs(2), 4);
+    for transport in TRANSPORTS {
         let mut rng = StdRng::seed_from_u64(4242);
         let keys = ClientKeys::generate(k, n, &mut rng).unwrap();
-        let (servers, addrs) = tcp_provider_fleet(n, ReactorConfig::default()).expect("bind fleet");
-        fleets.push(servers);
-        let cluster = Cluster::connect_tcp_with(
-            &addrs,
-            Duration::from_secs(2),
-            1,
-            TcpClientConfig {
-                batch_window: Duration::from_micros(window_us),
-                ..TcpClientConfig::default()
-            },
-        )
-        .expect("connect");
+        let cluster = match transport {
+            Transport::Channel => {
+                Cluster::spawn_concurrent(shared_provider_fleet(n), timeout, workers)
+            }
+            Transport::Tcp => {
+                let (servers, addrs) =
+                    tcp_provider_fleet(n, ReactorConfig::default()).expect("bind fleet");
+                fleets.push(servers);
+                Cluster::connect_tcp(&addrs, timeout, workers).expect("connect")
+            }
+        };
         let mut ds = DataSource::with_seed(keys, cluster, 99).unwrap();
+        ds.set_workers(workers);
         ds.create_table(
             TableSchema::new(
                 "t",
@@ -303,11 +298,11 @@ fn query_many_positions_identical_with_batching_on_and_off() {
             .collect();
         outcomes.push(ds.query_many("t", &predicates).expect("query_many"));
     }
-    let (off, on) = (&outcomes[0], &outcomes[1]);
-    assert_eq!(off.len(), on.len());
-    for (i, (a, b)) in off.iter().zip(on).enumerate() {
+    let (channel, tcp) = (&outcomes[0], &outcomes[1]);
+    assert_eq!(channel.len(), tcp.len());
+    for (i, (a, b)) in channel.iter().zip(tcp).enumerate() {
         assert!(!a.is_empty(), "query {i} matched nothing — weak test");
-        assert_eq!(a, b, "query {i}: batching changed decoded rows");
+        assert_eq!(a, b, "query {i}: the transport changed decoded rows");
     }
 }
 
