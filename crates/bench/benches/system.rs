@@ -70,7 +70,7 @@ fn bench_join(c: &mut Criterion) {
     let mut g = c.benchmark_group("join");
     let mut rng = StdRng::seed_from_u64(0x70);
     let keys = ClientKeys::generate(2, 3, &mut rng).unwrap();
-    let cluster = Cluster::spawn(provider_fleet(3), Duration::from_secs(30));
+    let cluster = Cluster::spawn_concurrent(provider_fleet(3), Duration::from_secs(30), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 0x71).unwrap();
     let eid = || ColumnSpec::numeric("eid", 1 << 20, ShareMode::Deterministic).in_domain("eid");
     ds.create_table(

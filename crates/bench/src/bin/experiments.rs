@@ -8,6 +8,7 @@
 //! ```
 //!
 //! `--quick` shrinks the sweeps (used when capturing bench_output.txt).
+//! An unknown id runs nothing: it prints the valid ids and exits 2.
 
 use dasp_baseline::encdb::{EncClient, EncServer, RangeStrategy};
 use dasp_baseline::intersection::{commutative_intersection, predicted_cost};
@@ -35,13 +36,43 @@ use dasp_workload::employees::{self, SalaryDist};
 use dasp_workload::{documents, places, queries};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::process::ExitCode;
 use std::time::Instant;
 
 struct Config {
     quick: bool,
 }
 
-fn main() {
+type Experiment = fn(&Config);
+
+/// Every experiment, in run order, under the ids that select it. E20
+/// (transport comparison) and E21 (batched wire RPC) share a
+/// measurement pass and both land in BENCH_net.json, so one entry
+/// answers to both.
+const EXPERIMENTS: &[(&[&str], Experiment)] = &[
+    (&["e1"], |_| e1_figure1()),
+    (&["e2"], e2_intersection),
+    (&["e3"], e3_pir),
+    (&["e4"], e4_exact_match),
+    (&["e5"], e5_range),
+    (&["e6"], e6_aggregates),
+    (&["e7"], e7_join),
+    (&["e8"], e8_fault_tolerance),
+    (&["e9"], e9_updates),
+    (&["e10"], e10_mashup),
+    (&["e11"], e11_storage),
+    (&["e12"], e12_scaling),
+    (&["e13"], |_| e13_leakage()),
+    (&["e14"], e14_ablations),
+    (&["e15"], e15_extensions),
+    (&["e16"], e16_recovery),
+    (&["e17"], e17_codec),
+    (&["e18"], e18_concurrency),
+    (&["e19"], e19_wal),
+    (&["e20", "e21"], e20_net),
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let wanted: Vec<String> = args
@@ -49,74 +80,32 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .map(|a| a.to_lowercase())
         .collect();
+    let selects = |ids: &[&str], w: &str| w == "all" || ids.contains(&w);
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| !EXPERIMENTS.iter().any(|(ids, _)| selects(ids, w)))
+    {
+        let valid: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|(ids, _)| *ids)
+            .copied()
+            .collect();
+        eprintln!(
+            "experiments: unknown id {unknown:?}; valid ids: all {}",
+            valid.join(" ")
+        );
+        return ExitCode::from(2);
+    }
     let cfg = Config { quick };
-    let all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
-    let run = |id: &str| all || wanted.iter().any(|w| w == id);
 
     println!("dasp experiment harness — reproducing ICDE'09 DaaS paper claims");
     println!("(quick mode: {})\n", quick);
-    if run("e1") {
-        e1_figure1();
+    for (ids, experiment) in EXPERIMENTS {
+        if wanted.is_empty() || wanted.iter().any(|w| selects(ids, w)) {
+            experiment(&cfg);
+        }
     }
-    if run("e2") {
-        e2_intersection(&cfg);
-    }
-    if run("e3") {
-        e3_pir(&cfg);
-    }
-    if run("e4") {
-        e4_exact_match(&cfg);
-    }
-    if run("e5") {
-        e5_range(&cfg);
-    }
-    if run("e6") {
-        e6_aggregates(&cfg);
-    }
-    if run("e7") {
-        e7_join(&cfg);
-    }
-    if run("e8") {
-        e8_fault_tolerance(&cfg);
-    }
-    if run("e9") {
-        e9_updates(&cfg);
-    }
-    if run("e10") {
-        e10_mashup(&cfg);
-    }
-    if run("e11") {
-        e11_storage(&cfg);
-    }
-    if run("e12") {
-        e12_scaling(&cfg);
-    }
-    if run("e13") {
-        e13_leakage();
-    }
-    if run("e14") {
-        e14_ablations(&cfg);
-    }
-    if run("e15") {
-        e15_extensions(&cfg);
-    }
-    if run("e16") {
-        e16_recovery(&cfg);
-    }
-    if run("e17") {
-        e17_codec(&cfg);
-    }
-    if run("e18") {
-        e18_concurrency(&cfg);
-    }
-    if run("e19") {
-        e19_wal(&cfg);
-    }
-    if run("e20") || run("e21") {
-        // E20 (transport comparison) and E21 (batched wire RPC) share a
-        // measurement pass and both land in BENCH_net.json.
-        e20_net(&cfg);
-    }
+    ExitCode::SUCCESS
 }
 
 /// E1 — Figure 1: the share table, byte for byte.
@@ -187,7 +176,8 @@ fn e2_intersection(cfg: &Config) {
         // same domain; a provider-side join IS the intersection.
         let mut keys_rng = StdRng::seed_from_u64(3);
         let keys = ClientKeys::generate(2, 3, &mut keys_rng).unwrap();
-        let cluster = Cluster::spawn(provider_fleet(3), std::time::Duration::from_secs(30));
+        let cluster =
+            Cluster::spawn_concurrent(provider_fleet(3), std::time::Duration::from_secs(30), 1);
         let mut ds = DataSource::with_seed(keys, cluster, 4).unwrap();
         let word_col =
             || ColumnSpec::numeric("w", 1 << 30, ShareMode::Deterministic).in_domain("word");
@@ -551,7 +541,8 @@ fn e7_join(cfg: &Config) {
     for &(ne, nm) in sizes {
         let mut rng = StdRng::seed_from_u64(70);
         let keys = ClientKeys::generate(2, 3, &mut rng).unwrap();
-        let cluster = Cluster::spawn(provider_fleet(3), std::time::Duration::from_secs(30));
+        let cluster =
+            Cluster::spawn_concurrent(provider_fleet(3), std::time::Duration::from_secs(30), 1);
         let mut ds = DataSource::with_seed(keys, cluster, 71).unwrap();
         let eid = || ColumnSpec::numeric("eid", 1 << 20, ShareMode::Deterministic).in_domain("eid");
         ds.create_table(
@@ -771,7 +762,8 @@ fn e10_mashup(cfg: &Config) {
     let domain = 1 << 20;
     let mut rng = StdRng::seed_from_u64(100);
     let keys = ClientKeys::generate(2, 3, &mut rng).unwrap();
-    let cluster = Cluster::spawn(provider_fleet(3), std::time::Duration::from_secs(30));
+    let cluster =
+        Cluster::spawn_concurrent(provider_fleet(3), std::time::Duration::from_secs(30), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 101).unwrap();
     ds.create_table(
         TableSchema::new(

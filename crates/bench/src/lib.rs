@@ -8,7 +8,7 @@
 use dasp_client::{ColumnSpec, DataSource, TableSchema, Value};
 use dasp_core::client::ClientKeys;
 use dasp_net::{Cluster, NetworkModel, TrafficStats};
-use dasp_server::service::{provider_fleet, shared_provider_fleet};
+use dasp_server::service::provider_fleet;
 use dasp_sss::ShareMode;
 use dasp_workload::employees::{self, SalaryDist};
 use rand::rngs::StdRng;
@@ -63,8 +63,7 @@ pub const SALARY_DOMAIN: u64 = 1 << 20;
 
 /// Deploy `n` providers (threshold `k`) and load `rows` employees.
 pub fn deploy_employees(k: usize, n: usize, rows: usize, seed: u64) -> EmployeesDeployment {
-    let cluster = Cluster::spawn(provider_fleet(n), Duration::from_secs(30));
-    deploy_onto(cluster, k, n, rows, seed)
+    deploy_employees_concurrent(k, n, rows, seed, 1)
 }
 
 /// Like [`deploy_employees`], but each provider serves requests from a
@@ -77,8 +76,7 @@ pub fn deploy_employees_concurrent(
     seed: u64,
     workers: usize,
 ) -> EmployeesDeployment {
-    let cluster =
-        Cluster::spawn_concurrent(shared_provider_fleet(n), Duration::from_secs(30), workers);
+    let cluster = Cluster::spawn_concurrent(provider_fleet(n), Duration::from_secs(30), workers);
     deploy_onto(cluster, k, n, rows, seed)
 }
 

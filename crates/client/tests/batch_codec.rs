@@ -15,7 +15,7 @@ use std::time::Duration;
 fn source(k: usize, n: usize, seed: u64) -> DataSource {
     let mut rng = StdRng::seed_from_u64(0xdab);
     let keys = ClientKeys::generate(k, n, &mut rng).unwrap();
-    let cluster = Cluster::spawn(provider_fleet(n), Duration::from_millis(500));
+    let cluster = Cluster::spawn_concurrent(provider_fleet(n), Duration::from_millis(500), 1);
     DataSource::with_seed(keys, cluster, seed).unwrap()
 }
 

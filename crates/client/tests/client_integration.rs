@@ -5,7 +5,7 @@ use dasp_client::{
     TableSchema, Value,
 };
 use dasp_net::{Cluster, FailureMode};
-use dasp_server::service::{provider_fleet, shared_provider_fleet};
+use dasp_server::service::provider_fleet;
 use dasp_sss::ShareMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,7 +14,7 @@ use std::time::Duration;
 fn source(k: usize, n: usize) -> DataSource {
     let mut rng = StdRng::seed_from_u64(0xdab);
     let keys = ClientKeys::generate(k, n, &mut rng).unwrap();
-    let cluster = Cluster::spawn(provider_fleet(n), Duration::from_millis(500));
+    let cluster = Cluster::spawn_concurrent(provider_fleet(n), Duration::from_millis(500), 1);
     DataSource::with_seed(keys, cluster, 7).unwrap()
 }
 
@@ -1042,24 +1042,24 @@ fn providers_never_see_plaintext() {
         inner: dasp_server::ProviderService,
         seen: std::sync::Arc<parking_lot::Mutex<Vec<u8>>>,
     }
-    impl dasp_net::Service for Recorder {
-        fn handle(&mut self, request: &[u8]) -> Vec<u8> {
+    impl dasp_net::SharedService for Recorder {
+        fn handle(&self, request: &[u8]) -> Vec<u8> {
             self.seen.lock().extend_from_slice(request);
-            dasp_net::Service::handle(&mut self.inner, request)
+            dasp_net::SharedService::handle(&self.inner, request)
         }
     }
     let seen: Vec<std::sync::Arc<parking_lot::Mutex<Vec<u8>>>> =
         (0..3).map(|_| Default::default()).collect();
-    let services: Vec<Box<dyn dasp_net::Service>> = seen
+    let services: Vec<std::sync::Arc<dyn dasp_net::SharedService>> = seen
         .iter()
         .map(|s| {
-            Box::new(Recorder {
+            std::sync::Arc::new(Recorder {
                 inner: dasp_server::ProviderService::new(),
                 seen: std::sync::Arc::clone(s),
-            }) as Box<dyn dasp_net::Service>
+            }) as std::sync::Arc<dyn dasp_net::SharedService>
         })
         .collect();
-    let cluster = Cluster::spawn(services, Duration::from_millis(500));
+    let cluster = Cluster::spawn_concurrent(services, Duration::from_millis(500), 1);
     let mut rng = StdRng::seed_from_u64(99);
     let keys = ClientKeys::generate(2, 3, &mut rng).unwrap();
     let mut ds = DataSource::with_seed(keys, cluster, 3).unwrap();
@@ -1125,7 +1125,7 @@ fn query_many_over_concurrent_provider_pool() {
     // selects exactly.
     let mut rng = StdRng::seed_from_u64(0xdab);
     let keys = ClientKeys::generate(2, 3, &mut rng).unwrap();
-    let cluster = Cluster::spawn_concurrent(shared_provider_fleet(3), Duration::from_secs(2), 4);
+    let cluster = Cluster::spawn_concurrent(provider_fleet(3), Duration::from_secs(2), 4);
     let mut ds = DataSource::with_seed(keys, cluster, 7).unwrap();
     setup_employees(&mut ds);
     let batch: Vec<Vec<Predicate>> = (0..8u64)

@@ -146,7 +146,7 @@ impl OutsourcedDatabase {
         ds_seed: Option<u64>,
     ) -> Result<Self, DbError> {
         let keys = ClientKeys::generate(k, n, rng)?;
-        let cluster = Cluster::spawn(provider_fleet(n), Duration::from_secs(2));
+        let cluster = Cluster::spawn_concurrent(provider_fleet(n), Duration::from_secs(2), 1);
         let ds = match ds_seed {
             Some(seed) => DataSource::with_seed(keys, cluster, seed)?,
             None => DataSource::new(keys, cluster)?,

@@ -10,10 +10,11 @@
 //!   translate measured byte/message counts into modeled WAN time, so
 //!   experiments can report both raw compute and network-dominated
 //!   end-to-end figures, like the paper's "~3 Gbit of transfer" claims.
-//! * [`rpc`] — providers as OS threads serving requests over crossbeam
-//!   channels, with per-provider failure injection (crash, omission,
-//!   response corruption) for the paper's benign/malicious failure-model
-//!   challenge (conclusion, challenge (b)).
+//! * [`rpc`] — [`Cluster`]: each provider a pool of OS threads sharing
+//!   one [`SharedService`] behind a crossbeam channel, every call sent
+//!   through one quorum engine, with per-provider failure injection
+//!   (crash, omission, response corruption) for the paper's
+//!   benign/malicious failure-model challenge (conclusion, challenge (b)).
 //! * [`resilience`] — retry policies with jittered backoff, per-provider
 //!   health tracking (latency EWMAs), and circuit breakers backing the
 //!   first-k-wins quorum engine in [`rpc`].
@@ -41,8 +42,8 @@ pub use resilience::{
     ProviderHealthView, ProviderOutcome, QuorumError, RetryPolicy, SystemClock,
 };
 pub use rpc::{
-    Cluster, FailureMode, FailureSwitch, ProviderId, QuorumMode, QuorumOptions, RpcError, Service,
-    ServiceFactory, SharedService,
+    Cluster, FailureMode, FailureSwitch, ProviderId, QuorumMode, QuorumOptions, RpcError,
+    SharedService,
 };
 pub use transport::{BlockingConn, TcpClient, TcpClientConfig, TransportError};
 pub use wire::{

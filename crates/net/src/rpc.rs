@@ -1,20 +1,22 @@
 //! Threaded RPC fabric with failure injection and a resilient quorum
 //! engine.
 //!
-//! Each provider runs as an OS thread owning a [`Service`] implementation
-//! and serving requests from a crossbeam channel — the closest laptop
-//! analogue of the paper's independent DAS sites. The client side fans
-//! requests out to any subset of providers and waits with a timeout, so a
-//! crashed provider degrades into a timeout exactly as a dead site would.
+//! Each provider runs as a pool of OS threads sharing one
+//! [`SharedService`] and serving requests from a crossbeam channel — the
+//! closest laptop analogue of the paper's independent DAS sites. The
+//! client side fans requests out to any subset of providers and waits
+//! with a timeout, so a crashed provider degrades into a timeout exactly
+//! as a dead site would.
 //!
-//! Quorum calls are *first-k-wins*: every in-flight attempt replies onto
-//! one shared channel tagged with an attempt token, and the engine
-//! returns the moment enough valid responses have arrived — stragglers
-//! are abandoned, timed-out attempts are retried per [`RetryPolicy`],
-//! failures escalate to hedge launches at the next-fastest provider, and
-//! providers with open circuit breakers (see
-//! [`HealthTracker`](crate::resilience::HealthTracker)) are skipped
-//! unless the quorum cannot be met without them.
+//! Every call — one provider or many, first-k or all — goes through one
+//! quorum engine. Quorum calls are *first-k-wins*: every in-flight
+//! attempt replies onto one shared channel tagged with an attempt token,
+//! and the engine returns the moment enough valid responses have arrived
+//! — stragglers are abandoned, timed-out attempts are retried per
+//! [`RetryPolicy`], failures escalate to hedge launches at the
+//! next-fastest provider, and providers with open circuit breakers (see
+//! [`HealthTracker`]) are skipped unless the quorum cannot be met without
+//! them.
 //!
 //! Failure injection (per provider, switchable at runtime):
 //! * [`FailureMode::Crashed`] — requests are dropped (client times out).
@@ -24,10 +26,11 @@
 
 use crate::cost::TrafficStats;
 use crate::resilience::{
-    Admission, BreakerConfig, HealthTracker, ProviderOutcome, QuorumError, RetryPolicy, SystemClock,
+    Admission, BreakerConfig, Clock, HealthTracker, ProviderOutcome, QuorumError, RetryPolicy,
+    SystemClock,
 };
 use crate::transport::{TcpClient, TcpClientConfig};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,27 +41,6 @@ use std::time::{Duration, Instant};
 
 /// Index of a provider within a cluster (0-based).
 pub type ProviderId = usize;
-
-/// Builds one provider's service at cluster spawn time — e.g. by
-/// recovering a durable provider from its on-disk state. An `Err` carries
-/// a human-readable reason and produces a dead provider slot (see
-/// [`Cluster::spawn_concurrent_recovering`]).
-pub type ServiceFactory = Box<dyn FnOnce() -> Result<Arc<dyn SharedService>, String> + Send>;
-
-/// A request handler run by each provider thread.
-pub trait Service: Send {
-    /// Handle one request payload, producing a response payload.
-    fn handle(&mut self, request: &[u8]) -> Vec<u8>;
-}
-
-impl<F> Service for F
-where
-    F: FnMut(&[u8]) -> Vec<u8> + Send,
-{
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self(request)
-    }
-}
 
 /// A request handler that serves many requests concurrently: the worker
 /// pool spawned by [`Cluster::spawn_concurrent`] calls `handle` from
@@ -84,19 +66,6 @@ where
 {
     fn handle(&self, request: &[u8]) -> Vec<u8> {
         self(request)
-    }
-}
-
-/// Adapter running an exclusive [`Service`] under the concurrent spawn
-/// path: a mutex serializes `handle` calls, so a single-worker pool
-/// behaves exactly like the original one-thread-per-provider loop.
-struct ExclusiveService(Mutex<Box<dyn Service>>);
-
-impl SharedService for ExclusiveService {
-    fn handle(&self, request: &[u8]) -> Vec<u8> {
-        // dasp::allow(L1): the mutex exists to serialize the inner service;
-        // the call under the guard is the whole point of this adapter.
-        self.0.lock().handle(request)
     }
 }
 
@@ -235,27 +204,6 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Spawn one thread per service. `timeout` bounds every call.
-    pub fn spawn(services: Vec<Box<dyn Service>>, timeout: Duration) -> Self {
-        Self::spawn_with_breaker(services, timeout, BreakerConfig::default())
-    }
-
-    /// [`Cluster::spawn`] with custom circuit-breaker tuning.
-    pub fn spawn_with_breaker(
-        services: Vec<Box<dyn Service>>,
-        timeout: Duration,
-        breaker: BreakerConfig,
-    ) -> Self {
-        // An exclusive service under a 1-worker pool is behaviourally
-        // identical to the original serial per-provider loop (same thread
-        // count, same RNG seed, strict request ordering via the mutex).
-        let shared = services
-            .into_iter()
-            .map(|s| Arc::new(ExclusiveService(Mutex::new(s))) as Arc<dyn SharedService>)
-            .collect();
-        Self::spawn_concurrent_with_breaker(shared, timeout, 1, breaker)
-    }
-
     /// Worker-pool size used when callers don't pick one: `min(4, cores)`.
     /// Small enough that a laptop cluster of n providers doesn't
     /// oversubscribe, large enough to pipeline WAN-latency-bound requests.
@@ -271,21 +219,13 @@ impl Cluster {
     /// responses may return out of order — the quorum engine multiplexes
     /// them by attempt token. Failure injection and latency switches are
     /// shared across a provider's workers, preserving [`FailureSwitch`]
-    /// semantics.
+    /// semantics. `timeout` bounds every call; breakers take
+    /// [`BreakerConfig::default`] on the system clock until
+    /// [`with_breaker`](Self::with_breaker) says otherwise.
     pub fn spawn_concurrent(
         services: Vec<Arc<dyn SharedService>>,
         timeout: Duration,
         workers: usize,
-    ) -> Self {
-        Self::spawn_concurrent_with_breaker(services, timeout, workers, BreakerConfig::default())
-    }
-
-    /// [`Cluster::spawn_concurrent`] with custom circuit-breaker tuning.
-    pub fn spawn_concurrent_with_breaker(
-        services: Vec<Arc<dyn SharedService>>,
-        timeout: Duration,
-        workers: usize,
-        breaker: BreakerConfig,
     ) -> Self {
         let n = services.len();
         let workers = workers.max(1);
@@ -374,8 +314,16 @@ impl Cluster {
             providers,
             stats: TrafficStats::new(),
             timeout,
-            health: HealthTracker::new(n, breaker, Arc::new(SystemClock::new())),
+            health: HealthTracker::new(n, BreakerConfig::default(), Arc::new(SystemClock::new())),
         }
+    }
+
+    /// The same cluster with circuit breakers tuned by `breaker`, their
+    /// cooldowns timed by `clock` (a [`crate::ManualClock`] makes them
+    /// deterministic). Health recorded so far is discarded.
+    pub fn with_breaker(mut self, breaker: BreakerConfig, clock: Arc<dyn Clock>) -> Self {
+        self.health = HealthTracker::new(self.n(), breaker, clock);
+        self
     }
 
     /// Connect a cluster to remote TCP providers (one [`TcpClient`] per
@@ -405,51 +353,6 @@ impl Cluster {
             services.push(Arc::new(TcpClient::connect(*addr, cfg.clone())?));
         }
         Ok(Self::spawn_concurrent(services, timeout, workers))
-    }
-
-    /// Spawn a worker-pool cluster from per-provider service factories,
-    /// tolerating individual construction failures. Each factory runs on
-    /// the calling thread (e.g. recovering a durable provider from its
-    /// directory); a factory that errors yields a *dead* provider — its
-    /// slot exists, every call to it fails fast with [`RpcError::Closed`]
-    /// — instead of aborting cluster construction. The per-provider
-    /// errors come back alongside the cluster so callers can report or
-    /// re-provision; the quorum layer treats dead slots like crashed
-    /// providers.
-    pub fn spawn_concurrent_recovering(
-        factories: Vec<ServiceFactory>,
-        timeout: Duration,
-        workers: usize,
-    ) -> (Self, Vec<Option<String>>) {
-        struct DeadService;
-        impl SharedService for DeadService {
-            fn handle(&self, _request: &[u8]) -> Vec<u8> {
-                Vec::new() // never reached: the slot's sender is dropped
-            }
-        }
-        let mut errors = Vec::with_capacity(factories.len());
-        let services: Vec<Arc<dyn SharedService>> = factories
-            .into_iter()
-            .map(|factory| match factory() {
-                Ok(service) => {
-                    errors.push(None);
-                    service
-                }
-                Err(e) => {
-                    errors.push(Some(e));
-                    Arc::new(DeadService) as Arc<dyn SharedService>
-                }
-            })
-            .collect();
-        let mut cluster = Self::spawn_concurrent(services, timeout, workers);
-        for (provider, error) in cluster.providers.iter_mut().zip(&errors) {
-            if error.is_some() {
-                // Dropping the sender drains the slot's workers and makes
-                // every call fail with RpcError::Closed.
-                provider.tx = None;
-            }
-        }
-        (cluster, errors)
     }
 
     /// Number of providers.
@@ -521,12 +424,10 @@ impl Cluster {
 
     /// Call one provider, counting the exchange as a round trip.
     pub fn call(&self, provider: ProviderId, request: Vec<u8>) -> Result<Vec<u8>, RpcError> {
-        let result = self.send_one(provider, request, self.timeout);
-        self.stats.record_round_trip();
-        result
+        self.call_with_retry(provider, request, &RetryPolicy::none())
     }
 
-    /// Call one provider, retrying timed-out attempts per `policy` with
+    /// Call one provider, retrying failed attempts per `policy` with
     /// jittered exponential backoff. Counts one round trip. Only use for
     /// idempotent requests.
     pub fn call_with_retry(
@@ -535,53 +436,10 @@ impl Cluster {
         request: Vec<u8>,
         policy: &RetryPolicy,
     ) -> Result<Vec<u8>, RpcError> {
-        self.stats.record_round_trip();
-        let per_attempt = policy.per_attempt_timeout.unwrap_or(self.timeout);
-        let max_attempts = policy.max_attempts.max(1);
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            match self.send_one(provider, request.clone(), per_attempt) {
-                Ok(response) => return Ok(response),
-                Err(RpcError::Timeout(_)) if attempt < max_attempts => {
-                    std::thread::sleep(policy.backoff_for(provider, attempt));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn send_one(
-        &self,
-        provider: ProviderId,
-        request: Vec<u8>,
-        timeout: Duration,
-    ) -> Result<Vec<u8>, RpcError> {
-        let handle = self
-            .providers
-            .get(provider)
-            .ok_or(RpcError::UnknownProvider(provider))?;
-        let tx = handle.tx.as_ref().ok_or(RpcError::Closed)?;
-        self.stats.record_send(request.len());
-        let (reply_tx, reply_rx) = bounded(1);
-        let start = Instant::now();
-        tx.send(Envelope {
-            request,
-            reply_to: reply_tx,
-            token: 0,
-        })
-        .map_err(|_| RpcError::Closed)?;
-        match reply_rx.recv_timeout(timeout) {
-            Ok((_token, response)) => {
-                self.stats.record_recv(response.len());
-                self.health.record_success(provider, start.elapsed());
-                Ok(response)
-            }
-            Err(_) => {
-                self.health.record_failure(provider);
-                Err(RpcError::Timeout(provider))
-            }
-        }
+        let mut results = self.call_all(vec![(provider, request)], policy.clone());
+        results
+            .pop()
+            .map_or(Err(RpcError::Closed), |(_, result)| result)
     }
 
     /// Fan a (provider-specific) request out to a subset of providers in
@@ -590,41 +448,36 @@ impl Cluster {
         &self,
         requests: Vec<(ProviderId, Vec<u8>)>,
     ) -> Vec<(ProviderId, Result<Vec<u8>, RpcError>)> {
-        type Slot = (ProviderId, Result<Vec<u8>, RpcError>);
-        let n = self.providers.len();
-        let mut slots: Vec<Slot> = Vec::new();
-        let mut valid = Vec::new();
-        let mut valid_pos = Vec::new();
-        for (i, (provider, request)) in requests.into_iter().enumerate() {
-            if provider < n {
-                valid_pos.push(i);
-                valid.push((provider, request));
-                // Placeholder, overwritten below: run_quorum in All mode
-                // resolves every submitted request exactly once.
-                slots.push((provider, Err(RpcError::Timeout(provider))));
-            } else {
-                slots.push((provider, Err(RpcError::UnknownProvider(provider))));
-            }
-        }
+        self.call_all(requests, RetryPolicy::none())
+    }
+
+    /// Send every request, breakers notwithstanding, and retry each per
+    /// `retry` until it answers or runs out of attempts. Results come
+    /// back in request order.
+    fn call_all(
+        &self,
+        requests: Vec<(ProviderId, Vec<u8>)>,
+        retry: RetryPolicy,
+    ) -> Vec<(ProviderId, Result<Vec<u8>, RpcError>)> {
+        let n = self.n();
+        let need = requests.len();
         let opts = QuorumOptions {
+            retry,
             mode: QuorumMode::All,
             ..Default::default()
         };
-        let resolutions = self.run_quorum(valid, 0, &opts);
-        for (pos, (provider, resolution)) in valid_pos.into_iter().zip(resolutions) {
-            let resolved = (
-                provider,
-                match resolution {
+        self.run_quorum(requests, need, &opts)
+            .into_iter()
+            .map(|(provider, resolution)| {
+                let result = match resolution {
                     Ok(response) => Ok(response),
+                    Err(_) if provider >= n => Err(RpcError::UnknownProvider(provider)),
                     Err(ProviderOutcome::Disconnected) => Err(RpcError::Closed),
                     Err(_) => Err(RpcError::Timeout(provider)),
-                },
-            );
-            if let Some(slot) = slots.get_mut(pos) {
-                *slot = resolved;
-            }
-        }
-        slots
+                };
+                (provider, result)
+            })
+            .collect()
     }
 
     /// Fan out and return as soon as `k` successes arrive (the paper's
@@ -733,7 +586,7 @@ impl Cluster {
         // never-measured providers leading (so they get sampled), then —
         // only when the quorum cannot be met otherwise — providers whose
         // breaker is open.
-        let mut admitted: Vec<usize> = Vec::new();
+        let mut admitted: Vec<((u8, Duration, ProviderId), usize)> = Vec::new();
         let mut held: VecDeque<usize> = VecDeque::new();
         for (idx, c) in cands.iter_mut().enumerate() {
             if c.done.is_some() {
@@ -747,17 +600,15 @@ impl Cluster {
                 c.held = true;
                 held.push_back(idx);
             } else {
-                admitted.push(idx);
+                let rank = match self.health.ewma_latency(c.provider) {
+                    None => (0u8, Duration::ZERO, c.provider),
+                    Some(d) => (1u8, d, c.provider),
+                };
+                admitted.push((rank, idx));
             }
         }
-        admitted.sort_by_key(|&i| {
-            let p = cands[i].provider;
-            match self.health.ewma_latency(p) {
-                None => (0u8, Duration::ZERO, p),
-                Some(d) => (1u8, d, p),
-            }
-        });
-        let mut ready: VecDeque<usize> = admitted.into();
+        admitted.sort();
+        let mut ready: VecDeque<usize> = admitted.into_iter().map(|(_, idx)| idx).collect();
 
         let (reply_tx, reply_rx) = unbounded::<(u64, Vec<u8>)>();
         // token → (candidate index, sent_at); stale tokens stay mapped so
@@ -770,12 +621,12 @@ impl Cluster {
                       idx: usize,
                       token_map: &mut HashMap<u64, (usize, Instant)>,
                       next_token: &mut u64| {
-            let c = &mut cands[idx];
+            let Some(c) = cands.get_mut(idx) else { return };
             c.attempts += 1;
             let token = *next_token;
             *next_token += 1;
             let now = Instant::now();
-            let sent = match self.providers[c.provider].tx.as_ref() {
+            let sent = match self.providers.get(c.provider).and_then(|h| h.tx.as_ref()) {
                 Some(tx) => {
                     self.stats.record_send(c.request.len());
                     tx.send(Envelope {
@@ -812,51 +663,49 @@ impl Cluster {
             // Finalize attempts past their deadline: record the failure,
             // schedule a retry if budget and the quorum still need it,
             // and escalate by launching the next-best provider not yet asked.
-            let timed_out: Vec<usize> = cands
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| {
-                    c.done.is_none() && matches!(c.live, Some((_, _, dl)) if now >= dl)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            for idx in timed_out {
-                let provider = cands[idx].provider;
-                self.health.record_failure(provider);
-                cands[idx].live = None;
-                if cands[idx].attempts < max_attempts && successes < need {
-                    cands[idx].retry_at =
-                        Some(now + opts.retry.backoff_for(provider, cands[idx].attempts));
-                } else {
-                    let attempts = cands[idx].attempts;
-                    cands[idx].done = Some(Err(ProviderOutcome::TimedOut { attempts }));
+            let mut escalations = 0usize;
+            for c in cands.iter_mut() {
+                if c.done.is_some() || !matches!(c.live, Some((_, _, dl)) if now >= dl) {
+                    continue;
                 }
-                if successes < want {
-                    if let Some(next) = ready.pop_front() {
-                        launch(&mut cands, next, &mut token_map, &mut next_token);
-                    }
+                self.health.record_failure(c.provider);
+                c.live = None;
+                if c.attempts < max_attempts && successes < need {
+                    c.retry_at = Some(now + opts.retry.backoff_for(c.provider, c.attempts));
+                } else {
+                    c.done = Some(Err(ProviderOutcome::TimedOut {
+                        attempts: c.attempts,
+                    }));
+                }
+                escalations += 1;
+            }
+            if successes < want {
+                for _ in 0..escalations {
+                    let Some(next) = ready.pop_front() else { break };
+                    launch(&mut cands, next, &mut token_map, &mut next_token);
                 }
             }
 
             // Fire retries that have cooled down.
-            let due: Vec<usize> = cands
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| {
-                    c.done.is_none()
-                        && c.live.is_none()
-                        && matches!(c.retry_at, Some(at) if now >= at)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            for idx in due {
-                cands[idx].retry_at = None;
-                if successes < need {
-                    launch(&mut cands, idx, &mut token_map, &mut next_token);
-                } else {
-                    let attempts = cands[idx].attempts;
-                    cands[idx].done = Some(Err(ProviderOutcome::TimedOut { attempts }));
+            let mut due = Vec::new();
+            for (idx, c) in cands.iter_mut().enumerate() {
+                if c.done.is_some()
+                    || c.live.is_some()
+                    || !matches!(c.retry_at, Some(at) if now >= at)
+                {
+                    continue;
                 }
+                c.retry_at = None;
+                if successes < need {
+                    due.push(idx);
+                } else {
+                    c.done = Some(Err(ProviderOutcome::TimedOut {
+                        attempts: c.attempts,
+                    }));
+                }
+            }
+            for idx in due {
+                launch(&mut cands, idx, &mut token_map, &mut next_token);
             }
 
             // Quorum met: cancel pending retries so only live attempts
@@ -927,38 +776,40 @@ impl Cluster {
             let Some(&(idx, sent_at)) = token_map.get(&token) else {
                 continue;
             };
-            if cands[idx].done.is_some() {
+            let Some(c) = cands.get_mut(idx) else {
+                continue;
+            };
+            if c.done.is_some() {
                 continue; // duplicate/late response for a settled candidate
             }
             self.stats.record_recv(payload.len());
-            let provider = cands[idx].provider;
             let verdict = match opts.validate {
-                Some(f) => f(provider, &payload),
+                Some(f) => f(c.provider, &payload),
                 None => Ok(()),
             };
             match verdict {
                 Ok(()) => {
-                    self.health.record_success(provider, sent_at.elapsed());
-                    cands[idx].live = None;
-                    cands[idx].retry_at = None;
-                    cands[idx].done = Some(Ok(payload));
+                    self.health.record_success(c.provider, sent_at.elapsed());
+                    c.live = None;
+                    c.retry_at = None;
+                    c.done = Some(Ok(payload));
                     successes += 1;
                 }
                 Err(reason) => {
-                    self.health.record_failure(provider);
-                    if cands[idx].live.map(|(t, _, _)| t) == Some(token) {
-                        cands[idx].live = None;
+                    self.health.record_failure(c.provider);
+                    if c.live.map(|(t, _, _)| t) == Some(token) {
+                        c.live = None;
                     }
-                    if cands[idx].live.is_none() && cands[idx].retry_at.is_none() {
-                        if cands[idx].attempts < max_attempts && successes < need {
-                            cands[idx].retry_at = Some(
-                                Instant::now()
-                                    + opts.retry.backoff_for(provider, cands[idx].attempts),
+                    if c.live.is_none() && c.retry_at.is_none() {
+                        if c.attempts < max_attempts && successes < need {
+                            c.retry_at = Some(
+                                Instant::now() + opts.retry.backoff_for(c.provider, c.attempts),
                             );
                         } else {
-                            let attempts = cands[idx].attempts;
-                            cands[idx].done =
-                                Some(Err(ProviderOutcome::Rejected { attempts, reason }));
+                            c.done = Some(Err(ProviderOutcome::Rejected {
+                                attempts: c.attempts,
+                                reason,
+                            }));
                         }
                     }
                     if successes < want {
@@ -997,17 +848,38 @@ impl Drop for Cluster {
 mod tests {
     use super::*;
 
+    use crate::resilience::{BreakerState, ManualClock};
+
     fn echo_cluster(n: usize) -> Cluster {
-        let services: Vec<Box<dyn Service>> = (0..n)
+        let services: Vec<Arc<dyn SharedService>> = (0..n)
             .map(|id| {
-                Box::new(move |req: &[u8]| {
+                Arc::new(move |req: &[u8]| {
                     let mut out = vec![id as u8];
                     out.extend_from_slice(req);
                     out
-                }) as Box<dyn Service>
+                }) as Arc<dyn SharedService>
             })
             .collect();
-        Cluster::spawn(services, Duration::from_millis(200))
+        Cluster::spawn_concurrent(services, Duration::from_millis(200), 1)
+    }
+
+    /// Two plain echo providers whose breakers open after
+    /// `failure_threshold` failures and cool down on `clock`.
+    fn breaker_cluster(
+        failure_threshold: u32,
+        cooldown: Duration,
+        clock: Arc<ManualClock>,
+    ) -> Cluster {
+        let services = (0..2)
+            .map(|_| Arc::new(|req: &[u8]| req.to_vec()) as Arc<dyn SharedService>)
+            .collect();
+        Cluster::spawn_concurrent(services, Duration::from_millis(50), 1).with_breaker(
+            BreakerConfig {
+                failure_threshold,
+                cooldown,
+            },
+            clock,
+        )
     }
 
     #[test]
@@ -1190,64 +1062,41 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_consecutive_failures_and_recovers() {
-        let services: Vec<Box<dyn Service>> = (0..2)
-            .map(|_| Box::new(|req: &[u8]| req.to_vec()) as Box<dyn Service>)
-            .collect();
-        let mut cluster = Cluster::spawn_with_breaker(
-            services,
-            Duration::from_millis(50),
-            BreakerConfig {
-                failure_threshold: 2,
-                cooldown: Duration::from_millis(80),
-            },
-        );
+        let clock = Arc::new(ManualClock::new());
+        let mut cluster = breaker_cluster(2, Duration::from_millis(80), Arc::clone(&clock));
         cluster.set_failure(0, FailureMode::Crashed);
         assert!(cluster.call(0, vec![1]).is_err());
         assert!(cluster.call(0, vec![1]).is_err());
-        assert_eq!(
-            cluster.health().breaker_state(0),
-            crate::resilience::BreakerState::Open
-        );
+        assert_eq!(cluster.health().breaker_state(0), BreakerState::Open);
 
-        // FirstK quorum skips the sick provider entirely.
+        // FirstK quorum skips the sick provider entirely: the one request
+        // that goes out is provider 1's.
         let reqs: Vec<_> = (0..2).map(|i| (i, vec![2])).collect();
         let opts = QuorumOptions {
             hedge: usize::MAX,
             ..Default::default()
         };
-        let start = Instant::now();
+        let sent = cluster.stats().snapshot().messages_sent;
         let got = cluster.call_quorum_opts(reqs.clone(), 1, &opts).unwrap();
         assert_eq!(got, vec![(1, vec![2])]);
-        assert!(
-            start.elapsed() < Duration::from_millis(40),
-            "open breaker must not cost a timeout"
+        assert_eq!(
+            cluster.stats().snapshot().messages_sent - sent,
+            1,
+            "open breaker must cost no attempt"
         );
 
         // After healing + cooldown, a half-open probe re-admits it.
         cluster.set_failure(0, FailureMode::Healthy);
-        std::thread::sleep(Duration::from_millis(100));
+        clock.advance(Duration::from_millis(100));
         let got = cluster.call_quorum_opts(reqs, 2, &opts).unwrap();
         assert_eq!(got.len(), 2, "probe re-admits the healed provider");
-        assert_eq!(
-            cluster.health().breaker_state(0),
-            crate::resilience::BreakerState::Closed
-        );
+        assert_eq!(cluster.health().breaker_state(0), BreakerState::Closed);
         cluster.shutdown();
     }
 
     #[test]
     fn open_breaker_is_force_included_when_quorum_requires_it() {
-        let services: Vec<Box<dyn Service>> = (0..2)
-            .map(|_| Box::new(|req: &[u8]| req.to_vec()) as Box<dyn Service>)
-            .collect();
-        let cluster = Cluster::spawn_with_breaker(
-            services,
-            Duration::from_millis(50),
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::from_secs(3600),
-            },
-        );
+        let cluster = breaker_cluster(1, Duration::from_secs(3600), Arc::new(ManualClock::new()));
         cluster.set_failure(0, FailureMode::Crashed);
         assert!(cluster.call(0, vec![1]).is_err());
         cluster.set_failure(0, FailureMode::Healthy);
@@ -1428,20 +1277,5 @@ mod tests {
         cluster.shutdown();
         cluster.shutdown(); // idempotent
         assert_eq!(cluster.call(0, vec![1]), Err(RpcError::Closed));
-    }
-
-    #[test]
-    fn stateful_service_keeps_state_across_calls() {
-        struct Counter(u64);
-        impl Service for Counter {
-            fn handle(&mut self, _req: &[u8]) -> Vec<u8> {
-                self.0 += 1;
-                self.0.to_le_bytes().to_vec()
-            }
-        }
-        let cluster = Cluster::spawn(vec![Box::new(Counter(0))], Duration::from_millis(200));
-        cluster.call(0, vec![]).unwrap();
-        let second = cluster.call(0, vec![]).unwrap();
-        assert_eq!(u64::from_le_bytes(second.try_into().unwrap()), 2);
     }
 }

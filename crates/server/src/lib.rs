@@ -10,8 +10,8 @@
 //! * [`engine`] — the share-table engine: snapshot-versioned in-memory
 //!   tables, checkpointed and write-ahead logged through `dasp-storage`.
 //! * [`pmap`] — the persistent ordered map the table versions are made of.
-//! * [`service`] — the [`dasp_net::Service`] adapter gluing the engine to
-//!   the RPC fabric.
+//! * [`service`] — the [`dasp_net::SharedService`] adapter gluing the
+//!   engine to the RPC fabric.
 //!
 //! Nothing in this crate has access to evaluation points, domain keys, or
 //! plaintext private values — by construction it *could not* decode what
@@ -25,7 +25,4 @@ pub mod service;
 
 pub use engine::{DurableConfig, ProviderEngine, RecoveryReport};
 pub use proto::{AggOp, PredAtom, Request, Response, Row};
-pub use service::{
-    durable_provider_factories, provider_fleet, serve_provider_tcp, shared_provider_fleet,
-    tcp_provider_fleet, ProviderService,
-};
+pub use service::{provider_fleet, serve_provider_tcp, tcp_provider_fleet, ProviderService};

@@ -2,9 +2,9 @@
 
 use crate::engine::{DurableConfig, ProviderEngine, RecoveryReport};
 use crate::proto::{Request, Response};
-use dasp_net::{Service, ServiceFactory, SharedService};
+use dasp_net::SharedService;
 use dasp_storage::RecoveryError;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// A provider as an RPC service: decodes requests, runs the engine,
@@ -53,25 +53,15 @@ impl ProviderService {
     pub fn engine(&self) -> &ProviderEngine {
         &self.engine
     }
+}
 
-    fn serve(&self, request: &[u8]) -> Vec<u8> {
+impl SharedService for ProviderService {
+    fn handle(&self, request: &[u8]) -> Vec<u8> {
         let response = match Request::decode(request) {
             Ok(req) => self.engine.execute(&req),
             Err(e) => Response::Error(format!("bad request: {e}")),
         };
         response.encode()
-    }
-}
-
-impl Service for ProviderService {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        self.serve(request)
-    }
-}
-
-impl SharedService for ProviderService {
-    fn handle(&self, request: &[u8]) -> Vec<u8> {
-        self.serve(request)
     }
 
     /// Exactly the requests `ProviderEngine::execute_read` serves, told
@@ -84,17 +74,10 @@ impl SharedService for ProviderService {
     }
 }
 
-/// Build `n` independent provider services for a cluster.
-pub fn provider_fleet(n: usize) -> Vec<Box<dyn Service>> {
-    (0..n)
-        .map(|_| Box::new(ProviderService::new()) as Box<dyn Service>)
-        .collect()
-}
-
 /// Build `n` independent providers for [`dasp_net::Cluster::spawn_concurrent`]:
 /// each serves requests from a per-provider worker pool, with reads
 /// interleaving under the engine's shared lock.
-pub fn shared_provider_fleet(n: usize) -> Vec<Arc<dyn SharedService>> {
+pub fn provider_fleet(n: usize) -> Vec<Arc<dyn SharedService>> {
     (0..n)
         .map(|_| Arc::new(ProviderService::new()) as Arc<dyn SharedService>)
         .collect()
@@ -112,21 +95,8 @@ pub fn serve_provider_tcp(
     dasp_net::TcpServer::serve(addr, Arc::new(ProviderService::new()), cfg)
 }
 
-/// Serve a caller-prepared service over TCP on `addr` — the hook for
-/// preloading tables or wrapping an engine before exposing it (the
-/// experiment harness preloads its corpus this way). Batch-frame
-/// clients work transparently: the server unpacks multi-query frames
-/// into individual engine requests and re-coalesces the responses.
-pub fn serve_shared_provider_tcp(
-    addr: &str,
-    service: Arc<dyn SharedService>,
-    cfg: dasp_net::ReactorConfig,
-) -> std::io::Result<dasp_net::TcpServer> {
-    dasp_net::TcpServer::serve(addr, service, cfg)
-}
-
 /// Spin up `n` independent TCP providers on ephemeral loopback ports —
-/// the socket-transport analogue of [`shared_provider_fleet`]. Returns
+/// the socket-transport analogue of [`provider_fleet`]. Returns
 /// the servers (keep them alive: dropping a server shuts it down) and
 /// the addresses to hand to [`dasp_net::Cluster::connect_tcp`].
 pub fn tcp_provider_fleet(
@@ -143,24 +113,6 @@ pub fn tcp_provider_fleet(
     Ok((servers, addrs))
 }
 
-/// Recovery-aware factories for
-/// [`dasp_net::Cluster::spawn_concurrent_recovering`]: one durable
-/// provider per directory, each recovered (checkpoint image + WAL
-/// replay) at cluster spawn time. A directory that fails recovery
-/// becomes a dead provider slot — the k-of-n quorum layer masks it like
-/// a crashed provider — instead of taking the whole fleet down.
-pub fn durable_provider_factories(dirs: Vec<PathBuf>, cfg: DurableConfig) -> Vec<ServiceFactory> {
-    dirs.into_iter()
-        .map(|dir| {
-            Box::new(move || {
-                let (service, _report) = ProviderService::durable(&dir, cfg)
-                    .map_err(|e| format!("recovery of {} failed: {e}", dir.display()))?;
-                Ok(Arc::new(service) as Arc<dyn SharedService>)
-            }) as ServiceFactory
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +122,7 @@ mod tests {
 
     #[test]
     fn end_to_end_over_rpc() {
-        let cluster = Cluster::spawn(provider_fleet(3), Duration::from_millis(500));
+        let cluster = Cluster::spawn_concurrent(provider_fleet(3), Duration::from_millis(500), 1);
         // Create the same table on all providers (with different shares,
         // as the client would).
         for p in 0..3 {
@@ -262,8 +214,11 @@ mod tests {
     fn concurrent_clients_share_one_cluster() {
         // The Cluster is used from multiple client threads at once; every
         // call must get its own reply (no cross-talk).
-        let cluster =
-            std::sync::Arc::new(Cluster::spawn(provider_fleet(2), Duration::from_secs(2)));
+        let cluster = std::sync::Arc::new(Cluster::spawn_concurrent(
+            provider_fleet(2),
+            Duration::from_secs(2),
+            1,
+        ));
         // One shared table.
         let req = Request::CreateTable {
             name: "t".into(),
@@ -435,7 +390,7 @@ mod tests {
 
     #[test]
     fn malformed_request_returns_error_response() {
-        let cluster = Cluster::spawn(provider_fleet(1), Duration::from_millis(500));
+        let cluster = Cluster::spawn_concurrent(provider_fleet(1), Duration::from_millis(500), 1);
         let resp_bytes = cluster.call(0, vec![0xff, 0x00, 0x12]).unwrap();
         let resp = Response::decode(&resp_bytes).unwrap();
         assert!(matches!(resp, Response::Error(_)));

@@ -278,7 +278,7 @@ fn worker_pool_cluster_survives_mixed_load() {
     // DASP_PROVIDER_WORKERS, default 4) under concurrent client threads
     // mixing writes and reads. No lost/duplicated writes, no cross-talk.
     use dasp_net::Cluster;
-    use dasp_server::shared_provider_fleet;
+    use dasp_server::provider_fleet;
     use std::time::Duration;
 
     let workers: usize = std::env::var("DASP_PROVIDER_WORKERS")
@@ -286,7 +286,7 @@ fn worker_pool_cluster_survives_mixed_load() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
     let cluster = Arc::new(Cluster::spawn_concurrent(
-        shared_provider_fleet(2),
+        provider_fleet(2),
         Duration::from_secs(5),
         workers,
     ));

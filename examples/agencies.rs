@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 fn main() {
     let mut rng = StdRng::seed_from_u64(31337);
     let keys = ClientKeys::generate(2, 3, &mut rng).expect("keys");
-    let cluster = Cluster::spawn(provider_fleet(3), Duration::from_secs(10));
+    let cluster = Cluster::spawn_concurrent(provider_fleet(3), Duration::from_secs(10), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 11).expect("data source");
 
     // Shared id domain so the join works provider-side (§V-A).

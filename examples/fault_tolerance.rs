@@ -24,7 +24,7 @@ use std::time::Duration;
 fn deploy() -> DataSource {
     let mut rng = StdRng::seed_from_u64(404);
     let keys = ClientKeys::generate(2, 5, &mut rng).expect("keys");
-    let cluster = Cluster::spawn(provider_fleet(5), Duration::from_millis(400));
+    let cluster = Cluster::spawn_concurrent(provider_fleet(5), Duration::from_millis(400), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 5).expect("data source");
     ds.create_table(
         TableSchema::new(

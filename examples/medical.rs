@@ -28,7 +28,7 @@ fn main() {
         .unwrap_or(50_000);
     let mut rng = StdRng::seed_from_u64(2009);
     let keys = ClientKeys::generate(2, 3, &mut rng).expect("keys");
-    let cluster = Cluster::spawn(provider_fleet(3), Duration::from_secs(60));
+    let cluster = Cluster::spawn_concurrent(provider_fleet(3), Duration::from_secs(60), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 2009).expect("data source");
     let model = NetworkModel::wan();
 

@@ -44,7 +44,7 @@ fn timed<T>(
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let keys = ClientKeys::generate(2, 4, &mut rng).expect("keys");
-    let cluster = Cluster::spawn(provider_fleet(4), Duration::from_secs(10));
+    let cluster = Cluster::spawn_concurrent(provider_fleet(4), Duration::from_secs(10), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 7).expect("data source");
     let model = NetworkModel::wan();
 

@@ -43,7 +43,7 @@ fn soak_survives_failure_churn() {
     let (k, n) = (2usize, 5usize);
     let mut rng = StdRng::seed_from_u64(4242);
     let keys = ClientKeys::generate(k, n, &mut rng).unwrap();
-    let cluster = Cluster::spawn(provider_fleet(n), Duration::from_millis(250));
+    let cluster = Cluster::spawn_concurrent(provider_fleet(n), Duration::from_millis(250), 1);
     let mut ds = DataSource::with_seed(keys, cluster, 99).unwrap();
     ds.set_retry_policy(RetryPolicy {
         max_attempts: 4,

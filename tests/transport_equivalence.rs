@@ -10,7 +10,7 @@
 
 use dasp_net::{
     BreakerConfig, BreakerState, Cluster, FailureMode, QuorumMode, QuorumOptions, ReactorConfig,
-    RetryPolicy, RpcError, SharedService, TcpClient, TcpClientConfig, TcpServer,
+    RetryPolicy, RpcError, SharedService, SystemClock, TcpClient, TcpClientConfig, TcpServer,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,13 +43,15 @@ struct Fixture {
 }
 
 fn fixture(transport: Transport, n: usize, timeout: Duration, breaker: BreakerConfig) -> Fixture {
+    let clock = Arc::new(SystemClock::new());
     match transport {
         Transport::Channel => {
             let services: Vec<Arc<dyn SharedService>> = (0..n)
                 .map(|i| Arc::new(TaggedEcho(i as u8)) as Arc<dyn SharedService>)
                 .collect();
             Fixture {
-                cluster: Cluster::spawn_concurrent_with_breaker(services, timeout, 1, breaker),
+                cluster: Cluster::spawn_concurrent(services, timeout, 1)
+                    .with_breaker(breaker, clock),
                 _servers: Vec::new(),
             }
         }
@@ -74,7 +76,8 @@ fn fixture(transport: Transport, n: usize, timeout: Duration, breaker: BreakerCo
                 servers.push(server);
             }
             Fixture {
-                cluster: Cluster::spawn_concurrent_with_breaker(clients, timeout, 1, breaker),
+                cluster: Cluster::spawn_concurrent(clients, timeout, 1)
+                    .with_breaker(breaker, clock),
                 _servers: servers,
             }
         }
@@ -253,7 +256,7 @@ fn query_many_positions_identical_with_batching_on_and_off() {
     // Batching may only change wire shape, never results.
     use dasp_client::{ColumnSpec, DataSource, Predicate, TableSchema, Value};
     use dasp_core::client::ClientKeys;
-    use dasp_server::service::{shared_provider_fleet, tcp_provider_fleet};
+    use dasp_server::service::{provider_fleet, tcp_provider_fleet};
     use dasp_sss::ShareMode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -269,9 +272,7 @@ fn query_many_positions_identical_with_batching_on_and_off() {
         let mut rng = StdRng::seed_from_u64(4242);
         let keys = ClientKeys::generate(k, n, &mut rng).unwrap();
         let cluster = match transport {
-            Transport::Channel => {
-                Cluster::spawn_concurrent(shared_provider_fleet(n), timeout, workers)
-            }
+            Transport::Channel => Cluster::spawn_concurrent(provider_fleet(n), timeout, workers),
             Transport::Tcp => {
                 let (servers, addrs) =
                     tcp_provider_fleet(n, ReactorConfig::default()).expect("bind fleet");
