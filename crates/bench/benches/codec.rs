@@ -1,7 +1,7 @@
 //! Scalar-vs-batch share codec microbenches: the same work driven through
 //! the per-value APIs and through the batch APIs, so the amortization
 //! (PRF derivation, Lagrange basis, probe memoization + search
-//! narrowing) is visible as a direct ratio.
+//! narrowing, interpolate-and-confirm) is visible as a direct ratio.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dasp_field::Fp;
@@ -98,6 +98,17 @@ fn bench_opss_codec(c: &mut Criterion) {
     });
     g.bench_function("decode_search_batch_1024", |b| {
         b.iter(|| black_box(op.reconstruct_search_batch(0, &shares).unwrap()))
+    });
+    // The read path's decode: interpolate from k = 2 answers, confirm
+    // against the first, search only the rows that fail.
+    let providers = [0usize, 1];
+    let basis = op.basis_for(&providers).unwrap();
+    let cols: Vec<Vec<i128>> = providers
+        .iter()
+        .map(|&p| vs.iter().map(|&v| op.share_for(v, p).unwrap()).collect())
+        .collect();
+    g.bench_function("decode_batch_k_1024", |b| {
+        b.iter(|| black_box(op.reconstruct_batch(&basis, &cols).unwrap()))
     });
     g.finish();
 }

@@ -18,15 +18,75 @@ pub enum ColumnType {
     },
 }
 
-impl ColumnType {
-    /// The numeric domain this type encodes into.
-    pub fn domain_size(&self) -> u64 {
+/// A column type's value ↔ code mapping, resolved once per column: a
+/// text column's [`StringCodec`] is built here, not once per value.
+#[derive(Debug, Clone)]
+pub(crate) enum ValueCodec {
+    Numeric { domain_size: u64 },
+    Text(StringCodec),
+}
+
+impl ValueCodec {
+    pub(crate) fn new(ctype: &ColumnType) -> Result<Self, ClientError> {
+        Ok(match ctype {
+            ColumnType::Numeric { domain_size } => ValueCodec::Numeric {
+                domain_size: *domain_size,
+            },
+            ColumnType::Text { width } => {
+                ValueCodec::Text(StringCodec::uppercase(*width).map_err(ClientError::Sss)?)
+            }
+        })
+    }
+
+    /// The numeric domain this column's values encode into.
+    pub(crate) fn domain_size(&self) -> u64 {
         match self {
-            ColumnType::Numeric { domain_size } => *domain_size,
-            ColumnType::Text { width } => StringCodec::uppercase(*width)
-                // dasp::allow(P3): width is range-checked when the schema is built
-                .expect("validated at schema build")
-                .domain_size(),
+            ValueCodec::Numeric { domain_size } => *domain_size,
+            ValueCodec::Text(codec) => codec.domain_size(),
+        }
+    }
+
+    /// Encode into the column's numeric domain.
+    pub(crate) fn encode(&self, value: &Value) -> Result<u64, ClientError> {
+        match (value, self) {
+            (Value::Int(v), ValueCodec::Numeric { domain_size }) => {
+                if v >= domain_size {
+                    return Err(ClientError::Schema(format!(
+                        "value {v} outside domain {domain_size}"
+                    )));
+                }
+                Ok(*v)
+            }
+            (Value::Str(s), ValueCodec::Text(codec)) => codec.encode(s).map_err(ClientError::Sss),
+            (v, ValueCodec::Numeric { domain_size }) => Err(ClientError::Schema(format!(
+                "value {v:?} does not fit column type {:?}",
+                ColumnType::Numeric {
+                    domain_size: *domain_size
+                }
+            ))),
+            (v, ValueCodec::Text(codec)) => Err(ClientError::Schema(format!(
+                "value {v:?} does not fit column type {:?}",
+                ColumnType::Text {
+                    width: codec.width()
+                }
+            ))),
+        }
+    }
+
+    /// Decode from the column's numeric domain.
+    pub(crate) fn decode(&self, code: u64) -> Result<Value, ClientError> {
+        match self {
+            ValueCodec::Numeric { domain_size } => {
+                if code >= *domain_size {
+                    return Err(ClientError::Reconstruction(format!(
+                        "decoded value {code} outside domain {domain_size}"
+                    )));
+                }
+                Ok(Value::Int(code))
+            }
+            ValueCodec::Text(codec) => codec.decode(code).map(Value::Str).ok_or_else(|| {
+                ClientError::Reconstruction(format!("code {code} is not a valid string"))
+            }),
         }
     }
 }
@@ -140,43 +200,12 @@ pub enum Value {
 impl Value {
     /// Encode into the column's numeric domain.
     pub fn encode(&self, ctype: &ColumnType) -> Result<u64, ClientError> {
-        match (self, ctype) {
-            (Value::Int(v), ColumnType::Numeric { domain_size }) => {
-                if v >= domain_size {
-                    return Err(ClientError::Schema(format!(
-                        "value {v} outside domain {domain_size}"
-                    )));
-                }
-                Ok(*v)
-            }
-            (Value::Str(s), ColumnType::Text { width }) => StringCodec::uppercase(*width)
-                .map_err(ClientError::Sss)?
-                .encode(s)
-                .map_err(ClientError::Sss),
-            (v, t) => Err(ClientError::Schema(format!(
-                "value {v:?} does not fit column type {t:?}"
-            ))),
-        }
+        ValueCodec::new(ctype)?.encode(self)
     }
 
     /// Decode from the column's numeric domain.
     pub fn decode(code: u64, ctype: &ColumnType) -> Result<Value, ClientError> {
-        match ctype {
-            ColumnType::Numeric { domain_size } => {
-                if code >= *domain_size {
-                    return Err(ClientError::Reconstruction(format!(
-                        "decoded value {code} outside domain {domain_size}"
-                    )));
-                }
-                Ok(Value::Int(code))
-            }
-            ColumnType::Text { width } => {
-                let codec = StringCodec::uppercase(*width).map_err(ClientError::Sss)?;
-                codec.decode(code).map(Value::Str).ok_or_else(|| {
-                    ClientError::Reconstruction(format!("code {code} is not a valid string"))
-                })
-            }
-        }
+        ValueCodec::new(ctype)?.decode(code)
     }
 }
 

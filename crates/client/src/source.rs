@@ -6,27 +6,28 @@
 //! 2. rewrite the server-evaluable part into one share-space request per
 //!    provider;
 //! 3. fan out, collect ≥ k responses, zip rows by client-assigned row id;
-//! 4. reconstruct values (binary-search decode for order-preserving
-//!    columns, Lagrange for field-mode columns);
+//! 4. reconstruct values (interpolate-and-confirm decode for
+//!    order-preserving columns, Lagrange for field-mode columns);
 //! 5. apply the residual filter, check and strip ringers, overlay any
 //!    pending lazy updates.
 
 use crate::journal::LazyJournal;
 use crate::keys::ClientKeys;
-use crate::schema::{ColumnType, Predicate, TableSchema, Value};
+use crate::schema::{Predicate, TableSchema, Value, ValueCodec};
 use crate::{ClientError, Result};
 use dasp_crypto::merkle::MerkleProof;
 use dasp_field::{lagrange_eval_at, Fp};
 use dasp_net::{Cluster, HealthSnapshot, ProviderId, QuorumMode, QuorumOptions, RetryPolicy};
 use dasp_server::proto::{AggOp, PredAtom, Request, Response, Row, RowBlock};
 use dasp_server::proto::{WireMerkleProof, WireRangeProof};
-use dasp_sss::{DomainKey, FieldBasis, FieldShare, FieldSharing, OpSharing, ShareMode};
+use dasp_sss::{DomainKey, FieldBasis, FieldShare, FieldSharing, OpBasis, OpSharing, ShareMode};
 use dasp_verify::merkle_table::{CommittedRow, RangeProof};
 use dasp_verify::{majority_reconstruct_field, majority_reconstruct_op, RingerSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Per-query options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,25 +111,67 @@ impl std::fmt::Display for ExplainReport {
     }
 }
 
-/// Per-statement encode plan: one entry per column with the codec state
-/// (domain key, OPSS sharer) resolved up front.
-struct EncodePlan {
-    columns: Vec<(ColumnType, ColumnCodec)>,
+/// A table's column plan: its schema and, for every column, how a value
+/// becomes a code and how a code becomes shares. It is a function of the
+/// schema and the keys alone, so it is resolved once when the table is
+/// registered, and every statement shares it: encode, the batched decode
+/// and the per-share decode all read it, and none rebuilds a text codec,
+/// re-derives a domain key or clones an OPSS sharer.
+struct ColumnPlan {
+    schema: TableSchema,
+    /// Parallel to `schema.columns`.
+    columns: Vec<PlannedColumn>,
 }
 
-enum ColumnCodec {
+struct PlannedColumn {
+    value: ValueCodec,
+    share: ShareCodec,
+}
+
+enum ShareCodec {
     Random,
     Deterministic(DomainKey),
     OrderPreserving(OpSharing),
 }
 
+impl ColumnPlan {
+    fn new(keys: &ClientKeys, schema: TableSchema) -> Result<Self> {
+        let columns = schema
+            .columns
+            .iter()
+            .map(|col| {
+                let value = ValueCodec::new(&col.ctype)?;
+                let share = match col.mode {
+                    ShareMode::Random => ShareCodec::Random,
+                    ShareMode::Deterministic => {
+                        ShareCodec::Deterministic(keys.domain_key(&col.domain))
+                    }
+                    ShareMode::OrderPreserving => ShareCodec::OrderPreserving(
+                        keys.op_sharing(&col.domain, value.domain_size())?,
+                    ),
+                };
+                Ok(PlannedColumn { value, share })
+            })
+            .collect::<Result<_>>()?;
+        Ok(ColumnPlan { schema, columns })
+    }
+
+    fn column(&self, idx: usize) -> Result<&PlannedColumn> {
+        self.columns
+            .get(idx)
+            .ok_or_else(|| ClientError::Schema(format!("no column {idx}")))
+    }
+}
+
 /// Encode one chunk of rows column-major: per column, encode the codes
 /// for the whole chunk and drive the sss batch APIs, so per-column setup
 /// (PRF derivation, coefficient evaluation) amortizes across rows.
-/// `seeds[r]` seeds row r's RNG stream for random-mode columns.
+/// `seeds[r]` seeds row r's RNG stream for random-mode columns. Output
+/// shape is `[row][provider][column]`; every sharing lists providers in
+/// index order.
 fn encode_chunk(
     field: &FieldSharing,
-    plan: &EncodePlan,
+    plan: &ColumnPlan,
     rows: &[Vec<Value>],
     seeds: &[u64],
 ) -> Result<Vec<Vec<Vec<i128>>>> {
@@ -140,38 +183,40 @@ fn encode_chunk(
         .collect();
     let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
     let mut codes = Vec::with_capacity(rows.len());
-    for (c, (ctype, codec)) in plan.columns.iter().enumerate() {
+    for (c, col) in plan.columns.iter().enumerate() {
         codes.clear();
         for row in rows {
-            codes.push(row[c].encode(ctype)?);
+            codes.push(col.value.encode(row.get(c).ok_or_else(arity_mismatch)?)?);
         }
-        match codec {
-            ColumnCodec::Random => {
-                for (r, &code) in codes.iter().enumerate() {
-                    for s in field.split_random(Fp::from_u64(code), &mut rngs[r]) {
-                        out[r][s.provider].push(s.y.to_u64() as i128);
-                    }
+        match &col.share {
+            ShareCodec::Random => {
+                for ((row, &code), rng) in out.iter_mut().zip(&codes).zip(&mut rngs) {
+                    let split = field.split_random(Fp::from_u64(code), rng);
+                    push_shares(row, split.iter().map(|s| s.y.to_u64() as i128));
                 }
             }
-            ColumnCodec::Deterministic(key) => {
+            ShareCodec::Deterministic(key) => {
                 let split = field.split_deterministic_batch(&codes, key);
-                for (r, shares) in split.into_iter().enumerate() {
-                    for s in shares {
-                        out[r][s.provider].push(s.y.to_u64() as i128);
-                    }
+                for (row, shares) in out.iter_mut().zip(split) {
+                    push_shares(row, shares.iter().map(|s| s.y.to_u64() as i128));
                 }
             }
-            ColumnCodec::OrderPreserving(sharing) => {
-                let split = sharing.share_batch(&codes)?;
-                for (r, row_shares) in split.into_iter().enumerate() {
-                    for (p, y) in row_shares.into_iter().enumerate() {
-                        out[r][p].push(y);
-                    }
+            ShareCodec::OrderPreserving(sharing) => {
+                for (row, shares) in out.iter_mut().zip(sharing.share_batch(&codes)?) {
+                    push_shares(row, shares);
                 }
             }
         }
     }
     Ok(out)
+}
+
+/// Append one row's shares, listed in provider order, to its
+/// per-provider share tuples.
+fn push_shares(row: &mut [Vec<i128>], shares: impl IntoIterator<Item = i128>) {
+    for (at_provider, y) in row.iter_mut().zip(shares) {
+        at_provider.push(y);
+    }
 }
 
 /// Quorum answers zipped by row id: the rows that at least k providers
@@ -259,21 +304,44 @@ impl Zipped {
         let row = *self.places(r).get(slot)?;
         self.cols.get(slot)?.get(col)?.get(row).copied()
     }
+
+    /// The zipped rows grouped by the answers (slots, ascending) that
+    /// hold them: reconstruction weights depend only on who answered.
+    fn groups(&self) -> HashMap<Vec<usize>, Vec<usize>> {
+        let mut groups: HashMap<Vec<usize>, Vec<usize>> = HashMap::new();
+        let mut slots = Vec::with_capacity(self.providers.len());
+        for r in 0..self.ids.len() {
+            slots.clear();
+            let places = self.places(r).iter().enumerate();
+            slots.extend(places.filter_map(|(slot, &row)| (row != ABSENT).then_some(slot)));
+            match groups.get_mut(slots.as_slice()) {
+                Some(rows_idx) => rows_idx.push(r),
+                None => {
+                    groups.insert(slots.clone(), vec![r]);
+                }
+            }
+        }
+        groups
+    }
 }
 
-enum DecodeCodec {
-    /// Order-preserving: binary-search decode against this sharer.
-    Op(OpSharing),
-    /// Random/deterministic: Lagrange dot product over the group basis.
-    Field,
+/// A stored field-mode share as a field element. Shares are canonical
+/// (< p) when written, but provider-side additive increments (§V-C)
+/// accumulate without reduction, so a share outside `[0, p)` is reduced
+/// mod p. Corrupt values (including negatives) reduce to *wrong* field
+/// elements, which the basis cross-check or the majority vote rejects.
+fn field_share(y: i128) -> Fp {
+    const P: i128 = dasp_field::MODULUS as i128;
+    let canonical = if (0..P).contains(&y) {
+        y
+    } else {
+        y.rem_euclid(P)
+    };
+    Fp::from_u64(canonical as u64)
 }
 
 /// Decode the field-mode columns of one chunk of rows, all answered by
-/// the answers `slots`, against the basis precomputed for those. Stored
-/// field shares are canonical (< p) when written, but provider-side
-/// additive increments (§V-C) accumulate without reduction — so reduce
-/// mod p first. Corrupt values (including negatives) reduce to *wrong*
-/// field elements and fail the basis cross-check.
+/// the answers `slots`, against the basis precomputed for those.
 fn decode_field_chunk(
     zipped: &Zipped,
     slots: &[usize],
@@ -281,7 +349,6 @@ fn decode_field_chunk(
     field_cols: &[usize],
     basis: &FieldBasis,
 ) -> Result<Vec<Vec<u64>>> {
-    let p_mod = dasp_field::MODULUS as i128;
     let mut ys = Vec::with_capacity(slots.len());
     rows_idx
         .iter()
@@ -292,13 +359,17 @@ fn decode_field_chunk(
                     ys.clear();
                     for &slot in slots {
                         let share = zipped.share(r, slot, c).ok_or_else(arity_mismatch)?;
-                        ys.push(Fp::from_u64(share.rem_euclid(p_mod) as u64));
+                        ys.push(field_share(share));
                     }
                     Ok(basis.reconstruct_row(&ys)?.to_u64())
                 })
                 .collect()
         })
         .collect()
+}
+
+fn not_on_polynomial() -> ClientError {
+    ClientError::Reconstruction("share is not on the expected polynomial".into())
 }
 
 fn arity_mismatch() -> ClientError {
@@ -347,7 +418,7 @@ fn quorum_decoded(
 }
 
 struct TableState {
-    schema: TableSchema,
+    plan: Arc<ColumnPlan>,
     next_id: u64,
     /// Ringers per column name.
     ringers: HashMap<String, RingerSet>,
@@ -363,7 +434,6 @@ pub struct DataSource {
     keys: ClientKeys,
     cluster: Cluster,
     tables: HashMap<String, TableState>,
-    op_cache: HashMap<(String, u64), OpSharing>,
     rng: StdRng,
     lazy: bool,
     /// Retry schedule for idempotent reads (writes are never retried —
@@ -376,6 +446,10 @@ pub struct DataSource {
     /// Reads from a healthy cluster hit the same subset over and over, so
     /// the O(k²) Lagrange solve happens once per subset, not per value.
     basis_cache: HashMap<Vec<usize>, FieldBasis>,
+    /// Order-preserving interpolation weights, keyed and reused the same
+    /// way. They depend only on the points X, so every OP column shares
+    /// them.
+    op_basis_cache: HashMap<Vec<usize>, OpBasis>,
     /// Worker threads for batch encode/decode fan-out (1 = inline).
     workers: usize,
     /// Durable journal of the lazy-update queue (None = memory only).
@@ -402,12 +476,12 @@ impl DataSource {
             keys,
             cluster,
             tables: HashMap::new(),
-            op_cache: HashMap::new(),
             rng: StdRng::from_entropy(),
             lazy: false,
             retry: RetryPolicy::default(),
             hedge: 1,
             basis_cache: HashMap::new(),
+            op_basis_cache: HashMap::new(),
             workers: 1,
             journal: None,
             orphan_pending: HashMap::new(),
@@ -478,7 +552,7 @@ impl DataSource {
 
     /// The column specs of a table (for projections and tooling).
     pub fn schema_columns(&self, table: &str) -> Result<&[crate::schema::ColumnSpec]> {
-        Ok(&self.table(table)?.schema.columns)
+        Ok(&self.table(table)?.plan.schema.columns)
     }
 
     /// Switch updates to lazy buffering (§V-C). Buffered updates overlay
@@ -534,14 +608,16 @@ impl DataSource {
             columns: schema.columns.iter().map(|c| c.name.clone()).collect(),
             indexed,
         };
+        let name = schema.name.clone();
+        let plan = Arc::new(ColumnPlan::new(&self.keys, schema)?);
         self.broadcast_ack(&req)?;
         // Journal-recovered lazy updates queued for this table by an
         // earlier session re-attach here.
-        let pending = self.orphan_pending.remove(&schema.name).unwrap_or_default();
+        let pending = self.orphan_pending.remove(&name).unwrap_or_default();
         self.tables.insert(
-            schema.name.clone(),
+            name,
             TableState {
-                schema,
+                plan,
                 next_id: 1,
                 ringers: HashMap::new(),
                 pending,
@@ -557,36 +633,9 @@ impl DataSource {
             .ok_or_else(|| ClientError::Schema(format!("no table {name:?}")))
     }
 
-    fn op_sharing(&mut self, domain: &str, domain_size: u64) -> Result<OpSharing> {
-        let key = (domain.to_string(), domain_size);
-        if let Some(s) = self.op_cache.get(&key) {
-            return Ok(s.clone());
-        }
-        let s = self.keys.op_sharing(domain, domain_size)?;
-        self.op_cache.insert(key, s.clone());
-        Ok(s)
-    }
-
-    /// Resolve everything encoding needs — column types, domain keys,
-    /// OPSS sharers — once per statement, so the per-row loop touches no
-    /// table metadata and clones no schema.
-    fn encode_plan(&mut self, table: &str) -> Result<EncodePlan> {
-        let ncols = self.table(table)?.schema.columns.len();
-        let mut columns = Vec::with_capacity(ncols);
-        for idx in 0..ncols {
-            let col = self.table(table)?.schema.columns[idx].clone();
-            let codec = match col.mode {
-                ShareMode::Random => ColumnCodec::Random,
-                ShareMode::Deterministic => {
-                    ColumnCodec::Deterministic(self.keys.domain_key(&col.domain))
-                }
-                ShareMode::OrderPreserving => ColumnCodec::OrderPreserving(
-                    self.op_sharing(&col.domain, col.ctype.domain_size())?,
-                ),
-            };
-            columns.push((col.ctype, codec));
-        }
-        Ok(EncodePlan { columns })
+    /// The table's column plan, shared with the statement that reads it.
+    fn plan(&self, table: &str) -> Result<Arc<ColumnPlan>> {
+        Ok(Arc::clone(&self.table(table)?.plan))
     }
 
     /// Encode a batch of rows into per-provider share tuples, shape
@@ -598,7 +647,7 @@ impl DataSource {
     fn encode_rows(
         &mut self,
         table: &str,
-        plan: &EncodePlan,
+        plan: &ColumnPlan,
         rows: &[Vec<Value>],
     ) -> Result<Vec<Vec<Vec<i128>>>> {
         let ncols = plan.columns.len();
@@ -656,7 +705,7 @@ impl DataSource {
     }
 
     fn insert_with_ids(&mut self, table: &str, ids: &[u64], rows: &[Vec<Value>]) -> Result<()> {
-        let plan = self.encode_plan(table)?;
+        let plan = self.plan(table)?;
         let encoded = self.encode_rows(table, &plan, rows)?;
         let n = self.keys.n();
         let mut per_provider: Vec<Vec<Row>> = vec![Vec::with_capacity(rows.len()); n];
@@ -709,32 +758,30 @@ impl DataSource {
 
     /// Rewrite server-evaluable conjuncts into provider `p`'s share space.
     fn rewrite_for_provider(
-        &mut self,
-        schema: &TableSchema,
+        &self,
+        plan: &ColumnPlan,
         server_preds: &[&Predicate],
         provider: ProviderId,
     ) -> Result<Vec<PredAtom>> {
+        let schema = &plan.schema;
         let mut atoms = Vec::with_capacity(server_preds.len());
         for pred in server_preds {
             let col_idx = schema.col(pred.col())?;
-            let col = schema.columns[col_idx].clone();
-            let (lo, hi) = pred.code_interval(&col.ctype)?;
-            match col.mode {
-                ShareMode::Deterministic => {
+            let (lo, hi) = pred.code_interval(&schema.columns[col_idx].ctype)?;
+            match &plan.column(col_idx)?.share {
+                ShareCodec::Deterministic(key) => {
                     debug_assert_eq!(lo, hi, "split_predicate admits only Eq here");
-                    let key = self.keys.domain_key(&col.domain);
                     let share = self
                         .keys
                         .field()
-                        .deterministic_share(lo, &key, provider)?
+                        .deterministic_share(lo, key, provider)?
                         .to_u64() as i128;
                     atoms.push(PredAtom::Eq {
                         col: col_idx,
                         share,
                     });
                 }
-                ShareMode::OrderPreserving => {
-                    let sharing = self.op_sharing(&col.domain, col.ctype.domain_size())?;
+                ShareCodec::OrderPreserving(sharing) => {
                     if lo == hi {
                         atoms.push(PredAtom::Eq {
                             col: col_idx,
@@ -749,7 +796,7 @@ impl DataSource {
                         });
                     }
                 }
-                ShareMode::Random => {
+                ShareCodec::Random => {
                     return Err(ClientError::Unsupported(
                         "random-mode column cannot be filtered server-side".into(),
                     ))
@@ -797,17 +844,16 @@ impl DataSource {
     /// waits for every provider (verified reads, which want the full
     /// response set for fault identification).
     fn gather(
-        &mut self,
-        make_req: impl FnMut(&mut Self, ProviderId) -> Result<Vec<u8>>,
+        &self,
+        mut make_req: impl FnMut(ProviderId) -> Result<Vec<u8>>,
         need: usize,
         extra: usize,
         mode: QuorumMode,
     ) -> Result<Vec<(ProviderId, Response)>> {
-        let mut make_req = make_req;
         let n = self.cluster.n();
         let mut reqs = Vec::with_capacity(n);
         for p in 0..n {
-            reqs.push((p, make_req(self, p)?));
+            reqs.push((p, make_req(p)?));
         }
         let opts = QuorumOptions {
             retry: self.retry.clone(),
@@ -821,20 +867,19 @@ impl DataSource {
 
     // ---- reconstruction ----
 
+    /// Decode one value from its shares, one `(provider, share)` per
+    /// answer: the path for verified reads, group keys and rebuilds.
     fn decode_column(
         &mut self,
-        schema: &TableSchema,
-        col_idx: usize,
+        col: &PlannedColumn,
         shares: &[(ProviderId, i128)],
         verify: bool,
     ) -> Result<u64> {
-        let col = schema.columns[col_idx].clone();
         let k = self.keys.k();
-        match col.mode {
-            ShareMode::OrderPreserving => {
-                let sharing = self.op_sharing(&col.domain, col.ctype.domain_size())?;
+        match &col.share {
+            ShareCodec::OrderPreserving(sharing) => {
                 if verify {
-                    let out = majority_reconstruct_op(&sharing, shares)
+                    let out = majority_reconstruct_op(sharing, shares)
                         .map_err(|e| ClientError::Reconstruction(format!("op majority: {e}")))?;
                     for f in out.faulty {
                         if !self.last_faulty.contains(&f) {
@@ -849,26 +894,20 @@ impl DataSource {
                     let &(p, y) = shares
                         .first()
                         .ok_or_else(|| ClientError::Reconstruction("no shares".into()))?;
-                    sharing.reconstruct_search(p, y)?.ok_or_else(|| {
-                        ClientError::Reconstruction(
-                            "share is not on the expected polynomial".into(),
-                        )
-                    })
+                    sharing
+                        .reconstruct_search(p, y)?
+                        .ok_or_else(not_on_polynomial)
                 }
             }
-            ShareMode::Deterministic | ShareMode::Random => {
-                // Stored field shares are canonical (< p) when written, but
-                // provider-side additive increments (§V-C) accumulate
-                // without reduction — so reduce mod p here. Corrupt values
-                // (including negatives) reduce to *wrong* field elements,
-                // lose the majority vote under verification, and thereby
-                // both recover the value and name the sender.
-                let p_mod = dasp_field::MODULUS as i128;
+            ShareCodec::Deterministic(_) | ShareCodec::Random => {
+                // A corrupt share reduces to a wrong field element, loses
+                // the majority vote under verification, and thereby both
+                // recovers the value and names the sender.
                 let field_shares: Vec<FieldShare> = shares
                     .iter()
                     .map(|&(p, y)| FieldShare {
                         provider: p,
-                        y: Fp::from_u64(y.rem_euclid(p_mod) as u64),
+                        y: field_share(y),
                     })
                     .collect();
                 if verify {
@@ -904,11 +943,11 @@ impl DataSource {
     /// Zip per-provider row blocks by row id and reconstruct each row.
     fn reconstruct_rows(
         &mut self,
-        schema: &TableSchema,
+        plan: &ColumnPlan,
         responses: Vec<(ProviderId, RowBlock)>,
         verify: bool,
     ) -> Result<Vec<DecodedRow>> {
-        let ncols = schema.columns.len();
+        let ncols = plan.columns.len();
         if responses
             .iter()
             .any(|(_, block)| !block.is_empty() && block.cols().len() < ncols)
@@ -922,20 +961,20 @@ impl DataSource {
             let mut all = Vec::with_capacity(zipped.ids.len());
             for r in 0..zipped.ids.len() {
                 let mut row_codes = Vec::with_capacity(ncols);
-                for col_idx in 0..ncols {
+                for (c, col) in plan.columns.iter().enumerate() {
                     let shares: Vec<(ProviderId, i128)> = zipped
                         .providers
                         .iter()
                         .enumerate()
-                        .filter_map(|(slot, &p)| Some((p, zipped.share(r, slot, col_idx)?)))
+                        .filter_map(|(slot, &p)| Some((p, zipped.share(r, slot, c)?)))
                         .collect();
-                    row_codes.push(self.decode_column(schema, col_idx, &shares, true)?);
+                    row_codes.push(self.decode_column(col, &shares, true)?);
                 }
                 all.push(row_codes);
             }
             all
         } else {
-            self.decode_rows_batched(schema, &zipped)?
+            self.decode_rows_batched(plan, &zipped)?
         };
         // Decode codes into typed values.
         zipped
@@ -945,8 +984,8 @@ impl DataSource {
             .map(|(id, row_codes)| {
                 let values = row_codes
                     .into_iter()
-                    .zip(&schema.columns)
-                    .map(|(code, col)| Value::decode(code, &col.ctype))
+                    .zip(&plan.columns)
+                    .map(|(code, col)| col.value.decode(code))
                     .collect::<Result<Vec<Value>>>()?;
                 Ok((*id, values))
             })
@@ -954,73 +993,45 @@ impl DataSource {
     }
 
     /// Decode all rows' column codes (no verification), batched: rows are
-    /// grouped by the provider subset that answered them, each group pays
-    /// one Lagrange basis solve (cached across queries) plus one monotone
-    /// binary-search pass per order-preserving column, and the field-mode
+    /// grouped by the provider subset that answered them and each group
+    /// pays one basis per subset (cached across queries). Order-preserving
+    /// columns interpolate from the group's first k answers and confirm
+    /// against the first ([`OpSharing::reconstruct_batch`]); field-mode
     /// dot products fan across scoped worker threads.
-    fn decode_rows_batched(
-        &mut self,
-        schema: &TableSchema,
-        zipped: &Zipped,
-    ) -> Result<Vec<Vec<u64>>> {
-        let ncols = schema.columns.len();
-        // Resolve per-column decode state once per statement.
-        let mut codecs = Vec::with_capacity(ncols);
-        for col in &schema.columns {
-            codecs.push(match col.mode {
-                ShareMode::OrderPreserving => {
-                    let sharing = self.op_sharing(&col.domain, col.ctype.domain_size())?;
-                    DecodeCodec::Op(sharing)
-                }
-                ShareMode::Deterministic | ShareMode::Random => DecodeCodec::Field,
-            });
-        }
-        let field_cols: Vec<usize> = codecs
+    fn decode_rows_batched(&mut self, plan: &ColumnPlan, zipped: &Zipped) -> Result<Vec<Vec<u64>>> {
+        let k = self.keys.k();
+        let field_cols: Vec<usize> = plan
+            .columns
             .iter()
             .enumerate()
-            .filter_map(|(c, codec)| matches!(codec, DecodeCodec::Field).then_some(c))
+            .filter(|(_, col)| !matches!(col.share, ShareCodec::OrderPreserving(_)))
+            .map(|(c, _)| c)
             .collect();
-        // Group rows by the answers that hold them, in response order.
-        let mut groups: HashMap<Vec<usize>, Vec<usize>> = HashMap::new();
-        let mut slots = Vec::with_capacity(zipped.providers.len());
-        for r in 0..zipped.ids.len() {
-            slots.clear();
-            let places = zipped.places(r).iter().enumerate();
-            slots.extend(places.filter_map(|(slot, &row)| (row != ABSENT).then_some(slot)));
-            match groups.get_mut(slots.as_slice()) {
-                Some(rows_idx) => rows_idx.push(r),
-                None => {
-                    groups.insert(slots.clone(), vec![r]);
-                }
-            }
-        }
-        let mut out = vec![vec![0u64; ncols]; zipped.ids.len()];
-        for (slots, rows_idx) in groups {
+        let mut out = vec![vec![0u64; plan.columns.len()]; zipped.ids.len()];
+        for (slots, rows_idx) in zipped.groups() {
             let providers: Vec<ProviderId> = slots
                 .iter()
                 .filter_map(|&slot| zipped.providers.get(slot).copied())
                 .collect();
-            let (Some(&first_slot), Some(&first_provider)) = (slots.first(), providers.first())
-            else {
-                continue; // k ≥ 1 answers hold every zipped row
-            };
-            // Order-preserving columns: one share per row from the first
-            // responder, all decoded in one narrowing binary-search pass.
-            for (c, codec) in codecs.iter().enumerate() {
-                let DecodeCodec::Op(sharing) = codec else {
+            for (c, col) in plan.columns.iter().enumerate() {
+                let ShareCodec::OrderPreserving(sharing) = &col.share else {
                     continue;
                 };
-                let shares: Vec<i128> = rows_idx
+                let basis = self.cached_op_basis(&providers, sharing)?;
+                let shares = slots
                     .iter()
-                    .map(|&r| zipped.share(r, first_slot, c).ok_or_else(arity_mismatch))
-                    .collect::<Result<_>>()?;
-                let decoded = sharing.reconstruct_search_batch(first_provider, &shares)?;
-                for (&r, d) in rows_idx.iter().zip(decoded) {
-                    out[r][c] = d.ok_or_else(|| {
-                        ClientError::Reconstruction(
-                            "share is not on the expected polynomial".into(),
-                        )
-                    })?;
+                    .take(k)
+                    .map(|&slot| {
+                        let share =
+                            |&r: &usize| zipped.share(r, slot, c).ok_or_else(arity_mismatch);
+                        rows_idx.iter().map(share).collect()
+                    })
+                    .collect::<Result<Vec<Vec<i128>>>>()?;
+                let decoded = sharing.reconstruct_batch(&basis, &shares)?;
+                for (&r, code) in rows_idx.iter().zip(decoded) {
+                    if let Some(cell) = out.get_mut(r).and_then(|row| row.get_mut(c)) {
+                        *cell = code.ok_or_else(not_on_polynomial)?;
+                    }
                 }
             }
             if field_cols.is_empty() {
@@ -1058,8 +1069,11 @@ impl DataSource {
                 flat
             };
             for (&r, vals) in rows_idx.iter().zip(flat) {
+                let Some(row) = out.get_mut(r) else { continue };
                 for (&c, v) in field_cols.iter().zip(vals) {
-                    out[r][c] = v;
+                    if let Some(cell) = row.get_mut(c) {
+                        *cell = v;
+                    }
                 }
             }
         }
@@ -1076,18 +1090,28 @@ impl DataSource {
         Ok(b)
     }
 
+    /// The cached order-preserving basis for one provider subset.
+    fn cached_op_basis(&mut self, providers: &[usize], sharing: &OpSharing) -> Result<OpBasis> {
+        if let Some(b) = self.op_basis_cache.get(providers) {
+            return Ok(b.clone());
+        }
+        let b = sharing.basis_for(providers)?;
+        self.op_basis_cache.insert(providers.to_vec(), b.clone());
+        Ok(b)
+    }
+
     // ---- queries ----
 
     /// Describe how a query would be rewritten and executed, without
     /// running it: which conjuncts the providers evaluate, the exact
     /// share-space atoms provider 0 would receive, and what each leaks.
     pub fn explain(&mut self, table: &str, predicate: &[Predicate]) -> Result<ExplainReport> {
-        let schema = self.table(table)?.schema.clone();
-        let (server_preds, residual) = self.split_predicate(&schema, predicate)?;
+        let plan = self.plan(table)?;
+        let schema = &plan.schema;
+        let (server_preds, residual) = self.split_predicate(schema, predicate)?;
         let mut conjuncts = Vec::with_capacity(predicate.len());
         for pred in &server_preds {
-            let refs = [*pred];
-            let atoms = self.rewrite_for_provider(&schema, &refs, 0)?;
+            let atoms = self.rewrite_for_provider(&plan, &[*pred], 0)?;
             let col = &schema.columns[schema.col(pred.col())?];
             let leaks = match col.mode {
                 ShareMode::Deterministic => "equality pattern only",
@@ -1152,8 +1176,8 @@ impl DataSource {
         if opts.verify {
             self.last_faulty.clear();
         }
-        let schema = self.table(table)?.schema.clone();
-        let (server_preds, residual) = self.split_predicate(&schema, predicate)?;
+        let plan = self.plan(table)?;
+        let (server_preds, residual) = self.split_predicate(&plan.schema, predicate)?;
         let (need, extra, mode) = if opts.verify {
             // Verified reads wait for every provider (fault identification
             // wants the full response set); the floor is k+1 so a lone
@@ -1165,15 +1189,11 @@ impl DataSource {
             // trusting the first k (detects a corrupt share).
             (self.keys.k(), 1, QuorumMode::FirstK)
         };
-        let table_name = table.to_string();
-        let server_preds: Vec<Predicate> = server_preds.into_iter().cloned().collect();
         let responses = self.gather(
-            |ds, p| {
-                let refs: Vec<&Predicate> = server_preds.iter().collect();
-                let atoms = ds.rewrite_for_provider(&schema, &refs, p)?;
+            |p| {
                 Ok(Request::Query {
-                    table: table_name.clone(),
-                    predicate: atoms,
+                    table: table.to_string(),
+                    predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
                     agg: None,
                 }
                 .encode())
@@ -1182,8 +1202,7 @@ impl DataSource {
             extra,
             mode,
         )?;
-        let residual: Vec<Predicate> = residual.into_iter().cloned().collect();
-        self.finish_select(table, predicate, &schema, &residual, responses, opts.verify)
+        self.finish_select(table, predicate, &plan, &residual, responses, opts.verify)
     }
 
     /// Turn one query's quorum responses into application rows:
@@ -1194,8 +1213,8 @@ impl DataSource {
         &mut self,
         table: &str,
         predicate: &[Predicate],
-        schema: &TableSchema,
-        residual: &[Predicate],
+        plan: &ColumnPlan,
+        residual: &[&Predicate],
         responses: Vec<(ProviderId, Response)>,
         verify: bool,
     ) -> Result<Vec<DecodedRow>> {
@@ -1206,23 +1225,29 @@ impl DataSource {
                 other => Err(ClientError::Provider(format!("unexpected {other:?}"))),
             })
             .collect::<Result<_>>()?;
-        let mut decoded = self.reconstruct_rows(schema, rows, verify)?;
+        let mut decoded = self.reconstruct_rows(plan, rows, verify)?;
 
         // Residual filtering (random-mode columns, unsupported ranges).
-        // Column indices are resolved up front so the retain closure is
-        // infallible — split_predicate already validated every column.
+        // Each conjunct's column, codec and code interval are resolved up
+        // front so the retain closure is infallible — split_predicate
+        // already validated every column. A conjunct whose interval does
+        // not resolve matches nothing.
         if !residual.is_empty() {
-            let mut residual_cols: Vec<(usize, &Predicate)> = Vec::with_capacity(residual.len());
+            let schema = &plan.schema;
+            let mut checks = Vec::with_capacity(residual.len());
             for pred in residual {
-                residual_cols.push((schema.col(pred.col())?, pred));
+                let idx = schema.col(pred.col())?;
+                let interval = pred.code_interval(&schema.columns[idx].ctype).ok();
+                checks.push((idx, &plan.column(idx)?.value, interval));
             }
             decoded.retain(|(_, values)| {
-                residual_cols.iter().all(|(idx, pred)| {
-                    let col = &schema.columns[*idx];
-                    values[*idx]
-                        .encode(&col.ctype)
-                        .map(|code| pred.matches_code(code, &col.ctype))
-                        .unwrap_or(false)
+                checks.iter().all(|&(idx, codec, interval)| {
+                    let (Some(value), Some((lo, hi))) = (values.get(idx), interval) else {
+                        return false;
+                    };
+                    codec
+                        .encode(value)
+                        .is_ok_and(|code| (lo..=hi).contains(&code))
                 })
             });
         }
@@ -1235,8 +1260,7 @@ impl DataSource {
 
     /// Run a batch of independent `SELECT`s against one table, keeping
     /// many requests in flight at once. Share rewriting happens serially
-    /// up front (it owns the client's order-preserving cache), then the
-    /// quorum calls fan across up to [`DataSource::set_workers`] scoped
+    /// up front, then the quorum calls fan across up to [`DataSource::set_workers`] scoped
     /// threads — each provider's worker pool interleaves the overlapping
     /// requests, so total latency approaches the slowest single query
     /// rather than the sum. Results are position-matched to `predicates`
@@ -1250,19 +1274,19 @@ impl DataSource {
         if predicates.is_empty() {
             return Ok(Vec::new());
         }
-        let schema = self.table(table)?.schema.clone();
+        let plan = self.plan(table)?;
         let n = self.cluster.n();
         let (need, extra) = (self.keys.k(), 1);
 
-        // Phase 1 (serial, &mut self): rewrite every query for every
-        // provider and encode the request bytes.
+        // Phase 1 (serial): rewrite every query for every provider and
+        // encode the request bytes.
         let mut batches = Vec::with_capacity(predicates.len());
         let mut residuals = Vec::with_capacity(predicates.len());
         for predicate in predicates {
-            let (server_preds, residual) = self.split_predicate(&schema, predicate)?;
+            let (server_preds, residual) = self.split_predicate(&plan.schema, predicate)?;
             let mut reqs = Vec::with_capacity(n);
             for p in 0..n {
-                let atoms = self.rewrite_for_provider(&schema, &server_preds, p)?;
+                let atoms = self.rewrite_for_provider(&plan, &server_preds, p)?;
                 reqs.push((
                     p,
                     Request::Query {
@@ -1273,7 +1297,7 @@ impl DataSource {
                     .encode(),
                 ));
             }
-            residuals.push(residual.into_iter().cloned().collect::<Vec<Predicate>>());
+            residuals.push(residual);
             batches.push(reqs);
         }
 
@@ -1342,7 +1366,7 @@ impl DataSource {
         for ((responses, residual), predicate) in
             gathered.into_iter().zip(residuals).zip(predicates)
         {
-            out.push(self.finish_select(table, predicate, &schema, &residual, responses?, false)?);
+            out.push(self.finish_select(table, predicate, &plan, &residual, responses?, false)?);
         }
         Ok(out)
     }
@@ -1360,8 +1384,8 @@ impl DataSource {
         let ids: Vec<u64> = decoded.iter().map(|(id, _)| *id).collect();
         for pred in predicate {
             if let Some(set) = state.ringers.get(pred.col()) {
-                let idx = state.schema.col(pred.col())?;
-                let ctype = &state.schema.columns[idx].ctype;
+                let schema = &state.plan.schema;
+                let ctype = &schema.columns[schema.col(pred.col())?].ctype;
                 let (lo, hi) = pred.code_interval(ctype)?;
                 set.check_range_result(lo, hi, &ids).map_err(|e| {
                     ClientError::Provider(format!("execution assurance failed: {e}"))
@@ -1440,19 +1464,20 @@ impl DataSource {
         limit: u64,
         predicate: &[Predicate],
     ) -> Result<Vec<DecodedRow>> {
-        let schema = self.table(table)?.schema.clone();
-        let col_idx = schema.col(order_col)?;
-        let spec = schema.columns[col_idx].clone();
-        let (server_preds, residual) = self.split_predicate(&schema, predicate)?;
+        let plan = self.plan(table)?;
+        let col_idx = plan.schema.col(order_col)?;
+        let sort_col = plan.column(col_idx)?;
+        let (server_preds, residual) = self.split_predicate(&plan.schema, predicate)?;
         let has_overlay =
             !self.table(table)?.pending.is_empty() || !self.table(table)?.ringers.is_empty();
-        if !spec.mode.supports_range() || !residual.is_empty() || has_overlay {
+        let ordered = matches!(sort_col.share, ShareCodec::OrderPreserving(_));
+        if !ordered || !residual.is_empty() || has_overlay {
             // Fallback: fetch, sort client-side, truncate.
             let mut rows = self.select(table, predicate)?;
             let keyed: Result<Vec<(u64, DecodedRow)>> = rows
                 .drain(..)
                 .map(|(id, values)| {
-                    let code = values[col_idx].encode(&spec.ctype)?;
+                    let code = sort_col.value.encode(&values[col_idx])?;
                     Ok((code, (id, values)))
                 })
                 .collect();
@@ -1464,16 +1489,12 @@ impl DataSource {
             keyed.truncate(limit as usize);
             return Ok(keyed.into_iter().map(|(_, row)| row).collect());
         }
-        let table_name = table.to_string();
-        let server_preds: Vec<Predicate> = server_preds.into_iter().cloned().collect();
         let k = self.keys.k();
         let responses = self.gather(
-            |ds, p| {
-                let refs: Vec<&Predicate> = server_preds.iter().collect();
-                let atoms = ds.rewrite_for_provider(&schema, &refs, p)?;
+            |p| {
                 Ok(Request::QueryOrdered {
-                    table: table_name.clone(),
-                    predicate: atoms,
+                    table: table.to_string(),
+                    predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
                     order_col: col_idx,
                     desc,
                     limit,
@@ -1498,7 +1519,7 @@ impl DataSource {
             .first()
             .map(|(_, block)| block.ids().to_vec())
             .unwrap_or_default();
-        let decoded = self.reconstruct_rows(&schema, rows, false)?;
+        let decoded = self.reconstruct_rows(&plan, rows, false)?;
         let by_id: HashMap<u64, Vec<Value>> = decoded.into_iter().collect();
         Ok(order
             .into_iter()
@@ -1516,40 +1537,35 @@ impl DataSource {
         sum_col: Option<&str>,
         predicate: &[Predicate],
     ) -> Result<Vec<GroupRow>> {
-        let schema = self.table(table)?.schema.clone();
-        let g_idx = schema.col(group_col)?;
-        let g_spec = schema.columns[g_idx].clone();
-        if !g_spec.mode.supports_equality() {
+        let plan = self.plan(table)?;
+        let g_idx = plan.schema.col(group_col)?;
+        let g_col = plan.column(g_idx)?;
+        if matches!(g_col.share, ShareCodec::Random) {
             return Err(ClientError::Unsupported(
                 "GROUP BY needs an equality-capable share mode".into(),
             ));
         }
-        let s_spec = match sum_col {
+        let s_idx = match sum_col {
             None => None,
-            Some(c) => Some(schema.columns[schema.col(c)?].clone()),
+            Some(c) => Some(plan.schema.col(c)?),
         };
-        let (server_preds, residual) = self.split_predicate(&schema, predicate)?;
+        let s_col = s_idx.map(|idx| plan.column(idx)).transpose()?;
+        let (server_preds, residual) = self.split_predicate(&plan.schema, predicate)?;
         let has_overlay =
             !self.table(table)?.pending.is_empty() || !self.table(table)?.ringers.is_empty();
         if !residual.is_empty() || has_overlay {
             return self.group_by_client_side(table, group_col, sum_col, predicate);
         }
-        let agg = match sum_col {
+        let agg = match s_idx {
             None => AggOp::Count,
-            Some(c) => AggOp::Sum {
-                col: schema.col(c)?,
-            },
+            Some(col) => AggOp::Sum { col },
         };
-        let table_name = table.to_string();
-        let server_preds: Vec<Predicate> = server_preds.into_iter().cloned().collect();
         let k = self.keys.k();
         let responses = self.gather(
-            |ds, p| {
-                let refs: Vec<&Predicate> = server_preds.iter().collect();
-                let atoms = ds.rewrite_for_provider(&schema, &refs, p)?;
+            |p| {
                 Ok(Request::GroupedAggregate {
-                    table: table_name.clone(),
-                    predicate: atoms,
+                    table: table.to_string(),
+                    predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
                     group_col: g_idx,
                     agg,
                 }
@@ -1579,20 +1595,15 @@ impl DataSource {
             // Reconstruct the group value from its shares.
             let g_shares: Vec<(ProviderId, i128)> =
                 partials.iter().map(|(p, g)| (*p, g.group_share)).collect();
-            let g_code = self.decode_column(&schema, g_idx, &g_shares, false)?;
-            let group = Value::decode(g_code, &g_spec.ctype)?;
+            let g_code = self.decode_column(g_col, &g_shares, false)?;
+            let group = g_col.value.decode(g_code)?;
             // Reconstruct the sum (mode-dependent), if requested.
-            let sum = match &s_spec {
+            let sum = match s_col {
                 None => None,
-                Some(spec) if count == 0 => {
-                    let _ = spec;
-                    Some(Value::Int(0))
-                }
-                Some(spec) => {
-                    let code = match spec.mode {
-                        ShareMode::OrderPreserving => {
-                            let sharing =
-                                self.op_sharing(&spec.domain, spec.ctype.domain_size())?;
+                Some(_) if count == 0 => Some(Value::Int(0)),
+                Some(col) => {
+                    let code = match &col.share {
+                        ShareCodec::OrderPreserving(sharing) => {
                             let pairs: Vec<(usize, i128)> =
                                 partials.iter().map(|(p, g)| (*p, g.sum)).collect();
                             let v = sharing.reconstruct_interpolate(&pairs)?.ok_or_else(|| {
@@ -1602,13 +1613,12 @@ impl DataSource {
                                 ClientError::Reconstruction("negative group sum".into())
                             })?
                         }
-                        ShareMode::Deterministic | ShareMode::Random => {
-                            let p_mod = dasp_field::MODULUS as i128;
+                        ShareCodec::Deterministic(_) | ShareCodec::Random => {
                             let shares: Vec<FieldShare> = partials
                                 .iter()
                                 .map(|(p, g)| FieldShare {
                                     provider: *p,
-                                    y: Fp::from_u64(g.sum.rem_euclid(p_mod) as u64),
+                                    y: field_share(g.sum),
                                 })
                                 .collect();
                             self.keys.field().reconstruct(&shares)?.to_u64()
@@ -1636,7 +1646,7 @@ impl DataSource {
         predicate: &[Predicate],
     ) -> Result<Vec<GroupRow>> {
         let rows = self.select(table, predicate)?;
-        let schema = self.table(table)?.schema.clone();
+        let schema = &self.table(table)?.plan.schema;
         let g_idx = schema.col(group_col)?;
         let s_idx = match sum_col {
             None => None,
@@ -1671,8 +1681,9 @@ impl DataSource {
         predicate: &[Predicate],
         kind: AggKind,
     ) -> Result<AggResult> {
-        let schema = self.table(table)?.schema.clone();
-        let (server_preds, residual) = self.split_predicate(&schema, predicate)?;
+        let plan = self.plan(table)?;
+        let schema = &plan.schema;
+        let (server_preds, residual) = self.split_predicate(schema, predicate)?;
         let has_pending = !self.table(table)?.pending.is_empty();
         let has_ringers = !self.table(table)?.ringers.is_empty();
         // Server-side aggregation is only sound if the providers see the
@@ -1685,9 +1696,9 @@ impl DataSource {
         } else {
             schema.col(col)?
         };
-        let col_spec = schema.columns.get(col_idx).cloned();
-        if let (AggKind::Min | AggKind::Max | AggKind::Median, Some(spec)) = (&kind, &col_spec) {
-            if !matches!(kind, AggKind::Count) && !spec.mode.supports_range() {
+        let col_spec = schema.columns.get(col_idx);
+        if let (AggKind::Min | AggKind::Max | AggKind::Median, Some(spec)) = (&kind, col_spec) {
+            if !spec.mode.supports_range() {
                 // Order statistics need order-preserving shares.
                 return self.aggregate_client_side(table, col, predicate, kind);
             }
@@ -1699,16 +1710,12 @@ impl DataSource {
             AggKind::Max => AggOp::Max { col: col_idx },
             AggKind::Median => AggOp::Median { col: col_idx },
         };
-        let table_name = table.to_string();
-        let server_preds: Vec<Predicate> = server_preds.into_iter().cloned().collect();
         let k = self.keys.k();
         let responses = self.gather(
-            |ds, p| {
-                let refs: Vec<&Predicate> = server_preds.iter().collect();
-                let atoms = ds.rewrite_for_provider(&schema, &refs, p)?;
+            |p| {
                 Ok(Request::Query {
-                    table: table_name.clone(),
-                    predicate: atoms,
+                    table: table.to_string(),
+                    predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
                     agg: Some(agg),
                 }
                 .encode())
@@ -1734,11 +1741,8 @@ impl DataSource {
                         count: 0,
                     });
                 }
-                let spec =
-                    col_spec.ok_or_else(|| ClientError::Schema("SUM requires a column".into()))?;
-                let sum_code = match spec.mode {
-                    ShareMode::OrderPreserving => {
-                        let sharing = self.op_sharing(&spec.domain, spec.ctype.domain_size())?;
+                let sum_code = match &plan.column(col_idx)?.share {
+                    ShareCodec::OrderPreserving(sharing) => {
                         let pairs: Vec<(usize, i128)> =
                             partials.iter().map(|&(p, s, _, _)| (p, s)).collect();
                         let v = sharing.reconstruct_interpolate(&pairs)?.ok_or_else(|| {
@@ -1747,13 +1751,12 @@ impl DataSource {
                         u64::try_from(v)
                             .map_err(|_| ClientError::Reconstruction("negative sum".into()))?
                     }
-                    ShareMode::Deterministic | ShareMode::Random => {
-                        let p_mod = dasp_field::MODULUS as i128;
+                    ShareCodec::Deterministic(_) | ShareCodec::Random => {
                         let shares: Vec<FieldShare> = partials
                             .iter()
                             .map(|&(p, s, _, _)| FieldShare {
                                 provider: p,
-                                y: Fp::from_u64((s.rem_euclid(p_mod)) as u64),
+                                y: field_share(s),
                             })
                             .collect();
                         self.keys.field().reconstruct(&shares)?.to_u64()
@@ -1780,7 +1783,7 @@ impl DataSource {
                             .ok_or_else(|| ClientError::Provider("missing extremal row".into()))
                     })
                     .collect::<Result<_>>()?;
-                let decoded = self.reconstruct_rows(&schema, rows, false)?;
+                let decoded = self.reconstruct_rows(&plan, rows, false)?;
                 let (_, values) = decoded.into_iter().next().ok_or_else(|| {
                     ClientError::Reconstruction("extremal row ids disagree".into())
                 })?;
@@ -1805,8 +1808,7 @@ impl DataSource {
         if matches!(kind, AggKind::Count) {
             return Ok(AggResult { value: None, count });
         }
-        let schema = &self.table(table)?.schema;
-        let idx = schema.col(col)?;
+        let idx = self.table(table)?.plan.schema.col(col)?;
         let mut nums: Vec<u64> = rows
             .iter()
             .map(|(_, values)| match &values[idx] {
@@ -1845,12 +1847,12 @@ impl DataSource {
         right: &str,
         right_col: &str,
     ) -> Result<Vec<(DecodedRow, DecodedRow)>> {
-        let ls = self.table(left)?.schema.clone();
-        let rs = self.table(right)?.schema.clone();
-        let li = ls.col(left_col)?;
-        let ri = rs.col(right_col)?;
-        let lc = &ls.columns[li];
-        let rc = &rs.columns[ri];
+        let lplan = self.plan(left)?;
+        let rplan = self.plan(right)?;
+        let li = lplan.schema.col(left_col)?;
+        let ri = rplan.schema.col(right_col)?;
+        let lc = &lplan.schema.columns[li];
+        let rc = &rplan.schema.columns[ri];
         if lc.domain != rc.domain {
             return Err(ClientError::Unsupported(format!(
                 "join columns are in different domains ({:?} vs {:?}) — the §V-A scheme only joins within a domain",
@@ -1862,7 +1864,7 @@ impl DataSource {
                 "join columns need matching, equality-capable share modes".into(),
             ));
         }
-        if lc.ctype.domain_size() != rc.ctype.domain_size() {
+        if lplan.column(li)?.value.domain_size() != rplan.column(ri)?.value.domain_size() {
             return Err(ClientError::Unsupported(
                 "join columns must share a domain size".into(),
             ));
@@ -1875,7 +1877,7 @@ impl DataSource {
         }
         .encode();
         let k = self.keys.k();
-        let responses = self.gather(|_, _| Ok(req.clone()), k, 0, QuorumMode::FirstK)?;
+        let responses = self.gather(|_| Ok(req.clone()), k, 0, QuorumMode::FirstK)?;
         // Zip pairs by (left id, right id); reconstruct each side.
         let mut left_rows: Vec<(ProviderId, RowBlock)> = Vec::new();
         let mut right_rows: Vec<(ProviderId, RowBlock)> = Vec::new();
@@ -1891,8 +1893,8 @@ impl DataSource {
             left_rows.push((p, pairs.iter().map(|(l, _)| l).collect()));
             right_rows.push((p, pairs.iter().map(|(_, r)| r).collect()));
         }
-        let left_decoded = self.reconstruct_rows(&ls, left_rows, false)?;
-        let right_decoded = self.reconstruct_rows(&rs, right_rows, false)?;
+        let left_decoded = self.reconstruct_rows(&lplan, left_rows, false)?;
+        let right_decoded = self.reconstruct_rows(&rplan, right_rows, false)?;
         let lmap: HashMap<u64, Vec<Value>> = left_decoded.into_iter().collect();
         let rmap: HashMap<u64, Vec<Value>> = right_decoded.into_iter().collect();
         let mut out = Vec::with_capacity(pair_ids.len());
@@ -1943,14 +1945,21 @@ impl DataSource {
         predicate: &[Predicate],
         assignments: &[(&str, Value)],
     ) -> Result<usize> {
-        let schema = self.table(table)?.schema.clone();
+        let plan = self.plan(table)?;
         let rows = self.select(table, predicate)?;
+        // Resolve and type-check each assignment once, so lazy mode can't
+        // buffer garbage; with no matching row there is nothing to check.
+        let mut sets = Vec::with_capacity(assignments.len());
+        if !rows.is_empty() {
+            for (col, value) in assignments {
+                let idx = plan.schema.col(col)?;
+                plan.column(idx)?.value.encode(value)?;
+                sets.push((idx, value));
+            }
+        }
         let mut updated = Vec::with_capacity(rows.len());
         for (id, mut values) in rows {
-            for (col, value) in assignments {
-                let idx = schema.col(col)?;
-                // Type-check now so lazy mode can't buffer garbage.
-                value.encode(&schema.columns[idx].ctype)?;
+            for &(idx, value) in &sets {
                 values[idx] = value.clone();
             }
             updated.push((id, values));
@@ -1980,7 +1989,7 @@ impl DataSource {
         if updated.is_empty() {
             return Ok(());
         }
-        let plan = self.encode_plan(table)?;
+        let plan = self.plan(table)?;
         let (ids, rows): (Vec<u64>, Vec<Vec<Value>>) = updated.iter().cloned().unzip();
         let encoded = self.encode_rows(table, &plan, &rows)?;
         let n = self.keys.n();
@@ -2023,10 +2032,10 @@ impl DataSource {
         col: &str,
         delta: u64,
     ) -> Result<usize> {
-        let schema = self.table(table)?.schema.clone();
-        let col_idx = schema.col(col)?;
-        let spec = schema.columns[col_idx].clone();
-        if spec.mode != ShareMode::Random {
+        let plan = self.plan(table)?;
+        let col_idx = plan.schema.col(col)?;
+        let target = plan.column(col_idx)?;
+        if !matches!(target.share, ShareCodec::Random) {
             return Err(ClientError::Unsupported(
                 "incremental updates require a random-mode column (deterministic and                  order-preserving shares have value-bound structure)"
                     .into(),
@@ -2045,7 +2054,7 @@ impl DataSource {
             let new = current
                 .checked_add(delta)
                 .ok_or_else(|| ClientError::Schema("increment overflows u64".into()))?;
-            if new >= spec.ctype.domain_size() {
+            if new >= target.value.domain_size() {
                 return Err(ClientError::Schema(format!(
                     "row {id}: {current} + {delta} leaves the domain"
                 )));
@@ -2121,9 +2130,10 @@ impl DataSource {
         count: usize,
         filler: impl Fn(u64) -> Vec<Value>,
     ) -> Result<()> {
-        let schema = self.table(table)?.schema.clone();
-        let idx = schema.col(col)?;
-        let domain = schema.columns[idx].ctype.domain_size();
+        let plan = self.plan(table)?;
+        let idx = plan.schema.col(col)?;
+        let codec = &plan.column(idx)?.value;
+        let domain = codec.domain_size();
         // Ringer ids live far above normal ids to avoid collision.
         let id_base = 1 << 40;
         let mut set = self
@@ -2136,7 +2146,7 @@ impl DataSource {
             planted.iter().map(|&(id, v)| (id, filler(v))).unzip();
         // Sanity: filler must put the ringer value in `col`.
         for (&(_, v), row) in planted.iter().zip(&rows) {
-            let encoded = row[idx].encode(&schema.columns[idx].ctype)?;
+            let encoded = codec.encode(&row[idx])?;
             if encoded != v {
                 return Err(ClientError::Schema(
                     "ringer filler must place the ringer value in the target column".into(),
@@ -2184,7 +2194,8 @@ impl DataSource {
         let x_target = self.keys.field_point(target)?;
         let mut total_rows = 0usize;
         for table in tables {
-            let schema = self.table(&table)?.schema.clone();
+            let plan = self.plan(&table)?;
+            let schema = &plan.schema;
             // Fetch full share tables from k healthy *other* providers.
             let req = Request::Query {
                 table: table.clone(),
@@ -2241,39 +2252,30 @@ impl DataSource {
                         "row {id} lacks a quorum"
                     )));
                 }
-                let mut shares = Vec::with_capacity(schema.columns.len());
-                for (col_idx, spec) in schema.columns.iter().enumerate() {
+                let mut shares = Vec::with_capacity(plan.columns.len());
+                for (col_idx, col) in plan.columns.iter().enumerate() {
                     let col_shares: Vec<(ProviderId, i128)> =
                         per_provider.iter().map(|(p, s)| (*p, s[col_idx])).collect();
-                    let regenerated: i128 = match spec.mode {
-                        ShareMode::Random => {
+                    let regenerated: i128 = match &col.share {
+                        ShareCodec::Random => {
                             // Evaluate the original polynomial at x_target.
-                            let p_mod = dasp_field::MODULUS as i128;
                             let pts: Vec<(Fp, Fp)> = col_shares[..k]
                                 .iter()
-                                .map(|&(p, y)| {
-                                    Ok((
-                                        self.keys.field_point(p)?,
-                                        Fp::from_u64(y.rem_euclid(p_mod) as u64),
-                                    ))
-                                })
+                                .map(|&(p, y)| Ok((self.keys.field_point(p)?, field_share(y))))
                                 .collect::<Result<_>>()?;
                             lagrange_eval_at(&pts, x_target)
                                 .map_err(|e| ClientError::Reconstruction(e.to_string()))?
                                 .to_u64() as i128
                         }
-                        ShareMode::Deterministic => {
-                            let code = self.decode_column(&schema, col_idx, &col_shares, false)?;
-                            let key = self.keys.domain_key(&spec.domain);
+                        ShareCodec::Deterministic(key) => {
+                            let code = self.decode_column(col, &col_shares, false)?;
                             self.keys
                                 .field()
-                                .deterministic_share(code, &key, target)?
+                                .deterministic_share(code, key, target)?
                                 .to_u64() as i128
                         }
-                        ShareMode::OrderPreserving => {
-                            let code = self.decode_column(&schema, col_idx, &col_shares, false)?;
-                            let sharing =
-                                self.op_sharing(&spec.domain, spec.ctype.domain_size())?;
+                        ShareCodec::OrderPreserving(sharing) => {
+                            let code = self.decode_column(col, &col_shares, false)?;
                             sharing.share_for(code, target)?
                         }
                     };
@@ -2308,8 +2310,8 @@ impl DataSource {
     /// Commitments are invalidated by any subsequent mutation; re-commit
     /// after writes.
     pub fn commit_table(&mut self, table: &str, col: &str) -> Result<usize> {
-        let schema = self.table(table)?.schema.clone();
-        let col_idx = schema.col(col)?;
+        let plan = self.plan(table)?;
+        let col_idx = plan.schema.col(col)?;
         // Fetch every provider's full share table.
         let req = Request::Query {
             table: table.to_string(),
@@ -2318,7 +2320,7 @@ impl DataSource {
         }
         .encode();
         let want = (self.keys.k() + 1).min(self.keys.n());
-        let responses = self.gather(|_, _| Ok(req.clone()), want, 0, QuorumMode::All)?;
+        let responses = self.gather(|_| Ok(req.clone()), want, 0, QuorumMode::All)?;
         let rows: Vec<(ProviderId, RowBlock)> = responses
             .into_iter()
             .map(|(p, resp)| match resp {
@@ -2328,7 +2330,7 @@ impl DataSource {
             .collect::<Result<_>>()?;
         // Majority-verify the data before pinning it.
         self.last_faulty.clear();
-        let _decoded = self.reconstruct_rows(&schema, rows.clone(), true)?;
+        let _decoded = self.reconstruct_rows(&plan, rows.clone(), true)?;
         if !self.last_faulty.is_empty() {
             return Err(ClientError::Reconstruction(format!(
                 "providers {:?} returned corrupt shares; refusing to commit",
@@ -2390,14 +2392,13 @@ impl DataSource {
         lo: u64,
         hi: u64,
     ) -> Result<Vec<DecodedRow>> {
-        let schema = self.table(table)?.schema.clone();
-        let col_idx = schema.col(col)?;
-        let spec = schema.columns[col_idx].clone();
-        if !spec.mode.supports_range() {
+        let plan = self.plan(table)?;
+        let col_idx = plan.schema.col(col)?;
+        let ShareCodec::OrderPreserving(sharing) = &plan.column(col_idx)?.share else {
             return Err(ClientError::Unsupported(
                 "verified ranges need an order-preserving column".into(),
             ));
-        }
+        };
         let commitments = self
             .table(table)?
             .commitments
@@ -2408,7 +2409,6 @@ impl DataSource {
                     "no commitment for {table}.{col}; call commit_table first"
                 ))
             })?;
-        let sharing = self.op_sharing(&spec.domain, spec.ctype.domain_size())?;
         let k = self.keys.k();
         let mut verified_rows: Vec<(ProviderId, RowBlock)> = Vec::new();
         for (&provider, &(root, total)) in &commitments {
@@ -2453,7 +2453,7 @@ impl DataSource {
                 verified_rows.len()
             )));
         }
-        self.reconstruct_rows(&schema, verified_rows, false)
+        self.reconstruct_rows(&plan, verified_rows, false)
     }
 }
 
@@ -2482,4 +2482,121 @@ enum AggKind {
     Min,
     Max,
     Median,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::ColumnSpec;
+    use dasp_server::service::provider_fleet;
+    use std::time::Duration;
+
+    const SALARY_MAX: u64 = (1 << 20) - 1;
+
+    /// A k = 2, n = 3 source holding one text and one order-preserving
+    /// column, with its plan.
+    fn source() -> (DataSource, Arc<ColumnPlan>) {
+        let keys = ClientKeys::generate(2, 3, &mut StdRng::seed_from_u64(5)).unwrap();
+        let cluster = Cluster::spawn_concurrent(provider_fleet(3), Duration::from_millis(500), 1);
+        let mut ds = DataSource::with_seed(keys, cluster, 5).unwrap();
+        let columns = vec![
+            ColumnSpec::text("name", 8, ShareMode::Deterministic),
+            ColumnSpec::numeric("salary", SALARY_MAX + 1, ShareMode::OrderPreserving),
+        ];
+        ds.create_table(TableSchema::new("emp", columns).unwrap())
+            .unwrap();
+        let plan = ds.plan("emp").unwrap();
+        (ds, plan)
+    }
+
+    fn rows() -> Vec<Vec<Value>> {
+        vec![
+            vec![Value::from("ANA"), Value::Int(0)],
+            vec![Value::from("ZOE"), Value::Int(777)],
+            vec![Value::from(""), Value::Int(SALARY_MAX)],
+        ]
+    }
+
+    /// The answers of `order` (response order) for [`rows`] under ids
+    /// 1, 2, 3, after `tamper(provider, row, shares)` has edited them.
+    fn answers(
+        ds: &DataSource,
+        plan: &ColumnPlan,
+        order: &[ProviderId],
+        tamper: impl Fn(ProviderId, usize, &mut [i128]),
+    ) -> Vec<(ProviderId, RowBlock)> {
+        let encoded = encode_chunk(ds.keys.field(), plan, &rows(), &[1, 2, 3]).unwrap();
+        order
+            .iter()
+            .map(|&p| {
+                let held: Vec<(u64, Vec<i128>)> = (1..)
+                    .zip(&encoded)
+                    .map(|(id, row)| {
+                        let mut shares = row[p].clone();
+                        tamper(p, id as usize - 1, &mut shares);
+                        (id, shares)
+                    })
+                    .collect();
+                (p, held.iter().map(|(id, s)| (*id, s.as_slice())).collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn perturbed_second_slot_op_share_decodes_through_the_fallback() {
+        let (mut ds, plan) = source();
+        // Provider 0 answers second. Moving its salary share of row 2 by
+        // x₀ − x₂ moves the interpolated value by exactly −x₂: a whole,
+        // in-domain, wrong candidate that only the confirmation against
+        // provider 2's share rejects, so the search on that share runs.
+        let ShareCodec::OrderPreserving(sharing) = &plan.columns[1].share else {
+            panic!("salary is order-preserving");
+        };
+        let x = |p| i128::from(sharing.params().point(p).unwrap());
+        let delta = x(0) - x(2);
+        let tamper = |p, r, shares: &mut [i128]| {
+            if (p, r) == (0, 1) {
+                shares[1] += delta;
+            }
+        };
+        let zipped = Zipped::new(answers(&ds, &plan, &[2, 0, 1], tamper), 2);
+        let codes = ds.decode_rows_batched(&plan, &zipped).unwrap();
+        let salaries: Vec<u64> = codes.iter().map(|row| row[1]).collect();
+        assert_eq!(salaries, [0, 777, SALARY_MAX]);
+    }
+
+    #[test]
+    fn perturbed_first_slot_op_share_is_the_search_error() {
+        let (mut ds, plan) = source();
+        let tamper = |p, r, shares: &mut [i128]| {
+            if (p, r) == (2, 1) {
+                shares[1] += 1;
+            }
+        };
+        let zipped = Zipped::new(answers(&ds, &plan, &[2, 0, 1], tamper), 2);
+        // The search on the confirming share finds nothing ...
+        let ShareCodec::OrderPreserving(sharing) = &plan.columns[1].share else {
+            panic!("salary is order-preserving");
+        };
+        let first = zipped.share(1, 0, 1).unwrap();
+        assert_eq!(sharing.reconstruct_search(2, first).unwrap(), None);
+        // ... and the batch decode reports exactly that.
+        assert_eq!(
+            ds.decode_rows_batched(&plan, &zipped),
+            Err(ClientError::Reconstruction(
+                "share is not on the expected polynomial".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn text_column_round_trips_through_the_plan() {
+        let (mut ds, plan) = source();
+        let want: Vec<DecodedRow> = (1..).zip(rows()).collect();
+        let batched = answers(&ds, &plan, &[1, 0], |_, _, _| {});
+        assert_eq!(ds.reconstruct_rows(&plan, batched, false).unwrap(), want);
+        let verified = answers(&ds, &plan, &[0, 1, 2], |_, _, _| {});
+        assert_eq!(ds.reconstruct_rows(&plan, verified, true).unwrap(), want);
+        assert!(ds.last_faulty.is_empty());
+    }
 }

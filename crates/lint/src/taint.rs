@@ -34,11 +34,9 @@ const SANITIZERS: &[&str] = &[
     "deterministic_share",
     "derive",
     "encode_chunk",
-    "encode_plan",
     "encode_rows",
     "hash_u64",
     "hmac_sha256",
-    "interpolation_basis",
     "range_for",
     "share",
     "share_batch",

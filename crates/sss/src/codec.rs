@@ -19,6 +19,8 @@ pub const UPPERCASE_ALPHABET: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
 pub struct StringCodec {
     alphabet: Vec<char>,
     width: usize,
+    /// `base^width`, the exclusive upper bound of the code space.
+    domain_size: u64,
 }
 
 impl StringCodec {
@@ -33,26 +35,26 @@ impl StringCodec {
         if width == 0 {
             return Err(SssError::BadParameters("width must be positive".into()));
         }
-        // Codes must fit u64: (base)^width - 1 <= u64::MAX.
+        // The code space, base^width, must fit u64.
         let base = chars.len() as u128 + 1;
-        let mut max = 0u128;
-        for _ in 0..width {
-            max = max * base + (base - 1);
-            if max > u64::MAX as u128 {
-                return Err(SssError::BadParameters(format!(
+        let domain_size = (0..width)
+            .try_fold(1u128, |n, _| n.checked_mul(base))
+            .and_then(|n| u64::try_from(n).ok())
+            .ok_or_else(|| {
+                SssError::BadParameters(format!(
                     "alphabet size {} with width {width} overflows u64",
                     chars.len()
-                )));
-            }
-        }
+                ))
+            })?;
         for (i, c) in chars.iter().enumerate() {
-            if chars[..i].contains(c) {
+            if chars.iter().take(i).any(|a| a == c) {
                 return Err(SssError::BadParameters(format!("duplicate char {c:?}")));
             }
         }
         Ok(StringCodec {
             alphabet: chars,
             width,
+            domain_size,
         })
     }
 
@@ -73,11 +75,7 @@ impl StringCodec {
 
     /// Exclusive upper bound of the code space (`base^width`).
     pub fn domain_size(&self) -> u64 {
-        let mut n = 1u64;
-        for _ in 0..self.width {
-            n *= self.base();
-        }
-        n
+        self.domain_size
     }
 
     fn digit(&self, c: char) -> Option<u64> {
@@ -90,17 +88,17 @@ impl StringCodec {
     /// Encode `s` (length ≤ width), padding on the right with the implicit
     /// blank. `"ABC"` with width 5 encodes as the digits `A B C * *`.
     pub fn encode(&self, s: &str) -> Result<u64, SssError> {
-        let chars: Vec<char> = s.chars().collect();
-        if chars.len() > self.width {
+        if s.chars().count() > self.width {
             return Err(SssError::BadParameters(format!(
                 "string {s:?} longer than width {}",
                 self.width
             )));
         }
+        let mut chars = s.chars();
         let mut code = 0u64;
-        for pos in 0..self.width {
-            let d = match chars.get(pos) {
-                Some(&c) => self.digit(c).ok_or_else(|| {
+        for _ in 0..self.width {
+            let d = match chars.next() {
+                Some(c) => self.digit(c).ok_or_else(|| {
                     SssError::BadParameters(format!("char {c:?} not in alphabet"))
                 })?,
                 None => 0,
@@ -113,25 +111,24 @@ impl StringCodec {
     /// Decode a code back to a (right-trimmed) string. Returns `None` for
     /// codes containing a pad digit before a non-pad digit (not produced
     /// by [`StringCodec::encode`]).
-    pub fn decode(&self, mut code: u64) -> Option<String> {
-        if code >= self.domain_size() {
+    pub fn decode(&self, code: u64) -> Option<String> {
+        if code >= self.domain_size {
             return None;
         }
-        let mut digits = vec![0u64; self.width];
-        for pos in (0..self.width).rev() {
-            digits[pos] = code % self.base();
-            code /= self.base();
-        }
+        let base = self.base();
         let mut out = String::with_capacity(self.width);
         let mut seen_pad = false;
-        for d in digits {
+        // Most significant digit first: `place` is base^(width - 1 - pos).
+        let mut place = self.domain_size / base;
+        while place > 0 {
+            let d = code / place % base;
+            place /= base;
             if d == 0 {
                 seen_pad = true;
+            } else if seen_pad {
+                return None; // pad in the middle: not a valid encoding
             } else {
-                if seen_pad {
-                    return None; // pad in the middle: not a valid encoding
-                }
-                out.push(self.alphabet[d as usize - 1]);
+                out.push(*self.alphabet.get(d as usize - 1)?);
             }
         }
         Some(out)
@@ -348,6 +345,10 @@ mod tests {
         assert!(StringCodec::new("AB", 0).is_err());
         assert!(StringCodec::new("AA", 3).is_err(), "duplicate char");
         assert!(StringCodec::uppercase(14).is_err(), "27^14 > u64::MAX");
+        assert!(
+            StringCodec::new("A", 64).is_err(),
+            "2^64 codes do not fit u64"
+        );
     }
 
     #[test]
@@ -365,6 +366,7 @@ mod tests {
             StringCodec::uppercase(3).unwrap().domain_size(),
             27 * 27 * 27
         );
+        assert_eq!(StringCodec::new("A", 63).unwrap().domain_size(), 1 << 63);
     }
 
     #[test]

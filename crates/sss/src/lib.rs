@@ -23,7 +23,7 @@ pub mod opss;
 
 pub use codec::{DictionaryCodec, StringCodec, UPPERCASE_ALPHABET};
 pub use field_sharing::{EvalPoints, FieldBasis, FieldShare, FieldSharing};
-pub use opss::{AffineStrawman, OpSharing, OpssParams};
+pub use opss::{AffineStrawman, OpBasis, OpSharing, OpssParams};
 
 use dasp_crypto::hmac_sha256;
 use dasp_crypto::siphash::SipHash24;

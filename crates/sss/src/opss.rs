@@ -22,9 +22,7 @@
 
 use crate::{DomainKey, SssError};
 use dasp_crypto::siphash::SipHash24;
-use dasp_field::{
-    rational_apply_at_zero, rational_basis_at_zero, rational_interpolate_at_zero, Rational, Secret,
-};
+use dasp_field::{rational_basis_at_zero, rational_interpolate_at_zero, Secret};
 
 /// Parameters of an order-preserving sharing.
 ///
@@ -346,53 +344,128 @@ impl OpSharing {
         Ok(out)
     }
 
-    /// Precompute the exact-rational interpolation weights for a provider
-    /// subset of exactly k providers — reconstructing each row (or share
-    /// sum) over the same subset is then k rational multiply-adds.
-    pub fn interpolation_basis(&self, providers: &[usize]) -> Result<Vec<Rational>, SssError> {
+    /// Precompute the integer interpolation weights for the first k of
+    /// `providers` (distinct, in answer order). Weights depend only on the
+    /// points X, so one basis serves every column and every batch answered
+    /// by the same subset.
+    pub fn basis_for(&self, providers: &[usize]) -> Result<OpBasis, SssError> {
         let k = self.params.k();
-        if providers.len() < k {
-            return Err(SssError::NotEnoughShares {
-                needed: k,
-                got: providers.len(),
-            });
-        }
+        let chosen = providers.get(..k).ok_or(SssError::NotEnoughShares {
+            needed: k,
+            got: providers.len(),
+        })?;
         let mut xs = Vec::with_capacity(k);
-        for &p in &providers[..k] {
-            let x = self.params.point(p).ok_or(SssError::BadProviderIndex(p))?;
-            if xs.contains(&(x as i128)) {
+        for &p in chosen {
+            let x = self.params.point(p).ok_or(SssError::BadProviderIndex(p))? as i128;
+            if xs.contains(&x) {
                 return Err(SssError::BadProviderIndex(p));
             }
-            xs.push(x as i128);
+            xs.push(x);
         }
-        rational_basis_at_zero(&xs).map_err(|e| SssError::Arithmetic(e.to_string()))
+        let arithmetic = |e: dasp_field::FieldError| SssError::Arithmetic(e.to_string());
+        let overflow = || SssError::Arithmetic("basis denominator overflows i128".into());
+        let rational = rational_basis_at_zero(&xs).map_err(arithmetic)?;
+        let den = rational
+            .iter()
+            .try_fold(1i128, |den, w| lcm(den, w.den()))
+            .ok_or_else(overflow)?;
+        let weights = rational
+            .iter()
+            .map(|w| w.num().checked_mul(den / w.den()))
+            .collect::<Option<Vec<i128>>>()
+            .ok_or_else(overflow)?;
+        Ok(OpBasis {
+            providers: chosen.to_vec(),
+            weights,
+            den,
+        })
     }
 
-    /// Reconstruct a batch of rows all shared by the same k-provider
-    /// subset via precomputed rational weights. `rows[r][i]` is the share
-    /// provider `providers[i]` holds for row `r`; per-row results match
-    /// [`OpSharing::reconstruct_interpolate`] (including `None` for
-    /// corrupted rows).
-    pub fn reconstruct_interpolate_batch(
+    /// Decode a batch of rows answered by the providers `basis` was built
+    /// for: `cols[i][r]` is the share the basis's provider `i` holds for
+    /// row `r`. The result is, for every input, exactly
+    /// [`OpSharing::reconstruct_search`] on the first provider's share.
+    ///
+    /// Each row interpolates a candidate `v` at zero (k integer
+    /// multiply-adds and one exact division) and keeps it only if `v` is
+    /// in the domain and `share_for(v, first provider)` equals that
+    /// provider's share. Shares are strictly increasing in `v`, so a
+    /// confirmed candidate is the unique value the search would find.
+    /// Every other row — a corrupt or off-polynomial share, an overflow,
+    /// an inexact division — is decoded by
+    /// [`OpSharing::reconstruct_search_batch`] on the first share, so
+    /// Byzantine shares change the cost, never the answer.
+    pub fn reconstruct_batch(
         &self,
-        providers: &[usize],
-        rows: &[Vec<i128>],
-    ) -> Result<Vec<Option<i128>>, SssError> {
-        let k = self.params.k();
-        let weights = self.interpolation_basis(providers)?;
-        rows.iter()
-            .map(|ys| {
-                if ys.len() < k {
-                    return Err(SssError::NotEnoughShares {
-                        needed: k,
-                        got: ys.len(),
-                    });
+        basis: &OpBasis,
+        cols: &[Vec<i128>],
+    ) -> Result<Vec<Option<u64>>, SssError> {
+        let needed = basis.weights.len();
+        let first = cols.first().filter(|_| cols.len() >= needed);
+        let (Some(&first_provider), Some(first)) = (basis.providers.first(), first) else {
+            return Err(SssError::NotEnoughShares {
+                needed,
+                got: cols.len(),
+            });
+        };
+        if cols.iter().any(|col| col.len() != first.len()) {
+            return Err(SssError::BadParameters(
+                "share columns differ in length".into(),
+            ));
+        }
+        // Σ wᵢ·yᵢ per row, one column at a time; None once a row overflows.
+        let mut sums = vec![Some(0i128); first.len()];
+        for (&w, col) in basis.weights.iter().zip(cols) {
+            for (sum, &y) in sums.iter_mut().zip(col) {
+                *sum = sum.and_then(|s| s.checked_add(y.checked_mul(w)?));
+            }
+        }
+        let mut out = Vec::with_capacity(first.len());
+        let (mut missed_rows, mut missed_shares) = (Vec::new(), Vec::new());
+        for (r, (sum, &y0)) in sums.into_iter().zip(first).enumerate() {
+            let confirmed = sum
+                .filter(|s| s % basis.den == 0)
+                .and_then(|s| u64::try_from(s / basis.den).ok())
+                .filter(|&v| self.share_for(v, first_provider).is_ok_and(|y| y == y0));
+            if confirmed.is_none() {
+                missed_rows.push(r);
+                missed_shares.push(y0);
+            }
+            out.push(confirmed);
+        }
+        if !missed_rows.is_empty() {
+            let searched = self.reconstruct_search_batch(first_provider, &missed_shares)?;
+            for (r, hit) in missed_rows.into_iter().zip(searched) {
+                if let Some(slot) = out.get_mut(r) {
+                    *slot = hit;
                 }
-                rational_apply_at_zero(&weights, &ys[..k])
-                    .map_err(|e| SssError::Arithmetic(e.to_string()))
-            })
-            .collect()
+            }
+        }
+        Ok(out)
     }
+}
+
+/// Integer Lagrange-at-zero weights for one ordered set of k providers
+/// over a common denominator: `p(0) = Σ weights[i]·yᵢ / den`. Built by
+/// [`OpSharing::basis_for`]; the first provider confirms each candidate
+/// in [`OpSharing::reconstruct_batch`]. Derived from the secret points X,
+/// so it has no `Debug`.
+#[derive(Clone)]
+pub struct OpBasis {
+    providers: Vec<usize>,
+    weights: Vec<i128>,
+    /// Positive: the least common multiple of the rational weights'
+    /// denominators.
+    den: i128,
+}
+
+/// Least common multiple of two positive integers; `None` on overflow.
+fn lcm(a: i128, b: i128) -> Option<i128> {
+    let (mut x, mut y) = (a, b);
+    while y != 0 {
+        (x, y) = (y, x % y);
+    }
+    (a / x).checked_mul(b)
 }
 
 /// The straw-man *monotone affine* construction the paper shows to be
@@ -420,9 +493,8 @@ impl AffineStrawman {
     pub fn share_for(&self, v: u64, x: u32) -> i128 {
         let x = x as i128;
         let v = v as i128;
-        let c1 = self.slopes[0] * v + self.offsets[0];
-        let c2 = self.slopes[1] * v + self.offsets[1];
-        let c3 = self.slopes[2] * v + self.offsets[2];
+        let ([a1, a2, a3], [b1, b2, b3]) = (self.slopes, self.offsets);
+        let (c1, c2, c3) = (a1 * v + b1, a2 * v + b2, a3 * v + b3);
         c3 * x * x * x + c2 * x * x + c1 * x + v
     }
 
@@ -673,57 +745,69 @@ mod tests {
     }
 
     #[test]
-    fn interpolation_basis_validates_subsets() {
+    fn basis_for_validates_subsets() {
         let s = sharing(2); // k = 3
         assert!(matches!(
-            s.interpolation_basis(&[0, 1]),
+            s.basis_for(&[0, 1]),
             Err(SssError::NotEnoughShares { needed: 3, got: 2 })
         ));
         assert!(matches!(
-            s.interpolation_basis(&[0, 1, 9]),
+            s.basis_for(&[0, 1, 9]),
             Err(SssError::BadProviderIndex(9))
         ));
         assert!(matches!(
-            s.interpolation_basis(&[0, 1, 1]),
+            s.basis_for(&[0, 1, 1]),
             Err(SssError::BadProviderIndex(1))
         ));
-        assert_eq!(s.interpolation_basis(&[0, 1, 2]).unwrap().len(), 3);
+        // Providers beyond k are not part of the basis.
+        assert_eq!(s.basis_for(&[0, 1, 2, 9]).unwrap().weights.len(), 3);
+    }
+
+    /// `cols[i][r]`: the share `providers[i]` holds for `vs[r]`.
+    fn share_cols(s: &OpSharing, providers: &[usize], vs: &[u64]) -> Vec<Vec<i128>> {
+        providers
+            .iter()
+            .map(|&p| vs.iter().map(|&v| s.share_for(v, p).unwrap()).collect())
+            .collect()
+    }
+
+    /// What the batch decode must return: the search on the first share.
+    fn searched(s: &OpSharing, provider: usize, first: &[i128]) -> Vec<Option<u64>> {
+        first
+            .iter()
+            .map(|&y| s.reconstruct_search(provider, y).unwrap())
+            .collect()
     }
 
     #[test]
-    fn interpolate_batch_matches_scalar_and_flags_corruption() {
+    fn batch_decode_matches_search_and_flags_corruption() {
         let s = sharing(2); // k = 3
         let providers = [4usize, 1, 3];
-        let vs = [0u64, 42, 123_456, (1 << 20) - 1];
-        let mut rows: Vec<Vec<i128>> = vs
-            .iter()
-            .map(|&v| {
-                providers
-                    .iter()
-                    .map(|&p| s.share_for(v, p).unwrap())
-                    .collect()
-            })
-            .collect();
-        rows[2][0] += 1; // corrupt one row
-        let got = s.reconstruct_interpolate_batch(&providers, &rows).unwrap();
-        for (r, (row, &v)) in rows.iter().zip(&vs).enumerate() {
-            let pairs: Vec<(usize, i128)> =
-                providers.iter().copied().zip(row.iter().copied()).collect();
-            assert_eq!(
-                got[r],
-                s.reconstruct_interpolate(&pairs).unwrap(),
-                "row {r}"
-            );
-            if r != 2 {
-                assert_eq!(got[r], Some(v as i128));
-            }
-        }
-        assert_ne!(got[2], Some(vs[2] as i128), "corruption must not decode");
-        // A short row inside the batch is an error, as in the scalar path.
+        let max = (1 << 20) - 1;
+        let vs = [0u64, 42, 123_456, max, 42, 777];
+        let basis = s.basis_for(&providers).unwrap();
+        let mut cols = share_cols(&s, &providers, &vs);
+        cols[0][2] += 1; // the confirming share: the search finds nothing
+        cols[1][4] -= 1; // a later share: interpolation misses, search recovers
+        cols[0][5] = i128::MAX; // forces the overflow fallback
+        cols[1][5] = i128::MAX;
+        let got = s.reconstruct_batch(&basis, &cols).unwrap();
+        assert_eq!(got, searched(&s, providers[0], &cols[0]));
+        assert_eq!(got, [Some(0), Some(42), None, Some(max), Some(42), None]);
+        // Short or ragged input is an error, never a silent misdecode.
         assert!(matches!(
-            s.reconstruct_interpolate_batch(&providers, &[vec![1, 2]]),
+            s.reconstruct_batch(&basis, &cols[..2]),
             Err(SssError::NotEnoughShares { needed: 3, got: 2 })
         ));
+        cols[2].pop();
+        assert!(matches!(
+            s.reconstruct_batch(&basis, &cols),
+            Err(SssError::BadParameters(_))
+        ));
+        assert!(s
+            .reconstruct_batch(&basis, &[vec![], vec![], vec![]])
+            .unwrap()
+            .is_empty());
     }
 
     proptest! {
@@ -758,31 +842,53 @@ mod tests {
             }
         }
 
+        /// The batch decode equals the per-row search on the first share
+        /// for every degree, every provider order, and honest, perturbed,
+        /// off-polynomial and overflowing rows alike.
         #[test]
-        fn prop_interpolate_batch_matches_scalar_on_subsets(
-            vs in proptest::collection::vec(0u64..1 << 20, 1..20),
+        fn prop_batch_decode_matches_search(
+            degree in 1usize..=3,
             seed in any::<u64>(),
+            rows in proptest::collection::vec(
+                (0u8..4, 0u64..1 << 20, 0u8..4, 0usize..4, -5i128..=5),
+                1..40,
+            ),
         ) {
             use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
-            let s = sharing(2); // k = 3, n = 5
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut subset = vec![0usize, 1, 2, 3, 4];
-            subset.shuffle(&mut rng);
-            subset.truncate(3);
-            let rows: Vec<Vec<i128>> = vs
+            let s = sharing(degree);
+            let k = degree + 1;
+            let mut providers = vec![0usize, 1, 2, 3, 4];
+            providers.shuffle(&mut StdRng::seed_from_u64(seed));
+            providers.truncate(k);
+            // Domain ends and a repeated value, besides uniform draws.
+            let vs: Vec<u64> = rows
                 .iter()
-                .map(|&v| subset.iter().map(|&p| s.share_for(v, p).unwrap()).collect())
+                .map(|&(pick, v, ..)| [0, (1 << 20) - 1, 531, v][pick as usize])
                 .collect();
-            let got = s.reconstruct_interpolate_batch(&subset, &rows).unwrap();
-            for (row, &v) in rows.iter().zip(&vs) {
-                let pairs: Vec<(usize, i128)> =
-                    subset.iter().copied().zip(row.iter().copied()).collect();
-                prop_assert_eq!(
-                    s.reconstruct_interpolate(&pairs).unwrap(),
-                    Some(v as i128)
-                );
+            let mut cols = share_cols(&s, &providers, &vs);
+            for (r, &(_, _, kind, slot, delta)) in rows.iter().enumerate() {
+                let delta = if delta == 0 { 1 } else { delta };
+                match kind {
+                    // Any one share perturbed, the confirming one included.
+                    1 => cols[slot % k][r] += delta,
+                    // Off-polynomial: every share moved by a different amount.
+                    2 => {
+                        for (i, col) in cols.iter_mut().enumerate() {
+                            col[r] += delta * (i as i128 + 1) * (i as i128 + 2);
+                        }
+                    }
+                    // Near i128::MAX: the weighted sum overflows.
+                    3 => {
+                        for (i, col) in cols.iter_mut().enumerate() {
+                            col[r] = i128::MAX - delta.abs() * i as i128;
+                        }
+                    }
+                    _ => {}
+                }
             }
-            prop_assert_eq!(got, vs.iter().map(|&v| Some(v as i128)).collect::<Vec<_>>());
+            let basis = s.basis_for(&providers).unwrap();
+            let got = s.reconstruct_batch(&basis, &cols).unwrap();
+            prop_assert_eq!(got, searched(&s, providers[0], &cols[0]));
         }
     }
 
