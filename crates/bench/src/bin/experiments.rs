@@ -1126,81 +1126,73 @@ fn e13_leakage() {
     println!("  (verified in tests/security_properties.rs with statistical checks)\n");
 }
 
-/// E17 — batch codec throughput (the ISSUE-2 pipeline): rows/s for
-/// INSERT encoding and SELECT reconstruction at statement batch sizes
-/// {1, 64, 1024} across encode/decode worker counts {1, 2, 4}. The same
-/// number of rows flows through every cell, only the statement batching
-/// and fan-out change. Results are also written to BENCH_codec.json so
-/// the scalar-vs-batch ratio is tracked alongside the code.
+/// E17 — batch codec throughput: rows/s for INSERT encoding and SELECT
+/// reconstruction at statement batch sizes {1, 64, 1024}. The same number
+/// of rows flows through every cell; only the statement batching
+/// changes. Results are also written to BENCH_codec.json so the
+/// scalar-vs-batch ratio is tracked alongside the code.
 fn e17_codec(cfg: &Config) {
     println!("== E17 (batch codec): insert + SELECT reconstruction throughput ==");
     let total: usize = if cfg.quick { 1024 } else { 4096 };
     let batches = [1usize, 64, 1024];
-    let workers_sweep = [1usize, 2, 4];
-    let mut results: Vec<(&'static str, usize, usize, f64)> = Vec::new();
-    println!("  op      batch  workers       rows/s");
+    let mut results: Vec<(&'static str, usize, f64)> = Vec::new();
+    println!("  op      batch       rows/s");
     for &batch in &batches {
-        for &workers in &workers_sweep {
-            // Insert: load `total` rows as `total / batch` statements.
-            let mut dep = deploy_employees(2, 3, 0, 1700 + batch as u64);
-            dep.ds.set_workers(workers);
-            let data = employees::generate(total, SALARY_DOMAIN, SalaryDist::Uniform, 42);
-            let values: Vec<Vec<Value>> = data
-                .iter()
-                .map(|e| {
-                    vec![
-                        Value::Str(e.name.clone()),
-                        Value::Int(e.salary),
-                        Value::Int(e.ssn),
-                    ]
-                })
-                .collect();
-            let start = Instant::now();
-            for chunk in values.chunks(batch) {
-                dep.ds.insert("employees", chunk).unwrap();
-            }
-            let ins = total as f64 / start.elapsed().as_secs_f64();
-            results.push(("insert", batch, workers, ins));
-
-            // Select: full scans of a `batch`-row table, repeated until
-            // `total` rows have been reconstructed end to end.
-            let mut dep = deploy_employees(2, 3, batch, 1800 + batch as u64);
-            dep.ds.set_workers(workers);
-            dep.ds.select("employees", &[]).unwrap(); // warm the basis cache
-            let reps = (total / batch).max(1);
-            let start = Instant::now();
-            let mut decoded = 0usize;
-            for _ in 0..reps {
-                decoded += dep.ds.select("employees", &[]).unwrap().len();
-            }
-            let sel = decoded as f64 / start.elapsed().as_secs_f64();
-            results.push(("select", batch, workers, sel));
-            println!("  insert {batch:>6} {workers:>8} {ins:>12.0}");
-            println!("  select {batch:>6} {workers:>8} {sel:>12.0}");
+        // Insert: load `total` rows as `total / batch` statements.
+        let mut dep = deploy_employees(2, 3, 0, 1700 + batch as u64);
+        let data = employees::generate(total, SALARY_DOMAIN, SalaryDist::Uniform, 42);
+        let values: Vec<Vec<Value>> = data
+            .iter()
+            .map(|e| {
+                vec![
+                    Value::Str(e.name.clone()),
+                    Value::Int(e.salary),
+                    Value::Int(e.ssn),
+                ]
+            })
+            .collect();
+        let start = Instant::now();
+        for chunk in values.chunks(batch) {
+            dep.ds.insert("employees", chunk).unwrap();
         }
+        let ins = total as f64 / start.elapsed().as_secs_f64();
+        results.push(("insert", batch, ins));
+
+        // Select: full scans of a `batch`-row table, repeated until
+        // `total` rows have been reconstructed end to end.
+        let mut dep = deploy_employees(2, 3, batch, 1800 + batch as u64);
+        dep.ds.select("employees", &[]).unwrap(); // warm the basis cache
+        let reps = (total / batch).max(1);
+        let start = Instant::now();
+        let mut decoded = 0usize;
+        for _ in 0..reps {
+            decoded += dep.ds.select("employees", &[]).unwrap().len();
+        }
+        let sel = decoded as f64 / start.elapsed().as_secs_f64();
+        results.push(("select", batch, sel));
+        println!("  insert {batch:>6} {ins:>12.0}");
+        println!("  select {batch:>6} {sel:>12.0}");
     }
-    let get = |op: &str, b: usize, w: usize| {
+    let get = |op: &str, b: usize| {
         results
             .iter()
-            .find(|r| r.0 == op && r.1 == b && r.2 == w)
-            .map(|r| r.3)
+            .find(|r| r.0 == op && r.1 == b)
+            .map(|r| r.2)
             .unwrap_or(f64::NAN)
     };
-    let ins_speedup = get("insert", 1024, 1) / get("insert", 1, 1);
-    let sel_speedup = get("select", 1024, 1) / get("select", 1, 1);
-    println!(
-        "  batch-1024 vs batch-1 (workers=1): insert {ins_speedup:.1}x, select {sel_speedup:.1}x"
-    );
+    let ins_speedup = get("insert", 1024) / get("insert", 1);
+    let sel_speedup = get("select", 1024) / get("select", 1);
+    println!("  batch-1024 vs batch-1: insert {ins_speedup:.1}x, select {sel_speedup:.1}x");
     let mut json = String::from("{\n  \"experiment\": \"e17_batch_codec\",\n");
     json.push_str(&format!("  \"rows_total\": {total},\n  \"results\": [\n"));
-    for (i, (op, b, w, rps)) in results.iter().enumerate() {
+    for (i, (op, b, rps)) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"op\": \"{op}\", \"batch\": {b}, \"workers\": {w}, \"rows_per_s\": {rps:.1}}}{}\n",
+            "    {{\"op\": \"{op}\", \"batch\": {b}, \"rows_per_s\": {rps:.1}}}{}\n",
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"speedup_batch1024_vs_batch1_workers1\": \
+        "  ],\n  \"speedup_batch1024_vs_batch1\": \
          {{\"insert\": {ins_speedup:.2}, \"select\": {sel_speedup:.2}}}\n}}\n"
     ));
     if let Err(e) = std::fs::write("BENCH_codec.json", json) {
@@ -1210,18 +1202,18 @@ fn e17_codec(cfg: &Config) {
 }
 
 /// E18 — concurrent provider execution: queries/s for a mixed read
-/// workload as client pipelining width (`query_many` fan-out) and
-/// provider worker-pool size scale. A 2 ms emulated per-request WAN
-/// latency makes the pipelining effect visible on any machine (including
-/// single-core CI): with one worker per provider every request queues
-/// behind that worker's latency sleep, while a pool of four overlaps
-/// them — the speedup measures request *overlap*, not CPU parallelism.
-/// Results land in BENCH_concurrency.json.
+/// workload as the provider worker-pool size scales. One caller sends
+/// every query in one `query_many`, so all of them are in flight at once
+/// and the providers see the whole batch together. A 2 ms emulated
+/// per-request WAN latency makes the effect visible on any machine
+/// (including single-core CI): with one worker per provider every request
+/// queues behind that worker's latency sleep, while a pool of four
+/// overlaps them — the speedup measures request *overlap*, not CPU
+/// parallelism. Results land in BENCH_concurrency.json.
 fn e18_concurrency(cfg: &Config) {
-    println!("== E18 (concurrency): pipelined queries/s vs client threads × provider workers ==");
+    println!("== E18 (concurrency): one query_many's queries/s vs provider workers ==");
     let rows = if cfg.quick { 500 } else { 2000 };
     let queries = if cfg.quick { 32 } else { 96 };
-    let client_threads = [1usize, 4, 16];
     let provider_workers = [1usize, 2, 4];
     let latency = std::time::Duration::from_millis(2);
     // Mixed read workload: interleaved point lookups (exact salary) and
@@ -1237,46 +1229,46 @@ fn e18_concurrency(cfg: &Config) {
             }
         })
         .collect();
-    let mut results: Vec<(usize, usize, f64)> = Vec::new();
-    println!("  clients  workers    queries/s");
+    let mut results: Vec<(usize, f64)> = Vec::new();
+    println!("  workers    queries/s");
     for &workers in &provider_workers {
-        for &clients in &client_threads {
-            let mut dep = deploy_employees_concurrent(2, 3, rows, 1900 + workers as u64, workers);
-            dep.ds.cluster().set_latency(latency);
-            dep.ds.set_workers(clients);
-            // Warm the op-sharing and basis caches outside the clock.
-            dep.ds.query_many("employees", &preds[..1]).unwrap();
-            let start = Instant::now();
-            let got = dep.ds.query_many("employees", &preds).unwrap();
-            let qps = queries as f64 / start.elapsed().as_secs_f64();
-            assert_eq!(got.len(), queries);
-            results.push((clients, workers, qps));
-            println!("  {clients:>7} {workers:>8} {qps:>12.0}");
+        let mut dep = deploy_employees_concurrent(2, 3, rows, 1900 + workers as u64, workers);
+        dep.ds.cluster().set_latency(latency);
+        // Warm the op-sharing and basis caches outside the clock.
+        dep.ds.query_many("employees", &preds[..1]).unwrap();
+        let start = Instant::now();
+        let got = dep.ds.query_many("employees", &preds).unwrap();
+        let qps = queries as f64 / start.elapsed().as_secs_f64();
+        // Outside the clock: the batch answers exactly as serial selects.
+        assert_eq!(got.len(), queries);
+        for (p, rows) in preds.iter().zip(&got) {
+            assert_eq!(rows, &dep.ds.select("employees", p).unwrap());
         }
+        results.push((workers, qps));
+        println!("  {workers:>7} {qps:>12.0}");
     }
-    let get = |c: usize, w: usize| {
+    let get = |w: usize| {
         results
             .iter()
-            .find(|r| r.0 == c && r.1 == w)
-            .map(|r| r.2)
+            .find(|r| r.0 == w)
+            .map(|r| r.1)
             .unwrap_or(f64::NAN)
     };
-    let speedup = get(16, 4) / get(16, 1);
-    println!("  4 workers vs 1 (16 client threads): {speedup:.1}x");
+    let speedup = get(4) / get(1);
+    println!("  4 workers vs 1: {speedup:.1}x");
     let mut json = String::from("{\n  \"experiment\": \"e18_concurrency\",\n");
     json.push_str(&format!(
         "  \"rows\": {rows},\n  \"queries\": {queries},\n  \
          \"emulated_latency_ms\": 2,\n  \"results\": [\n"
     ));
-    for (i, (c, w, qps)) in results.iter().enumerate() {
+    for (i, (w, qps)) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"client_threads\": {c}, \"provider_workers\": {w}, \
-             \"queries_per_s\": {qps:.1}}}{}\n",
+            "    {{\"provider_workers\": {w}, \"queries_per_s\": {qps:.1}}}{}\n",
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"speedup_workers4_vs_1_clients16\": {speedup:.2}\n}}\n"
+        "  ],\n  \"speedup_workers4_vs_1\": {speedup:.2}\n}}\n"
     ));
     if let Err(e) = std::fs::write("BENCH_concurrency.json", json) {
         println!("  (could not write BENCH_concurrency.json: {e})");

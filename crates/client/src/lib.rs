@@ -49,8 +49,6 @@ pub enum ClientError {
     Reconstruction(String),
     /// The operation needs a capability this column's share mode lacks.
     Unsupported(String),
-    /// A client-side worker thread panicked or could not be joined.
-    Worker(String),
     /// The lazy-update journal failed (open, append, or replay).
     Journal(String),
 }
@@ -66,7 +64,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Schema(msg) => write!(f, "schema: {msg}"),
             ClientError::Reconstruction(msg) => write!(f, "reconstruction: {msg}"),
             ClientError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
-            ClientError::Worker(msg) => write!(f, "worker thread: {msg}"),
             ClientError::Journal(msg) => write!(f, "lazy-update journal: {msg}"),
         }
     }

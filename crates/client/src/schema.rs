@@ -182,9 +182,19 @@ impl TableSchema {
         self.columns
             .iter()
             .position(|c| c.name == name)
-            .ok_or_else(|| {
-                ClientError::Schema(format!("no column {name:?} in table {:?}", self.name))
-            })
+            .ok_or_else(|| self.no_column(name))
+    }
+
+    /// The spec of the column named `name`.
+    pub(crate) fn spec(&self, name: &str) -> Result<&ColumnSpec, ClientError> {
+        self.columns
+            .iter()
+            .find(|c| c.name == name)
+            .ok_or_else(|| self.no_column(name))
+    }
+
+    fn no_column(&self, name: &str) -> ClientError {
+        ClientError::Schema(format!("no column {name:?} in table {:?}", self.name))
     }
 }
 

@@ -376,47 +376,6 @@ fn arity_mismatch() -> ClientError {
     ClientError::Reconstruction("row arity mismatch".into())
 }
 
-/// Run one read quorum and decode each response once: the validator's
-/// decode is the one the caller gets. An erroring provider (e.g. freshly
-/// re-imaged, missing the table) drops out of the quorum like a crashed
-/// one; reads must survive any n-k such failures. The rejection reason
-/// lands in the QuorumError post-mortem if the quorum collapses entirely.
-fn quorum_decoded(
-    cluster: &Cluster,
-    reqs: Vec<(ProviderId, Vec<u8>)>,
-    need: usize,
-    opts: QuorumOptions,
-) -> Result<Vec<(ProviderId, Response)>> {
-    // What each provider's accepted response decoded to. The quorum
-    // engine settles a provider on the first response it accepts and
-    // validates nothing after that, so a slot only ever holds the
-    // response whose bytes the quorum returns for that provider.
-    let accepted: RefCell<HashMap<ProviderId, Response>> = RefCell::new(HashMap::new());
-    let validate = |p: ProviderId, bytes: &[u8]| match Response::decode(bytes) {
-        Ok(Response::Error(msg)) => Err(format!("provider {p}: {msg}")),
-        Ok(resp) => {
-            accepted.borrow_mut().insert(p, resp);
-            Ok(())
-        }
-        Err(e) => Err(format!("provider {p}: undecodable response: {e}")),
-    };
-    let opts = QuorumOptions {
-        validate: Some(&validate),
-        ..opts
-    };
-    let winners = cluster.call_quorum_opts(reqs, need, &opts)?;
-    let mut accepted = accepted.into_inner();
-    winners
-        .into_iter()
-        .map(|(p, _)| {
-            let resp = accepted.remove(&p).ok_or_else(|| {
-                ClientError::Provider(format!("provider {p}: response was never validated"))
-            })?;
-            Ok((p, resp))
-        })
-        .collect()
-}
-
 struct TableState {
     plan: Arc<ColumnPlan>,
     next_id: u64,
@@ -450,8 +409,6 @@ pub struct DataSource {
     /// way. They depend only on the points X, so every OP column shares
     /// them.
     op_basis_cache: HashMap<Vec<usize>, OpBasis>,
-    /// Worker threads for batch encode/decode fan-out (1 = inline).
-    workers: usize,
     /// Durable journal of the lazy-update queue (None = memory only).
     journal: Option<LazyJournal>,
     /// Journal entries recovered for tables this client hasn't
@@ -482,7 +439,6 @@ impl DataSource {
             hedge: 1,
             basis_cache: HashMap::new(),
             op_basis_cache: HashMap::new(),
-            workers: 1,
             journal: None,
             orphan_pending: HashMap::new(),
             last_faulty: Vec::new(),
@@ -528,15 +484,6 @@ impl DataSource {
     /// requests). 0 disables hedging.
     pub fn set_hedge(&mut self, hedge: usize) {
         self.hedge = hedge;
-    }
-
-    /// Set how many scoped worker threads batch encode/decode fans out
-    /// across (clamped to ≥ 1; 1 keeps everything on the calling thread).
-    /// Results are identical for every setting: rows keep their order and
-    /// random-mode sharing draws from per-row seeded RNG streams, so the
-    /// output depends only on the session RNG, not the thread schedule.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
     }
 
     /// Point-in-time provider health: breaker states, failure streaks,
@@ -639,11 +586,8 @@ impl DataSource {
     }
 
     /// Encode a batch of rows into per-provider share tuples, shape
-    /// `[row][provider][column]`, fanned across scoped worker threads.
-    ///
-    /// Output is deterministic regardless of worker count: chunk results
-    /// are reassembled in row order, and each row's random-mode sharing
-    /// draws from its own RNG stream seeded up front from the session RNG.
+    /// `[row][provider][column]`. Each row's random-mode sharing draws
+    /// from its own RNG stream, seeded up front from the session RNG.
     fn encode_rows(
         &mut self,
         table: &str,
@@ -660,32 +604,7 @@ impl DataSource {
             }
         }
         let seeds: Vec<u64> = rows.iter().map(|_| self.rng.gen()).collect();
-        let field = self.keys.field();
-        let workers = self.workers.min(rows.len()).max(1);
-        if workers == 1 {
-            return encode_chunk(field, plan, rows, &seeds);
-        }
-        let chunk = rows.len().div_ceil(workers);
-        let results = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = rows
-                .chunks(chunk)
-                .zip(seeds.chunks(chunk))
-                .map(|(rows, seeds)| s.spawn(move |_| encode_chunk(field, plan, rows, seeds)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| ClientError::Worker("encode worker panicked".into()))
-                })
-                .collect::<Vec<_>>()
-        })
-        .map_err(|_| ClientError::Worker("encode scope panicked".into()))?;
-        let mut out = Vec::with_capacity(rows.len());
-        for r in results {
-            out.extend(r??);
-        }
-        Ok(out)
+        encode_chunk(self.keys.field(), plan, rows, &seeds)
     }
 
     /// Insert rows; returns the assigned row ids.
@@ -821,7 +740,7 @@ impl DataSource {
     /// ack would apply a retried write twice).
     fn send_all_ack(&self, reqs: Vec<(ProviderId, Vec<u8>)>) -> Result<()> {
         let need = reqs.len();
-        let validate = |p: ProviderId, bytes: &[u8]| match Response::decode(bytes) {
+        let validate = |_round: usize, p: ProviderId, bytes: &[u8]| match Response::decode(bytes) {
             Ok(Response::Ack) => Ok(()),
             Ok(Response::Error(msg)) => Err(format!("provider {p}: {msg}")),
             Ok(other) => Err(format!("provider {p}: unexpected {other:?}")),
@@ -838,11 +757,7 @@ impl DataSource {
 
     /// Fan a per-provider request out through the resilient quorum engine
     /// and return at least `need` (up to `need + extra`) successfully
-    /// decoded responses. [`QuorumMode::FirstK`] reads return as soon as
-    /// the target is met, retry timed-out attempts, skip providers with
-    /// open breakers, and hedge against stragglers; [`QuorumMode::All`]
-    /// waits for every provider (verified reads, which want the full
-    /// response set for fault identification).
+    /// decoded responses: [`DataSource::gather_rounds`] with one round.
     fn gather(
         &self,
         mut make_req: impl FnMut(ProviderId) -> Result<Vec<u8>>,
@@ -855,14 +770,69 @@ impl DataSource {
         for p in 0..n {
             reqs.push((p, make_req(p)?));
         }
+        self.gather_rounds(vec![reqs], need, extra, mode)
+            .pop()
+            .ok_or_else(|| ClientError::Provider("the quorum engine returned no round".into()))?
+    }
+
+    /// Run one read quorum per round, all in one engine call, and decode
+    /// each response once: the validator's decode is the one the caller
+    /// gets. [`QuorumMode::FirstK`] reads return as soon as the target is
+    /// met, retry timed-out attempts, skip providers with open breakers,
+    /// and hedge against stragglers; [`QuorumMode::All`] waits for every
+    /// provider (verified reads, which want the full response set for
+    /// fault identification). An erroring provider (e.g. freshly
+    /// re-imaged, missing the table) drops out of its round like a
+    /// crashed one; reads must survive any n-k such failures. The
+    /// rejection reason lands in the round's QuorumError post-mortem if
+    /// its quorum collapses entirely.
+    fn gather_rounds(
+        &self,
+        rounds: Vec<Vec<(ProviderId, Vec<u8>)>>,
+        need: usize,
+        extra: usize,
+        mode: QuorumMode,
+    ) -> Vec<Result<Vec<(ProviderId, Response)>>> {
+        // What each (round, provider)'s accepted response decoded to. The
+        // quorum engine settles a request on the first response it
+        // accepts and validates nothing after that, so a slot only ever
+        // holds the response whose bytes the quorum returns for it.
+        let accepted: RefCell<HashMap<(usize, ProviderId), Response>> =
+            RefCell::new(HashMap::new());
+        let validate = |round: usize, p: ProviderId, bytes: &[u8]| match Response::decode(bytes) {
+            Ok(Response::Error(msg)) => Err(format!("provider {p}: {msg}")),
+            Ok(resp) => {
+                accepted.borrow_mut().insert((round, p), resp);
+                Ok(())
+            }
+            Err(e) => Err(format!("provider {p}: undecodable response: {e}")),
+        };
         let opts = QuorumOptions {
             retry: self.retry.clone(),
             hedge: self.hedge,
             extra,
             mode,
-            validate: None,
+            validate: Some(&validate),
         };
-        quorum_decoded(&self.cluster, reqs, need, opts)
+        let results = self.cluster.call_quorum_rounds(rounds, need, &opts);
+        let mut accepted = accepted.into_inner();
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(round, winners)| {
+                winners?
+                    .into_iter()
+                    .map(|(p, _)| {
+                        let resp = accepted.remove(&(round, p)).ok_or_else(|| {
+                            ClientError::Provider(format!(
+                                "provider {p}: response was never validated"
+                            ))
+                        })?;
+                        Ok((p, resp))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     // ---- reconstruction ----
@@ -997,7 +967,7 @@ impl DataSource {
     /// pays one basis per subset (cached across queries). Order-preserving
     /// columns interpolate from the group's first k answers and confirm
     /// against the first ([`OpSharing::reconstruct_batch`]); field-mode
-    /// dot products fan across scoped worker threads.
+    /// columns take one dot product per value against the group's basis.
     fn decode_rows_batched(&mut self, plan: &ColumnPlan, zipped: &Zipped) -> Result<Vec<Vec<u64>>> {
         let k = self.keys.k();
         let field_cols: Vec<usize> = plan
@@ -1038,36 +1008,7 @@ impl DataSource {
                 continue;
             }
             let basis = self.cached_basis(&providers)?;
-            let workers = self.workers.min(rows_idx.len()).max(1);
-            let flat: Vec<Vec<u64>> = if workers == 1 {
-                decode_field_chunk(zipped, &slots, &rows_idx, &field_cols, &basis)?
-            } else {
-                let chunk = rows_idx.len().div_ceil(workers);
-                let results = crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = rows_idx
-                        .chunks(chunk)
-                        .map(|idx| {
-                            let (basis, field_cols, slots) = (&basis, &field_cols, &slots);
-                            s.spawn(move |_| {
-                                decode_field_chunk(zipped, slots, idx, field_cols, basis)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .map_err(|_| ClientError::Worker("decode worker panicked".into()))
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .map_err(|_| ClientError::Worker("decode scope panicked".into()))?;
-                let mut flat = Vec::with_capacity(rows_idx.len());
-                for r in results {
-                    flat.extend(r??);
-                }
-                flat
-            };
+            let flat = decode_field_chunk(zipped, &slots, &rows_idx, &field_cols, &basis)?;
             for (&r, vals) in rows_idx.iter().zip(flat) {
                 let Some(row) = out.get_mut(r) else { continue };
                 for (&c, v) in field_cols.iter().zip(vals) {
@@ -1173,11 +1114,42 @@ impl DataSource {
         predicate: &[Predicate],
         opts: QueryOptions,
     ) -> Result<Vec<DecodedRow>> {
+        let mut rows = self.select_batch(table, &[predicate], opts)?;
+        Ok(rows.pop().unwrap_or_default())
+    }
+
+    /// Run a batch of independent `SELECT`s against one table as one
+    /// quorum-engine call: every query's requests are in flight at once
+    /// and each provider's worker pool serves them side by side, so total
+    /// latency approaches the slowest single query rather than the sum.
+    /// Results are position-matched to `predicates` and identical to
+    /// issuing each query through [`DataSource::select`].
+    pub fn query_many(
+        &mut self,
+        table: &str,
+        predicates: &[Vec<Predicate>],
+    ) -> Result<Vec<Vec<DecodedRow>>> {
+        self.select_batch(table, predicates, QueryOptions::default())
+    }
+
+    /// The one read path of [`DataSource::select_opts`] and
+    /// [`DataSource::query_many`]: rewrite every query for every provider
+    /// (serially, on the caller's thread), gather all of them as rounds
+    /// of one engine call, then reconstruct and post-process each in
+    /// batch order.
+    fn select_batch<P: AsRef<[Predicate]>>(
+        &mut self,
+        table: &str,
+        predicates: &[P],
+        opts: QueryOptions,
+    ) -> Result<Vec<Vec<DecodedRow>>> {
+        if predicates.is_empty() {
+            return Ok(Vec::new());
+        }
         if opts.verify {
             self.last_faulty.clear();
         }
         let plan = self.plan(table)?;
-        let (server_preds, residual) = self.split_predicate(&plan.schema, predicate)?;
         let (need, extra, mode) = if opts.verify {
             // Verified reads wait for every provider (fault identification
             // wants the full response set); the floor is k+1 so a lone
@@ -1189,26 +1161,44 @@ impl DataSource {
             // trusting the first k (detects a corrupt share).
             (self.keys.k(), 1, QuorumMode::FirstK)
         };
-        let responses = self.gather(
-            |p| {
-                Ok(Request::Query {
+        let n = self.cluster.n();
+        let mut rounds = Vec::with_capacity(predicates.len());
+        let mut residuals = Vec::with_capacity(predicates.len());
+        for predicate in predicates {
+            let (server_preds, residual) =
+                self.split_predicate(&plan.schema, predicate.as_ref())?;
+            let mut reqs = Vec::with_capacity(n);
+            for p in 0..n {
+                let query = Request::Query {
                     table: table.to_string(),
                     predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
                     agg: None,
-                }
-                .encode())
-            },
-            need,
-            extra,
-            mode,
-        )?;
-        self.finish_select(table, predicate, &plan, &residual, responses, opts.verify)
+                };
+                reqs.push((p, query.encode()));
+            }
+            rounds.push(reqs);
+            residuals.push(residual);
+        }
+        let gathered = self.gather_rounds(rounds, need, extra, mode);
+        let mut out = Vec::with_capacity(predicates.len());
+        for ((responses, residual), predicate) in
+            gathered.into_iter().zip(residuals).zip(predicates)
+        {
+            out.push(self.finish_select(
+                table,
+                predicate.as_ref(),
+                &plan,
+                &residual,
+                responses?,
+                opts.verify,
+            )?);
+        }
+        Ok(out)
     }
 
     /// Turn one query's quorum responses into application rows:
     /// reconstruct shares, apply residual client-side predicates, check
-    /// and strip ringers, overlay lazily buffered updates. Shared by
-    /// [`DataSource::select_opts`] and [`DataSource::query_many`].
+    /// and strip ringers, overlay lazily buffered updates.
     fn finish_select(
         &mut self,
         table: &str,
@@ -1237,7 +1227,8 @@ impl DataSource {
             let mut checks = Vec::with_capacity(residual.len());
             for pred in residual {
                 let idx = schema.col(pred.col())?;
-                let interval = pred.code_interval(&schema.columns[idx].ctype).ok();
+                let spec = schema.columns.get(idx);
+                let interval = spec.and_then(|spec| pred.code_interval(&spec.ctype).ok());
                 checks.push((idx, &plan.column(idx)?.value, interval));
             }
             decoded.retain(|(_, values)| {
@@ -1258,119 +1249,6 @@ impl DataSource {
         Ok(decoded)
     }
 
-    /// Run a batch of independent `SELECT`s against one table, keeping
-    /// many requests in flight at once. Share rewriting happens serially
-    /// up front, then the quorum calls fan across up to [`DataSource::set_workers`] scoped
-    /// threads — each provider's worker pool interleaves the overlapping
-    /// requests, so total latency approaches the slowest single query
-    /// rather than the sum. Results are position-matched to `predicates`
-    /// and identical to issuing each query through
-    /// [`DataSource::select`].
-    pub fn query_many(
-        &mut self,
-        table: &str,
-        predicates: &[Vec<Predicate>],
-    ) -> Result<Vec<Vec<DecodedRow>>> {
-        if predicates.is_empty() {
-            return Ok(Vec::new());
-        }
-        let plan = self.plan(table)?;
-        let n = self.cluster.n();
-        let (need, extra) = (self.keys.k(), 1);
-
-        // Phase 1 (serial): rewrite every query for every provider and
-        // encode the request bytes.
-        let mut batches = Vec::with_capacity(predicates.len());
-        let mut residuals = Vec::with_capacity(predicates.len());
-        for predicate in predicates {
-            let (server_preds, residual) = self.split_predicate(&plan.schema, predicate)?;
-            let mut reqs = Vec::with_capacity(n);
-            for p in 0..n {
-                let atoms = self.rewrite_for_provider(&plan, &server_preds, p)?;
-                reqs.push((
-                    p,
-                    Request::Query {
-                        table: table.to_string(),
-                        predicate: atoms,
-                        agg: None,
-                    }
-                    .encode(),
-                ));
-            }
-            residuals.push(residual);
-            batches.push(reqs);
-        }
-
-        // Phase 2 (parallel, &Cluster only): run the quorum engine for
-        // each query. First-k-wins with one extra share for the
-        // reconstruction cross-check, exactly like a single select.
-        let gathered: Vec<Result<Vec<(ProviderId, Response)>>> = {
-            let cluster = &self.cluster;
-            let retry = self.retry.clone();
-            let hedge = self.hedge;
-            let quorum = |reqs: Vec<(ProviderId, Vec<u8>)>| -> Result<Vec<(ProviderId, Response)>> {
-                let opts = QuorumOptions {
-                    retry: retry.clone(),
-                    hedge,
-                    extra,
-                    mode: QuorumMode::FirstK,
-                    validate: None,
-                };
-                quorum_decoded(cluster, reqs, need, opts)
-            };
-            let workers = self.workers.min(batches.len()).max(1);
-            if workers == 1 {
-                batches.into_iter().map(quorum).collect()
-            } else {
-                let chunk = batches.len().div_ceil(workers);
-                let chunks: Vec<Vec<_>> = {
-                    let mut chunks = Vec::with_capacity(workers);
-                    let mut it = batches.into_iter();
-                    loop {
-                        let group: Vec<_> = it.by_ref().take(chunk).collect();
-                        if group.is_empty() {
-                            break;
-                        }
-                        chunks.push(group);
-                    }
-                    chunks
-                };
-                let per_chunk = crossbeam::thread::scope(|s| {
-                    let quorum = &quorum;
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|group| {
-                            s.spawn(move |_| group.into_iter().map(quorum).collect::<Vec<_>>())
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .map_err(|_| ClientError::Worker("query worker panicked".into()))
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .map_err(|_| ClientError::Worker("query scope panicked".into()))?;
-                let mut flat = Vec::with_capacity(predicates.len());
-                for group in per_chunk {
-                    flat.extend(group?);
-                }
-                flat
-            }
-        };
-
-        // Phase 3 (serial, &mut self): reconstruct and post-process each
-        // query in batch order.
-        let mut out = Vec::with_capacity(predicates.len());
-        for ((responses, residual), predicate) in
-            gathered.into_iter().zip(residuals).zip(predicates)
-        {
-            out.push(self.finish_select(table, predicate, &plan, &residual, responses?, false)?);
-        }
-        Ok(out)
-    }
-
     fn apply_ringer_checks(
         &self,
         table: &str,
@@ -1384,9 +1262,7 @@ impl DataSource {
         let ids: Vec<u64> = decoded.iter().map(|(id, _)| *id).collect();
         for pred in predicate {
             if let Some(set) = state.ringers.get(pred.col()) {
-                let schema = &state.plan.schema;
-                let ctype = &schema.columns[schema.col(pred.col())?].ctype;
-                let (lo, hi) = pred.code_interval(ctype)?;
+                let (lo, hi) = pred.code_interval(&state.plan.schema.spec(pred.col())?.ctype)?;
                 set.check_range_result(lo, hi, &ids).map_err(|e| {
                     ClientError::Provider(format!("execution assurance failed: {e}"))
                 })?;

@@ -1,15 +1,18 @@
-//! Batch-codec determinism and equivalence at the DataSource level: the
-//! worker-thread fan-out must not change what providers store or what
-//! queries return, for any worker count and any share mode.
+//! Batch-codec determinism and equivalence at the DataSource level: what
+//! providers store is a function of the keys and the session seed alone,
+//! pinned by digest, and every decode path returns the same rows.
 
 use dasp_client::{
     ClientKeys, ColumnSpec, DataSource, Predicate, QueryOptions, TableSchema, Value,
 };
-use dasp_net::Cluster;
+use dasp_crypto::sha256::{digest_hex, sha256};
+use dasp_net::{Cluster, SharedService};
+use dasp_server::proto::Request;
 use dasp_server::service::provider_fleet;
 use dasp_sss::ShareMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn source(k: usize, n: usize, seed: u64) -> DataSource {
@@ -43,19 +46,65 @@ fn mixed_rows(count: u64) -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// The stored shares and every query answer must be bit-identical for
-/// workers = 1, 2, 4: rows keep their order and random-mode polynomials
-/// come from per-row seeded RNG streams, not from the thread schedule.
+/// A provider that logs the bytes of every `Insert` it is sent.
+struct InsertLog {
+    inner: Arc<dyn SharedService>,
+    log: Arc<Mutex<Vec<u8>>>,
+}
+
+impl SharedService for InsertLog {
+    fn handle(&self, request: &[u8]) -> Vec<u8> {
+        if matches!(Request::decode(request), Ok(Request::Insert { .. })) {
+            self.log.lock().unwrap().extend_from_slice(request);
+        }
+        self.inner.handle(request)
+    }
+}
+
+/// The shares a seeded insert stores are pinned: the `Insert` bytes every
+/// provider receives for 120 `mixed_schema` rows hash to the digest the
+/// client produced before its encoder lost the thread fan-out, so the
+/// per-row RNG seeds still draw exactly the same random-mode polynomials.
+#[test]
+fn seeded_insert_bytes_match_the_pinned_digest() {
+    let n = 4;
+    let logs: Vec<Arc<Mutex<Vec<u8>>>> = (0..n).map(|_| Arc::default()).collect();
+    let services = provider_fleet(n)
+        .into_iter()
+        .zip(&logs)
+        .map(|(inner, log)| {
+            let log = Arc::clone(log);
+            Arc::new(InsertLog { inner, log }) as Arc<dyn SharedService>
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(0xdab);
+    let keys = ClientKeys::generate(2, n, &mut rng).unwrap();
+    let cluster = Cluster::spawn_concurrent(services, Duration::from_millis(500), 1);
+    let mut ds = DataSource::with_seed(keys, cluster, 99).unwrap();
+    ds.create_table(mixed_schema()).unwrap();
+    ds.insert("mixed", &mixed_rows(120)).unwrap();
+    let mut sent = Vec::new();
+    for log in &logs {
+        sent.extend_from_slice(&log.lock().unwrap());
+    }
+    assert_eq!(digest_hex(&sha256(&sent)), PINNED_INSERT_DIGEST);
+}
+
+const PINNED_INSERT_DIGEST: &str =
+    "a1fc5fb62ddfe943231a700e186aa5b7649f2867f7712e782e1130d5a60b0a52";
+
+/// Two sources on the same keys and session seed store bit-identical
+/// shares and return identical answers: rows keep their order and
+/// random-mode polynomials come from per-row seeded RNG streams.
 #[test]
 fn insert_and_select_identical_across_worker_counts() {
     let mut baseline = None;
-    for workers in [1usize, 2, 4] {
+    for run in 0..2 {
         let mut ds = source(2, 4, 99);
-        ds.set_workers(workers);
         ds.create_table(mixed_schema()).unwrap();
         ds.insert("mixed", &mixed_rows(120)).unwrap();
         let all = ds.select("mixed", &[]).unwrap();
-        assert_eq!(all.len(), 120, "workers={workers}");
+        assert_eq!(all.len(), 120, "run={run}");
         let ranged = ds
             .select("mixed", &[Predicate::between("salary", 100u64, 2_000u64)])
             .unwrap();
@@ -65,9 +114,9 @@ fn insert_and_select_identical_across_worker_counts() {
         match &baseline {
             None => baseline = Some((all, ranged, named)),
             Some((a, r, n)) => {
-                assert_eq!(&all, a, "full scan differs at workers={workers}");
-                assert_eq!(&ranged, r, "range query differs at workers={workers}");
-                assert_eq!(&named, n, "equality query differs at workers={workers}");
+                assert_eq!(&all, a, "full scan differs at run={run}");
+                assert_eq!(&ranged, r, "range query differs at run={run}");
+                assert_eq!(&named, n, "equality query differs at run={run}");
             }
         }
     }
@@ -78,7 +127,6 @@ fn insert_and_select_identical_across_worker_counts() {
 #[test]
 fn batched_decode_agrees_with_verified_decode() {
     let mut ds = source(2, 4, 7);
-    ds.set_workers(4);
     ds.create_table(mixed_schema()).unwrap();
     ds.insert("mixed", &mixed_rows(64)).unwrap();
     let fast = ds.select("mixed", &[]).unwrap();
@@ -89,13 +137,12 @@ fn batched_decode_agrees_with_verified_decode() {
     assert!(ds.last_faulty.is_empty());
 }
 
-/// Updates re-share through the same batch encoder; a parallel source
-/// must converge to the same state as a serial one.
+/// Updates re-share through the same batch encoder; two same-seed
+/// sources must converge to the same state.
 #[test]
 fn updates_and_aggregates_survive_worker_fanout() {
     let mut serial = source(2, 3, 1234);
     let mut parallel = source(2, 3, 1234);
-    parallel.set_workers(4);
     for ds in [&mut serial, &mut parallel] {
         ds.create_table(mixed_schema()).unwrap();
         ds.insert("mixed", &mixed_rows(50)).unwrap();
@@ -123,12 +170,10 @@ fn updates_and_aggregates_survive_worker_fanout() {
     );
 }
 
-/// Single-row statements and empty batches go through the same code path
-/// without tripping the fan-out.
+/// Single-row statements and empty batches go through the same code path.
 #[test]
 fn tiny_batches_roundtrip() {
     let mut ds = source(3, 5, 5);
-    ds.set_workers(8); // more workers than rows
     ds.create_table(mixed_schema()).unwrap();
     let ids = ds.insert("mixed", &mixed_rows(1)).unwrap();
     assert_eq!(ids.len(), 1);

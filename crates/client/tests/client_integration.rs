@@ -4,11 +4,13 @@ use dasp_client::{
     BucketJoin, ClientError, ClientKeys, ColumnSpec, DataSource, Predicate, QueryOptions,
     TableSchema, Value,
 };
-use dasp_net::{Cluster, FailureMode};
+use dasp_net::{Cluster, FailureMode, RetryPolicy, SharedService};
+use dasp_server::proto::Request;
 use dasp_server::service::provider_fleet;
 use dasp_sss::ShareMode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn source(k: usize, n: usize) -> DataSource {
@@ -1108,27 +1110,71 @@ fn query_many_matches_individual_selects() {
         .map(|p| ds.select("employees", p).unwrap())
         .collect();
     // The batch must be position-matched and identical to per-query
-    // selects at every fan-out width.
-    for workers in [1usize, 4] {
-        ds.set_workers(workers);
-        let got = ds.query_many("employees", &batch).unwrap();
-        assert_eq!(got, expected, "workers={workers}");
-    }
+    // selects.
+    let got = ds.query_many("employees", &batch).unwrap();
+    assert_eq!(got, expected);
     assert!(ds.query_many("employees", &[]).unwrap().is_empty());
+}
+
+/// A provider that holds each `Query` until `m` queries are inside it at
+/// once, or until `limit` has passed. Once open, the gate stays open.
+struct QueryGate {
+    inner: Arc<dyn SharedService>,
+    m: usize,
+    limit: Duration,
+    /// (queries inside, open)
+    state: std::sync::Mutex<(usize, bool)>,
+    opened: std::sync::Condvar,
+}
+
+impl SharedService for QueryGate {
+    fn handle(&self, request: &[u8]) -> Vec<u8> {
+        if matches!(Request::decode(request), Ok(Request::Query { .. })) {
+            let mut state = self.state.lock().unwrap();
+            state.0 += 1;
+            if state.0 >= self.m {
+                state.1 = true;
+                self.opened.notify_all();
+            }
+            let (mut state, _) = self
+                .opened
+                .wait_timeout_while(state, self.limit, |(_, open)| !*open)
+                .unwrap();
+            state.0 -= 1;
+        }
+        self.inner.handle(request)
+    }
 }
 
 #[test]
 fn query_many_over_concurrent_provider_pool() {
-    // End-to-end pipelining: a batched client drives providers that each
-    // serve requests from a multi-worker pool. Responses may return out
-    // of order (token-multiplexed); results must still match serial
-    // selects exactly.
+    // End-to-end overlap: every provider holds each query until eight
+    // are inside it at once, so the batch answers only if all eight
+    // queries are in flight together. A client that sent them one at a
+    // time would have each held for the gate's 5 s limit, past the 4 s
+    // cluster timeout, and fail with a typed error instead of hanging.
+    // Responses may return out of order (token-multiplexed); results
+    // must still match serial selects exactly.
+    const M: usize = 8;
+    let services = provider_fleet(3)
+        .into_iter()
+        .map(|inner| {
+            Arc::new(QueryGate {
+                inner,
+                m: M,
+                limit: Duration::from_secs(5),
+                state: Default::default(),
+                opened: Default::default(),
+            }) as Arc<dyn SharedService>
+        })
+        .collect();
     let mut rng = StdRng::seed_from_u64(0xdab);
     let keys = ClientKeys::generate(2, 3, &mut rng).unwrap();
-    let cluster = Cluster::spawn_concurrent(provider_fleet(3), Duration::from_secs(2), 4);
+    let cluster = Cluster::spawn_concurrent(services, Duration::from_secs(4), M);
     let mut ds = DataSource::with_seed(keys, cluster, 7).unwrap();
+    ds.set_retry_policy(RetryPolicy::none());
     setup_employees(&mut ds);
-    let batch: Vec<Vec<Predicate>> = (0..8u64)
+    let batch: Vec<Vec<Predicate>> = (0..M as u64)
         .map(|i| {
             vec![Predicate::between(
                 "salary",
@@ -1137,9 +1183,7 @@ fn query_many_over_concurrent_provider_pool() {
             )]
         })
         .collect();
-    ds.set_workers(4);
     let got = ds.query_many("employees", &batch).unwrap();
-    ds.set_workers(1);
     for (preds, rows) in batch.iter().zip(&got) {
         assert_eq!(rows, &ds.select("employees", preds).unwrap());
     }

@@ -16,7 +16,10 @@
 //! [`RetryPolicy`], failures escalate to hedge launches at the
 //! next-fastest provider, and providers with open circuit breakers (see
 //! [`HealthTracker`]) are skipped unless the quorum cannot be met without
-//! them.
+//! them. Independent calls can share one engine run as *rounds*
+//! ([`Cluster::call_quorum_rounds`]): each round is judged alone, and
+//! all their requests are in flight at once while the caller waits on
+//! one channel.
 //!
 //! Failure injection (per provider, switchable at runtime):
 //! * [`FailureMode::Crashed`] — requests are dropped (client times out).
@@ -130,7 +133,8 @@ pub enum QuorumMode {
     All,
 }
 
-/// Tuning for [`Cluster::call_quorum_opts`].
+/// Tuning for [`Cluster::call_quorum_opts`] and
+/// [`Cluster::call_quorum_rounds`].
 pub struct QuorumOptions<'a> {
     /// Retry schedule for failed attempts. Use [`RetryPolicy::none`] for
     /// non-idempotent requests.
@@ -143,11 +147,12 @@ pub struct QuorumOptions<'a> {
     pub extra: usize,
     /// Fan-out / return discipline.
     pub mode: QuorumMode,
-    /// Application-level response check; a rejected response counts as a
-    /// failed attempt (retried, then reported as
+    /// Application-level response check, given the round index (0 for a
+    /// one-round call), the provider and the response; a rejected
+    /// response counts as a failed attempt (retried, then reported as
     /// [`ProviderOutcome::Rejected`]).
     #[allow(clippy::type_complexity)]
-    pub validate: Option<&'a dyn Fn(ProviderId, &[u8]) -> Result<(), String>>,
+    pub validate: Option<&'a dyn Fn(usize, ProviderId, &[u8]) -> Result<(), String>>,
 }
 
 impl Default for QuorumOptions<'_> {
@@ -466,7 +471,10 @@ impl Cluster {
             mode: QuorumMode::All,
             ..Default::default()
         };
-        self.run_quorum(requests, need, &opts)
+        let mut rounds = self.run_quorum(vec![requests], need, &opts);
+        rounds
+            .pop()
+            .unwrap_or_default()
             .into_iter()
             .map(|(provider, resolution)| {
                 let result = match resolution {
@@ -502,59 +510,55 @@ impl Cluster {
     /// First-k-wins quorum call with retries, hedging, and breaker-aware
     /// provider selection. Returns the successful `(provider, response)`
     /// pairs in request order — at least `need` of them, up to
-    /// `need + extra` — or a [`QuorumError`] post-mortem.
+    /// `need + extra` — or a [`QuorumError`] post-mortem. The one-round
+    /// form of [`call_quorum_rounds`](Self::call_quorum_rounds).
     pub fn call_quorum_opts(
         &self,
         requests: Vec<(ProviderId, Vec<u8>)>,
         need: usize,
         opts: &QuorumOptions<'_>,
     ) -> Result<Vec<(ProviderId, Vec<u8>)>, QuorumError> {
-        let resolutions = self.run_quorum(requests, need, opts);
-        let got = resolutions.iter().filter(|(_, r)| r.is_ok()).count();
-        if got >= need {
-            Ok(resolutions
-                .into_iter()
-                .filter_map(|(p, r)| r.ok().map(|v| (p, v)))
-                .collect())
-        } else {
-            Err(QuorumError {
-                needed: need,
-                got,
-                per_provider: resolutions
-                    .into_iter()
-                    .map(|(p, r)| {
-                        (
-                            p,
-                            match r {
-                                Ok(_) => ProviderOutcome::Ok,
-                                Err(outcome) => outcome,
-                            },
-                        )
-                    })
-                    .collect(),
-            })
-        }
+        let mut rounds = self.run_quorum(vec![requests], need, opts);
+        quorum_result(need, rounds.pop().unwrap_or_default())
+    }
+
+    /// Several independent quorum calls in one engine run, so their
+    /// requests overlap on the wire and at the providers while the caller
+    /// waits once. Each round is judged on its own — its retries,
+    /// escalations and breaker top-ups, its success count — and resolves
+    /// exactly as [`call_quorum_opts`](Self::call_quorum_opts) would
+    /// resolve it alone; `opts.validate` receives the round's index.
+    /// Results come back in round order. Counts one round trip.
+    #[allow(clippy::type_complexity)]
+    pub fn call_quorum_rounds(
+        &self,
+        rounds: Vec<Vec<(ProviderId, Vec<u8>)>>,
+        need: usize,
+        opts: &QuorumOptions<'_>,
+    ) -> Vec<Result<Vec<(ProviderId, Vec<u8>)>, QuorumError>> {
+        self.run_quorum(rounds, need, opts)
+            .into_iter()
+            .map(|resolutions| quorum_result(need, resolutions))
+            .collect()
     }
 
     /// The quorum engine: one shared reply channel, token-tagged
     /// attempts, an event loop over response/timeout/retry deadlines.
-    /// Returns each request's resolution in request order.
+    /// Every round runs the same rules over its own requests; the rounds
+    /// share only the channel, the token map and the wait. Returns each
+    /// round's resolutions in request order.
     fn run_quorum(
         &self,
-        requests: Vec<(ProviderId, Vec<u8>)>,
+        rounds: Vec<Vec<(ProviderId, Vec<u8>)>>,
         need: usize,
         opts: &QuorumOptions<'_>,
-    ) -> Vec<(ProviderId, Result<Vec<u8>, ProviderOutcome>)> {
+    ) -> Vec<Resolutions> {
         self.stats.record_round_trip();
-        let n_req = requests.len();
-        let want = match opts.mode {
-            QuorumMode::All => n_req,
-            QuorumMode::FirstK => need.saturating_add(opts.extra).min(n_req),
-        };
         let per_attempt = opts.retry.per_attempt_timeout.unwrap_or(self.timeout);
         let max_attempts = opts.retry.max_attempts.max(1);
 
         struct Cand {
+            round: usize,
             provider: ProviderId,
             request: Vec<u8>,
             attempts: u32,
@@ -565,9 +569,33 @@ impl Cluster {
             done: Option<Result<Vec<u8>, ProviderOutcome>>,
         }
 
-        let mut cands: Vec<Cand> = requests
-            .into_iter()
-            .map(|(provider, request)| Cand {
+        /// One call's progress.
+        struct Round {
+            /// Successes after which the round stops.
+            want: usize,
+            successes: usize,
+            /// Admitted candidates in launch order.
+            ready: VecDeque<usize>,
+            /// Candidates whose breaker is open, launched only when the
+            /// quorum cannot be met otherwise.
+            held: VecDeque<usize>,
+            /// Per-pass tallies of attempts in flight, retries pending
+            /// and attempts that just timed out.
+            live: usize,
+            retries: usize,
+            escalations: usize,
+            /// Nothing can change the outcome any more: the round's
+            /// candidates are skipped and late replies to it dropped.
+            settled: bool,
+        }
+
+        let mut cands: Vec<Cand> = Vec::new();
+        let mut states: Vec<Round> = Vec::with_capacity(rounds.len());
+        for (round, requests) in rounds.into_iter().enumerate() {
+            let first = cands.len();
+            let n_req = requests.len();
+            cands.extend(requests.into_iter().map(|(provider, request)| Cand {
+                round,
                 provider,
                 request,
                 attempts: 0,
@@ -579,43 +607,53 @@ impl Cluster {
                 } else {
                     Some(Err(ProviderOutcome::Unsent))
                 },
-            })
-            .collect();
-
-        // Launch order: admitted candidates, fastest EWMA first with
-        // never-measured providers leading (so they get sampled), then —
-        // only when the quorum cannot be met otherwise — providers whose
-        // breaker is open.
-        let mut admitted: Vec<((u8, Duration, ProviderId), usize)> = Vec::new();
-        let mut held: VecDeque<usize> = VecDeque::new();
-        for (idx, c) in cands.iter_mut().enumerate() {
-            if c.done.is_some() {
-                continue;
-            }
-            let admit = match opts.mode {
-                QuorumMode::All => Admission::Yes,
-                QuorumMode::FirstK => self.health.admit(c.provider),
-            };
-            if admit == Admission::No {
-                c.held = true;
-                held.push_back(idx);
-            } else {
-                let rank = match self.health.ewma_latency(c.provider) {
-                    None => (0u8, Duration::ZERO, c.provider),
-                    Some(d) => (1u8, d, c.provider),
+            }));
+            // Launch order: admitted candidates, fastest EWMA first with
+            // never-measured providers leading (so they get sampled),
+            // then — only when the quorum cannot be met otherwise —
+            // providers whose breaker is open.
+            let mut admitted: Vec<((u8, Duration, ProviderId), usize)> = Vec::new();
+            let mut held: VecDeque<usize> = VecDeque::new();
+            for (idx, c) in cands.iter_mut().enumerate().skip(first) {
+                if c.done.is_some() {
+                    continue;
+                }
+                let admit = match opts.mode {
+                    QuorumMode::All => Admission::Yes,
+                    QuorumMode::FirstK => self.health.admit(c.provider),
                 };
-                admitted.push((rank, idx));
+                if admit == Admission::No {
+                    c.held = true;
+                    held.push_back(idx);
+                } else {
+                    let rank = match self.health.ewma_latency(c.provider) {
+                        None => (0u8, Duration::ZERO, c.provider),
+                        Some(d) => (1u8, d, c.provider),
+                    };
+                    admitted.push((rank, idx));
+                }
             }
+            admitted.sort();
+            states.push(Round {
+                want: match opts.mode {
+                    QuorumMode::All => n_req,
+                    QuorumMode::FirstK => need.saturating_add(opts.extra).min(n_req),
+                },
+                successes: 0,
+                ready: admitted.into_iter().map(|(_, idx)| idx).collect(),
+                held,
+                live: 0,
+                retries: 0,
+                escalations: 0,
+                settled: false,
+            });
         }
-        admitted.sort();
-        let mut ready: VecDeque<usize> = admitted.into_iter().map(|(_, idx)| idx).collect();
 
         let (reply_tx, reply_rx) = unbounded::<(u64, Vec<u8>)>();
         // token → (candidate index, sent_at); stale tokens stay mapped so
         // a slow first attempt can still satisfy its candidate.
         let mut token_map: HashMap<u64, (usize, Instant)> = HashMap::new();
         let mut next_token: u64 = 0;
-        let mut successes = 0usize;
 
         let launch = |cands: &mut [Cand],
                       idx: usize,
@@ -646,15 +684,19 @@ impl Cluster {
             }
         };
 
-        // Initial wave: everything in All mode; the response target plus
-        // the hedge allowance in FirstK mode.
-        let wave = match opts.mode {
-            QuorumMode::All => ready.len(),
-            QuorumMode::FirstK => want.saturating_add(opts.hedge).min(ready.len()),
-        };
-        for _ in 0..wave {
-            let Some(idx) = ready.pop_front() else { break };
-            launch(&mut cands, idx, &mut token_map, &mut next_token);
+        // Initial wave, round by round: everything in All mode; the
+        // response target plus the hedge allowance in FirstK mode.
+        for s in states.iter_mut() {
+            let wave = match opts.mode {
+                QuorumMode::All => s.ready.len(),
+                QuorumMode::FirstK => s.want.saturating_add(opts.hedge).min(s.ready.len()),
+            };
+            for _ in 0..wave {
+                let Some(idx) = s.ready.pop_front() else {
+                    break;
+                };
+                launch(&mut cands, idx, &mut token_map, &mut next_token);
+            }
         }
 
         loop {
@@ -663,107 +705,108 @@ impl Cluster {
             // Finalize attempts past their deadline: record the failure,
             // schedule a retry if budget and the quorum still need it,
             // and escalate by launching the next-best provider not yet asked.
-            let mut escalations = 0usize;
             for c in cands.iter_mut() {
-                if c.done.is_some() || !matches!(c.live, Some((_, _, dl)) if now >= dl) {
+                let Some(s) = states.get_mut(c.round) else {
+                    continue;
+                };
+                if s.settled || c.done.is_some() || !matches!(c.live, Some((_, _, dl)) if now >= dl)
+                {
                     continue;
                 }
                 self.health.record_failure(c.provider);
                 c.live = None;
-                if c.attempts < max_attempts && successes < need {
+                if c.attempts < max_attempts && s.successes < need {
                     c.retry_at = Some(now + opts.retry.backoff_for(c.provider, c.attempts));
                 } else {
                     c.done = Some(Err(ProviderOutcome::TimedOut {
                         attempts: c.attempts,
                     }));
                 }
-                escalations += 1;
+                s.escalations += 1;
             }
-            if successes < want {
-                for _ in 0..escalations {
-                    let Some(next) = ready.pop_front() else { break };
-                    launch(&mut cands, next, &mut token_map, &mut next_token);
+            for s in states.iter_mut().filter(|s| !s.settled) {
+                let escalations = std::mem::take(&mut s.escalations);
+                if s.successes < s.want {
+                    for _ in 0..escalations {
+                        let Some(next) = s.ready.pop_front() else {
+                            break;
+                        };
+                        launch(&mut cands, next, &mut token_map, &mut next_token);
+                    }
                 }
             }
 
             // Fire retries that have cooled down.
-            let mut due = Vec::new();
-            for (idx, c) in cands.iter_mut().enumerate() {
-                if c.done.is_some()
+            for idx in 0..cands.len() {
+                let Some(c) = cands.get_mut(idx) else {
+                    continue;
+                };
+                let Some(s) = states.get(c.round) else {
+                    continue;
+                };
+                if s.settled
+                    || c.done.is_some()
                     || c.live.is_some()
                     || !matches!(c.retry_at, Some(at) if now >= at)
                 {
                     continue;
                 }
                 c.retry_at = None;
-                if successes < need {
-                    due.push(idx);
+                if s.successes < need {
+                    launch(&mut cands, idx, &mut token_map, &mut next_token);
                 } else {
                     c.done = Some(Err(ProviderOutcome::TimedOut {
                         attempts: c.attempts,
                     }));
                 }
             }
-            for idx in due {
-                launch(&mut cands, idx, &mut token_map, &mut next_token);
-            }
 
             // Quorum met: cancel pending retries so only live attempts
             // can still add responses (bounds degraded-read latency).
-            if successes >= need {
-                for c in cands.iter_mut() {
-                    if c.done.is_none() && c.live.is_none() && c.retry_at.take().is_some() {
-                        c.done = Some(Err(ProviderOutcome::TimedOut {
-                            attempts: c.attempts,
-                        }));
-                    }
+            // Then tally what each round still has in play.
+            for s in states.iter_mut() {
+                (s.live, s.retries) = (0, 0);
+            }
+            for c in cands.iter_mut() {
+                let Some(s) = states.get_mut(c.round) else {
+                    continue;
+                };
+                if s.settled || c.done.is_some() {
+                    continue;
                 }
+                if s.successes >= need && c.live.is_none() && c.retry_at.take().is_some() {
+                    c.done = Some(Err(ProviderOutcome::TimedOut {
+                        attempts: c.attempts,
+                    }));
+                    continue;
+                }
+                s.live += usize::from(c.live.is_some());
+                s.retries += usize::from(c.retry_at.is_some());
             }
 
             // Top up: the quorum must stay reachable — force-include
             // held (breaker-open) providers when nothing else remains.
-            // (`successes` is fixed here; each `launch` grows `live`
-            // until the invariant holds or the queues run dry.)
-            loop {
-                if successes >= need {
-                    break;
+            // A round settles once it has its target or nothing in play.
+            for s in states.iter_mut().filter(|s| !s.settled) {
+                while s.successes < need && s.successes + s.live + s.retries < need {
+                    let Some(idx) = s.ready.pop_front().or_else(|| s.held.pop_front()) else {
+                        break;
+                    };
+                    launch(&mut cands, idx, &mut token_map, &mut next_token);
+                    if cands.get(idx).is_some_and(|c| c.live.is_some()) {
+                        s.live += 1;
+                    }
                 }
-                let live = cands
-                    .iter()
-                    .filter(|c| c.done.is_none() && c.live.is_some())
-                    .count();
-                let retries = cands
-                    .iter()
-                    .filter(|c| c.done.is_none() && c.retry_at.is_some())
-                    .count();
-                if successes + live + retries >= need {
-                    break;
-                }
-                let Some(idx) = ready.pop_front().or_else(|| held.pop_front()) else {
-                    break;
-                };
-                launch(&mut cands, idx, &mut token_map, &mut next_token);
+                s.settled = s.successes >= s.want || s.live + s.retries == 0;
             }
-
-            if successes >= want {
-                break;
-            }
-            let live = cands
-                .iter()
-                .filter(|c| c.done.is_none() && c.live.is_some())
-                .count();
-            let retries = cands
-                .iter()
-                .filter(|c| c.done.is_none() && c.retry_at.is_some())
-                .count();
-            if live == 0 && retries == 0 {
+            if states.iter().all(|s| s.settled) {
                 break;
             }
 
             // Sleep until the next deadline or the next response.
             let next_event = cands
                 .iter()
-                .filter(|c| c.done.is_none())
+                .filter(|c| c.done.is_none() && states.get(c.round).is_some_and(|s| !s.settled))
                 .flat_map(|c| c.live.map(|(_, _, dl)| dl).into_iter().chain(c.retry_at))
                 .min();
             let Some(next_event) = next_event else { break };
@@ -779,12 +822,15 @@ impl Cluster {
             let Some(c) = cands.get_mut(idx) else {
                 continue;
             };
-            if c.done.is_some() {
-                continue; // duplicate/late response for a settled candidate
+            let Some(s) = states.get_mut(c.round) else {
+                continue;
+            };
+            if s.settled || c.done.is_some() {
+                continue; // late response for a settled round or candidate
             }
             self.stats.record_recv(payload.len());
             let verdict = match opts.validate {
-                Some(f) => f(c.provider, &payload),
+                Some(f) => f(c.round, c.provider, &payload),
                 None => Ok(()),
             };
             match verdict {
@@ -793,7 +839,7 @@ impl Cluster {
                     c.live = None;
                     c.retry_at = None;
                     c.done = Some(Ok(payload));
-                    successes += 1;
+                    s.successes += 1;
                 }
                 Err(reason) => {
                     self.health.record_failure(c.provider);
@@ -801,7 +847,7 @@ impl Cluster {
                         c.live = None;
                     }
                     if c.live.is_none() && c.retry_at.is_none() {
-                        if c.attempts < max_attempts && successes < need {
+                        if c.attempts < max_attempts && s.successes < need {
                             c.retry_at = Some(
                                 Instant::now() + opts.retry.backoff_for(c.provider, c.attempts),
                             );
@@ -812,8 +858,8 @@ impl Cluster {
                             }));
                         }
                     }
-                    if successes < want {
-                        if let Some(next) = ready.pop_front() {
+                    if s.successes < s.want {
+                        if let Some(next) = s.ready.pop_front() {
                             launch(&mut cands, next, &mut token_map, &mut next_token);
                         }
                     }
@@ -821,21 +867,50 @@ impl Cluster {
             }
         }
 
-        cands
-            .into_iter()
-            .map(|c| {
-                let resolution = match c.done {
-                    Some(r) => r,
-                    None if c.attempts > 0 => Err(ProviderOutcome::TimedOut {
-                        attempts: c.attempts,
-                    }),
-                    None if c.held => Err(ProviderOutcome::BreakerOpen),
-                    None => Err(ProviderOutcome::Unsent),
-                };
-                (c.provider, resolution)
-            })
-            .collect()
+        let mut out: Vec<Vec<_>> = states.iter().map(|_| Vec::new()).collect();
+        for c in cands {
+            let resolution = match c.done {
+                Some(r) => r,
+                None if c.attempts > 0 => Err(ProviderOutcome::TimedOut {
+                    attempts: c.attempts,
+                }),
+                None if c.held => Err(ProviderOutcome::BreakerOpen),
+                None => Err(ProviderOutcome::Unsent),
+            };
+            if let Some(round) = out.get_mut(c.round) {
+                round.push((c.provider, resolution));
+            }
+        }
+        out
     }
+}
+
+/// Each request's outcome in one round, in request order: its accepted
+/// response, or why there is none.
+type Resolutions = Vec<(ProviderId, Result<Vec<u8>, ProviderOutcome>)>;
+
+/// A round's resolutions as a quorum call's result: the successful
+/// `(provider, response)` pairs in request order if at least `need`
+/// arrived, else a post-mortem of every request.
+fn quorum_result(
+    need: usize,
+    resolutions: Resolutions,
+) -> Result<Vec<(ProviderId, Vec<u8>)>, QuorumError> {
+    let got = resolutions.iter().filter(|(_, r)| r.is_ok()).count();
+    if got >= need {
+        return Ok(resolutions
+            .into_iter()
+            .filter_map(|(p, r)| r.ok().map(|v| (p, v)))
+            .collect());
+    }
+    Err(QuorumError {
+        needed: need,
+        got,
+        per_provider: resolutions
+            .into_iter()
+            .map(|(p, r)| (p, r.err().unwrap_or(ProviderOutcome::Ok)))
+            .collect(),
+    })
 }
 
 impl Drop for Cluster {
@@ -997,7 +1072,7 @@ mod tests {
     #[test]
     fn validator_rejections_do_not_count_toward_quorum() {
         let cluster = echo_cluster(3);
-        let reject_p0 = |p: ProviderId, _resp: &[u8]| {
+        let reject_p0 = |_round: usize, p: ProviderId, _resp: &[u8]| {
             if p == 0 {
                 Err("untrusted share".to_string())
             } else {
@@ -1277,5 +1352,74 @@ mod tests {
         cluster.shutdown();
         cluster.shutdown(); // idempotent
         assert_eq!(cluster.call(0, vec![1]), Err(RpcError::Closed));
+    }
+
+    #[test]
+    fn rounds_resolve_as_if_sent_alone() {
+        // Five rounds in one engine run, with provider 1 crashed and
+        // provider 2 dropping half its answers. Round 3 asks only
+        // providers 0 and 1, so it cannot reach its quorum of 2; the
+        // others must heal provider 2's omissions by retrying.
+        let cluster = echo_cluster(3);
+        cluster.set_failure(1, FailureMode::Crashed);
+        cluster.set_failure(2, FailureMode::Omission(0.5));
+        let opts = QuorumOptions {
+            retry: RetryPolicy {
+                max_attempts: 16,
+                base_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(2),
+                per_attempt_timeout: Some(Duration::from_millis(20)),
+                jitter_seed: 11,
+            },
+            hedge: usize::MAX,
+            ..Default::default()
+        };
+        let rounds: Vec<Vec<(ProviderId, Vec<u8>)>> = (0..5u8)
+            .map(|r| {
+                let providers = if r == 3 { vec![0, 1] } else { vec![0, 1, 2] };
+                providers.into_iter().map(|p| (p, vec![r])).collect()
+            })
+            .collect();
+        let together = cluster.call_quorum_rounds(rounds.clone(), 2, &opts);
+        assert_eq!(cluster.stats().snapshot().round_trips, 1);
+        assert_eq!(together.len(), rounds.len());
+        for (r, (got, requests)) in together.iter().zip(rounds).enumerate() {
+            let tag = r as u8;
+            if r == 3 {
+                assert!(
+                    matches!(got, Err(e) if e.needed == 2 && e.got == 1),
+                    "round 3 fails on its own: {got:?}"
+                );
+            } else {
+                assert_eq!(got, &Ok(vec![(0, vec![0, tag]), (2, vec![2, tag])]));
+            }
+            let alone = cluster.call_quorum_opts(requests, 2, &opts);
+            assert_eq!(got, &alone, "round {r} resolved differently alone");
+        }
+    }
+
+    #[test]
+    fn late_reply_to_a_settled_round_is_ignored() {
+        // Provider 1 answers 40 ms late and serves one request at a time.
+        // Round 0 settles on provider 0's answer; round 1 waits for
+        // provider 1, which first serves round 0's copy — so that late
+        // reply arrives while the engine is still running round 1.
+        let cluster = echo_cluster(2);
+        cluster.set_latency_for(1, Duration::from_millis(40));
+        let opts = QuorumOptions {
+            hedge: usize::MAX,
+            ..Default::default()
+        };
+        let rounds = vec![vec![(0, vec![7]), (1, vec![7])], vec![(1, vec![8])]];
+        let got = cluster.call_quorum_rounds(rounds, 1, &opts);
+        assert_eq!(
+            got,
+            vec![Ok(vec![(0, vec![0, 7])]), Ok(vec![(1, vec![1, 8])])]
+        );
+        let snap = cluster.stats().snapshot();
+        assert_eq!(snap.messages_sent, 3);
+        assert_eq!(snap.messages_received, 2, "the late reply is not metered");
+        assert_eq!(snap.bytes_received, 4);
+        assert_eq!(snap.round_trips, 1);
     }
 }

@@ -351,11 +351,15 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 }
 
 /// One slice-by-16 table lookup: fold byte `b & 0xFF` through table `j`.
+/// `j` is a literal below 16 and the mask keeps the byte below 256, so
+/// both lookups always hit and compile to plain loads.
 #[inline(always)]
 fn crc_tab(j: usize, b: u32) -> u32 {
-    // dasp::allow(P3): `j` is a literal < 16 and the byte mask keeps the
-    // second index < 256 — both always in bounds.
-    CRC_TABLES[j][(b & 0xFF) as usize]
+    CRC_TABLES
+        .get(j)
+        .and_then(|table| table.get((b & 0xFF) as usize))
+        .copied()
+        .unwrap_or(0)
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) of `data`. Slice-by-16:
@@ -363,13 +367,12 @@ fn crc_tab(j: usize, b: u32) -> u32 {
 /// hot path of each socket round trip.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
-    let mut chunks = data.chunks_exact(16);
-    for c in chunks.by_ref() {
-        // dasp::allow(P3): `chunks_exact(16)` guarantees 16 bytes per chunk.
-        let a = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let b = u32::from_le_bytes([c[4], c[5], c[6], c[7]]); // dasp::allow(P3): 16-byte chunk
-        let d = u32::from_le_bytes([c[8], c[9], c[10], c[11]]); // dasp::allow(P3): 16-byte chunk
-        let e = u32::from_le_bytes([c[12], c[13], c[14], c[15]]); // dasp::allow(P3): 16-byte chunk
+    let (blocks, tail) = data.as_chunks::<16>();
+    for &[c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14, c15] in blocks {
+        let a = u32::from_le_bytes([c0, c1, c2, c3]) ^ crc;
+        let b = u32::from_le_bytes([c4, c5, c6, c7]);
+        let d = u32::from_le_bytes([c8, c9, c10, c11]);
+        let e = u32::from_le_bytes([c12, c13, c14, c15]);
         crc = crc_tab(15, a)
             ^ crc_tab(14, a >> 8)
             ^ crc_tab(13, a >> 16)
@@ -387,7 +390,7 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ crc_tab(1, e >> 16)
             ^ crc_tab(0, e >> 24);
     }
-    for &b in chunks.remainder() {
+    for &b in tail {
         crc = (crc >> 8) ^ crc_tab(0, crc ^ b as u32);
     }
     !crc
@@ -531,17 +534,56 @@ pub fn encode_frame_into(out: &mut Vec<u8>, token: u64, kind: FrameKind, payload
     );
     let head = out.len();
     out.reserve(12 + body_len);
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // crc patched below
+    out.extend_from_slice(&[0u8; 12]); // prefix, sealed below
     out.extend_from_slice(&token.to_le_bytes());
     out.push(kind.to_u8());
     out.extend_from_slice(payload);
-    // dasp::allow(P3): `out[head..]` holds the 21-byte header by construction.
-    let crc = crc32(&out[head + 12..]);
-    // dasp::allow(P3): same 21-byte header — indexes head+8..head+12 exist.
-    out[head + 8..head + 12].copy_from_slice(&crc.to_le_bytes());
+    if let Some((prefix, body)) = frame_at(out, head) {
+        *prefix = FramePrefix::sealing(body).to_bytes();
+    }
     out.len() - head
+}
+
+/// The 12 bytes that open every frame: magic, body length, and the CRC
+/// of the body. The body then opens with the 8-byte token and the kind
+/// byte, completing the 21-byte envelope.
+struct FramePrefix {
+    magic: u32,
+    len: u32,
+    crc: u32,
+}
+
+impl FramePrefix {
+    /// The prefix of a frame with this `body`.
+    fn sealing(body: &[u8]) -> Self {
+        FramePrefix {
+            magic: FRAME_MAGIC,
+            len: body.len() as u32,
+            crc: crc32(body),
+        }
+    }
+
+    fn parse(bytes: &[u8; 12]) -> Self {
+        let [m0, m1, m2, m3, l0, l1, l2, l3, c0, c1, c2, c3] = *bytes;
+        FramePrefix {
+            magic: u32::from_le_bytes([m0, m1, m2, m3]),
+            len: u32::from_le_bytes([l0, l1, l2, l3]),
+            crc: u32::from_le_bytes([c0, c1, c2, c3]),
+        }
+    }
+
+    fn to_bytes(&self) -> [u8; 12] {
+        let [m0, m1, m2, m3] = self.magic.to_le_bytes();
+        let [l0, l1, l2, l3] = self.len.to_le_bytes();
+        let [c0, c1, c2, c3] = self.crc.to_le_bytes();
+        [m0, m1, m2, m3, l0, l1, l2, l3, c0, c1, c2, c3]
+    }
+}
+
+/// The prefix and body of the frame that starts at `head` and runs to
+/// the end of `out`.
+fn frame_at(out: &mut [u8], head: usize) -> Option<(&mut [u8; 12], &mut [u8])> {
+    out.get_mut(head..)?.split_first_chunk_mut::<12>()
 }
 
 /// In-place builder for one batch frame: appends the envelope header to a
@@ -565,8 +607,7 @@ impl<'a> BatchFrameBuilder<'a> {
     pub fn begin(out: &'a mut Vec<u8>, kind: FrameKind) -> Self {
         debug_assert!(kind.is_batch());
         let head = out.len();
-        out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        out.extend_from_slice(&[0u8; 8]); // len + crc, patched in finish
+        out.extend_from_slice(&[0u8; 12]); // prefix, sealed in finish
         out.extend_from_slice(&[0u8; 8]); // envelope token = sub count, patched
         out.push(kind.to_u8());
         BatchFrameBuilder {
@@ -611,17 +652,13 @@ impl<'a> BatchFrameBuilder<'a> {
             body_len <= MAX_FRAME_BODY as usize,
             "batch frame body of {body_len} bytes exceeds MAX_FRAME_BODY ({MAX_FRAME_BODY})"
         );
-        let head = self.head;
-        // dasp::allow(P3): `begin` wrote the 21-byte envelope at `head`, so
-        // every patched range below exists by construction.
-        self.out[head + 4..head + 8].copy_from_slice(&(body_len as u32).to_le_bytes());
-        // dasp::allow(P3): same 21-byte envelope.
-        self.out[head + 12..head + 20].copy_from_slice(&self.count.to_le_bytes());
-        // dasp::allow(P3): same 21-byte envelope.
-        let crc = crc32(&self.out[head + 12..]);
-        // dasp::allow(P3): same 21-byte envelope.
-        self.out[head + 8..head + 12].copy_from_slice(&crc.to_le_bytes());
-        self.out.len() - head
+        if let Some((prefix, body)) = frame_at(self.out, self.head) {
+            if let Some(count) = body.first_chunk_mut::<8>() {
+                *count = self.count.to_le_bytes();
+            }
+            *prefix = FramePrefix::sealing(body).to_bytes();
+        }
+        self.out.len() - self.head
     }
 }
 
@@ -646,24 +683,20 @@ impl<'a> Iterator for BatchItems<'a> {
         if self.rest.is_empty() {
             return None;
         }
-        if self.rest.len() < 12 {
+        let Some((&[t0, t1, t2, t3, t4, t5, t6, t7, l0, l1, l2, l3], body)) =
+            self.rest.split_first_chunk::<12>()
+        else {
             let left = self.rest.len();
             self.rest = &[];
             return Some(Err(FrameError::BadBatch { wanted: 12, left }));
-        }
-        let (tag, body) = self.rest.split_at(12);
-        // dasp::allow(P3): `split_at(12)` guarantees 12 tag bytes.
-        let token = u64::from_le_bytes([
-            tag[0], tag[1], tag[2], tag[3], tag[4], tag[5], tag[6], tag[7],
-        ]);
-        // dasp::allow(P3): same 12 tag bytes.
-        let len = u32::from_le_bytes([tag[8], tag[9], tag[10], tag[11]]) as usize;
-        if body.len() < len {
+        };
+        let token = u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]);
+        let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let Some((payload, tail)) = body.split_at_checked(len) else {
             let left = body.len();
             self.rest = &[];
             return Some(Err(FrameError::BadBatch { wanted: len, left }));
-        }
-        let (payload, tail) = body.split_at(len);
+        };
         self.rest = tail;
         Some(Ok((token, payload)))
     }
@@ -787,49 +820,45 @@ impl FrameDecoder {
     /// frame.
     pub fn next_frame_view(&mut self) -> Result<Option<FrameView<'_>>, FrameError> {
         self.reclaim();
-        // dasp::allow(P3): `start <= buf.len()` is the decoder's invariant —
-        // it only ever advances past bytes that are present.
-        let avail = &self.buf[self.start..];
-        if avail.len() < 12 {
+        // `start` only ever advances past bytes that are present.
+        let avail = self.buf.get(self.start..).unwrap_or_default();
+        let Some(prefix) = avail.first_chunk::<12>().map(FramePrefix::parse) else {
             return Ok(None);
+        };
+        if prefix.magic != FRAME_MAGIC {
+            return Err(FrameError::BadMagic(prefix.magic));
         }
-        // dasp::allow(P3): the 12-byte header check above guards 0..12.
-        let magic = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        if magic != FRAME_MAGIC {
-            return Err(FrameError::BadMagic(magic));
-        }
-        // dasp::allow(P3): guarded by the same 12-byte header check.
-        let len = u32::from_le_bytes([avail[4], avail[5], avail[6], avail[7]]);
+        let len = prefix.len;
         if len < 9 || len > self.max_body {
             return Err(FrameError::BadLength {
                 len,
                 max: self.max_body,
             });
         }
-        // dasp::allow(P3): guarded by the same 12-byte header check.
-        let expected = u32::from_le_bytes([avail[8], avail[9], avail[10], avail[11]]);
         let total = 12 + len as usize;
-        if avail.len() < total {
+        let Some(body) = avail.get(12..total) else {
             return Ok(None);
-        }
-        // dasp::allow(P3): `avail.len() >= total` was just checked.
-        let body = &avail[12..total];
+        };
         let actual = crc32(body);
-        if actual != expected {
-            return Err(FrameError::BadCrc { expected, actual });
+        if actual != prefix.crc {
+            return Err(FrameError::BadCrc {
+                expected: prefix.crc,
+                actual,
+            });
         }
-        let token = u64::from_le_bytes([
-            // dasp::allow(P3): `len >= 9` was checked, so the body holds 0..9.
-            body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
-        ]);
-        // dasp::allow(P3): `len >= 9` was checked, so the body holds 0..9.
-        let kind = FrameKind::from_u8(body[8]).ok_or(FrameError::BadKind(body[8]))?;
-        let frame_start = self.start;
+        // `len >= 9` was checked, so the body holds the token and kind.
+        let Some((&[t0, t1, t2, t3, t4, t5, t6, t7, kind], payload)) =
+            body.split_first_chunk::<9>()
+        else {
+            return Err(FrameError::BadLength {
+                len,
+                max: self.max_body,
+            });
+        };
+        let token = u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]);
+        let kind = FrameKind::from_u8(kind).ok_or(FrameError::BadKind(kind))?;
         self.start += total;
         self.peak = self.peak.max(total);
-        // dasp::allow(P3): same bounds as `body` above, re-sliced from the
-        // buffer so the borrow is tied to `self` rather than `avail`.
-        let payload = &self.buf[frame_start + 12 + 9..frame_start + total];
         Ok(Some(FrameView {
             token,
             kind,

@@ -221,7 +221,7 @@ fn byzantine_injection_sits_above_the_socket_on_both_transports() {
     for t in TRANSPORTS {
         let fx = fixture(t, 3, TIMEOUT, BreakerConfig::default());
         fx.cluster.set_failure(0, FailureMode::Byzantine(1.0));
-        let validate = |p: usize, r: &[u8]| {
+        let validate = |_round: usize, p: usize, r: &[u8]| {
             if r == expected(p as u8, b"b").as_slice() {
                 Ok(())
             } else {
@@ -250,8 +250,9 @@ fn query_many_positions_identical_with_batching_on_and_off() {
     // Full client stack: the same secret-shared deployment (same key
     // seed, same rows, same client RNG seed) is stood up twice — behind
     // channels, where nothing is batched, and over TCP with four
-    // cluster workers per provider and four `query_many` workers, so
-    // calls overlap on each `TcpClient` and coalesce into batch frames —
+    // cluster workers per provider and every `query_many` query in
+    // flight at once, so calls overlap on each `TcpClient` and coalesce
+    // into batch frames —
     // and `query_many` must return position-identical decoded rows.
     // Batching may only change wire shape, never results.
     use dasp_client::{ColumnSpec, DataSource, Predicate, TableSchema, Value};
@@ -281,7 +282,6 @@ fn query_many_positions_identical_with_batching_on_and_off() {
             }
         };
         let mut ds = DataSource::with_seed(keys, cluster, 99).unwrap();
-        ds.set_workers(workers);
         ds.create_table(
             TableSchema::new(
                 "t",
