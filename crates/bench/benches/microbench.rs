@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the substrates: field arithmetic, share
 //! construction/reconstruction (the client's per-value costs), the
-//! from-scratch crypto used by baselines, the storage engine (E11), and
-//! the provider's persistent table map against std's `BTreeMap`.
+//! from-scratch crypto used by baselines, and the provider's persistent
+//! table map against std's `BTreeMap`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dasp_bigint::{mod_pow, mod_pow_plain, BigUint, MontgomeryCtx};
@@ -10,8 +10,6 @@ use dasp_field::{Fp, Poly};
 use dasp_server::pmap::PMap;
 use dasp_server::{ProviderEngine, Request, Response, Row};
 use dasp_sss::{DomainKey, FieldSharing, OpSharing, OpssParams, StringCodec};
-use dasp_storage::btree::compose_key;
-use dasp_storage::{BTree, BufferPool, Pager};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -122,49 +120,6 @@ fn bench_bigint(c: &mut Criterion) {
     let ctx = MontgomeryCtx::new(&n_odd);
     g.bench_function("modexp_512_montgomery", |bench| {
         bench.iter(|| ctx.mod_pow(black_box(&a), &e))
-    });
-    g.finish();
-}
-
-fn bench_storage(c: &mut Criterion) {
-    let mut g = c.benchmark_group("storage");
-    // Pre-built tree with 50k entries.
-    let pool = BufferPool::new(Pager::in_memory(), 512);
-    let mut tree = BTree::create(&pool).unwrap();
-    for i in 0..50_000u64 {
-        tree.insert(&pool, &compose_key(i as i128 * 3, i), i)
-            .unwrap();
-    }
-    g.bench_function("btree_probe_50k", |bench| {
-        bench.iter(|| tree.get(&pool, &compose_key(black_box(74_997), 24_999)))
-    });
-    g.bench_function("btree_range_100_of_50k", |bench| {
-        bench.iter(|| {
-            tree.range(
-                &pool,
-                &compose_key(30_000, 0),
-                &compose_key(30_300, u64::MAX),
-            )
-        })
-    });
-    g.bench_function("btree_insert", |bench| {
-        let mut next = 1_000_000u64;
-        bench.iter_batched(
-            || {
-                next += 1;
-                next
-            },
-            |i| tree.insert(&pool, &compose_key(i as i128, i), i),
-            BatchSize::SmallInput,
-        )
-    });
-    // std BTreeMap comparison point.
-    let mut map = std::collections::BTreeMap::new();
-    for i in 0..50_000u64 {
-        map.insert((i as i128 * 3, i), i);
-    }
-    g.bench_function("btreemap_probe_50k", |bench| {
-        bench.iter(|| map.get(&(black_box(74_997i128), 24_999u64)))
     });
     g.finish();
 }
@@ -308,7 +263,7 @@ fn bench_engine_insert(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_field, bench_sss, bench_crypto, bench_bigint, bench_storage, bench_pmap,
+    targets = bench_field, bench_sss, bench_crypto, bench_bigint, bench_pmap,
         bench_engine_insert
 }
 criterion_main!(benches);

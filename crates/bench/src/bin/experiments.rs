@@ -30,8 +30,6 @@ use dasp_server::service::provider_fleet;
 use dasp_server::{DurableConfig, ProviderEngine, Request, Response, Row};
 use dasp_sss::opss::AffineStrawman;
 use dasp_sss::{DomainKey, FieldSharing, OpSharing, OpssParams, ShareMode};
-use dasp_storage::btree::compose_key;
-use dasp_storage::{BTree, BufferPool, Pager};
 use dasp_workload::employees::{self, SalaryDist};
 use dasp_workload::{documents, places, queries};
 use rand::rngs::StdRng;
@@ -60,10 +58,9 @@ const EXPERIMENTS: &[(&[&str], Experiment)] = &[
     (&["e8"], e8_fault_tolerance),
     (&["e9"], e9_updates),
     (&["e10"], e10_mashup),
-    (&["e11"], e11_storage),
     (&["e12"], e12_scaling),
     (&["e13"], |_| e13_leakage()),
-    (&["e14"], e14_ablations),
+    (&["e14"], |_| e14_ablations()),
     (&["e15"], e15_extensions),
     (&["e16"], e16_recovery),
     (&["e17"], e17_codec),
@@ -808,77 +805,6 @@ fn e10_mashup(cfg: &Config) {
     println!("  expected shape: wider buckets leak less (bigger anonymity interval)\n  but transfer proportionally more rows\n");
 }
 
-/// E11 — storage engine ablation.
-fn e11_storage(cfg: &Config) {
-    println!("== E11: provider index ablation — page B+tree vs std BTreeMap ==");
-    let n: usize = if cfg.quick { 20_000 } else { 100_000 };
-    let pool = BufferPool::new(Pager::in_memory(), 256);
-    let mut tree = BTree::create(&pool).unwrap();
-    let start = Instant::now();
-    for i in 0..n as u64 {
-        tree.insert(
-            &pool,
-            &compose_key((i * 2654435761 % n as u64) as i128, i),
-            i,
-        )
-        .unwrap();
-    }
-    let insert_t = start.elapsed();
-    let start = Instant::now();
-    let mut found = 0usize;
-    for i in (0..n as u64).step_by(7) {
-        if tree
-            .get(&pool, &compose_key((i * 2654435761 % n as u64) as i128, i))
-            .unwrap()
-            .is_some()
-        {
-            found += 1;
-        }
-    }
-    let probe_t = start.elapsed();
-    let range = tree
-        .range(&pool, &compose_key(0, 0), &compose_key(1000, u64::MAX))
-        .unwrap();
-    println!(
-        "  B+tree ({} frames):  insert {n} in {}, {} probes in {}, range hit {} keys, height {}",
-        256,
-        fmt_dur(insert_t),
-        found,
-        fmt_dur(probe_t),
-        range.len(),
-        tree.height(&pool).unwrap()
-    );
-    let s = pool.stats();
-    println!(
-        "  buffer pool: {} hits / {} misses ({:.1}% hit rate)",
-        s.hits,
-        s.misses,
-        100.0 * s.hits as f64 / (s.hits + s.misses).max(1) as f64
-    );
-
-    let mut map = std::collections::BTreeMap::new();
-    let start = Instant::now();
-    for i in 0..n as u64 {
-        map.insert(((i * 2654435761 % n as u64) as i128, i), i);
-    }
-    let insert_t = start.elapsed();
-    let start = Instant::now();
-    let mut found = 0usize;
-    for i in (0..n as u64).step_by(7) {
-        if map.contains_key(&((i * 2654435761 % n as u64) as i128, i)) {
-            found += 1;
-        }
-    }
-    let probe_t = start.elapsed();
-    println!(
-        "  BTreeMap (in-core):  insert {n} in {}, {} probes in {}",
-        fmt_dur(insert_t),
-        found,
-        fmt_dur(probe_t)
-    );
-    println!("  expected shape: paged tree within a small constant of BTreeMap while\n  giving provider-grade page locality + buffer management\n");
-}
-
 /// E12 — provider-count scaling.
 fn e12_scaling(cfg: &Config) {
     println!("== E12 (§I): scaling the provider fleet ==");
@@ -909,7 +835,7 @@ fn e12_scaling(cfg: &Config) {
 }
 
 /// E14 — design-choice ablations called out in DESIGN.md.
-fn e14_ablations(cfg: &Config) {
+fn e14_ablations() {
     println!("== E14: design ablations ==");
     // (a) OP polynomial degree: share construction + search-decode cost.
     println!("  (a) order-preserving degree (k = degree+1):");
@@ -950,30 +876,6 @@ fn e14_ablations(cfg: &Config) {
             .collect();
         let bits = 128 - sharing.share_for((1 << 20) - 1, 1).unwrap().leading_zeros();
         println!("      {slot_bits:<10} {:<17} {bits}", gaps.len());
-    }
-    // (c) buffer pool frames: hit rate on a Zipf-ish probe workload.
-    println!("  (c) provider buffer pool capacity (100k-entry index, 20k probes):");
-    println!("      frames  hit rate");
-    let n: usize = if cfg.quick { 30_000 } else { 100_000 };
-    for frames in [16usize, 64, 256, 1024] {
-        let pool = BufferPool::new(Pager::in_memory(), frames);
-        let mut tree = BTree::create(&pool).unwrap();
-        for i in 0..n as u64 {
-            tree.insert(&pool, &compose_key(i as i128, i), i).unwrap();
-        }
-        let warm = pool.stats();
-        for i in 0..20_000u64 {
-            // Skewed probes: quadratic residues cluster.
-            let key = (i * i) % n as u64;
-            tree.get(&pool, &compose_key(key as i128, key)).unwrap();
-        }
-        let s = pool.stats();
-        let hits = s.hits - warm.hits;
-        let misses = s.misses - warm.misses;
-        println!(
-            "      {frames:<7} {:.1}%",
-            100.0 * hits as f64 / (hits + misses).max(1) as f64
-        );
     }
     println!();
 }
@@ -1297,7 +1199,6 @@ fn e19_wal(cfg: &Config) {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg_d = DurableConfig {
             checkpoint_every: 0, // measure the log, not checkpoints
-            pool_frames: 256,
             ..DurableConfig::default()
         };
         let (engine, _) = ProviderEngine::durable(&dir, cfg_d).expect("e19: open");

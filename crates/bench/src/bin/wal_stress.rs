@@ -20,7 +20,6 @@
 //! Exit code 0 = contract held at every crash point.
 
 use dasp_server::{DurableConfig, ProviderEngine, ProviderService, Request, Response, Row};
-use dasp_storage::WalConfig;
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -36,9 +35,8 @@ fn share_of(id: u64) -> i128 {
 
 fn stress_cfg() -> DurableConfig {
     DurableConfig {
-        wal: WalConfig::default(),
         checkpoint_every: 64, // several checkpoints per run
-        pool_frames: 256,
+        ..DurableConfig::default()
     }
 }
 

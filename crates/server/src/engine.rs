@@ -31,29 +31,27 @@
 //!
 //! # Durability
 //!
-//! [`ProviderEngine::durable`] opens a provider directory (`data.db`
-//! pager image + `meta.bin` checkpoint descriptor + `wal.log`); every
-//! write op is logged before it is acknowledged, and
-//! [`ProviderEngine::recover`] rebuilds tables, indexes and Merkle
-//! commitments bit-identical to the pre-crash state: checkpoint image
-//! first, then replay of the log's committed records (a torn tail is
-//! truncated by the WAL layer). Checkpoints write a *fresh* page image
-//! through the buffer pool, atomically swing `meta.bin` to it, retire
-//! the log by restamping its generation, and only then free the old
-//! pages — a crash at any point leaves one consistent (meta, wal) pair.
-//! [`EngineStats`] counters are atomics updated outside all locks.
+//! [`ProviderEngine::durable`] opens a provider directory
+//! (`checkpoint.bin` + `wal.log`); every write op is logged before it is
+//! acknowledged, and [`ProviderEngine::recover`] rebuilds tables, indexes
+//! and Merkle commitments bit-identical to the pre-crash state:
+//! checkpoint image first, then replay of the log's committed records (a
+//! torn tail is truncated by the WAL layer). A checkpoint streams every
+//! table's packed rows into a fresh file, renames it over
+//! `checkpoint.bin`, and then retires the log by restamping its
+//! generation — a crash at any point leaves one consistent
+//! (checkpoint, wal) pair. A volatile engine has no directory and its
+//! checkpoint does nothing. [`EngineStats`] counters are atomics updated
+//! outside all locks.
 
 use crate::pmap::PMap;
 use crate::proto::{
     AggOp, PredAtom, Request, Response, Row, RowBlock, WireMerkleProof, WireRangeProof,
 };
 use dasp_crypto::merkle::MerkleProof;
-use dasp_storage::recovery::provider_paths;
+use dasp_storage::recovery::WAL_FILE;
 use dasp_storage::wal::{crash_point_hit, CrashPoint, Wal, WalConfig, WalStats};
-use dasp_storage::{
-    BufferPool, CheckpointMeta, FileBackend, HeapFile, Page, PageId, Pager, RecoveryError,
-    TableMeta,
-};
+use dasp_storage::{CheckpointMeta, CheckpointReader, CheckpointWriter, RecoveryError, TableMeta};
 use dasp_verify::merkle_table::{AuthenticatedTable, CommittedRow};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
@@ -215,21 +213,14 @@ impl Snapshot {
     }
 }
 
-/// Where checkpoints land: the buffer pool plus the pages of the current
-/// image, and — for durable engines — the directory and generation.
+/// Where a durable engine's checkpoints land: its directory and the
+/// generation of the checkpoint in force.
 struct Store {
-    pool: BufferPool,
-    /// Pages of the current checkpoint image (freed when superseded).
-    image: Vec<PageId>,
-    durable: Option<DurableStore>,
-    ops_since_ckpt: u64,
-}
-
-struct DurableStore {
     dir: PathBuf,
     generation: u64,
     /// Auto-checkpoint after this many logged ops (0 = manual only).
     checkpoint_every: u64,
+    ops_since_ckpt: u64,
 }
 
 /// Master state, guarded by the writer mutex. `tables` here is the
@@ -239,7 +230,8 @@ struct WriteState {
     tables: HashMap<String, Arc<TableSnap>>,
     commitments: HashMap<(String, usize), Arc<AuthenticatedTable>>,
     seq: u64,
-    store: Store,
+    /// `None` for a volatile engine.
+    store: Option<Store>,
     /// Set when disk state may disagree with memory (failed append or
     /// checkpoint); all further writes are refused until recovery.
     broken: Option<String>,
@@ -253,7 +245,9 @@ pub struct DurableConfig {
     /// Checkpoint automatically after this many logged ops (0 disables;
     /// call [`ProviderEngine::checkpoint`] manually).
     pub checkpoint_every: u64,
-    /// Buffer-pool frames over the checkpoint pager.
+    /// No effect: checkpoints are written and read sequentially, with no
+    /// buffer pool. Kept so that configurations built field by field
+    /// still compile.
     pub pool_frames: usize,
 }
 
@@ -301,12 +295,9 @@ fn owned(&(id, shares): &RowRef) -> Row {
     }
 }
 
-/// Rows per checkpoint record (one [`RowBlock`] each): as many as fit a
-/// heap record however wide their shares turn out — 10 bytes bound an id
-/// delta and 16 a share; the two counts and the width bytes are the rest.
-fn rows_per_record(arity: usize) -> usize {
-    (Page::max_record().saturating_sub(20 + arity) / (10 + 16 * arity)).max(1)
-}
+/// Rows per checkpoint record (one [`RowBlock`] each), so that neither a
+/// checkpoint nor a recovery holds a whole table's bytes in one buffer.
+const ROWS_PER_RECORD: usize = 1024;
 
 /// The `limit` extreme rows by `(shares[order_col], id)`, ordered
 /// ascending for `desc == false` and descending for `desc == true`.
@@ -366,28 +357,16 @@ impl Default for ProviderEngine {
 }
 
 impl ProviderEngine {
-    /// A fresh volatile engine over an in-memory pager with a 1024-frame
-    /// pool (checkpoint images only; live state is in memory).
+    /// A fresh volatile engine: no directory, no log, nothing survives
+    /// the process.
     pub fn new() -> Self {
-        Self::with_pool(BufferPool::new(Pager::in_memory(), 1024))
-    }
-
-    /// A volatile engine over a caller-supplied buffer pool — e.g. a
-    /// [`dasp_storage::FileBackend`] pager. [`ProviderEngine::sync`]
-    /// writes a full checkpoint image of every table into the pool.
-    pub fn with_pool(pool: BufferPool) -> Self {
         ProviderEngine {
             published: RwLock::new(Snapshot::empty()),
             write: Mutex::new(WriteState {
                 tables: HashMap::new(),
                 commitments: HashMap::new(),
                 seq: 0,
-                store: Store {
-                    pool,
-                    image: Vec::new(),
-                    durable: None,
-                    ops_since_ckpt: 0,
-                },
+                store: None,
                 broken: None,
             }),
             wal: None,
@@ -405,55 +384,35 @@ impl ProviderEngine {
         cfg: DurableConfig,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
         std::fs::create_dir_all(dir)?;
-        let meta = CheckpointMeta::read(dir)?.unwrap_or_default();
-        let (data_path, _, wal_path) = provider_paths(dir);
-        let pager = Pager::new(FileBackend::open(&data_path)?);
-        let pool = BufferPool::new(pager, cfg.pool_frames.max(1));
+        let (meta, mut image) = CheckpointReader::open(dir)?;
         let mut report = RecoveryReport::default();
 
-        // Load the checkpoint image.
+        // Load the checkpoint image: each table's records, in order.
         let mut tables: HashMap<String, Arc<TableSnap>> = HashMap::new();
-        let mut image = Vec::new();
         for tm in &meta.tables {
-            let heap = HeapFile::open(tm.pages.clone());
+            let corrupt = |what: &str| {
+                RecoveryError::Replay(format!("{what} in checkpoint table {:?}", tm.name))
+            };
             let mut rows = Vec::new();
-            for (_, bytes) in heap.scan(&pool)? {
-                let block = RowBlock::decode(&bytes).map_err(|e| {
-                    RecoveryError::Replay(format!(
-                        "corrupt checkpoint record in table {:?}: {e}",
-                        tm.name
-                    ))
-                })?;
+            while (rows.len() as u64) < tm.rows {
+                let block = RowBlock::decode(&image.record()?)
+                    .map_err(|e| corrupt(&format!("corrupt record ({e})")))?;
                 if block.cols().len() != tm.columns.len() {
-                    return Err(RecoveryError::Replay(format!(
-                        "checkpoint row arity mismatch in table {:?}",
-                        tm.name
-                    )));
+                    return Err(corrupt("row arity mismatch"));
+                }
+                if block.is_empty() || rows.len() as u64 + block.len() as u64 > tm.rows {
+                    return Err(corrupt("row count mismatch"));
                 }
                 rows.extend(block.iter().map(|row| (row.id, row.shares)));
             }
             report.checkpoint_rows += rows.len() as u64;
             // Checkpoints write rows in id order, so the image bulk-builds.
-            let snap =
-                TableSnap::from_sorted_rows(&tm.columns, &tm.indexed, rows).ok_or_else(|| {
-                    RecoveryError::Replay(format!(
-                        "checkpoint rows out of id order in table {:?}",
-                        tm.name
-                    ))
-                })?;
-            image.extend_from_slice(&tm.pages);
+            let snap = TableSnap::from_sorted_rows(&tm.columns, &tm.indexed, rows)
+                .ok_or_else(|| corrupt("rows out of id order"))?;
             tables.insert(tm.name.clone(), Arc::new(snap));
         }
+        image.finish()?;
         report.checkpoint_tables = tables.len() as u64;
-
-        // Reconstruct the free list: every page not referenced by the
-        // image is reusable (a crashed checkpoint may have leaked pages).
-        let referenced: HashSet<PageId> = image.iter().copied().collect();
-        for page in 0..pool.pager().page_count() {
-            if !referenced.contains(&page) {
-                pool.pager().free(page)?;
-            }
-        }
 
         // Rebuild published commitments. `AuthenticatedTable::build` is
         // deterministic on row content, so roots match pre-crash ones.
@@ -472,23 +431,19 @@ impl ProviderEngine {
         // through the normal apply path (without re-logging). Only ops
         // that succeeded against the pre-crash engine were ever logged,
         // so a replay failure means genuine log/image disagreement.
-        let rec = Wal::open(&wal_path, meta.generation, cfg.wal)?;
+        let rec = Wal::open(&dir.join(WAL_FILE), meta.generation, cfg.wal)?;
         report.torn_bytes = rec.torn_bytes;
         report.wal_reset = rec.reset;
         let mut ws = WriteState {
             tables,
             commitments,
             seq: 0,
-            store: Store {
-                pool,
-                image,
-                durable: Some(DurableStore {
-                    dir: dir.to_path_buf(),
-                    generation: meta.generation,
-                    checkpoint_every: cfg.checkpoint_every,
-                }),
+            store: Some(Store {
+                dir: dir.to_path_buf(),
+                generation: meta.generation,
+                checkpoint_every: cfg.checkpoint_every,
                 ops_since_ckpt: 0,
-            },
+            }),
             broken: None,
         };
         for bytes in &rec.records {
@@ -499,7 +454,9 @@ impl ProviderEngine {
             report.wal_records += 1;
         }
         ws.seq = report.wal_records;
-        ws.store.ops_since_ckpt = report.wal_records;
+        if let Some(store) = &mut ws.store {
+            store.ops_since_ckpt = report.wal_records;
+        }
         let snapshot = Arc::new(Snapshot {
             seq: ws.seq,
             tables: ws.tables.clone(),
@@ -521,111 +478,82 @@ impl ProviderEngine {
         Self::durable(dir, DurableConfig::default())
     }
 
-    /// Checkpoint now: write a fresh page image of every table, make it
-    /// the durable truth (durable engines: atomic `meta.bin` swing +
-    /// log retirement), then free the superseded image. On volatile
-    /// engines this just (re)writes the image into the caller's pool.
+    /// Checkpoint now: write every table's rows to a fresh file, make it
+    /// the durable truth by rename, then retire the log. A volatile
+    /// engine has nowhere to write and returns `Ok(())`.
     pub fn checkpoint(&self) -> Result<(), String> {
-        let mut ws = self.write.lock();
+        let mut guard = self.write.lock();
+        let ws = &mut *guard;
         if let Some(broken) = &ws.broken {
             return Err(format!("provider needs recovery: {broken}"));
         }
-        // Nothing may outrun the image: wait for everything logged so
-        // far to be durable before superseding it.
-        if let Some(wal) = &self.wal {
-            let end = wal.end_lsn();
-            wal.commit(end).map_err(|e| e.to_string())?;
-        }
-        // dasp::allow(C1): the reported ring back to `ProviderEngine.write`
-        // runs through `Pager::sync`, where the name-based resolver links a
-        // `Box<dyn Backend>` file `sync` to `ProviderEngine::sync` (see the
-        // waiver there); the real pager->engine edge does not exist.
-        match Self::checkpoint_locked(&mut ws, self.wal.as_ref()) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Disk and memory may now disagree (e.g. the metadata
+        if let (Some(wal), Some(store)) = (&self.wal, &mut ws.store) {
+            // Nothing may outrun the image: wait for everything logged so
+            // far to be durable before superseding it.
+            wal.commit(wal.end_lsn()).map_err(|e| e.to_string())?;
+            if let Err(e) = Self::checkpoint_locked(&ws.tables, &ws.commitments, store, wal) {
+                // Disk and memory may now disagree (e.g. the checkpoint
                 // swung but the log did not retire): refuse writes until
                 // recovery rather than risk double-apply or loss.
                 ws.broken = Some(e.clone());
-                Err(e)
+                return Err(e);
             }
         }
-    }
-
-    fn checkpoint_locked(ws: &mut WriteState, wal: Option<&Wal>) -> Result<(), String> {
-        let WriteState {
-            tables,
-            commitments,
-            store,
-            ..
-        } = ws;
-        let pool = &store.pool;
-        let mut names: Vec<String> = tables.keys().cloned().collect();
-        names.sort();
-        let mut metas = Vec::new();
-        let mut new_image = Vec::new();
-        for name in names {
-            if crash_point_hit(CrashPoint::MidCheckpoint) {
-                return Err("simulated crash mid-checkpoint".into());
-            }
-            let Some(t) = tables.get(&name) else { continue };
-            let mut heap = HeapFile::create(pool).map_err(|e| e.to_string())?;
-            let per_record = rows_per_record(t.columns.len());
-            let rows = t.rows.iter().map(|(&id, shares)| (id, shares.as_slice()));
-            let mut rows = rows.peekable();
-            while rows.peek().is_some() {
-                let block: RowBlock = rows.by_ref().take(per_record).collect();
-                heap.insert(pool, &block.encode())
-                    .map_err(|e| e.to_string())?;
-            }
-            new_image.extend_from_slice(heap.pages());
-            metas.push(TableMeta {
-                name: name.clone(),
-                columns: t.columns.to_vec(),
-                indexed: t.indexed.to_vec(),
-                pages: heap.pages().to_vec(),
-            });
-        }
-        // One flush covers the whole image (counted as flush writebacks
-        // in the pool stats) and syncs the data file.
-        pool.flush().map_err(|e| e.to_string())?;
-        if let Some(d) = &mut store.durable {
-            let next_gen = d.generation + 1;
-            let mut committed: Vec<(String, u32)> = commitments
-                .keys()
-                .map(|(t, c)| (t.clone(), *c as u32))
-                .collect();
-            committed.sort();
-            let meta = CheckpointMeta {
-                generation: next_gen,
-                tables: metas,
-                committed,
-            };
-            // The atomic swing: after this rename the image is the truth
-            // and the old log generation is superseded.
-            meta.write_atomic(&d.dir).map_err(|e| e.to_string())?;
-            if crash_point_hit(CrashPoint::BeforeWalSwitch) {
-                return Err("simulated crash before wal switch".into());
-            }
-            if let Some(wal) = wal {
-                wal.switch_generation(next_gen).map_err(|e| e.to_string())?;
-            }
-            d.generation = next_gen;
-        }
-        // Only now is the old image garbage.
-        let old_image = std::mem::replace(&mut store.image, new_image);
-        for page in old_image {
-            pool.discard(page).map_err(|e| e.to_string())?;
-            pool.pager().free(page).map_err(|e| e.to_string())?;
-        }
-        store.ops_since_ckpt = 0;
         Ok(())
     }
 
-    /// Write a checkpoint image (durable engines: a full checkpoint).
-    /// Kept as the historical name for "make my pool reflect my state".
-    pub fn sync(&self) -> Result<(), String> {
-        self.checkpoint()
+    fn checkpoint_locked(
+        tables: &HashMap<String, Arc<TableSnap>>,
+        commitments: &HashMap<(String, usize), Arc<AuthenticatedTable>>,
+        store: &mut Store,
+        wal: &Wal,
+    ) -> Result<(), String> {
+        let mut tables: Vec<_> = tables.iter().collect();
+        tables.sort_by_key(|&(name, _)| name);
+        let mut committed: Vec<(String, u32)> = commitments
+            .keys()
+            .map(|(t, c)| (t.clone(), *c as u32))
+            .collect();
+        committed.sort();
+        let next_gen = store.generation + 1;
+        let meta = CheckpointMeta {
+            generation: next_gen,
+            tables: tables
+                .iter()
+                .map(|&(name, t)| TableMeta {
+                    name: name.clone(),
+                    columns: t.columns.to_vec(),
+                    indexed: t.indexed.to_vec(),
+                    rows: t.rows.len() as u64,
+                })
+                .collect(),
+            committed,
+        };
+        let mut file = CheckpointWriter::create(&store.dir, &meta).map_err(|e| e.to_string())?;
+        for (_, t) in tables {
+            if crash_point_hit(CrashPoint::MidCheckpoint) {
+                return Err("simulated crash mid-checkpoint".into());
+            }
+            let mut rows = t
+                .rows
+                .iter()
+                .map(|(&id, shares)| (id, shares.as_slice()))
+                .peekable();
+            while rows.peek().is_some() {
+                let block: RowBlock = rows.by_ref().take(ROWS_PER_RECORD).collect();
+                file.record(&block.encode()).map_err(|e| e.to_string())?;
+            }
+        }
+        // The atomic swing: after this rename the image is the truth and
+        // the old log generation is superseded.
+        file.commit().map_err(|e| e.to_string())?;
+        if crash_point_hit(CrashPoint::BeforeWalSwitch) {
+            return Err("simulated crash before wal switch".into());
+        }
+        wal.switch_generation(next_gen).map_err(|e| e.to_string())?;
+        store.generation = next_gen;
+        store.ops_since_ckpt = 0;
+        Ok(())
     }
 
     /// Engine statistics snapshot.
@@ -688,9 +616,9 @@ impl ProviderEngine {
                 None
             };
             ws.seq += 1;
-            ws.store.ops_since_ckpt += 1;
-            let checkpoint_due = ws.store.durable.as_ref().is_some_and(|d| {
-                d.checkpoint_every > 0 && ws.store.ops_since_ckpt >= d.checkpoint_every
+            let checkpoint_due = ws.store.as_mut().is_some_and(|store| {
+                store.ops_since_ckpt += 1;
+                store.checkpoint_every > 0 && store.ops_since_ckpt >= store.checkpoint_every
             });
             let snap = Arc::new(Snapshot {
                 seq: ws.seq,
@@ -1303,7 +1231,7 @@ impl ProviderEngine {
     }
 }
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn rows(data: &[(u64, &[i128])]) -> Vec<Row> {
@@ -1966,6 +1894,7 @@ mod tests {
 
     // ---- durability & snapshot tests ----
 
+    use dasp_storage::recovery::CHECKPOINT_FILE;
     use dasp_storage::wal::{arm_crash_point, disarm_crash_points};
     use std::path::PathBuf;
     use std::sync::atomic::AtomicBool;
@@ -1975,7 +1904,7 @@ mod tests {
     /// checkpoint in this binary can consume an armed one: every test
     /// that appends or checkpoints takes this gate, not only the ones
     /// that arm a hook.
-    static HOOK_GATE: StdMutex<()> = StdMutex::new(());
+    pub(crate) static HOOK_GATE: StdMutex<()> = StdMutex::new(());
 
     fn test_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dasp-engine-{}-{tag}", std::process::id()));
@@ -1987,9 +1916,8 @@ mod tests {
     /// what is in the log vs the image.
     fn tight_cfg() -> DurableConfig {
         DurableConfig {
-            wal: WalConfig::default(),
             checkpoint_every: 0,
-            pool_frames: 64,
+            ..DurableConfig::default()
         }
     }
 
@@ -2226,6 +2154,56 @@ mod tests {
         assert_eq!(
             e.execute(&Request::Stats),
             Response::Stats { tables: 1, rows: 5 }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_cut_short_leaves_a_temp_file_that_recovery_ignores() {
+        let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = test_dir("stray-tmp");
+        let table = |name: &str| Request::CreateTable {
+            name: name.into(),
+            columns: vec!["v".into()],
+            indexed: vec![true],
+        };
+        {
+            let (e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+            e.execute(&table("a"));
+            e.execute(&Request::Insert {
+                table: "a".into(),
+                rows: rows(&[(1, &[1]), (2, &[2])]),
+            });
+            e.checkpoint().unwrap();
+            e.execute(&table("b"));
+            e.execute(&Request::Insert {
+                table: "b".into(),
+                rows: rows(&[(3, &[3])]),
+            });
+            // The crash comes before table "b" is written, so the temp
+            // file holds the new header and table "a" only.
+            arm_crash_point(CrashPoint::MidCheckpoint);
+            let res = e.checkpoint();
+            disarm_crash_points();
+            assert!(res.is_err());
+        }
+        assert!(dir.join("checkpoint.tmp").exists());
+        let (e, report) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        assert!(!dir.join("checkpoint.tmp").exists());
+        assert_eq!((report.checkpoint_tables, report.checkpoint_rows), (1, 2));
+        assert_eq!((report.wal_records, report.wal_reset), (2, false));
+        assert_eq!(
+            e.execute(&Request::Stats),
+            Response::Stats { tables: 2, rows: 3 }
+        );
+        e.checkpoint().unwrap();
+        drop(e);
+        let (e, report) = ProviderEngine::recover(&dir).unwrap();
+        assert_eq!((report.checkpoint_tables, report.checkpoint_rows), (2, 3));
+        assert_eq!(report.wal_records, 0);
+        assert_eq!(
+            e.execute(&Request::Stats),
+            Response::Stats { tables: 2, rows: 3 }
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2490,7 +2468,7 @@ mod tests {
         // mean something else now) nor reset.
         let dir = test_dir("old-wal");
         std::fs::create_dir_all(&dir).unwrap();
-        let (_, _, wal_path) = provider_paths(&dir);
+        let wal_path = dir.join(WAL_FILE);
         let mut old_log = b"DWAL\x01\0\0\0\0\0\0\0\0\0\0\0".to_vec();
         old_log.extend(b"\x09\0\0\0\xde\xad\xbe\xef\x01\0\0\0\0\0\0\0\0");
         std::fs::write(&wal_path, &old_log).unwrap();
@@ -2501,21 +2479,87 @@ mod tests {
             )))
         ));
         assert_eq!(std::fs::read(&wal_path).unwrap(), old_log);
-        // Its checkpoint descriptor is read first and refused the same way.
-        let (_, meta_path, _) = provider_paths(&dir);
-        std::fs::write(meta_path, b"DCKP\x01\0\0\0\0\0\0\0\0\0\0\0").unwrap();
+        // A checkpoint of another version is read first and refused the
+        // same way.
+        let checkpoint_path = dir.join(CHECKPOINT_FILE);
+        std::fs::write(&checkpoint_path, b"DCKP\x02\0\0\0\0\0\0\0\0\0\0\0").unwrap();
         assert!(matches!(
             ProviderEngine::recover(&dir),
             Err(RecoveryError::CorruptMeta("unknown version"))
         ));
+        assert_eq!(std::fs::read(&wal_path).unwrap(), old_log);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The paged layout of the release before this one, byte for byte
+        // as it is left by: create `t`, insert (1, [10]), checkpoint,
+        // insert (7, [70]). `meta.bin` (version 2) names heap page 0 of
+        // `data.db` as table `t`, and the log of generation 1 holds the
+        // acknowledged second insert. Read naively the directory has no
+        // checkpoint, so generation 0, and its log would be reset; it must
+        // be refused with every byte in place.
+        let dir = test_dir("paged-layout");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut body = 1u64.to_le_bytes().to_vec(); // generation
+        body.extend(1u32.to_le_bytes()); // tables
+        body.extend(1u32.to_le_bytes());
+        body.extend(b"t");
+        body.extend(1u32.to_le_bytes()); // columns
+        body.extend(1u32.to_le_bytes());
+        body.extend(b"v");
+        body.extend(1u32.to_le_bytes()); // indexed flags
+        body.push(1);
+        body.extend(1u32.to_le_bytes()); // heap pages
+        body.extend(0u32.to_le_bytes());
+        body.extend(0u32.to_le_bytes()); // committed columns
+        let mut meta = b"DCKP\x02\0\0\0".to_vec();
+        meta.extend((body.len() as u32).to_le_bytes());
+        meta.extend(dasp_storage::wal::crc32(&body).to_le_bytes());
+        meta.extend(body);
+        // A heap page: type, one slot, free space from 4091, the slot
+        // (offset 4091, 5 bytes), and the row block of (1, [10]) at 4091.
+        let mut page = vec![0u8; 4096];
+        page[..9].copy_from_slice(&[1, 1, 0, 0xfb, 0x0f, 0xfb, 0x0f, 5, 0]);
+        page[4091..].copy_from_slice(&[1, 1, 2, 1, 20]);
+        let insert = Request::Insert {
+            table: "t".into(),
+            rows: rows(&[(7, &[70])]),
+        }
+        .encode();
+        let mut log = b"DWAL\x02\0\0\0".to_vec();
+        log.extend(1u64.to_le_bytes());
+        log.extend((insert.len() as u32).to_le_bytes());
+        log.extend(dasp_storage::wal::crc32(&insert).to_le_bytes());
+        log.extend(insert);
+        let files = [("meta.bin", meta), ("data.db", page), (WAL_FILE, log)];
+        for (name, bytes) in &files {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        // Either paged file alone is enough to refuse.
+        for present in [&files[..], &files[1..]] {
+            for (name, bytes) in present {
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+            assert!(matches!(
+                ProviderEngine::recover(&dir),
+                Err(RecoveryError::CorruptMeta(
+                    "paged checkpoint layout of an earlier release"
+                ))
+            ));
+            for (name, bytes) in present {
+                assert_eq!(&std::fs::read(dir.join(name)).unwrap(), bytes, "{name}");
+            }
+            assert!(!dir.join(CHECKPOINT_FILE).exists());
+            let _ = std::fs::remove_file(dir.join("meta.bin"));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpoint_record_matches_the_wire_layout() {
-        // The image's heap records are wire row blocks, whole tables of
-        // them: every record decodes with the wire decoder, none outgrows
-        // a page whatever the shares, and recovery reads back every row.
+        // The image's records are wire row blocks, whole tables of them:
+        // every record decodes with the wire decoder, none holds more
+        // than `ROWS_PER_RECORD` rows whatever the shares, and recovery
+        // reads back every row.
         let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = test_dir("ckpt-layout");
         let (e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
@@ -2524,7 +2568,7 @@ mod tests {
             columns: vec!["a".into(), "b".into(), "c".into(), "d".into()],
             indexed: vec![true, false, false, false],
         });
-        let data: Vec<Row> = (0..500u64)
+        let data: Vec<Row> = (0..2500u64)
             .map(|i| Row {
                 id: u64::MAX - 2 * i,
                 shares: vec![i128::MIN + i as i128, -1, 0, i128::MAX - i as i128],
@@ -2543,19 +2587,23 @@ mod tests {
         };
         let live = e.execute(&all);
         {
-            let ws = e.write.lock();
-            let heap = HeapFile::open(ws.store.image.clone());
-            let records = heap.scan(&ws.store.pool).unwrap();
-            assert!(records.len() >= 500 / rows_per_record(4));
-            let stored: usize = records
-                .iter()
-                .map(|(_, bytes)| RowBlock::decode(bytes).expect("a wire row block").len())
-                .sum();
-            assert_eq!(stored, 500);
+            let (meta, mut image) = CheckpointReader::open(&dir).unwrap();
+            assert_eq!(meta.tables.len(), 1);
+            assert_eq!(meta.tables[0].rows, 2500);
+            let records = 2500usize.div_ceil(ROWS_PER_RECORD);
+            let stored: Vec<usize> = (0..records)
+                .map(|_| {
+                    let bytes = image.record().unwrap();
+                    RowBlock::decode(&bytes).expect("a wire row block").len()
+                })
+                .collect();
+            assert!(stored.iter().all(|&n| n <= ROWS_PER_RECORD), "{stored:?}");
+            assert_eq!(stored.iter().sum::<usize>(), 2500);
+            image.finish().unwrap();
         }
         drop(e);
         let (recovered, report) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
-        assert_eq!((report.checkpoint_rows, report.wal_records), (500, 0));
+        assert_eq!((report.checkpoint_rows, report.wal_records), (2500, 0));
         assert_eq!(recovered.execute(&all), live);
         let Response::Rows(got) = live else {
             panic!("{live:?}")

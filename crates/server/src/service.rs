@@ -162,35 +162,41 @@ mod tests {
 
     #[test]
     fn file_backed_provider_survives_data_volume() {
-        use dasp_storage::{BufferPool, FileBackend, Pager};
+        // Durable engines in this binary share the process-global crash
+        // hooks with the engine tests.
+        let _gate = crate::engine::tests::HOOK_GATE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("dasp-provider-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("provider.db");
-        let _ = std::fs::remove_file(&path);
-        let pool = BufferPool::new(Pager::new(FileBackend::open(&path).unwrap()), 64);
-        let engine = crate::engine::ProviderEngine::with_pool(pool);
-        engine.execute(&Request::CreateTable {
-            name: "t".into(),
-            columns: vec!["v".into()],
-            indexed: vec![true],
-        });
-        let rows: Vec<Row> = (0..2000u64)
-            .map(|i| Row {
-                id: i + 1,
-                shares: vec![i as i128 * 5],
-            })
-            .collect();
-        assert_eq!(
-            engine.execute(&Request::Insert {
-                table: "t".into(),
-                rows
-            }),
-            Response::Ack
-        );
-        engine.sync().unwrap();
-        // Data larger than the 64-frame pool still answers correctly
-        // through evictions and write-backs.
-        let resp = engine.execute(&Request::Query {
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let (service, _) = ProviderService::durable(&dir, DurableConfig::default()).unwrap();
+            let engine = service.engine();
+            engine.execute(&Request::CreateTable {
+                name: "t".into(),
+                columns: vec!["v".into()],
+                indexed: vec![true],
+            });
+            let rows: Vec<Row> = (0..2000u64)
+                .map(|i| Row {
+                    id: i + 1,
+                    shares: vec![i as i128 * 5],
+                })
+                .collect();
+            assert_eq!(
+                engine.execute(&Request::Insert {
+                    table: "t".into(),
+                    rows
+                }),
+                Response::Ack
+            );
+            engine.checkpoint().unwrap();
+        }
+        // Everything comes back from the checkpoint file, nothing from
+        // the log.
+        let (service, report) = ProviderService::durable(&dir, DurableConfig::default()).unwrap();
+        assert_eq!((report.checkpoint_rows, report.wal_records), (2000, 0));
+        let resp = service.engine().execute(&Request::Query {
             table: "t".into(),
             predicate: vec![PredAtom::Range {
                 col: 0,
@@ -203,11 +209,7 @@ mod tests {
             panic!("{resp:?}")
         };
         assert_eq!(got.len(), 21); // shares 100,105,...,200
-        assert!(
-            std::fs::metadata(&path).unwrap().len() > 0,
-            "pages reached the file"
-        );
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,43 +1,48 @@
-//! Crash-recovery support: typed recovery errors and the checkpoint
-//! metadata that pairs a pager image with a WAL generation.
+//! Crash-recovery support: typed recovery errors and the checkpoint file
+//! that pairs a table image with a WAL generation.
 //!
-//! A durable provider directory holds three files:
+//! A durable provider directory holds two files:
 //!
-//! * `data.db` — the pager file with the last checkpoint's heap image,
-//! * `meta.bin` — this module's [`CheckpointMeta`]: which pages belong
-//!   to which table, which commitments were published, and the WAL
-//!   generation the image supersedes,
+//! * `checkpoint.bin` — the last checkpoint: a [`CheckpointMeta`] header
+//!   (which tables exist, how many rows each holds, which commitments
+//!   were published, and the WAL generation the image supersedes)
+//!   followed by every table's rows as `[len][crc][payload]` records,
+//!   tables in header order,
 //! * `wal.log` — the write-ahead log of operations since the checkpoint.
 //!
-//! `meta.bin` is replaced atomically (tmp + fsync + rename + directory
-//! fsync), so recovery always sees either the old or the new checkpoint,
-//! never a blend. The generation stamp links the two: a WAL whose header
-//! generation differs from `meta.bin`'s belongs to a superseded epoch and
-//! is reset, not replayed — that is the invariant that makes the
-//! checkpoint/log switch crash-safe without a multi-file transaction.
+//! A checkpoint is written once, front to back, by a
+//! [`CheckpointWriter`]: stream to `checkpoint.tmp`, `sync_data`, rename
+//! over `checkpoint.bin`, fsync the directory. Recovery therefore always
+//! sees either the old or the new image, never a blend, and reads it
+//! once, front to back, with a [`CheckpointReader`]. The generation
+//! stamp links the two files: a WAL whose header generation differs from
+//! the checkpoint's belongs to a superseded epoch and is reset, not
+//! replayed — that is the invariant that makes the checkpoint/log switch
+//! crash-safe without a multi-file transaction.
 //!
 //! All parsing here returns a typed [`RecoveryError`]; nothing panics on
-//! corrupt input (torn-tail fuzzing in `tests/fault_injection.rs` holds
-//! this line at every byte offset).
+//! corrupt input (truncation and bit-flip fuzzing in
+//! `tests/fault_injection.rs` holds this line at every byte offset).
 
 use crate::wal::crc32;
-use crate::{PageId, StorageError};
+use crate::StorageError;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Why recovery could not produce an engine.
 #[derive(Debug)]
 pub enum RecoveryError {
-    /// Filesystem failure while reading the directory, metadata, or log.
+    /// Filesystem failure while reading the directory, checkpoint, or log.
     Io(std::io::Error),
-    /// The storage layer rejected the checkpoint image.
+    /// The storage layer rejected the log.
     Storage(StorageError),
-    /// `meta.bin` exists but does not parse (real disk corruption: the
-    /// file is written atomically, so a torn write cannot produce this).
+    /// The checkpoint does not parse, or the directory holds a layout
+    /// this release does not read. The file is written by rename, so a
+    /// torn write cannot produce this: it is real corruption.
     CorruptMeta(&'static str),
-    /// A WAL record survived its CRC but does not decode as an
-    /// operation, or replaying it failed — the log and image disagree.
+    /// A WAL record or checkpoint row block survived its CRC but does not
+    /// decode, or replaying it failed — the log and image disagree.
     Replay(String),
 }
 
@@ -46,7 +51,7 @@ impl std::fmt::Display for RecoveryError {
         match self {
             RecoveryError::Io(e) => write!(f, "recovery io error: {e}"),
             RecoveryError::Storage(e) => write!(f, "recovery storage error: {e}"),
-            RecoveryError::CorruptMeta(what) => write!(f, "corrupt checkpoint meta: {what}"),
+            RecoveryError::CorruptMeta(what) => write!(f, "corrupt checkpoint: {what}"),
             RecoveryError::Replay(what) => write!(f, "wal replay failed: {what}"),
         }
     }
@@ -76,19 +81,19 @@ pub struct TableMeta {
     pub name: String,
     /// Column names, in order.
     pub columns: Vec<String>,
-    /// Which columns carry an index (rebuilt from the heap on recovery).
+    /// Which columns carry an index (rebuilt from the rows on recovery).
     pub indexed: Vec<bool>,
-    /// Heap pages holding the table's rows, in heap-file order.
-    pub pages: Vec<PageId>,
+    /// Rows the table's records hold between them.
+    pub rows: u64,
 }
 
-/// The durable checkpoint descriptor stored in `meta.bin`.
+/// The header of `checkpoint.bin`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckpointMeta {
     /// WAL generation this image supersedes; the live log must carry the
     /// same stamp to be replayed.
     pub generation: u64,
-    /// Tables in the image.
+    /// Tables in the image, in the order their records follow.
     pub tables: Vec<TableMeta>,
     /// `(table, column)` pairs whose Merkle commitments were published
     /// at checkpoint time (rebuilt deterministically on recovery).
@@ -96,17 +101,26 @@ pub struct CheckpointMeta {
 }
 
 const META_MAGIC: [u8; 4] = *b"DCKP";
-/// Version 2: the image's heap records are packed row blocks.
-const META_VERSION: u32 = 2;
+/// Version 3: one sequential file, the header then each table's records.
+const META_VERSION: u32 = 3;
+/// magic + version + body length + body CRC.
+const META_HEADER_LEN: usize = 16;
+/// A record's length and CRC, framed as the WAL frames its records.
+const RECORD_HEADER_LEN: usize = 8;
 /// Parse sanity bound: no real deployment has a billion tables.
 const MAX_COUNT: u32 = 1 << 24;
 
-/// Name of the metadata file inside a provider directory.
-pub const META_FILE: &str = "meta.bin";
-/// Name of the pager file inside a provider directory.
-pub const DATA_FILE: &str = "data.db";
+/// Name of the checkpoint file inside a provider directory.
+pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
+/// Where a checkpoint is written before its rename.
+const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 /// Name of the write-ahead log inside a provider directory.
 pub const WAL_FILE: &str = "wal.log";
+/// The paged layout of earlier releases (a descriptor plus a page file).
+/// Its image is unreadable here, and its log may be of a later
+/// generation than "no checkpoint": recovery refuses such a directory
+/// rather than reset that log.
+const PAGED_LAYOUT: [&str; 2] = ["meta.bin", "data.db"];
 
 struct MetaReader<'a> {
     bytes: &'a [u8],
@@ -114,6 +128,10 @@ struct MetaReader<'a> {
 }
 
 impl<'a> MetaReader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        MetaReader { bytes, at: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], RecoveryError> {
         let slice = self
             .bytes
@@ -123,18 +141,18 @@ impl<'a> MetaReader<'a> {
         Ok(slice)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], RecoveryError> {
+        self.take(N)?
+            .try_into()
+            .map_err(|_| RecoveryError::CorruptMeta("truncated body"))
+    }
+
     fn u32(&mut self) -> Result<u32, RecoveryError> {
-        let b = self.take(4)?;
-        // dasp::allow(P3): take(4) yields exactly 4 bytes or errors
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, RecoveryError> {
-        let b = self.take(8)?;
-        // dasp::allow(P3): take(8) yields exactly 8 bytes or errors
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        self.array().map(u64::from_le_bytes)
     }
 
     fn count(&mut self) -> Result<u32, RecoveryError> {
@@ -149,6 +167,17 @@ impl<'a> MetaReader<'a> {
         let len = self.count()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| RecoveryError::CorruptMeta("non-utf8 string"))
+    }
+
+    /// The fixed header: magic and version checked; body length and CRC.
+    fn header(&mut self) -> Result<(usize, u32), RecoveryError> {
+        if self.array()? != META_MAGIC {
+            return Err(RecoveryError::CorruptMeta("bad magic"));
+        }
+        if self.u32()? != META_VERSION {
+            return Err(RecoveryError::CorruptMeta("unknown version"));
+        }
+        Ok((self.u32()? as usize, self.u32()?))
     }
 }
 
@@ -174,17 +203,14 @@ impl CheckpointMeta {
             for &ix in &table.indexed {
                 body.push(u8::from(ix));
             }
-            body.extend_from_slice(&(table.pages.len() as u32).to_le_bytes());
-            for &page in &table.pages {
-                body.extend_from_slice(&page.to_le_bytes());
-            }
+            body.extend_from_slice(&table.rows.to_le_bytes());
         }
         body.extend_from_slice(&(self.committed.len() as u32).to_le_bytes());
         for (table, col) in &self.committed {
             put_string(&mut body, table);
             body.extend_from_slice(&col.to_le_bytes());
         }
-        let mut out = Vec::with_capacity(body.len() + 16);
+        let mut out = Vec::with_capacity(body.len() + META_HEADER_LEN);
         out.extend_from_slice(&META_MAGIC);
         out.extend_from_slice(&META_VERSION.to_le_bytes());
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -193,25 +219,22 @@ impl CheckpointMeta {
         out
     }
 
-    /// Parse the on-disk format, verifying magic, length, and CRC.
+    /// Parse exactly one encoded header, verifying magic, length and CRC.
     pub fn decode(bytes: &[u8]) -> Result<Self, RecoveryError> {
-        let mut r = MetaReader { bytes, at: 0 };
-        if r.take(4)? != META_MAGIC {
-            return Err(RecoveryError::CorruptMeta("bad magic"));
-        }
-        if r.u32()? != META_VERSION {
-            return Err(RecoveryError::CorruptMeta("unknown version"));
-        }
-        let body_len = r.u32()? as usize;
-        let crc = r.u32()?;
+        let mut r = MetaReader::new(bytes);
+        let (body_len, crc) = r.header()?;
         let body = r.take(body_len)?;
         if r.at != bytes.len() {
             return Err(RecoveryError::CorruptMeta("trailing bytes"));
         }
+        Self::decode_body(body, crc)
+    }
+
+    fn decode_body(body: &[u8], crc: u32) -> Result<Self, RecoveryError> {
         if crc32(body) != crc {
             return Err(RecoveryError::CorruptMeta("crc mismatch"));
         }
-        let mut r = MetaReader { bytes: body, at: 0 };
+        let mut r = MetaReader::new(body);
         let generation = r.u64()?;
         let ntables = r.count()?;
         let mut tables = Vec::with_capacity(ntables.min(1024) as usize);
@@ -223,20 +246,13 @@ impl CheckpointMeta {
                 columns.push(r.string()?);
             }
             let nindexed = r.count()?;
-            let mut indexed = Vec::with_capacity(nindexed.min(1024) as usize);
-            for _ in 0..nindexed {
-                indexed.push(r.take(1)?[0] != 0);
-            }
-            let npages = r.count()?;
-            let mut pages = Vec::with_capacity(npages.min(1024) as usize);
-            for _ in 0..npages {
-                pages.push(r.u32()?);
-            }
+            let indexed = r.take(nindexed as usize)?.iter().map(|&b| b != 0).collect();
+            let rows = r.u64()?;
             tables.push(TableMeta {
                 name,
                 columns,
                 indexed,
-                pages,
+                rows,
             });
         }
         let ncommitted = r.count()?;
@@ -255,44 +271,139 @@ impl CheckpointMeta {
             committed,
         })
     }
+}
 
-    /// Atomically replace `meta.bin` in `dir`: write a temp file, fsync
-    /// it, rename over the target, fsync the directory. A crash at any
-    /// point leaves either the old or the new metadata intact.
-    pub fn write_atomic(&self, dir: &Path) -> Result<(), RecoveryError> {
-        let tmp = dir.join("meta.bin.tmp");
-        let target = dir.join(META_FILE);
-        {
-            let mut file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            file.write_all(&self.encode())?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, &target)?;
-        // Make the rename itself durable.
-        File::open(dir)?.sync_all()?;
+/// Streams one checkpoint to `checkpoint.tmp`; [`CheckpointWriter::commit`]
+/// makes it `checkpoint.bin`. Dropped uncommitted (an error or a crash
+/// mid-checkpoint), it leaves the old checkpoint in force and a stray
+/// temp file that the next recovery removes.
+pub struct CheckpointWriter {
+    file: BufWriter<File>,
+    dir: PathBuf,
+}
+
+impl CheckpointWriter {
+    /// Start a checkpoint in `dir` with `meta` as its header.
+    pub fn create(dir: &Path, meta: &CheckpointMeta) -> crate::Result<Self> {
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(dir.join(CHECKPOINT_TMP))?;
+        let mut file = BufWriter::with_capacity(1 << 16, file);
+        file.write_all(&meta.encode())?;
+        Ok(CheckpointWriter {
+            file,
+            dir: dir.to_path_buf(),
+        })
+    }
+
+    /// Append one record.
+    pub fn record(&mut self, payload: &[u8]) -> crate::Result<()> {
+        let len = u32::try_from(payload.len())
+            .map_err(|_| StorageError::RecordTooLarge(payload.len()))?;
+        self.file.write_all(&len.to_le_bytes())?;
+        self.file.write_all(&crc32(payload).to_le_bytes())?;
+        self.file.write_all(payload)?;
         Ok(())
     }
 
-    /// Read `meta.bin` from `dir`; `None` if it does not exist (a fresh
-    /// directory, generation 0, empty image).
-    pub fn read(dir: &Path) -> Result<Option<Self>, RecoveryError> {
-        let path = dir.join(META_FILE);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(RecoveryError::Io(e)),
-        };
-        Self::decode(&bytes).map(Some)
+    /// The atomic swing: sync the temp file, rename it over
+    /// `checkpoint.bin`, and fsync the directory so the rename itself is
+    /// durable. A crash at any point leaves either the old or the new
+    /// checkpoint intact.
+    pub fn commit(self) -> crate::Result<()> {
+        let file = self.file.into_inner().map_err(|e| e.into_error())?;
+        file.sync_data()?;
+        std::fs::rename(
+            self.dir.join(CHECKPOINT_TMP),
+            self.dir.join(CHECKPOINT_FILE),
+        )?;
+        File::open(&self.dir)?.sync_all()?;
+        Ok(())
     }
 }
 
-/// Paths of the durable files inside a provider directory.
-pub fn provider_paths(dir: &Path) -> (PathBuf, PathBuf, PathBuf) {
-    (dir.join(DATA_FILE), dir.join(META_FILE), dir.join(WAL_FILE))
+/// Reads one checkpoint front to back: the header on open, then one
+/// record per [`CheckpointReader::record`] call.
+pub struct CheckpointReader {
+    /// `None` for a directory that has never checkpointed.
+    file: Option<BufReader<File>>,
+}
+
+/// `len` bytes from `r`, or `what` if the file ends first. Grows with
+/// the bytes actually read, so a corrupt length cannot allocate more
+/// than the file holds.
+fn read_exact_vec(
+    r: &mut impl Read,
+    len: usize,
+    what: &'static str,
+) -> Result<Vec<u8>, RecoveryError> {
+    let mut buf = Vec::with_capacity(len.min(1 << 16));
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() != len {
+        return Err(RecoveryError::CorruptMeta(what));
+    }
+    Ok(buf)
+}
+
+impl CheckpointReader {
+    /// Open `dir`'s checkpoint for recovery. A directory without one
+    /// yields the empty generation-0 image. A stray `checkpoint.tmp` (a
+    /// checkpoint that never swung) is removed; a directory in the paged
+    /// layout of earlier releases is refused with every file untouched.
+    pub fn open(dir: &Path) -> Result<(CheckpointMeta, Self), RecoveryError> {
+        if PAGED_LAYOUT.iter().any(|name| dir.join(name).exists()) {
+            return Err(RecoveryError::CorruptMeta(
+                "paged checkpoint layout of an earlier release",
+            ));
+        }
+        if let Err(e) = std::fs::remove_file(dir.join(CHECKPOINT_TMP)) {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                return Err(e.into());
+            }
+        }
+        let file = match File::open(dir.join(CHECKPOINT_FILE)) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok((CheckpointMeta::default(), CheckpointReader { file: None }))
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let mut file = BufReader::with_capacity(1 << 16, file);
+        let head = read_exact_vec(&mut file, META_HEADER_LEN, "truncated header")?;
+        let (body_len, crc) = MetaReader::new(&head).header()?;
+        let body = read_exact_vec(&mut file, body_len, "truncated body")?;
+        let meta = CheckpointMeta::decode_body(&body, crc)?;
+        Ok((meta, CheckpointReader { file: Some(file) }))
+    }
+
+    /// The next record's payload, CRC-checked.
+    pub fn record(&mut self) -> Result<Vec<u8>, RecoveryError> {
+        let file = self
+            .file
+            .as_mut()
+            .ok_or(RecoveryError::CorruptMeta("record past the end"))?;
+        let head = read_exact_vec(file, RECORD_HEADER_LEN, "truncated record")?;
+        let mut head = MetaReader::new(&head);
+        let (len, crc) = (head.u32()? as usize, head.u32()?);
+        let payload = read_exact_vec(file, len, "truncated record")?;
+        if crc32(&payload) != crc {
+            return Err(RecoveryError::CorruptMeta("record crc mismatch"));
+        }
+        Ok(payload)
+    }
+
+    /// Check that the file ends after the last record the header called
+    /// for.
+    pub fn finish(self) -> Result<(), RecoveryError> {
+        if let Some(mut file) = self.file {
+            if file.read(&mut [0u8])? != 0 {
+                return Err(RecoveryError::CorruptMeta("trailing bytes"));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -307,13 +418,13 @@ mod tests {
                     name: "accounts".into(),
                     columns: vec!["balance".into(), "owner".into()],
                     indexed: vec![true, false],
-                    pages: vec![1, 2, 9],
+                    rows: 3,
                 },
                 TableMeta {
                     name: "empty".into(),
                     columns: vec![],
                     indexed: vec![],
-                    pages: vec![4],
+                    rows: 0,
                 },
             ],
             committed: vec![("accounts".into(), 0), ("accounts".into(), 1)],
@@ -359,19 +470,37 @@ mod tests {
     #[test]
     fn atomic_write_read_roundtrip() {
         let dir = std::env::temp_dir().join(format!("dasp-meta-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(CheckpointMeta::read(&dir).unwrap().is_none());
+        let (empty, reader) = CheckpointReader::open(&dir).unwrap();
+        assert_eq!(empty, CheckpointMeta::default());
+        reader.finish().unwrap();
         let meta = sample();
-        meta.write_atomic(&dir).unwrap();
-        assert_eq!(CheckpointMeta::read(&dir).unwrap(), Some(meta.clone()));
-        // Overwrite with a newer generation.
+        let records: [&[u8]; 3] = [b"first", b"", b"third"];
+        let mut writer = CheckpointWriter::create(&dir, &meta).unwrap();
+        for record in records {
+            writer.record(record).unwrap();
+        }
+        writer.commit().unwrap();
+        let (read, mut reader) = CheckpointReader::open(&dir).unwrap();
+        assert_eq!(read, meta);
+        for record in records {
+            assert_eq!(reader.record().unwrap(), record);
+        }
+        reader.finish().unwrap();
+        // Overwrite with a newer generation; an uncommitted writer after
+        // it changes nothing, and its temp file is gone after the open.
         let mut newer = meta;
         newer.generation += 1;
-        newer.write_atomic(&dir).unwrap();
-        assert_eq!(
-            CheckpointMeta::read(&dir).unwrap().unwrap().generation,
-            newer.generation
-        );
+        CheckpointWriter::create(&dir, &newer)
+            .unwrap()
+            .commit()
+            .unwrap();
+        drop(CheckpointWriter::create(&dir, &sample()).unwrap());
+        assert!(dir.join(CHECKPOINT_TMP).exists());
+        let (read, _) = CheckpointReader::open(&dir).unwrap();
+        assert_eq!(read.generation, newer.generation);
+        assert!(!dir.join(CHECKPOINT_TMP).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -264,7 +264,6 @@ fn torn_or_corrupt_wal_tail_never_panics_recovery() {
     let check = |tag: String, bytes: &[u8]| {
         let _ = std::fs::remove_dir_all(&scratch);
         std::fs::create_dir_all(&scratch).unwrap();
-        let _ = std::fs::copy(dir.join("data.db"), scratch.join("data.db"));
         std::fs::write(scratch.join("wal.log"), bytes).unwrap();
         match ProviderEngine::recover(&scratch) {
             Ok((e, _)) => {
@@ -295,6 +294,78 @@ fn torn_or_corrupt_wal_tail_never_panics_recovery() {
         let mut mutated = wal_bytes.clone();
         mutated[pos as usize] ^= 0x41;
         check(format!("flip@{pos}"), &mutated);
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn corrupt_checkpoint_is_a_typed_error_never_wrong_rows() {
+    use dasp_server::{DurableConfig, ProviderEngine, Request, Response, Row};
+
+    let base = std::env::temp_dir().join(format!("dasp-ckpt-fuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let dir = base.join("provider");
+    let cfg = DurableConfig {
+        checkpoint_every: 0,
+        ..DurableConfig::default()
+    };
+    let all = Request::Query {
+        table: "t".into(),
+        predicate: vec![],
+        agg: None,
+    };
+    let before = {
+        let (e, _) = ProviderEngine::durable(&dir, cfg).unwrap();
+        e.execute(&Request::CreateTable {
+            name: "t".into(),
+            columns: vec!["v".into(), "w".into()],
+            indexed: vec![true, false],
+        });
+        let rows = (1..=6u64)
+            .map(|id| Row {
+                id,
+                shares: vec![id as i128 * 7, -(id as i128)],
+            })
+            .collect();
+        let insert = Request::Insert {
+            table: "t".into(),
+            rows,
+        };
+        assert_eq!(e.execute(&insert), Response::Ack);
+        e.checkpoint().unwrap();
+        // One logged op on top of the image, so a recovery that skipped
+        // or misread the image could not match by accident.
+        let delete = Request::Delete {
+            table: "t".into(),
+            ids: vec![2],
+        };
+        assert_eq!(e.execute(&delete), Response::Ack);
+        e.execute(&all)
+    };
+    let checkpoint = std::fs::read(dir.join("checkpoint.bin")).unwrap();
+    let wal = std::fs::read(dir.join("wal.log")).unwrap();
+
+    let scratch = base.join("scratch");
+    std::fs::create_dir_all(&scratch).unwrap();
+    // Whether `bytes` as the checkpoint recovered. A typed error is an
+    // acceptable outcome; a panic or other rows are not.
+    let check = |tag: String, bytes: &[u8]| {
+        std::fs::write(scratch.join("checkpoint.bin"), bytes).unwrap();
+        std::fs::write(scratch.join("wal.log"), &wal).unwrap();
+        let Ok((e, _)) = ProviderEngine::recover(&scratch) else {
+            return false;
+        };
+        assert_eq!(e.execute(&all), before, "{tag}: recovered other rows");
+        true
+    };
+    assert!(check("intact".into(), &checkpoint));
+    for cut in 0..checkpoint.len() {
+        assert!(!check(format!("truncate@{cut}"), &checkpoint[..cut]));
+    }
+    for bit in 0..checkpoint.len() * 8 {
+        let mut mutated = checkpoint.clone();
+        mutated[bit / 8] ^= 1 << (bit % 8);
+        check(format!("flip@{bit}"), &mutated);
     }
     let _ = std::fs::remove_dir_all(&base);
 }
