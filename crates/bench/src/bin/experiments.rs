@@ -1106,12 +1106,13 @@ fn e17_codec(cfg: &Config) {
 /// E18 — concurrent provider execution: queries/s for a mixed read
 /// workload as the provider worker-pool size scales. One caller sends
 /// every query in one `query_many`, so all of them are in flight at once
-/// and the providers see the whole batch together. A 2 ms emulated
-/// per-request WAN latency makes the effect visible on any machine
+/// and the providers see the whole batch together. Each provider sleeps
+/// 2 ms in every request before handling it (an emulated WAN that
+/// occupies the worker), which makes the effect visible on any machine
 /// (including single-core CI): with one worker per provider every request
-/// queues behind that worker's latency sleep, while a pool of four
-/// overlaps them — the speedup measures request *overlap*, not CPU
-/// parallelism. Results land in BENCH_concurrency.json.
+/// queues behind that worker's sleep, while a pool of four overlaps
+/// them — the speedup measures request *overlap*, not CPU parallelism.
+/// Results land in BENCH_concurrency.json.
 fn e18_concurrency(cfg: &Config) {
     println!("== E18 (concurrency): one query_many's queries/s vs provider workers ==");
     let rows = if cfg.quick { 500 } else { 2000 };
@@ -1134,8 +1135,8 @@ fn e18_concurrency(cfg: &Config) {
     let mut results: Vec<(usize, f64)> = Vec::new();
     println!("  workers    queries/s");
     for &workers in &provider_workers {
-        let mut dep = deploy_employees_concurrent(2, 3, rows, 1900 + workers as u64, workers);
-        dep.ds.cluster().set_latency(latency);
+        let mut dep =
+            deploy_employees_concurrent(2, 3, rows, 1900 + workers as u64, workers, latency);
         // Warm the op-sharing and basis caches outside the clock.
         dep.ds.query_many("employees", &preds[..1]).unwrap();
         let start = Instant::now();

@@ -7,12 +7,13 @@
 
 use dasp_client::{ColumnSpec, DataSource, TableSchema, Value};
 use dasp_core::client::ClientKeys;
-use dasp_net::{Cluster, NetworkModel, TrafficStats};
+use dasp_net::{Cluster, NetworkModel, SharedService, TrafficStats};
 use dasp_server::service::provider_fleet;
 use dasp_sss::ShareMode;
 use dasp_workload::employees::{self, SalaryDist};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One measured run: wall-clock compute plus metered traffic.
@@ -63,21 +64,48 @@ pub const SALARY_DOMAIN: u64 = 1 << 20;
 
 /// Deploy `n` providers (threshold `k`) and load `rows` employees.
 pub fn deploy_employees(k: usize, n: usize, rows: usize, seed: u64) -> EmployeesDeployment {
-    deploy_employees_concurrent(k, n, rows, seed, 1)
+    deploy_employees_concurrent(k, n, rows, seed, 1, Duration::ZERO)
 }
 
 /// Like [`deploy_employees`], but each provider serves requests from a
 /// `workers`-thread pool (shared-read engine), so overlapping requests
-/// interleave instead of queueing behind one service thread.
+/// interleave instead of queueing behind one service thread, and every
+/// request first sleeps `wan` on the worker that serves it: an emulated
+/// WAN round trip that occupies its worker.
 pub fn deploy_employees_concurrent(
     k: usize,
     n: usize,
     rows: usize,
     seed: u64,
     workers: usize,
+    wan: Duration,
 ) -> EmployeesDeployment {
-    let cluster = Cluster::spawn_concurrent(provider_fleet(n), Duration::from_secs(30), workers);
+    let services = provider_fleet(n)
+        .into_iter()
+        .map(|inner| {
+            if wan.is_zero() {
+                inner
+            } else {
+                Arc::new(Wan { inner, delay: wan }) as Arc<dyn SharedService>
+            }
+        })
+        .collect();
+    let cluster = Cluster::spawn_concurrent(services, Duration::from_secs(30), workers);
     deploy_onto(cluster, k, n, rows, seed)
+}
+
+/// A provider behind a WAN: each request sleeps `delay` before it is
+/// handled, on the thread that handles it.
+struct Wan {
+    inner: Arc<dyn SharedService>,
+    delay: Duration,
+}
+
+impl SharedService for Wan {
+    fn handle(&self, request: &[u8]) -> Vec<u8> {
+        std::thread::sleep(self.delay);
+        self.inner.handle(request)
+    }
 }
 
 fn deploy_onto(

@@ -449,13 +449,15 @@ impl DataSource {
     /// and run the whole client stack — rewriting, reconstruction,
     /// quorum, hedging, verification — over the wire. The transport is
     /// invisible above [`Cluster`]; everything else is [`Self::new`].
+    /// `workers` is unused: [`Cluster::connect_tcp`] runs no client
+    /// threads to size.
     pub fn connect_tcp(
         keys: ClientKeys,
         addrs: &[std::net::SocketAddr],
         timeout: std::time::Duration,
-        workers: usize,
+        _workers: usize,
     ) -> Result<Self> {
-        let cluster = Cluster::connect_tcp(addrs, timeout, workers)
+        let cluster = Cluster::connect_tcp(addrs, timeout)
             .map_err(|e| ClientError::Schema(format!("tcp connect: {e}")))?;
         Self::new(keys, cluster)
     }

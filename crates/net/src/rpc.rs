@@ -1,12 +1,23 @@
 //! Threaded RPC fabric with failure injection and a resilient quorum
 //! engine.
 //!
-//! Each provider runs as a pool of OS threads sharing one
-//! [`SharedService`] and serving requests from a crossbeam channel — the
-//! closest laptop analogue of the paper's independent DAS sites. The
-//! client side fans requests out to any subset of providers and waits
-//! with a timeout, so a crashed provider degrades into a timeout exactly
-//! as a dead site would.
+//! A provider is reached one of two ways. An in-process
+//! [`SharedService`] runs as a pool of OS threads serving requests from
+//! a crossbeam channel ([`Cluster::spawn_concurrent`]) — the closest
+//! laptop analogue of the paper's independent DAS sites. A remote
+//! provider sits behind a [`TcpClient`] ([`Cluster::connect_tcp`]): the
+//! engine writes the request frame on the caller's own thread, and the
+//! client's reader thread puts the answer straight onto the engine's
+//! reply channel, so a TCP call wakes no client thread but that reader.
+//! Either way the caller waits with a timeout, so a crashed provider
+//! degrades into a timeout exactly as a dead site would. A request the
+//! TCP transport loses is reported to the engine: the attempt still ends
+//! at its deadline, but a [`QuorumMode::FirstK`] read escalates to its
+//! next provider at once and resends the lost request after a short
+//! pause (a write is never resent: it may have been applied). The engine
+//! takes every reply already queued before it judges a deadline, so a
+//! send that held the caller's thread never times out an answer that
+//! arrived meanwhile.
 //!
 //! Every call — one provider or many, first-k or all — goes through one
 //! quorum engine. Quorum calls are *first-k-wins*: every in-flight
@@ -21,18 +32,24 @@
 //! all their requests are in flight at once while the caller waits on
 //! one channel.
 //!
-//! Failure injection (per provider, switchable at runtime):
-//! * [`FailureMode::Crashed`] — requests are dropped (client times out).
-//! * [`FailureMode::Omission`] — each response is dropped with probability p.
-//! * [`FailureMode::Byzantine`] — each response byte-flipped with
-//!   probability p (exercises share-consistency detection).
+//! Failure injection (per provider, switchable at runtime) happens in
+//! the engine, above either kind of provider, from one seeded RNG per
+//! provider:
+//! * [`FailureMode::Crashed`] — requests are never sent (client times out).
+//! * [`FailureMode::Omission`] — each arriving response is dropped with
+//!   probability p.
+//! * [`FailureMode::Byzantine`] — each arriving response has a random bit
+//!   flipped with probability p (exercises share-consistency detection).
+//! * [`Cluster::set_latency`] — each request is held back for the delay,
+//!   then sent by the engine's own deadline loop; a delay occupies no
+//!   thread.
 
 use crate::cost::TrafficStats;
 use crate::resilience::{
     Admission, BreakerConfig, Clock, HealthTracker, ProviderOutcome, QuorumError, RetryPolicy,
     SystemClock,
 };
-use crate::transport::{TcpClient, TcpClientConfig};
+use crate::transport::{Reply, TcpClient, TcpClientConfig, TransportError};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -169,7 +186,7 @@ impl Default for QuorumOptions<'_> {
 
 struct Envelope {
     request: Vec<u8>,
-    reply_to: Sender<(u64, Vec<u8>)>,
+    reply_to: Sender<Reply>,
     token: u64,
 }
 
@@ -190,16 +207,111 @@ impl FailureSwitch {
     }
 }
 
-struct ProviderHandle {
-    /// `None` once the cluster has been shut down.
-    tx: Option<Sender<Envelope>>,
-    failure: Arc<Mutex<FailureMode>>,
-    latency: Arc<Mutex<Duration>>,
-    /// Worker threads draining this provider's request channel.
-    threads: Vec<JoinHandle<()>>,
+/// How attempts reach one provider.
+enum Link {
+    /// An in-process service: worker threads drain one request channel.
+    /// `tx` is `None` once the cluster has been shut down.
+    Pool {
+        tx: Option<Sender<Envelope>>,
+        threads: Vec<JoinHandle<()>>,
+    },
+    /// A remote provider: the engine writes each frame itself and the
+    /// client's reader answers onto the engine's reply channel. `None`
+    /// once the cluster has been shut down.
+    Tcp(Option<TcpClient>),
 }
 
-/// A running cluster of provider threads plus client-side metering and
+/// The provider is shut down: nothing can be sent to it.
+struct Closed;
+
+struct ProviderHandle {
+    link: Link,
+    failure: Arc<Mutex<FailureMode>>,
+    /// How long each request is held back before it is sent.
+    latency: Mutex<Duration>,
+    /// Draws omission and Byzantine faults, seeded by provider id.
+    rng: Mutex<StdRng>,
+}
+
+impl ProviderHandle {
+    fn new(id: ProviderId, link: Link) -> Self {
+        ProviderHandle {
+            link,
+            failure: Arc::new(Mutex::new(FailureMode::Healthy)),
+            latency: Mutex::new(Duration::ZERO),
+            rng: Mutex::new(StdRng::seed_from_u64(0x5eed ^ id as u64)),
+        }
+    }
+
+    fn is_open(&self) -> bool {
+        match &self.link {
+            Link::Pool { tx, .. } => tx.is_some(),
+            Link::Tcp(client) => client.is_some(),
+        }
+    }
+
+    /// Put attempt `token` on its way; a crashed provider swallows it.
+    /// `Ok(Some(entry))` names the [`TcpClient`] entry to cancel should
+    /// the attempt be abandoned. A transport that loses the request says
+    /// so on `reply`; one that refuses it outright reports nothing, and
+    /// the attempt runs into its deadline, as with a crashed provider.
+    fn deliver(
+        &self,
+        request: &[u8],
+        reply: &Sender<Reply>,
+        token: u64,
+    ) -> Result<Option<u64>, Closed> {
+        if *self.failure.lock() == FailureMode::Crashed {
+            return Ok(None);
+        }
+        match &self.link {
+            Link::Pool { tx: Some(tx), .. } => tx
+                .send(Envelope {
+                    request: request.to_vec(),
+                    reply_to: reply.clone(),
+                    token,
+                })
+                .map(|()| None)
+                .map_err(|_| Closed),
+            Link::Tcp(Some(client)) => match client.submit(request, reply.clone(), token) {
+                Ok(entry) => Ok(Some(entry)),
+                Err(TransportError::Closed) => Err(Closed),
+                Err(_) => Ok(None),
+            },
+            Link::Pool { tx: None, .. } | Link::Tcp(None) => Err(Closed),
+        }
+    }
+
+    /// Apply the injected fault to an arriving response; `false` means
+    /// the response is lost.
+    fn inject(&self, response: &mut [u8]) -> bool {
+        let mode = *self.failure.lock();
+        match mode {
+            FailureMode::Healthy | FailureMode::Crashed => true,
+            FailureMode::Omission(p) => self.rng.lock().gen::<f64>() >= p,
+            FailureMode::Byzantine(p) => {
+                let mut rng = self.rng.lock();
+                if !response.is_empty() && rng.gen::<f64>() < p {
+                    let idx = rng.gen_range(0..response.len());
+                    let bit = rng.gen_range(0u32..8);
+                    if let Some(byte) = response.get_mut(idx) {
+                        *byte ^= 1u8 << bit;
+                    }
+                }
+                true
+            }
+        }
+    }
+
+    /// Forget an abandoned attempt's [`TcpClient`] entry.
+    fn cancel(&self, entry: u64) {
+        if let Link::Tcp(Some(client)) = &self.link {
+            client.cancel(entry);
+        }
+    }
+}
+
+/// A running cluster of providers plus client-side metering and
 /// per-provider health tracking.
 pub struct Cluster {
     providers: Vec<ProviderHandle>,
@@ -211,7 +323,7 @@ pub struct Cluster {
 impl Cluster {
     /// Worker-pool size used when callers don't pick one: `min(4, cores)`.
     /// Small enough that a laptop cluster of n providers doesn't
-    /// oversubscribe, large enough to pipeline WAN-latency-bound requests.
+    /// oversubscribe, large enough to overlap slow requests.
     pub fn default_workers() -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -222,9 +334,7 @@ impl Cluster {
     /// Spawn `workers` threads per provider, all draining one request
     /// channel, so a provider serves up to `workers` requests at once and
     /// responses may return out of order — the quorum engine multiplexes
-    /// them by attempt token. Failure injection and latency switches are
-    /// shared across a provider's workers, preserving [`FailureSwitch`]
-    /// semantics. `timeout` bounds every call; breakers take
+    /// them by attempt token. `timeout` bounds every call; breakers take
     /// [`BreakerConfig::default`] on the system clock until
     /// [`with_breaker`](Self::with_breaker) says otherwise.
     pub fn spawn_concurrent(
@@ -232,91 +342,47 @@ impl Cluster {
         timeout: Duration,
         workers: usize,
     ) -> Self {
-        let n = services.len();
         let workers = workers.max(1);
-        let providers = services
-            .into_iter()
-            .enumerate()
-            .map(|(id, service)| {
-                let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
-                let failure = Arc::new(Mutex::new(FailureMode::Healthy));
-                let latency = Arc::new(Mutex::new(Duration::ZERO));
-                let mut threads = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let service = Arc::clone(&service);
-                    let rx = rx.clone();
-                    let failure = Arc::clone(&failure);
-                    let latency = Arc::clone(&latency);
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("dasp-provider-{id}-w{w}"))
-                        .spawn(move || {
-                            // Worker 0 keeps the pre-pool seed so
-                            // single-worker clusters inject bit-identical
-                            // faults; extra workers fork the stream.
-                            let mut rng =
-                                StdRng::seed_from_u64(0x5eed ^ id as u64 ^ ((w as u64) << 32));
-                            while let Ok(env) = rx.recv() {
-                                let delay = *latency.lock();
-                                if !delay.is_zero() {
-                                    // Live WAN emulation: one-way request
-                                    // delay (the reply path shares the same
-                                    // sleep budget for simplicity).
-                                    std::thread::sleep(delay);
-                                }
-                                let mode = *failure.lock();
-                                match mode {
-                                    FailureMode::Crashed => continue,
-                                    FailureMode::Omission(p) => {
-                                        let response = service.handle(&env.request);
-                                        if rng.gen::<f64>() >= p {
-                                            // dasp::allow(E1): the caller may have
-                                            // timed out and dropped its reply rx;
-                                            // a dead waiter is not an error here.
-                                            let _ = env.reply_to.send((env.token, response));
-                                        }
-                                    }
-                                    FailureMode::Byzantine(p) => {
-                                        let mut response = service.handle(&env.request);
-                                        if !response.is_empty() && rng.gen::<f64>() < p {
-                                            let idx = rng.gen_range(0..response.len());
-                                            let bit = rng.gen_range(0u32..8);
-                                            if let Some(byte) = response.get_mut(idx) {
-                                                *byte ^= 1u8 << bit;
-                                            }
-                                        }
-                                        // dasp::allow(E1): same as above — the
-                                        // waiter may be gone; drop the reply.
-                                        let _ = env.reply_to.send((env.token, response));
-                                    }
-                                    FailureMode::Healthy => {
-                                        // dasp::allow(E1): same as above — the
-                                        // waiter may be gone; drop the reply.
-                                        let _ = env
-                                            .reply_to
-                                            .send((env.token, service.handle(&env.request)));
-                                    }
-                                }
-                            }
-                        });
-                    if let Ok(handle) = spawned {
-                        threads.push(handle);
-                    }
+        let links = services.into_iter().enumerate().map(|(id, service)| {
+            let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
+            let mut threads = Vec::with_capacity(workers);
+            for w in 0..workers {
+                let service = Arc::clone(&service);
+                let rx = rx.clone();
+                let spawned = std::thread::Builder::new()
+                    .name(format!("dasp-provider-{id}-w{w}"))
+                    .spawn(move || {
+                        while let Ok(env) = rx.recv() {
+                            // dasp::allow(E1): the caller may have timed out
+                            // and dropped its reply rx; a dead waiter is not
+                            // an error here.
+                            let _ = env
+                                .reply_to
+                                .send((env.token, Ok(service.handle(&env.request))));
+                        }
+                    });
+                if let Ok(handle) = spawned {
+                    threads.push(handle);
                 }
-                // If the OS refuses every worker thread, keep the handle
-                // but drop the sender: every call to this provider then
-                // fails with RpcError::Closed (a dead provider), instead
-                // of panicking the whole cluster at construction.
-                let tx = if threads.is_empty() { None } else { Some(tx) };
-                ProviderHandle {
-                    tx,
-                    failure,
-                    latency,
-                    threads,
-                }
-            })
-            .collect();
+            }
+            // If the OS refuses every worker thread, keep the handle
+            // but drop the sender: every call to this provider then
+            // fails with RpcError::Closed (a dead provider), instead
+            // of panicking the whole cluster at construction.
+            let tx = if threads.is_empty() { None } else { Some(tx) };
+            Link::Pool { tx, threads }
+        });
+        Self::from_links(links.collect(), timeout)
+    }
+
+    fn from_links(links: Vec<Link>, timeout: Duration) -> Self {
+        let n = links.len();
         Cluster {
-            providers,
+            providers: links
+                .into_iter()
+                .enumerate()
+                .map(|(id, link)| ProviderHandle::new(id, link))
+                .collect(),
             stats: TrafficStats::new(),
             timeout,
             health: HealthTracker::new(n, BreakerConfig::default(), Arc::new(SystemClock::new())),
@@ -331,33 +397,36 @@ impl Cluster {
         self
     }
 
-    /// Connect a cluster to remote TCP providers (one [`TcpClient`] per
-    /// address) instead of spawning in-process services. Everything
-    /// above the transport — worker pools, first-k-wins quorum, hedged
-    /// reads, retries, circuit breakers, failure injection — runs
-    /// unchanged; the only difference is that `handle` crosses a socket.
+    /// Connect a cluster to remote TCP providers, one [`TcpClient`] per
+    /// address. Everything above the transport — first-k-wins quorum,
+    /// hedged reads, retries, circuit breakers, failure injection — runs
+    /// unchanged, and no client thread is spawned but each client's
+    /// reader: the caller writes its own frames.
     ///
-    /// The client's `error_hold` is derived from the cluster timeout so
-    /// a dead provider process surfaces as [`RpcError::Timeout`], the
-    /// same observable failure as an in-process crashed provider.
-    pub fn connect_tcp(
-        addrs: &[std::net::SocketAddr],
-        timeout: Duration,
-        workers: usize,
-    ) -> std::io::Result<Self> {
+    /// A dead provider process surfaces as [`RpcError::Timeout`], the
+    /// same observable failure as an in-process crashed provider: a
+    /// request the transport cannot deliver runs into its deadline. A
+    /// read does not wait for it, though: the engine escalates to the
+    /// next provider at once and resends the request after a short
+    /// pause, which heals a reset connection within the attempt.
+    ///
+    /// Sending holds the caller's thread: a redial for at most `timeout`
+    /// or 1 s, whichever is shorter, and a blocked socket write for at
+    /// most as long again. Replies that arrive meanwhile are taken
+    /// before any deadline is judged, so a slow send never times out a
+    /// provider that has answered.
+    pub fn connect_tcp(addrs: &[std::net::SocketAddr], timeout: Duration) -> std::io::Result<Self> {
+        let defaults = TcpClientConfig::default();
         let cfg = TcpClientConfig {
-            // Strictly above the cluster per-attempt timeout: the
-            // cluster's deadline always fires before the transport
-            // gives up, preserving crash/timeout equivalence.
-            error_hold: timeout.saturating_mul(2),
-            call_timeout: timeout.saturating_mul(2),
-            ..TcpClientConfig::default()
+            connect_timeout: defaults.connect_timeout.min(timeout),
+            write_timeout: defaults.write_timeout.min(timeout),
+            ..defaults
         };
-        let mut services: Vec<Arc<dyn SharedService>> = Vec::with_capacity(addrs.len());
+        let mut links = Vec::with_capacity(addrs.len());
         for addr in addrs {
-            services.push(Arc::new(TcpClient::connect(*addr, cfg.clone())?));
+            links.push(Link::Tcp(Some(TcpClient::connect(*addr, cfg.clone())?)));
         }
-        Ok(Self::spawn_concurrent(services, timeout, workers))
+        Ok(Self::from_links(links, timeout))
     }
 
     /// Number of providers.
@@ -398,8 +467,10 @@ impl Cluster {
     }
 
     /// Inject real per-request latency at every provider (live WAN
-    /// emulation — complements the analytical [`crate::NetworkModel`]).
-    /// The call timeout must exceed the injected latency.
+    /// emulation — complements the analytical [`crate::NetworkModel`]):
+    /// each request is sent `delay` after its launch. The delay holds no
+    /// worker, so it does not limit how many requests a provider serves
+    /// at once. The call timeout must exceed the injected latency.
     pub fn set_latency(&self, delay: Duration) {
         for h in &self.providers {
             *h.latency.lock() = delay;
@@ -413,17 +484,23 @@ impl Cluster {
         }
     }
 
-    /// Stop accepting requests and join every provider thread. In-flight
-    /// requests are abandoned; subsequent calls return
-    /// [`RpcError::Closed`]. Idempotent; also invoked by `Drop`.
+    /// Stop accepting requests, join every provider worker and close
+    /// every [`TcpClient`]. In-flight requests are abandoned; subsequent
+    /// calls return [`RpcError::Closed`]. Idempotent; also invoked by
+    /// `Drop`.
     pub fn shutdown(&mut self) {
+        let mut threads = Vec::new();
         for p in &mut self.providers {
-            p.tx = None;
-        }
-        for p in &mut self.providers {
-            for t in p.threads.drain(..) {
-                let _ = t.join();
+            match &mut p.link {
+                Link::Pool { tx, threads: t } => {
+                    *tx = None;
+                    threads.append(t);
+                }
+                Link::Tcp(client) => drop(client.take()),
             }
+        }
+        for t in threads {
+            let _ = t.join();
         }
     }
 
@@ -649,40 +726,160 @@ impl Cluster {
             });
         }
 
-        let (reply_tx, reply_rx) = unbounded::<(u64, Vec<u8>)>();
-        // token → (candidate index, sent_at); stale tokens stay mapped so
-        // a slow first attempt can still satisfy its candidate.
-        let mut token_map: HashMap<u64, (usize, Instant)> = HashMap::new();
-        let mut next_token: u64 = 0;
+        let (reply_tx, reply_rx) = unbounded::<Reply>();
+        let mut fl = Flights {
+            map: HashMap::new(),
+            next_token: 0,
+            delayed: Vec::new(),
+        };
 
-        let launch = |cands: &mut [Cand],
-                      idx: usize,
-                      token_map: &mut HashMap<u64, (usize, Instant)>,
-                      next_token: &mut u64| {
-            let Some(c) = cands.get_mut(idx) else { return };
-            c.attempts += 1;
-            let token = *next_token;
-            *next_token += 1;
-            let now = Instant::now();
-            let sent = match self.providers.get(c.provider).and_then(|h| h.tx.as_ref()) {
-                Some(tx) => {
-                    self.stats.record_send(c.request.len());
-                    tx.send(Envelope {
-                        request: c.request.clone(),
-                        reply_to: reply_tx.clone(),
-                        token,
-                    })
-                    .is_ok()
-                }
-                None => false,
+        // Hand attempt `token` of `c` to its provider. One the provider
+        // turns out to be closed for ends the candidate, if still live.
+        let dispatch = |c: &mut Cand, token: u64, map: &mut HashMap<u64, Attempt>| {
+            let Some(h) = self.providers.get(c.provider) else {
+                return;
             };
-            if sent {
-                token_map.insert(token, (idx, now));
-                c.live = Some((token, now, now + per_attempt));
-            } else {
-                c.done = Some(Err(ProviderOutcome::Disconnected));
+            match h.deliver(&c.request, &reply_tx, token) {
+                Ok(entry) => {
+                    if let Some(attempt) = map.get_mut(&token) {
+                        attempt.entry = entry;
+                    }
+                }
+                Err(Closed) => {
+                    if c.done.is_none() && c.live.is_some_and(|(t, _, _)| t == token) {
+                        c.live = None;
+                        c.done = Some(Err(ProviderOutcome::Disconnected));
+                    }
+                }
             }
         };
+
+        // Start an attempt: send it now, or once the provider's injected
+        // latency has passed. Its deadline runs from now either way.
+        let launch = |cands: &mut [Cand], idx: usize, fl: &mut Flights| {
+            let Some(c) = cands.get_mut(idx) else { return };
+            c.attempts += 1;
+            let Some(h) = self.providers.get(c.provider).filter(|h| h.is_open()) else {
+                c.done = Some(Err(ProviderOutcome::Disconnected));
+                return;
+            };
+            let token = fl.next_token;
+            fl.next_token += 1;
+            let now = Instant::now();
+            self.stats.record_send(c.request.len());
+            fl.map.insert(
+                token,
+                Attempt {
+                    cand: idx,
+                    sent_at: now,
+                    entry: None,
+                    lost: false,
+                },
+            );
+            c.live = Some((token, now, now + per_attempt));
+            let delay = *h.latency.lock();
+            if delay.is_zero() {
+                dispatch(c, token, &mut fl.map);
+            } else {
+                fl.delayed.push((now + delay, token));
+            }
+        };
+
+        // Take one reply. A response settles its candidate or, rejected,
+        // counts as a failed attempt. A lost request (the transport's
+        // error) leaves the attempt to its deadline, as with a crashed
+        // provider, but a read need not wait for that: on the first loss
+        // the round escalates to its next provider, and the request goes
+        // out again after a pause, which heals a reset connection.
+        let take =
+            |(token, reply): Reply, cands: &mut [Cand], states: &mut [Round], fl: &mut Flights| {
+                let Ok(mut payload) = reply else {
+                    let Some(attempt) = fl.map.get_mut(&token) else {
+                        return;
+                    };
+                    attempt.entry = None;
+                    let first_loss = !std::mem::replace(&mut attempt.lost, true);
+                    let Some(c) = cands.get(attempt.cand) else {
+                        return;
+                    };
+                    let Some(s) = states.get_mut(c.round) else {
+                        return;
+                    };
+                    if opts.mode != QuorumMode::FirstK
+                        || s.settled
+                        || c.done.is_some()
+                        || c.live.map(|(t, _, _)| t) != Some(token)
+                    {
+                        return;
+                    }
+                    fl.delayed.push((Instant::now() + RESEND_GAP, token));
+                    if first_loss && s.successes < s.want {
+                        if let Some(next) = s.ready.pop_front() {
+                            launch(cands, next, fl);
+                        }
+                    }
+                    return;
+                };
+                let Some(Attempt { cand, sent_at, .. }) = fl.map.remove(&token) else {
+                    return;
+                };
+                let Some(c) = cands.get_mut(cand) else {
+                    return;
+                };
+                let Some(s) = states.get_mut(c.round) else {
+                    return;
+                };
+                if s.settled || c.done.is_some() {
+                    return; // late response for a settled round or candidate
+                }
+                if !self
+                    .providers
+                    .get(c.provider)
+                    .is_some_and(|h| h.inject(&mut payload))
+                {
+                    return; // omitted on the way back
+                }
+                self.stats.record_recv(payload.len());
+                let verdict = match opts.validate {
+                    Some(f) => f(c.round, c.provider, &payload),
+                    None => Ok(()),
+                };
+                match verdict {
+                    Ok(()) => {
+                        self.health.record_success(c.provider, sent_at.elapsed());
+                        c.live = None;
+                        c.retry_at = None;
+                        c.done = Some(Ok(payload));
+                        s.successes += 1;
+                        // At its target the round settles now, so the
+                        // replies still queued behind this one are late.
+                        s.settled = s.successes >= s.want;
+                    }
+                    Err(reason) => {
+                        self.health.record_failure(c.provider);
+                        if c.live.map(|(t, _, _)| t) == Some(token) {
+                            c.live = None;
+                        }
+                        if c.live.is_none() && c.retry_at.is_none() {
+                            if c.attempts < max_attempts && s.successes < need {
+                                c.retry_at = Some(
+                                    Instant::now() + opts.retry.backoff_for(c.provider, c.attempts),
+                                );
+                            } else {
+                                c.done = Some(Err(ProviderOutcome::Rejected {
+                                    attempts: c.attempts,
+                                    reason,
+                                }));
+                            }
+                        }
+                        if s.successes < s.want {
+                            if let Some(next) = s.ready.pop_front() {
+                                launch(cands, next, fl);
+                            }
+                        }
+                    }
+                }
+            };
 
         // Initial wave, round by round: everything in All mode; the
         // response target plus the hedge allowance in FirstK mode.
@@ -695,12 +892,40 @@ impl Cluster {
                 let Some(idx) = s.ready.pop_front() else {
                     break;
                 };
-                launch(&mut cands, idx, &mut token_map, &mut next_token);
+                launch(&mut cands, idx, &mut fl);
             }
         }
 
         loop {
+            // Take every reply already here before judging deadlines: a
+            // send that held this thread (a dial, a write to a peer that
+            // stopped reading) must not time out an answer that arrived
+            // meanwhile.
+            while let Ok(reply) = reply_rx.try_recv() {
+                take(reply, &mut cands, &mut states, &mut fl);
+            }
             let now = Instant::now();
+
+            // Send the attempts whose injected latency has passed, and
+            // resend lost reads still waited for, in launch order.
+            let (due, wait): (Vec<_>, Vec<_>) = std::mem::take(&mut fl.delayed)
+                .into_iter()
+                .partition(|&(at, _)| at <= now);
+            fl.delayed = wait;
+            for (_, token) in due {
+                let Some(&Attempt { cand, lost, .. }) = fl.map.get(&token) else {
+                    continue;
+                };
+                let Some(c) = cands.get_mut(cand) else {
+                    continue;
+                };
+                let wanted = c.done.is_none()
+                    && c.live.map(|(t, _, _)| t) == Some(token)
+                    && states.get(c.round).is_some_and(|s| !s.settled);
+                if !lost || wanted {
+                    dispatch(c, token, &mut fl.map);
+                }
+            }
 
             // Finalize attempts past their deadline: record the failure,
             // schedule a retry if budget and the quorum still need it,
@@ -731,7 +956,7 @@ impl Cluster {
                         let Some(next) = s.ready.pop_front() else {
                             break;
                         };
-                        launch(&mut cands, next, &mut token_map, &mut next_token);
+                        launch(&mut cands, next, &mut fl);
                     }
                 }
             }
@@ -753,7 +978,7 @@ impl Cluster {
                 }
                 c.retry_at = None;
                 if s.successes < need {
-                    launch(&mut cands, idx, &mut token_map, &mut next_token);
+                    launch(&mut cands, idx, &mut fl);
                 } else {
                     c.done = Some(Err(ProviderOutcome::TimedOut {
                         attempts: c.attempts,
@@ -792,7 +1017,7 @@ impl Cluster {
                     let Some(idx) = s.ready.pop_front().or_else(|| s.held.pop_front()) else {
                         break;
                     };
-                    launch(&mut cands, idx, &mut token_map, &mut next_token);
+                    launch(&mut cands, idx, &mut fl);
                     if cands.get(idx).is_some_and(|c| c.live.is_some()) {
                         s.live += 1;
                     }
@@ -803,67 +1028,29 @@ impl Cluster {
                 break;
             }
 
-            // Sleep until the next deadline or the next response.
+            // Sleep until the next deadline, delayed send or reply.
             let next_event = cands
                 .iter()
                 .filter(|c| c.done.is_none() && states.get(c.round).is_some_and(|s| !s.settled))
                 .flat_map(|c| c.live.map(|(_, _, dl)| dl).into_iter().chain(c.retry_at))
+                .chain(fl.delayed.iter().map(|&(at, _)| at))
                 .min();
             let Some(next_event) = next_event else { break };
             let wait = next_event
                 .checked_duration_since(Instant::now())
                 .unwrap_or(Duration::ZERO);
-            let Ok((token, payload)) = reply_rx.recv_timeout(wait) else {
-                continue;
-            };
-            let Some(&(idx, sent_at)) = token_map.get(&token) else {
-                continue;
-            };
-            let Some(c) = cands.get_mut(idx) else {
-                continue;
-            };
-            let Some(s) = states.get_mut(c.round) else {
-                continue;
-            };
-            if s.settled || c.done.is_some() {
-                continue; // late response for a settled round or candidate
+            if let Ok(reply) = reply_rx.recv_timeout(wait) {
+                take(reply, &mut cands, &mut states, &mut fl);
             }
-            self.stats.record_recv(payload.len());
-            let verdict = match opts.validate {
-                Some(f) => f(c.round, c.provider, &payload),
-                None => Ok(()),
-            };
-            match verdict {
-                Ok(()) => {
-                    self.health.record_success(c.provider, sent_at.elapsed());
-                    c.live = None;
-                    c.retry_at = None;
-                    c.done = Some(Ok(payload));
-                    s.successes += 1;
-                }
-                Err(reason) => {
-                    self.health.record_failure(c.provider);
-                    if c.live.map(|(t, _, _)| t) == Some(token) {
-                        c.live = None;
-                    }
-                    if c.live.is_none() && c.retry_at.is_none() {
-                        if c.attempts < max_attempts && s.successes < need {
-                            c.retry_at = Some(
-                                Instant::now() + opts.retry.backoff_for(c.provider, c.attempts),
-                            );
-                        } else {
-                            c.done = Some(Err(ProviderOutcome::Rejected {
-                                attempts: c.attempts,
-                                reason,
-                            }));
-                        }
-                    }
-                    if s.successes < s.want {
-                        if let Some(next) = s.ready.pop_front() {
-                            launch(&mut cands, next, &mut token_map, &mut next_token);
-                        }
-                    }
-                }
+        }
+
+        // Unanswered attempts are abandoned: free their transport entries.
+        for attempt in fl.map.into_values() {
+            let provider = cands.get(attempt.cand).map(|c| c.provider);
+            if let (Some(entry), Some(h)) =
+                (attempt.entry, provider.and_then(|p| self.providers.get(p)))
+            {
+                h.cancel(entry);
             }
         }
 
@@ -883,6 +1070,35 @@ impl Cluster {
         }
         out
     }
+}
+
+/// One attempt the quorum engine has launched and not yet heard from.
+struct Attempt {
+    /// Index of its candidate.
+    cand: usize,
+    sent_at: Instant,
+    /// Its [`TcpClient`] entry, if it went out over TCP and is still
+    /// waiting there.
+    entry: Option<u64>,
+    /// The transport lost its request at least once.
+    lost: bool,
+}
+
+/// How long a read whose request the transport lost waits before it is
+/// sent again: a reset connection redials at once, and a dead provider
+/// costs one refused dial per pause until the attempt's deadline.
+const RESEND_GAP: Duration = Duration::from_millis(20);
+
+/// The quorum engine's attempts in flight.
+struct Flights {
+    /// Attempt token → attempt. An attempt leaves when its reply
+    /// arrives; a timed-out one stays, so a slow first attempt can still
+    /// satisfy its candidate.
+    map: HashMap<u64, Attempt>,
+    next_token: u64,
+    /// `(send at, token)` of attempts held back by injected latency, and
+    /// of lost reads waiting to be resent.
+    delayed: Vec<(Instant, u64)>,
 }
 
 /// Each request's outcome in one round, in request order: its accepted
@@ -1395,6 +1611,35 @@ mod tests {
             }
             let alone = cluster.call_quorum_opts(requests, 2, &opts);
             assert_eq!(got, &alone, "round {r} resolved differently alone");
+        }
+    }
+
+    #[test]
+    fn abandoned_tcp_attempts_leave_no_pending_entry() {
+        use crate::{ReactorConfig, TcpServer};
+        let servers: Vec<TcpServer> = (0..2)
+            .map(|_| {
+                let echo = Arc::new(|req: &[u8]| req.to_vec());
+                TcpServer::serve("127.0.0.1:0", echo, ReactorConfig::default()).unwrap()
+            })
+            .collect();
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut addrs: Vec<_> = servers.iter().map(TcpServer::local_addr).collect();
+        addrs.push(silent.local_addr().unwrap());
+        let cluster = Cluster::connect_tcp(&addrs, Duration::from_secs(3600)).unwrap();
+        // Provider 2 takes every request and never answers one.
+        let (_straggler, _) = silent.accept().unwrap();
+        for i in 0..100u8 {
+            let reqs = (0..3).map(|p| (p, vec![i])).collect();
+            let got = cluster.call_quorum(reqs, 2).unwrap();
+            assert_eq!(got, vec![(0, vec![i]), (1, vec![i])]);
+        }
+        assert_eq!(cluster.stats().snapshot().messages_sent, 300);
+        for (p, h) in cluster.providers.iter().enumerate() {
+            let Link::Tcp(Some(client)) = &h.link else {
+                panic!("provider {p} is not a TCP link");
+            };
+            assert_eq!(client.pending_len(), 0, "provider {p}");
         }
     }
 

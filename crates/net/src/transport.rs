@@ -1,35 +1,40 @@
 //! Socket-backed client transport: a multiplexing [`TcpClient`] that
-//! plugs into [`crate::rpc::Cluster`] as a [`SharedService`], plus a
-//! simple blocking per-connection handle for load generators.
+//! carries a [`crate::rpc::Cluster`]'s calls to a remote provider, plus
+//! a simple blocking per-connection handle for load generators.
 //!
 //! The design goal is *transport independence*: `Cluster`, the quorum
-//! engine, hedged reads, retries and circuit breakers were written
-//! against in-process services and must run unchanged over sockets. A
-//! [`TcpClient`] is exactly an in-process service whose `handle` happens
-//! to cross a wire: many cluster worker threads call it concurrently,
-//! requests are written framed-and-tokened onto one shared connection,
-//! and a dedicated reader thread routes response frames back to callers
-//! by token — the same out-of-order multiplexing the worker pools use.
+//! engine, hedged reads, retries, circuit breakers and failure injection
+//! were written against in-process services and must run unchanged over
+//! sockets. Requests from any number of threads are written
+//! framed-and-tokened onto one shared connection, and a dedicated reader
+//! thread routes response frames back by token — the same out-of-order
+//! multiplexing the worker pools use. A response goes where its request
+//! said: [`TcpClient::submit`] names a channel and a tag, and the reader
+//! sends the response there (the cluster's quorum engine hands it its
+//! own reply channel, so a TCP call wakes no thread but the reader);
+//! [`TcpClient::call`] blocks until its own response arrives.
 //!
 //! Writes follow the leader/follower rule of the WAL's group commit and
 //! the server's response flush: a caller that finds no write in flight
 //! writes its own request, then everything callers staged meanwhile, as
 //! one [`FrameKind::BatchRequest`] per round, until nothing is staged. A
-//! caller that finds a write in flight stages its request and waits for
-//! its reply. No thread, timer or window: a lone caller's frame is a
-//! plain [`FrameKind::Request`], and concurrent callers coalesce exactly
-//! as deep as they overlap a write.
+//! caller that finds a write in flight stages its request and goes on.
+//! No thread, timer or window: a lone caller's frame is a plain
+//! [`FrameKind::Request`], and concurrent callers coalesce exactly as
+//! deep as they overlap a write.
 //!
 //! Failure mapping keeps the cluster's semantics: a dead or unreachable
-//! provider process behaves like a crashed in-process provider. On
-//! transport failure, [`TcpClient::handle`] quietly retries (the
-//! connection may heal) until [`TcpClientConfig::error_hold`] elapses;
-//! the cluster's per-attempt timeout fires first, so callers observe
-//! [`crate::RpcError::Timeout`] — precisely what a crashed provider
-//! produces. Only after the hold expires does `handle` give up and
-//! return an empty payload (providers never produce empty responses, so
-//! downstream share-consistency checks treat it like a corrupt
-//! Byzantine response).
+//! provider process behaves like a crashed in-process provider. A
+//! submitted request the transport fails to deliver is answered with the
+//! error instead of a response, and the next request redials; the
+//! cluster's engine does not count that as an answer, so the attempt
+//! still ends at its deadline — [`crate::RpcError::Timeout`], precisely
+//! what a crashed provider produces — while a read moves on at once (see
+//! [`crate::rpc`]). As a [`SharedService`], [`TcpClient::handle`]
+//! quietly retries a failing transport until
+//! [`TcpClientConfig::error_hold`] elapses, then returns an empty
+//! payload (providers never produce empty responses, so downstream
+//! share-consistency checks treat it like a corrupt Byzantine response).
 
 use crate::wire::{
     batch_items, encode_frame, encode_frame_into, BatchFrameBuilder, FrameDecoder, FrameError,
@@ -118,7 +123,27 @@ const MAX_BATCH_SUBS: usize = 128;
 /// Most payload bytes one outbound batch frame packs.
 const MAX_BATCH_BYTES: usize = 1 << 20;
 
-type PendingMap = HashMap<u64, Sender<Result<Vec<u8>, TransportError>>>;
+/// Where a request's outcome goes: the waiter's channel, under its tag.
+/// `Err` is a request the transport failed to deliver or answer.
+pub type Reply = (u64, Result<Vec<u8>, TransportError>);
+
+/// Who waits for a request's response: a channel and the tag to send
+/// the outcome under.
+struct Waiter(Sender<Reply>, u64);
+
+impl Waiter {
+    /// Hand over the outcome. Never blocks: a call's channel holds its
+    /// one result and a submitter's is unbounded. Run it outside
+    /// `pending`.
+    fn finish(self, result: Result<Vec<u8>, TransportError>) {
+        let Waiter(tx, tag) = self;
+        // dasp::allow(E1): the waiter may have timed out and dropped its
+        // receiver; nobody is left to tell.
+        let _ = tx.send((tag, result));
+    }
+}
+
+type PendingMap = HashMap<u64, Waiter>;
 
 /// Requests waiting for the write in flight.
 #[derive(Default)]
@@ -193,22 +218,51 @@ impl TcpClient {
         Ok(client)
     }
 
-    /// The provider address this client dials.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.inner.addr
-    }
-
-    /// True while a connection is established.
-    pub fn is_connected(&self) -> bool {
-        self.inner.state.lock().stream.is_some()
-    }
-
     /// One request/response exchange with a typed error. Concurrent
     /// callers share the connection; responses are matched by token.
-    /// The caller that finds no write in flight writes its own request
-    /// and then everything staged behind it (see the module docs);
-    /// every other caller stages its request and waits.
     pub fn call(&self, payload: &[u8]) -> Result<Vec<u8>, TransportError> {
+        let (tx, rx) = bounded(1);
+        let token = self.send(payload, Waiter(tx, 0))?;
+        match rx.recv_timeout(self.inner.cfg.call_timeout) {
+            Ok((_, result)) => result,
+            Err(_) => {
+                self.cancel(token);
+                Err(TransportError::TimedOut)
+            }
+        }
+    }
+
+    /// Send `payload` without waiting: its outcome goes to `reply`,
+    /// tagged `tag` — the response from the reader thread, or the
+    /// transport error that lost the request. Returns the request's
+    /// entry, which [`cancel`](Self::cancel) frees if no answer is wanted
+    /// any more. Only a closed client or an oversized request is refused
+    /// outright.
+    pub fn submit(
+        &self,
+        payload: &[u8],
+        reply: Sender<Reply>,
+        tag: u64,
+    ) -> Result<u64, TransportError> {
+        self.send(payload, Waiter(reply, tag))
+    }
+
+    /// Forget the request `entry` names: a late response is dropped.
+    pub fn cancel(&self, entry: u64) {
+        self.inner.pending.lock().remove(&entry);
+    }
+
+    /// Requests still waiting for a response.
+    #[cfg(test)]
+    pub(crate) fn pending_len(&self) -> usize {
+        self.inner.pending.lock().len()
+    }
+
+    /// Register `waiter` under a fresh token and get the request written.
+    /// The caller that finds no write in flight writes its own request
+    /// and then everything staged behind it (see the module docs); every
+    /// other caller stages its request.
+    fn send(&self, payload: &[u8], waiter: Waiter) -> Result<u64, TransportError> {
         if self.inner.closed.load(Ordering::Relaxed) {
             return Err(TransportError::Closed);
         }
@@ -222,8 +276,7 @@ impl TcpClient {
             }));
         }
         let token = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        self.inner.pending.lock().insert(token, tx);
+        self.inner.pending.lock().insert(token, waiter);
         let lead = {
             let mut stage = self.inner.stage.lock();
             if stage.writing {
@@ -237,13 +290,7 @@ impl TcpClient {
         if lead {
             lead_writes(&self.inner, token, payload);
         }
-        match rx.recv_timeout(self.inner.cfg.call_timeout) {
-            Ok(result) => result,
-            Err(_) => {
-                self.inner.pending.lock().remove(&token);
-                Err(TransportError::TimedOut)
-            }
-        }
+        Ok(token)
     }
 
     /// Dial a fresh connection and spawn its reader. Caller holds `state`.
@@ -300,12 +347,9 @@ impl TcpClient {
         for h in readers {
             let _ = h.join();
         }
-        let mut pending = self.inner.pending.lock();
-        for (_t, tx) in pending.drain() {
-            // dasp::allow(L1, E1): each `tx` is a capacity-1 channel that sees
-            // at most one send ever — this send can never block — and the
-            // waiter may already have timed out and dropped its rx.
-            let _ = tx.send(Err(TransportError::Closed));
+        let waiters: Vec<Waiter> = self.inner.pending.lock().drain().map(|(_, w)| w).collect();
+        for waiter in waiters {
+            waiter.finish(Err(TransportError::Closed));
         }
     }
 }
@@ -394,13 +438,15 @@ fn write_pack(inner: &Arc<Inner>, frame: &[u8], tokens: impl IntoIterator<Item =
         })()
     };
     if let Err(err) = result {
-        let mut pending = inner.pending.lock();
-        for token in tokens {
-            if let Some(tx) = pending.remove(&token) {
-                // dasp::allow(L1, E1): capacity-1, single-send channel — never
-                // blocks, and the waiter may have timed out and dropped it.
-                let _ = tx.send(Err(err.clone()));
-            }
+        let waiters: Vec<Waiter> = {
+            let mut pending = inner.pending.lock();
+            tokens
+                .into_iter()
+                .filter_map(|t| pending.remove(&t))
+                .collect()
+        };
+        for waiter in waiters {
+            waiter.finish(Err(err.clone()));
         }
     }
 }
@@ -419,20 +465,18 @@ fn reader_loop(inner: Arc<Inner>, mut stream: TcpStream, my_epoch: u64) {
                     match decoder.next_frame_view() {
                         Ok(Some(view)) => match view.kind {
                             FrameKind::Response => {
-                                if let Some(tx) = inner.pending.lock().remove(&view.token) {
-                                    // dasp::allow(E1): the requester may have
-                                    // timed out and dropped its reply rx.
-                                    let _ = tx.send(Ok(view.payload.to_vec()));
+                                let waiter = inner.pending.lock().remove(&view.token);
+                                if let Some(waiter) = waiter {
+                                    waiter.finish(Ok(view.payload.to_vec()));
                                 }
                             }
                             FrameKind::BatchResponse => {
                                 for item in batch_items(view.payload) {
                                     match item {
                                         Ok((token, payload)) => {
-                                            if let Some(tx) = inner.pending.lock().remove(&token) {
-                                                // dasp::allow(E1): the requester
-                                                // may have timed out already.
-                                                let _ = tx.send(Ok(payload.to_vec()));
+                                            let waiter = inner.pending.lock().remove(&token);
+                                            if let Some(waiter) = waiter {
+                                                waiter.finish(Ok(payload.to_vec()));
                                             }
                                         }
                                         Err(e) => {
@@ -471,19 +515,21 @@ fn reader_loop(inner: Arc<Inner>, mut stream: TcpStream, my_epoch: u64) {
     // Tear down only if this connection is still the current one; a
     // newer epoch means a reconnect already superseded us and the
     // pending map belongs to the new connection.
-    let mut st = inner.state.lock();
-    if inner.epoch.load(Ordering::SeqCst) == my_epoch {
+    let waiters: Vec<Waiter> = {
+        let mut st = inner.state.lock();
+        if inner.epoch.load(Ordering::SeqCst) != my_epoch {
+            return;
+        }
         if let Some(s) = st.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        // dasp::allow(L1): `state` -> `pending` is the crate-wide lock order,
-        // and each `tx` is a capacity-1, single-send channel — never blocks.
-        let mut pending = inner.pending.lock();
-        for (_t, tx) in pending.drain() {
-            // dasp::allow(L1, E1): capacity-1, single-send channel — never
-            // blocks, and the waiter may have timed out and dropped it.
-            let _ = tx.send(Err(error.clone()));
-        }
+        // dasp::allow(L1): `state` -> `pending` is the crate-wide lock
+        // order; the waiters are told after both are released.
+        let drained = inner.pending.lock().drain().map(|(_, w)| w).collect();
+        drained
+    };
+    for waiter in waiters {
+        waiter.finish(Err(error.clone()));
     }
 }
 

@@ -3,11 +3,14 @@
 //! blocking connection, and a full `Cluster` over sockets.
 
 use dasp_net::{
-    BlockingConn, Cluster, ReactorConfig, SharedService, TcpClient, TcpClientConfig, TcpServer,
+    encode_frame, BlockingConn, Cluster, FrameDecoder, FrameKind, QuorumMode, QuorumOptions,
+    ReactorConfig, RetryPolicy, RpcError, SharedService, TcpClient, TcpClientConfig, TcpServer,
 };
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Echoes the payload back with a leading marker byte.
 struct Echo(u8);
@@ -163,7 +166,7 @@ fn large_payload_roundtrip() {
 fn cluster_runs_over_sockets() {
     let servers: Vec<TcpServer> = (0..3).map(|i| serve(0xC0 + i as u8)).collect();
     let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
-    let cluster = Cluster::connect_tcp(&addrs, Duration::from_secs(5), 2).expect("connect");
+    let cluster = Cluster::connect_tcp(&addrs, Duration::from_secs(5)).expect("connect");
     for i in 0..3 {
         let resp = cluster.call(i, b"ping".to_vec()).expect("call");
         assert_eq!(resp[0], 0xC0 + i as u8);
@@ -175,11 +178,175 @@ fn cluster_runs_over_sockets() {
     cluster.shutdown();
 }
 
+/// Names of this process's threads whose name starts with `prefix`.
+#[cfg(target_os = "linux")]
+fn threads_named(prefix: &str) -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_string())
+        .filter(|comm| comm.starts_with(prefix))
+        .collect()
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_tcp_cluster_runs_no_provider_threads() {
+    let servers: Vec<TcpServer> = (0..3).map(|i| serve(0xD0 + i as u8)).collect();
+    let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    let cluster = Cluster::connect_tcp(&addrs, Duration::from_secs(5)).expect("connect");
+    let got = cluster
+        .call_quorum((0..3).map(|i| (i, b"q".to_vec())).collect(), 2)
+        .expect("quorum");
+    assert!(got.len() >= 2);
+    assert_eq!(threads_named("dasp-provider-"), Vec::<String>::new());
+    assert!(
+        threads_named("dasp-tcp-reader").len() >= 3,
+        "one reader per provider"
+    );
+}
+
+#[test]
+fn a_shut_down_tcp_cluster_refuses_calls() {
+    let server = serve(0x02);
+    // A deadline no test run reaches: only a refusal can end the call.
+    let mut cluster =
+        Cluster::connect_tcp(&[server.local_addr()], Duration::from_secs(3600)).expect("connect");
+    assert!(cluster.call(0, b"up".to_vec()).is_ok());
+    cluster.shutdown();
+    assert_eq!(cluster.call(0, b"x".to_vec()), Err(RpcError::Closed));
+    let sent = cluster.stats().snapshot().messages_sent;
+    assert_eq!(sent, 1, "nothing is sent to a closed provider");
+}
+
+#[test]
+fn a_send_held_by_a_stalled_peer_times_out_no_provider_that_answered() {
+    // Provider 2 accepts and never reads, and its request outgrows both
+    // socket buffers, so writing it holds the caller for the whole
+    // per-attempt deadline — after providers 0 and 1 have answered.
+    let servers: Vec<TcpServer> = (0..2).map(|i| serve(0x20 + i as u8)).collect();
+    let stalled = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
+    addrs.push(stalled.local_addr().expect("addr"));
+    let cluster = Cluster::connect_tcp(&addrs, Duration::from_millis(300)).expect("connect");
+    let (_peer, _) = stalled.accept().expect("accept");
+    let reqs = vec![
+        (0, b"a".to_vec()),
+        (1, b"b".to_vec()),
+        (2, vec![0u8; 16 << 20]),
+    ];
+    let opts = QuorumOptions {
+        retry: RetryPolicy::none(),
+        hedge: usize::MAX,
+        ..Default::default()
+    };
+    let got = cluster
+        .call_quorum_opts(reqs, 2, &opts)
+        .expect("two healthy providers answered");
+    assert_eq!(got, vec![(0, b"\x20a".to_vec()), (1, b"\x21b".to_vec())]);
+    let health = cluster.health().snapshot();
+    for p in 0..2 {
+        assert_eq!(
+            health.providers[p].total_failures, 0,
+            "provider {p} charged"
+        );
+    }
+}
+
+/// Accept one connection on `listener`, wait for the first byte of a
+/// request, and drop the connection: a reset in mid-call.
+fn reset_after_first_request(listener: &TcpListener) {
+    let (mut conn, _) = listener.accept().expect("accept");
+    let mut byte = [0u8; 1];
+    conn.read_exact(&mut byte).expect("a request");
+}
+
+#[test]
+fn a_reset_connection_escalates_a_read_at_once() {
+    // k = 2 of n = 3 with no hedge: providers 0 and 1 are asked, and
+    // provider 0's connection is reset under the request.
+    let flaky = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let servers: Vec<TcpServer> = (1..3).map(|i| serve(0x30 + i as u8)).collect();
+    let mut addrs = vec![flaky.local_addr().expect("addr")];
+    addrs.extend(servers.iter().map(|s| s.local_addr()));
+    let timeout = Duration::from_secs(30);
+    let cluster = Cluster::connect_tcp(&addrs, timeout).expect("connect");
+    let opts = QuorumOptions {
+        retry: RetryPolicy::none(),
+        hedge: 0,
+        mode: QuorumMode::FirstK,
+        ..Default::default()
+    };
+    let start = Instant::now();
+    let got = std::thread::scope(|s| {
+        s.spawn(|| reset_after_first_request(&flaky));
+        cluster.call_quorum_opts((0..3).map(|p| (p, b"r".to_vec())).collect(), 2, &opts)
+    })
+    .expect("providers 1 and 2 answer");
+    assert_eq!(got, vec![(1, b"\x31r".to_vec()), (2, b"\x32r".to_vec())]);
+    assert!(
+        start.elapsed() < timeout / 10,
+        "waited {:?}",
+        start.elapsed()
+    );
+}
+
+/// Answer every request on `conn` with its own payload, until the
+/// client goes away.
+fn echo_frames(mut conn: TcpStream) {
+    let mut decoder = FrameDecoder::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        while let Some(frame) = decoder.next_frame().expect("well-formed frames") {
+            let reply = encode_frame(frame.token, FrameKind::Response, &frame.payload);
+            conn.write_all(&reply).expect("reply");
+        }
+        match conn.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => decoder.extend(&buf[..n]),
+        }
+    }
+}
+
+#[test]
+fn a_reset_connection_resends_a_read_within_its_attempt() {
+    // The one provider asked has no stand-in: only a resend on a fresh
+    // connection can answer before the deadline.
+    let flaky = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = flaky.local_addr().expect("addr");
+    let timeout = Duration::from_secs(30);
+    let cluster = Cluster::connect_tcp(&[addr], timeout).expect("connect");
+    let opts = QuorumOptions {
+        retry: RetryPolicy::none(),
+        ..Default::default()
+    };
+    let start = Instant::now();
+    let got = std::thread::scope(|s| {
+        s.spawn(|| {
+            reset_after_first_request(&flaky);
+            echo_frames(flaky.accept().expect("the redial").0);
+        });
+        let got = cluster.call_quorum_opts(vec![(0, b"again".to_vec())], 1, &opts);
+        drop(cluster);
+        // Frees the peer should no redial have come.
+        drop(TcpStream::connect(addr));
+        got
+    })
+    .expect("the resend is answered");
+    assert_eq!(got, vec![(0, b"again".to_vec())]);
+    assert!(
+        start.elapsed() < timeout / 10,
+        "waited {:?}",
+        start.elapsed()
+    );
+}
+
 #[test]
 fn dead_server_surfaces_as_timeout() {
     let server = serve(0x01);
     let addr = server.local_addr();
-    let cluster = Cluster::connect_tcp(&[addr], Duration::from_millis(300), 1).expect("connect");
+    let cluster = Cluster::connect_tcp(&[addr], Duration::from_millis(300)).expect("connect");
     assert!(cluster.call(0, b"up".to_vec()).is_ok());
     let mut server = server;
     server.shutdown();
@@ -190,7 +357,7 @@ fn dead_server_surfaces_as_timeout() {
     let err = cluster
         .call(0, b"down".to_vec())
         .expect_err("server is gone");
-    assert!(matches!(err, dasp_net::RpcError::Timeout(_)));
+    assert!(matches!(err, RpcError::Timeout(_)));
     let mut cluster = cluster;
     cluster.shutdown();
 }

@@ -32,9 +32,7 @@ fn spawn_cluster(n: usize, timeout: Duration) -> Cluster {
                 .lock()
                 .expect("server holder poisoned")
                 .extend(servers);
-            // workers = 1 matches the channel cluster's per-provider
-            // worker count, keeping fault-injection RNG streams identical.
-            Cluster::connect_tcp(&addrs, timeout, 1).expect("connect tcp fleet")
+            Cluster::connect_tcp(&addrs, timeout).expect("connect tcp fleet")
         }
         _ => Cluster::spawn_concurrent(provider_fleet(n), timeout, 1),
     }

@@ -3,10 +3,11 @@
 //! behave identically whether providers are in-process services behind
 //! channels or remote processes behind real TCP sockets.
 //!
-//! This is the tentpole's core acceptance test: every scenario below
-//! runs twice, once per transport, through the *same* cluster code with
-//! zero `resilience.rs` changes, and asserts the same observable
-//! outcome.
+//! Every scenario below runs once per transport through the *same*
+//! cluster code and asserts the same observable outcome. There are two
+//! ways over TCP: a worker pool calling each [`TcpClient`] as a
+//! [`SharedService`], and [`Cluster::connect_tcp`], whose quorum engine
+//! writes the frames itself and is answered by the client's reader.
 
 use dasp_net::{
     BreakerConfig, BreakerState, Cluster, FailureMode, QuorumMode, QuorumOptions, ReactorConfig,
@@ -17,11 +18,15 @@ use std::time::{Duration, Instant};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Transport {
+    /// In-process services behind worker pools.
     Channel,
+    /// Worker pools calling a `TcpClient` each.
     Tcp,
+    /// `Cluster::connect_tcp`: no client thread but the readers.
+    TcpDirect,
 }
 
-const TRANSPORTS: [Transport; 2] = [Transport::Channel, Transport::Tcp];
+const TRANSPORTS: [Transport; 3] = [Transport::Channel, Transport::Tcp, Transport::TcpDirect];
 
 /// Deterministic service: response = [provider tag, request bytes...].
 struct TaggedEcho(u8);
@@ -55,33 +60,46 @@ fn fixture(transport: Transport, n: usize, timeout: Duration, breaker: BreakerCo
                 _servers: Vec::new(),
             }
         }
-        Transport::Tcp => {
-            let mut servers = Vec::with_capacity(n);
-            let mut clients: Vec<Arc<dyn SharedService>> = Vec::with_capacity(n);
-            for i in 0..n {
-                let server = TcpServer::serve(
-                    "127.0.0.1:0",
-                    Arc::new(TaggedEcho(i as u8)),
-                    ReactorConfig::default(),
-                )
-                .expect("bind");
-                let cfg = TcpClientConfig {
-                    call_timeout: timeout.saturating_mul(2),
-                    error_hold: timeout.saturating_mul(2),
-                    ..TcpClientConfig::default()
-                };
-                clients.push(Arc::new(
-                    TcpClient::connect(server.local_addr(), cfg).expect("dial"),
-                ));
-                servers.push(server);
-            }
+        Transport::Tcp | Transport::TcpDirect => {
+            let servers: Vec<TcpServer> = (0..n)
+                .map(|i| {
+                    TcpServer::serve(
+                        "127.0.0.1:0",
+                        Arc::new(TaggedEcho(i as u8)),
+                        ReactorConfig::default(),
+                    )
+                    .expect("bind")
+                })
+                .collect();
+            let addrs: Vec<_> = servers.iter().map(TcpServer::local_addr).collect();
+            let cluster = if transport == Transport::TcpDirect {
+                Cluster::connect_tcp(&addrs, timeout).expect("connect")
+            } else {
+                Cluster::spawn_concurrent(tcp_clients(&addrs, timeout), timeout, 1)
+            };
             Fixture {
-                cluster: Cluster::spawn_concurrent(clients, timeout, 1)
-                    .with_breaker(breaker, clock),
+                cluster: cluster.with_breaker(breaker, clock),
                 _servers: servers,
             }
         }
     }
+}
+
+/// One `TcpClient` per address, as services for a worker pool, holding
+/// a dead provider until after the cluster's deadline.
+fn tcp_clients(addrs: &[std::net::SocketAddr], timeout: Duration) -> Vec<Arc<dyn SharedService>> {
+    let cfg = TcpClientConfig {
+        call_timeout: timeout.saturating_mul(2),
+        error_hold: timeout.saturating_mul(2),
+        ..TcpClientConfig::default()
+    };
+    addrs
+        .iter()
+        .map(|addr| {
+            Arc::new(TcpClient::connect(*addr, cfg.clone()).expect("dial"))
+                as Arc<dyn SharedService>
+        })
+        .collect()
 }
 
 fn expected(tag: u8, payload: &[u8]) -> Vec<u8> {
@@ -120,7 +138,7 @@ fn first_k_wins_quorum_identical_on_both_transports() {
             got.iter().all(|(p, _)| *p != 0),
             "{t:?}: crashed provider responded"
         );
-        // Three crashes: 3-of-5 with 2 alive must fail on both.
+        // Three crashes: 3-of-5 with 2 alive must fail on every transport.
         fx.cluster.set_failure(1, FailureMode::Crashed);
         fx.cluster.set_failure(2, FailureMode::Crashed);
         let err = fx.cluster.call_quorum(reqs, 3).expect_err("unreachable");
@@ -203,8 +221,8 @@ fn retries_heal_omission_identically_on_both_transports() {
     for t in TRANSPORTS {
         let fx = fixture(t, 2, TIMEOUT, BreakerConfig::default());
         fx.cluster.set_failure(1, FailureMode::Omission(0.8));
-        // Same seed → same worker RNG stream → the same attempts drop on
-        // both transports; retries recover within the schedule either way.
+        // Same seed → same engine RNG stream → the same attempts drop on
+        // every transport; retries recover within the schedule either way.
         let resp = fx
             .cluster
             .call_with_retry(1, b"r".to_vec(), &policy)
@@ -215,9 +233,9 @@ fn retries_heal_omission_identically_on_both_transports() {
 
 #[test]
 fn byzantine_injection_sits_above_the_socket_on_both_transports() {
-    // Byzantine corruption is injected in the cluster worker, after the
-    // (possibly remote) service answered — so a validate hook sees and
-    // rejects the same corruption on either transport.
+    // Byzantine corruption is injected in the quorum engine, as the
+    // (possibly remote) service's answer arrives — so a validate hook
+    // sees and rejects the same corruption on every transport.
     for t in TRANSPORTS {
         let fx = fixture(t, 3, TIMEOUT, BreakerConfig::default());
         fx.cluster.set_failure(0, FailureMode::Byzantine(1.0));
@@ -248,13 +266,14 @@ fn byzantine_injection_sits_above_the_socket_on_both_transports() {
 #[test]
 fn query_many_positions_identical_with_batching_on_and_off() {
     // Full client stack: the same secret-shared deployment (same key
-    // seed, same rows, same client RNG seed) is stood up twice — behind
-    // channels, where nothing is batched, and over TCP with four
-    // cluster workers per provider and every `query_many` query in
-    // flight at once, so calls overlap on each `TcpClient` and coalesce
-    // into batch frames —
-    // and `query_many` must return position-identical decoded rows.
-    // Batching may only change wire shape, never results.
+    // seed, same rows, same client RNG seed) is stood up once per
+    // transport — behind channels, where nothing is batched; over TCP
+    // with four cluster workers per provider and every `query_many`
+    // query in flight at once, so calls overlap on each `TcpClient` and
+    // coalesce into batch frames; and over TCP with the engine writing
+    // every frame itself — and `query_many` must return
+    // position-identical decoded rows. Batching may only change wire
+    // shape, never results.
     use dasp_client::{ColumnSpec, DataSource, Predicate, TableSchema, Value};
     use dasp_core::client::ClientKeys;
     use dasp_server::service::{provider_fleet, tcp_provider_fleet};
@@ -267,18 +286,21 @@ fn query_many_positions_identical_with_batching_on_and_off() {
         .map(|i| vec![Value::Int(i % 12), Value::Int(i * 31 % (1 << 16))])
         .collect();
     let mut outcomes = Vec::new();
-    let mut fleets = Vec::new(); // keep servers alive until both queries ran
+    let mut fleets = Vec::new(); // keep servers alive until every query ran
     let (timeout, workers) = (Duration::from_secs(2), 4);
     for transport in TRANSPORTS {
         let mut rng = StdRng::seed_from_u64(4242);
         let keys = ClientKeys::generate(k, n, &mut rng).unwrap();
-        let cluster = match transport {
-            Transport::Channel => Cluster::spawn_concurrent(provider_fleet(n), timeout, workers),
-            Transport::Tcp => {
-                let (servers, addrs) =
-                    tcp_provider_fleet(n, ReactorConfig::default()).expect("bind fleet");
-                fleets.push(servers);
-                Cluster::connect_tcp(&addrs, timeout, workers).expect("connect")
+        let cluster = if transport == Transport::Channel {
+            Cluster::spawn_concurrent(provider_fleet(n), timeout, workers)
+        } else {
+            let (servers, addrs) =
+                tcp_provider_fleet(n, ReactorConfig::default()).expect("bind fleet");
+            fleets.push(servers);
+            if transport == Transport::TcpDirect {
+                Cluster::connect_tcp(&addrs, timeout).expect("connect")
+            } else {
+                Cluster::spawn_concurrent(tcp_clients(&addrs, timeout), timeout, workers)
             }
         };
         let mut ds = DataSource::with_seed(keys, cluster, 99).unwrap();
@@ -299,19 +321,21 @@ fn query_many_positions_identical_with_batching_on_and_off() {
             .collect();
         outcomes.push(ds.query_many("t", &predicates).expect("query_many"));
     }
-    let (channel, tcp) = (&outcomes[0], &outcomes[1]);
-    assert_eq!(channel.len(), tcp.len());
-    for (i, (a, b)) in channel.iter().zip(tcp).enumerate() {
-        assert!(!a.is_empty(), "query {i} matched nothing — weak test");
-        assert_eq!(a, b, "query {i}: the transport changed decoded rows");
+    let channel = &outcomes[0];
+    for (t, other) in TRANSPORTS.iter().zip(&outcomes).skip(1) {
+        assert_eq!(channel.len(), other.len(), "{t:?}");
+        for (i, (a, b)) in channel.iter().zip(other).enumerate() {
+            assert!(!a.is_empty(), "query {i} matched nothing — weak test");
+            assert_eq!(a, b, "{t:?} query {i}: the transport changed decoded rows");
+        }
     }
 }
 
 #[test]
 fn worker_pools_multiplex_identically_on_both_transports() {
-    // Out-of-order completion under a worker pool: a slow request issued
-    // first must not block a fast one (token multiplexing), channel or
-    // socket alike. call_many fans out concurrently on both.
+    // Out-of-order completion: a slow request issued first must not
+    // block a fast one (token multiplexing), channel or socket alike.
+    // call_many fans out concurrently on every transport.
     for t in TRANSPORTS {
         let fx = fixture(t, 4, Duration::from_secs(2), BreakerConfig::default());
         let reqs: Vec<_> = (0..4).map(|p| (p, vec![p as u8; 1000])).collect();
