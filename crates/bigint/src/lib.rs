@@ -259,24 +259,6 @@ impl BigUint {
         BigUint::from_limbs(out)
     }
 
-    /// `self * m` for a single-limb multiplier.
-    pub fn mul_u64(&self, m: u64) -> BigUint {
-        if m == 0 || self.is_zero() {
-            return BigUint::zero();
-        }
-        let mut out = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry = 0u128;
-        for &a in &self.limbs {
-            let cur = a as u128 * m as u128 + carry;
-            out.push(lo64(cur));
-            carry = cur >> 64;
-        }
-        if carry != 0 {
-            out.push(lo64(carry));
-        }
-        BigUint::from_limbs(out)
-    }
-
     /// `(self / other, self % other)`. Panics if `other` is zero — callers
     /// in this workspace always divide by fixed non-zero moduli.
     pub fn div_rem(&self, other: &BigUint) -> (BigUint, BigUint) {

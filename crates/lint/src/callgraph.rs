@@ -23,6 +23,10 @@
 //!    `read`, `write`, …) are the exception to the exception: those
 //!    std-colliding names still link into `vendor/` fns, because the
 //!    vendored rewrite *is* the implementation that actually runs.
+//!
+//! A bare `name(…)` call resolves to a fn declared inside a body around
+//! it ([`FnItem::scope`]), innermost first, before any module-level fn;
+//! no call from outside that body reaches such a local item.
 
 use crate::ir::{Ctx, CtxKind, FnId, FnItem, PanicKind, WorkspaceIr};
 use crate::lexer::{Token, TokenKind};
@@ -283,10 +287,10 @@ fn resolve(
                 None => Resolution::External,
             };
         }
-        // Module-qualified free fn: match free fns of that name.
+        // Module-qualified free fn: match module-level fns of that name.
         let free: Vec<FnId> = ws
             .by_name(name)
-            .filter(|&id| ws.fns[id].impl_type.is_none())
+            .filter(|&id| ws.fns[id].impl_type.is_none() && ws.fns[id].scope.is_none())
             .collect();
         return if free.is_empty() {
             Resolution::External
@@ -313,10 +317,24 @@ fn resolve(
         }
         return Resolution::Unknown;
     }
-    // Free-fn call: prefer free fns; a bare name never targets methods.
+    // Free-fn call: a fn declared in a body around the call shadows
+    // module-level fns, the innermost first; a bare name never targets
+    // methods.
+    let local = ws
+        .by_name(name)
+        .filter(|&id| {
+            let f = &ws.fns[id];
+            f.file == caller.file
+                && f.scope
+                    .is_some_and(|(start, end)| start <= ctx.name_tok && ctx.name_tok <= end)
+        })
+        .max_by_key(|&id| ws.fns[id].scope.map(|(start, _)| start));
+    if let Some(id) = local {
+        return Resolution::Exact(vec![id]);
+    }
     let free: Vec<FnId> = ws
         .by_name(name)
-        .filter(|&id| ws.fns[id].impl_type.is_none())
+        .filter(|&id| ws.fns[id].impl_type.is_none() && ws.fns[id].scope.is_none())
         .collect();
     if free.is_empty() {
         Resolution::External

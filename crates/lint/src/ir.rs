@@ -156,6 +156,10 @@ pub struct FnItem {
     /// `Some(Type)` for methods in an `impl Type` / `impl Trait for
     /// Type` block.
     pub impl_type: Option<String>,
+    /// For a fn declared inside another fn's body: that body's token
+    /// span, the only place its name resolves. `None` for module-level
+    /// fns and methods.
+    pub scope: Option<(usize, usize)>,
     /// True for `pub fn` (any visibility qualifier).
     pub is_pub: bool,
     /// True when the item sits under `#[cfg(test)]` / `#[test]`.

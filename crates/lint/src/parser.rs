@@ -157,8 +157,10 @@ fn parse_items(tokens: &[Token], test_mask: &[bool]) -> RawItems {
         fns: Vec::new(),
         structs: Vec::new(),
     };
-    // (type name, scope close index)
-    let mut impl_stack: Vec<(String, usize)> = Vec::new();
+    // (type name, scope open index, scope close index)
+    let mut impl_stack: Vec<(String, usize, usize)> = Vec::new();
+    // Body spans of the fns the cursor is inside, innermost last.
+    let mut fn_stack: Vec<(usize, usize)> = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
         let t = &tokens[i];
@@ -166,17 +168,16 @@ fn parse_items(tokens: &[Token], test_mask: &[bool]) -> RawItems {
             i += 1;
             continue;
         }
-        while let Some(&(_, close)) = impl_stack.last() {
-            if i > close {
-                impl_stack.pop();
-            } else {
-                break;
-            }
+        while impl_stack.last().is_some_and(|&(_, _, close)| i > close) {
+            impl_stack.pop();
+        }
+        while fn_stack.last().is_some_and(|&(_, end)| i > end) {
+            fn_stack.pop();
         }
         if t.is_ident("impl") && is_item_position(tokens, i) {
             if let Some((ty, open)) = parse_impl_header(tokens, i) {
                 let close = close_of(tokens, open, '{', '}');
-                impl_stack.push((ty, close));
+                impl_stack.push((ty, open, close));
                 i = open + 1;
                 continue;
             }
@@ -195,7 +196,7 @@ fn parse_items(tokens: &[Token], test_mask: &[bool]) -> RawItems {
                     }
                     if j < tokens.len() && tokens[j].is_punct('{') {
                         let close = close_of(tokens, j, '{', '}');
-                        impl_stack.push((name, close));
+                        impl_stack.push((name, j, close));
                         i = j + 1;
                         continue;
                     }
@@ -214,9 +215,21 @@ fn parse_items(tokens: &[Token], test_mask: &[bool]) -> RawItems {
             continue;
         }
         if t.is_ident("fn") {
-            if let Some(raw) = parse_fn(tokens, i, test_mask, impl_stack.last().map(|s| &s.0)) {
+            // A fn whose innermost enclosing scope is a fn body is a local
+            // item of that body, not a method of an impl around it.
+            let impl_type = impl_stack.last().map(|&(ref ty, open, _)| (ty, open));
+            let scope = fn_stack
+                .last()
+                .copied()
+                .filter(|&(start, _)| impl_type.is_none_or(|(_, open)| open < start));
+            let impl_type = impl_type.filter(|_| scope.is_none()).map(|(ty, _)| ty);
+            if let Some(mut raw) = parse_fn(tokens, i, test_mask, impl_type) {
+                raw.item.scope = scope;
                 let resume = match raw.item.body {
-                    Some((bs, _)) => bs, // descend into the body: nested fns
+                    Some((bs, be)) => {
+                        fn_stack.push((bs, be));
+                        bs // descend into the body: nested fns
+                    }
                     None => raw.item_end + 1,
                 };
                 out.fns.push(raw);
@@ -445,6 +458,7 @@ fn parse_fn(
             file: 0,
             name,
             impl_type: impl_type.cloned(),
+            scope: None,
             is_pub: fn_visibility_is_pub(tokens, fn_tok),
             is_test: test_mask.get(fn_tok).copied().unwrap_or(false),
             line: tokens[fn_tok].line,

@@ -32,3 +32,13 @@ impl DataSource {
 fn orphan(v: &[u64]) -> u64 {
     v[1]
 }
+
+impl DataSource {
+    pub fn last(&self, v: &[u64]) -> u64 {
+        // A local item is reached through its enclosing fn.
+        fn tail(v: &[u64]) -> u64 {
+            v[v.len() - 1]
+        }
+        tail(v)
+    }
+}

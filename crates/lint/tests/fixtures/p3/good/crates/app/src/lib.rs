@@ -16,3 +16,22 @@ impl DataSource {
         v.first().copied().unwrap()
     }
 }
+
+impl DataSource {
+    pub fn depth(&self, v: &[u64]) -> usize {
+        // A local item: the call below resolves to it, not to the
+        // module-level `walk`, though the two share a name.
+        fn walk(v: &[u64], at: usize) -> usize {
+            match v.get(at) {
+                Some(_) => 1 + walk(v, at + 1),
+                None => 0,
+            }
+        }
+        walk(v, 0)
+    }
+}
+
+/// Panics, but no entry point reaches it: `depth` calls its own `walk`.
+fn walk(v: &[u64]) -> u64 {
+    v[0]
+}

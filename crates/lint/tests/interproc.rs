@@ -147,6 +147,13 @@ fn p3_bad_reports_cross_crate_reachability_paths() {
                 .to_string(),
         ),
         (
+            APP.to_string(),
+            40,
+            "P3 panic reachability: indexing without get in tail, reachable via \
+             DataSource::last -> tail"
+                .to_string(),
+        ),
+        (
             "vendor/mini/src/lib.rs".to_string(),
             10,
             "P3 panic reachability: indexing without get in Rng::next_u64, reachable \
@@ -176,6 +183,12 @@ fn p3_good_checked_access_passes_waiver_surfaces() {
     let waived = waived_of_rule(&report, Rule::P3);
     assert_eq!(waived.len(), 1, "exactly the waived unwrap: {waived:?}");
     assert_eq!(waived[0].line, 16);
+    // `depth` calls its local `walk`, never the panicking module-level
+    // one, and the local item is not a method of `DataSource`.
+    assert!(
+        report.findings.iter().all(|f| !f.message.contains("walk")),
+        "a local fn resolved to a module-level namesake"
+    );
 }
 
 #[test]

@@ -37,14 +37,16 @@
 //! and Merkle commitments bit-identical to the pre-crash state:
 //! checkpoint image first, then replay of the log's committed records (a
 //! torn tail is truncated by the WAL layer). A checkpoint streams every
-//! table's packed rows into a fresh file, renames it over
-//! `checkpoint.bin`, and then retires the log by restamping its
-//! generation — a crash at any point leaves one consistent
-//! (checkpoint, wal) pair. A volatile engine has no directory and its
+//! table's packed rows into a fresh file, one record per leaf of the
+//! rows tree (the engine keeps each leaf it wrote, held, with its record,
+//! so only the leaves written since the last checkpoint are encoded),
+//! renames it over `checkpoint.bin`, and then retires the log by
+//! restamping its generation — a crash at any point leaves one
+//! consistent (checkpoint, wal) pair. A volatile engine has no directory and its
 //! checkpoint does nothing. [`EngineStats`] counters are atomics updated
 //! outside all locks.
 
-use crate::pmap::PMap;
+use crate::pmap::{Leaf, PMap};
 use crate::proto::{
     AggOp, PredAtom, Request, Response, Row, RowBlock, WireMerkleProof, WireRangeProof,
 };
@@ -221,7 +223,16 @@ struct Store {
     /// Auto-checkpoint after this many logged ops (0 = manual only).
     checkpoint_every: u64,
     ops_since_ckpt: u64,
+    /// Each table's rows-tree leaves as the last checkpoint wrote them.
+    records: HashMap<String, LeafRecords>,
+    /// Rows-tree leaves encoded by this engine's checkpoints; a leaf is
+    /// encoded once and written as is until it is next written to.
+    leaves_encoded: u64,
 }
+
+/// A table's rows-tree leaves in key order, held (so none of them
+/// changes in place), each with its framed checkpoint record.
+type LeafRecords = Vec<(Leaf<u64, Vec<i128>>, Box<[u8]>)>;
 
 /// Master state, guarded by the writer mutex. `tables` here is the
 /// newest version (possibly not yet durable/published); snapshots share
@@ -294,10 +305,6 @@ fn owned(&(id, shares): &RowRef) -> Row {
         shares: shares.to_vec(),
     }
 }
-
-/// Rows per checkpoint record (one [`RowBlock`] each), so that neither a
-/// checkpoint nor a recovery holds a whole table's bytes in one buffer.
-const ROWS_PER_RECORD: usize = 1024;
 
 /// The `limit` extreme rows by `(shares[order_col], id)`, ordered
 /// ascending for `desc == false` and descending for `desc == true`.
@@ -387,15 +394,18 @@ impl ProviderEngine {
         let (meta, mut image) = CheckpointReader::open(dir)?;
         let mut report = RecoveryReport::default();
 
-        // Load the checkpoint image: each table's records, in order.
+        // Load the checkpoint image: each table's records, in order, all
+        // decoded into one block.
         let mut tables: HashMap<String, Arc<TableSnap>> = HashMap::new();
+        let mut block = RowBlock::default();
         for tm in &meta.tables {
             let corrupt = |what: &str| {
                 RecoveryError::Replay(format!("{what} in checkpoint table {:?}", tm.name))
             };
             let mut rows = Vec::new();
             while (rows.len() as u64) < tm.rows {
-                let block = RowBlock::decode(&image.record()?)
+                block
+                    .decode_into(image.record()?)
                     .map_err(|e| corrupt(&format!("corrupt record ({e})")))?;
                 if block.cols().len() != tm.columns.len() {
                     return Err(corrupt("row arity mismatch"));
@@ -443,6 +453,8 @@ impl ProviderEngine {
                 generation: meta.generation,
                 checkpoint_every: cfg.checkpoint_every,
                 ops_since_ckpt: 0,
+                records: HashMap::new(),
+                leaves_encoded: 0,
             }),
             broken: None,
         };
@@ -530,19 +542,45 @@ impl ProviderEngine {
             committed,
         };
         let mut file = CheckpointWriter::create(&store.dir, &meta).map_err(|e| e.to_string())?;
-        for (_, t) in tables {
+        let mut before = std::mem::take(&mut store.records);
+        let mut records = HashMap::with_capacity(tables.len());
+        for (name, t) in tables {
             if crash_point_hit(CrashPoint::MidCheckpoint) {
                 return Err("simulated crash mid-checkpoint".into());
             }
-            let mut rows = t
-                .rows
-                .iter()
-                .map(|(&id, shares)| (id, shares.as_slice()))
+            // One record per leaf of the rows tree. A leaf the last
+            // checkpoint wrote is still the one node only if no write
+            // touched it, so its record is written again as it is; the
+            // other leaves are encoded. Both lists ascend by key.
+            let mut kept = before
+                .remove(name)
+                .unwrap_or_default()
+                .into_iter()
                 .peekable();
-            while rows.peek().is_some() {
-                let block: RowBlock = rows.by_ref().take(ROWS_PER_RECORD).collect();
-                file.record(&block.encode()).map_err(|e| e.to_string())?;
+            let mut table = Vec::new();
+            for leaf in t.rows.leaves() {
+                let first = leaf.keys().first();
+                while kept
+                    .next_if(|(old, _)| old.keys().first() < first)
+                    .is_some()
+                {}
+                let record = match kept.next_if(|(old, _)| old.same(&leaf)) {
+                    Some((_, record)) => record,
+                    None => {
+                        store.leaves_encoded += 1;
+                        let block: RowBlock = leaf
+                            .keys()
+                            .iter()
+                            .zip(leaf.values())
+                            .map(|(&id, shares)| (id, shares.as_slice()))
+                            .collect();
+                        CheckpointWriter::frame(&block.encode()).map_err(|e| e.to_string())?
+                    }
+                };
+                file.record(&record).map_err(|e| e.to_string())?;
+                table.push((leaf, record));
             }
+            records.insert(name.clone(), table);
         }
         // The atomic swing: after this rename the image is the truth and
         // the old log generation is superseded.
@@ -553,6 +591,7 @@ impl ProviderEngine {
         wal.switch_generation(next_gen).map_err(|e| e.to_string())?;
         store.generation = next_gen;
         store.ops_since_ckpt = 0;
+        store.records = records;
         Ok(())
     }
 
@@ -2556,10 +2595,10 @@ pub(crate) mod tests {
 
     #[test]
     fn checkpoint_record_matches_the_wire_layout() {
-        // The image's records are wire row blocks, whole tables of them:
-        // every record decodes with the wire decoder, none holds more
-        // than `ROWS_PER_RECORD` rows whatever the shares, and recovery
-        // reads back every row.
+        // The image's records are wire row blocks, one per leaf of the
+        // rows tree: every record decodes with the wire decoder, none
+        // holds more rows than a leaf (`pmap::MAX`) whatever the shares,
+        // and recovery reads back every row.
         let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = test_dir("ckpt-layout");
         let (e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
@@ -2590,15 +2629,17 @@ pub(crate) mod tests {
             let (meta, mut image) = CheckpointReader::open(&dir).unwrap();
             assert_eq!(meta.tables.len(), 1);
             assert_eq!(meta.tables[0].rows, 2500);
-            let records = 2500usize.div_ceil(ROWS_PER_RECORD);
-            let stored: Vec<usize> = (0..records)
-                .map(|_| {
-                    let bytes = image.record().unwrap();
-                    RowBlock::decode(&bytes).expect("a wire row block").len()
-                })
-                .collect();
-            assert!(stored.iter().all(|&n| n <= ROWS_PER_RECORD), "{stored:?}");
+            let mut stored: Vec<usize> = Vec::new();
+            while stored.iter().sum::<usize>() < 2500 {
+                let bytes = image.record().unwrap();
+                stored.push(RowBlock::decode(bytes).expect("a wire row block").len());
+            }
+            assert!(
+                stored.iter().all(|&n| (1..=LEAF_MAX).contains(&n)),
+                "{stored:?}"
+            );
             assert_eq!(stored.iter().sum::<usize>(), 2500);
+            assert_eq!(stored.len() as u64, leaves_encoded(&e));
             image.finish().unwrap();
         }
         drop(e);
@@ -2611,6 +2652,152 @@ pub(crate) mod tests {
         let mut want = data;
         want.reverse();
         assert_eq!(got.to_rows(), want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    use crate::pmap::MAX as LEAF_MAX;
+
+    /// Rows-tree leaves `e`'s checkpoints have encoded so far.
+    fn leaves_encoded(e: &ProviderEngine) -> u64 {
+        e.write
+            .lock()
+            .store
+            .as_ref()
+            .map_or(0, |store| store.leaves_encoded)
+    }
+
+    fn whole_table(e: &ProviderEngine, table: &str) -> Response {
+        e.execute(&Request::Query {
+            table: table.into(),
+            predicate: vec![],
+            agg: None,
+        })
+    }
+
+    #[test]
+    fn a_warm_checkpoint_encodes_only_the_leaves_written() {
+        let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = test_dir("ckpt-warm");
+        let (e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        e.execute(&Request::CreateTable {
+            name: "t".into(),
+            columns: vec!["a".into(), "b".into()],
+            indexed: vec![true, false],
+        });
+        // Even ids in a scattered order, so leaves are split mid-way.
+        let n = 5000u64;
+        let row = |id: u64, v: i128| Row {
+            id,
+            shares: vec![v, -v],
+        };
+        let data: Vec<Row> = (0..n)
+            .map(|i| (i * 7919) % n * 2)
+            .map(|id| row(id, id as i128))
+            .collect();
+        assert_eq!(
+            e.execute(&Request::Insert {
+                table: "t".into(),
+                rows: data,
+            }),
+            Response::Ack
+        );
+        e.checkpoint().unwrap();
+        let cold = leaves_encoded(&e);
+        assert!(cold >= n / LEAF_MAX as u64, "{cold} leaves for {n} rows");
+        // Nothing written: nothing encoded.
+        e.checkpoint().unwrap();
+        assert_eq!(leaves_encoded(&e), cold);
+
+        // Ten rows of each write, scattered over the table, each its own
+        // request.
+        let mut written = 0u64;
+        for i in 0..10u64 {
+            let at = (i * 2671) % n * 2;
+            let requests = [
+                Request::Insert {
+                    table: "t".into(),
+                    rows: vec![row(at + 1, -7)],
+                },
+                Request::Update {
+                    table: "t".into(),
+                    rows: vec![row((at + 1000) % (2 * n), 9)],
+                },
+                Request::Delete {
+                    table: "t".into(),
+                    ids: vec![(at + 2000) % (2 * n)],
+                },
+                Request::Increment {
+                    table: "t".into(),
+                    col: 1,
+                    deltas: vec![((at + 3000) % (2 * n), 5)],
+                },
+            ];
+            for request in &requests {
+                assert_eq!(e.execute(request), Response::Ack, "{request:?}");
+                written += 1;
+            }
+        }
+        e.checkpoint().unwrap();
+        let warm = leaves_encoded(&e) - cold;
+        assert!(
+            (1..=2 * written).contains(&warm),
+            "{warm} leaves encoded for {written} rows written"
+        );
+
+        let live = whole_table(&e, "t");
+        drop(e);
+        let (recovered, report) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        assert_eq!(report.wal_records, 0);
+        assert_eq!(report.checkpoint_rows, n);
+        assert_eq!(whole_table(&recovered, "t"), live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_image_of_1024_row_records_still_recovers() {
+        // Images written before records were leaves hold 1 024 rows per
+        // record; the same header and rows in that layout recover the same
+        // table.
+        let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = test_dir("ckpt-1024");
+        let (e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        e.execute(&Request::CreateTable {
+            name: "t".into(),
+            columns: vec!["a".into(), "b".into(), "c".into()],
+            indexed: vec![true, false, true],
+        });
+        let data: Vec<Row> = (0..2500u64)
+            .map(|i| Row {
+                id: i * 3,
+                shares: vec![i as i128 - 1250, i128::MAX - i as i128, (i % 7) as i128],
+            })
+            .collect();
+        let insert = Request::Insert {
+            table: "t".into(),
+            rows: data,
+        };
+        assert_eq!(e.execute(&insert), Response::Ack);
+        e.checkpoint().unwrap();
+        let live = whole_table(&e, "t");
+        drop(e);
+
+        let (meta, mut image) = CheckpointReader::open(&dir).unwrap();
+        let mut rows = Vec::new();
+        while (rows.len() as u64) < meta.tables[0].rows {
+            rows.extend(RowBlock::decode(image.record().unwrap()).unwrap().to_rows());
+        }
+        image.finish().unwrap();
+        let mut file = CheckpointWriter::create(&dir, &meta).unwrap();
+        for chunk in rows.chunks(1024) {
+            let block: RowBlock = chunk.iter().collect();
+            file.record(&CheckpointWriter::frame(&block.encode()).unwrap())
+                .unwrap();
+        }
+        file.commit().unwrap();
+
+        let (recovered, report) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        assert_eq!((report.checkpoint_rows, report.wal_records), (2500, 0));
+        assert_eq!(whole_table(&recovered, "t"), live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

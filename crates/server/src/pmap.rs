@@ -21,13 +21,22 @@
 //! an underfull node into a neighbour when both fit in one node and
 //! leaves it alone otherwise, which keeps space O(len) and depth
 //! O(log len) without a redistribution path.
+//!
+//! [`PMap::leaves`] hands out the leaves themselves, held ([`Leaf`]): a
+//! held leaf is shared, so no write changes it in place, and one that is
+//! [`Leaf::same`] as a leaf held earlier holds the entries it held then.
+//! That is what lets a caller keep something it derived from a leaf (the
+//! engine keeps each leaf's checkpoint record) until the leaf is written.
+//! The map itself keeps nothing of the kind: a cell a shared reference
+//! could fill would make every node interior-mutable, and reads and
+//! copies of nodes slower for every caller.
 
 use std::array;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Most entries in a leaf and most children of an internal node.
-const MAX: usize = 32;
+pub(crate) const MAX: usize = 32;
 /// A node below this size after a removal tries to merge with a sibling.
 const MIN: usize = MAX / 2;
 /// Slots per node: one more than it may keep, because an insertion
@@ -387,6 +396,26 @@ impl<K, V> PMap<K, V> {
         iter
     }
 
+    /// The leaves that hold entries, in key order, each held; see the
+    /// module documentation.
+    pub fn leaves(&self) -> Vec<Leaf<K, V>> {
+        fn walk<K, V>(node: &Arc<Node<K, V>>, out: &mut Vec<Leaf<K, V>>) {
+            match &node.below {
+                // Only the root of an empty map is an empty leaf.
+                Below::Vals(_) if node.len > 0 => out.push(Leaf(Arc::clone(node))),
+                Below::Vals(_) => {}
+                Below::Children(children) => {
+                    for child in node.children(children).iter().flatten() {
+                        walk(child, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.root, &mut out);
+        out
+    }
+
     /// Keys in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.iter().map(|(k, _)| k)
@@ -609,6 +638,32 @@ impl<'a, K, V> Iterator for Iter<'a, K, V> {
     }
 }
 
+/// A leaf of a [`PMap`], held: while it lives the node is shared, so a
+/// write to the map copies it instead of changing it, and its address
+/// is not reused. Two leaves that are [`Leaf::same`] therefore hold the
+/// same entries, whenever each was taken.
+pub struct Leaf<K, V>(Arc<Node<K, V>>);
+
+impl<K, V> Leaf<K, V> {
+    /// The leaf's keys, ascending.
+    pub fn keys(&self) -> &[K] {
+        self.0.keys()
+    }
+
+    /// The leaf's values, in key order.
+    pub fn values(&self) -> &[V] {
+        match &self.0.below {
+            Below::Vals(vals) => self.0.vals(vals),
+            Below::Children(_) => &[],
+        }
+    }
+
+    /// True iff both are the one node.
+    pub fn same(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
 /// Iterator returned by [`PMap::range`].
 pub struct Range<'a, K, V> {
     iter: Iter<'a, K, V>,
@@ -628,7 +683,8 @@ impl<'a, K: Ord, V> Iterator for Range<'a, K, V> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, HashSet};
+    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::hash::{DefaultHasher, Hash, Hasher};
 
     impl<K: Ord + Clone + std::fmt::Debug, V> PMap<K, V> {
         /// Assert every shape rule of the module documentation; returns
@@ -704,6 +760,41 @@ mod tests {
         /// write had to copy or create.
         fn nodes_not_in(&self, other: &Self) -> usize {
             self.nodes().difference(&other.nodes()).count()
+        }
+    }
+
+    /// Leaves held, each with a hash of its entries when it was taken.
+    type Held<K, V> = HashMap<*const Node<K, V>, (Leaf<K, V>, u64)>;
+
+    impl<K: Hash + Clone + Ord + std::fmt::Debug, V: Hash> PMap<K, V> {
+        /// Hold every leaf of this map, asserting that a leaf that is one
+        /// held in `before` still has the entries it had then, and that the
+        /// leaves are the map's entries in order. Returns the leaves now
+        /// held and how many of them `before` did not hold.
+        fn hold_leaves(&self, before: &Held<K, V>) -> (Held<K, V>, usize) {
+            let mut held = HashMap::new();
+            let mut new = 0;
+            let mut keys = Vec::new();
+            for leaf in self.leaves() {
+                let mut hasher = DefaultHasher::new();
+                (leaf.keys(), leaf.values()).hash(&mut hasher);
+                let hash = hasher.finish();
+                let at = Arc::as_ptr(&leaf.0);
+                match before.get(&at) {
+                    Some((old, was)) => {
+                        assert!(old.same(&leaf));
+                        assert_eq!(*was, hash, "a held leaf changed in place");
+                    }
+                    None => new += 1,
+                }
+                keys.extend(leaf.keys().iter().cloned());
+                held.insert(at, (leaf, hash));
+            }
+            assert!(
+                keys.iter().eq(self.keys()),
+                "leaves are not the map in order"
+            );
+            (held, new)
         }
     }
 
@@ -800,18 +891,49 @@ mod tests {
         assert_eq!(m.nodes(), before, "a uniquely owned map copied nodes");
     }
 
+    /// A write replaces the leaves it touches, and only those: every
+    /// other leaf is the one node it was before the write.
+    #[test]
+    fn a_write_replaces_only_the_leaves_it_touches() {
+        let mut m = PMap::new();
+        for k in 0..10_000u64 {
+            m.insert((k * 7919) % 10_000 * 2, k);
+        }
+        let (held, leaves) = m.hold_leaves(&HashMap::new());
+        assert!(leaves > 10_000 / MAX, "{leaves} leaves");
+        assert_eq!(m.hold_leaves(&held).1, 0, "an unwritten map has new leaves");
+        let old = m.clone();
+        m.insert(5_001, 0);
+        *m.get_mut(&8_000).expect("present") += 1;
+        m.remove(&12_000);
+        let (_, new) = m.hold_leaves(&held);
+        assert!(
+            (3..=4).contains(&new),
+            "{new}: one leaf per write, two on a split"
+        );
+        assert_eq!(
+            old.hold_leaves(&held).1,
+            0,
+            "the clone's leaves were replaced"
+        );
+    }
+
     /// Apply `ops` to a map and to `BTreeMap`, comparing every result;
     /// clones taken on the way must keep the state they were taken in.
+    /// The map's leaves are held across each op, and a held leaf must
+    /// keep its entries: on the map from one op to the next, and on each
+    /// clone from when it was taken to the end.
     /// `key_of` is monotone and picks the key type, so the narrow keys that
     /// nodes search by bisection and the wide ones they count both run.
     fn run_against_model<K>(key_of: fn(u32) -> K, prefill: u32, ops: &[(u8, u32, u32)])
     where
-        K: Ord + Clone + Default + std::fmt::Debug,
+        K: Ord + Clone + Default + Hash + std::fmt::Debug,
     {
         let seed: Vec<(K, u32)> = (0..prefill).map(|i| (key_of(i * 2), i)).collect();
         let mut model: BTreeMap<K, u32> = seed.iter().cloned().collect();
         let mut map = PMap::from_sorted(seed).expect("ascending input");
-        let mut clones: Vec<(PMap<K, u32>, BTreeMap<K, u32>)> = Vec::new();
+        let mut clones = Vec::new();
+        let mut held = HashMap::new();
         let span = prefill * 2 + 64;
         for &(op, key, value) in ops {
             let (lo, key) = (key % span, key_of(key % span));
@@ -834,15 +956,17 @@ mod tests {
                     let want: Vec<(&K, &u32)> = model.range(key..=hi).collect();
                     assert_eq!(got, want);
                 }
-                _ => clones.push((map.clone(), model.clone())),
+                _ => clones.push((map.clone(), model.clone(), map.hold_leaves(&held).0)),
             }
             map.check();
+            held = map.hold_leaves(&held).0;
             assert_eq!(map.len(), model.len());
         }
         assert!(map.iter().eq(model.iter()));
         assert!(map.values().eq(model.values()));
-        for (clone, state) in &clones {
+        for (clone, state, held) in &clones {
             clone.check();
+            assert_eq!(clone.hold_leaves(held).1, 0, "a clone's leaf was replaced");
             assert!(clone.iter().eq(state.iter()), "a clone saw a later write");
         }
     }

@@ -367,12 +367,14 @@ impl RowBlock {
 
     /// The rows, one at a time.
     pub fn iter(&self) -> impl Iterator<Item = Row> + '_ {
+        // Every column holds a share per id, so each row is one exact
+        // allocation of the block's arity.
         self.ids.iter().enumerate().map(|(r, &id)| Row {
             id,
             shares: self
                 .cols
                 .iter()
-                .filter_map(|col| col.get(r).copied())
+                .map(|col| col.get(r).copied().unwrap_or(0))
                 .collect(),
         })
     }
@@ -391,10 +393,18 @@ impl RowBlock {
 
     /// Decode one block that fills `bytes` exactly.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(bytes);
-        let block = Self::read(&mut r)?;
-        r.expect_end()?;
+        let mut block = RowBlock::default();
+        block.decode_into(bytes)?;
         Ok(block)
+    }
+
+    /// [`RowBlock::decode`] into this block, reusing its buffers: a
+    /// reader of many blocks allocates only while they grow. After an
+    /// error the block's contents are unspecified.
+    pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        let mut r = WireReader::new(bytes);
+        self.read_into(&mut r)?;
+        r.expect_end()
     }
 
     fn write(&self, w: &mut WireWriter) {
@@ -408,24 +418,32 @@ impl RowBlock {
     /// byte and so does a share, so a block never decodes to more ids or
     /// shares than it has bytes.
     fn read(r: &mut WireReader) -> Result<Self, WireError> {
+        let mut block = RowBlock::default();
+        block.read_into(r)?;
+        Ok(block)
+    }
+
+    fn read_into(&mut self, r: &mut WireReader) -> Result<(), WireError> {
         let rows = read_count(r)?;
         let cols = read_count(r)?;
-        let mut ids = Vec::with_capacity(rows);
+        self.ids.clear();
+        self.ids.reserve(rows);
         let mut prev = 0u64;
         for _ in 0..rows {
             let delta = read_varint(r)?;
             prev = prev.wrapping_add((delta >> 1) ^ (delta & 1).wrapping_neg());
-            ids.push(prev);
+            self.ids.push(prev);
         }
-        let mut columns = Vec::with_capacity(cols);
-        for _ in 0..cols {
+        self.cols.resize_with(cols, Vec::new);
+        for col in &mut self.cols {
             let width = read_width(r)?;
             let len = rows
                 .checked_mul(width)
                 .ok_or(WireError::LengthOverflow(rows as u64))?;
-            columns.push(r.raw(len)?.chunks_exact(width).map(unpack_share).collect());
+            col.clear();
+            col.extend(r.raw(len)?.chunks_exact(width).map(unpack_share));
         }
-        Ok(RowBlock { ids, cols: columns })
+        Ok(())
     }
 }
 

@@ -29,11 +29,6 @@ impl ProviderService {
         }
     }
 
-    /// Wrap an existing engine (e.g. one recovered from disk).
-    pub fn with_engine(engine: ProviderEngine) -> Self {
-        ProviderService { engine }
-    }
-
     /// Open (or recover) a durable provider in `dir` and serve it.
     pub fn durable(
         dir: &Path,
@@ -41,11 +36,6 @@ impl ProviderService {
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
         let (engine, report) = ProviderEngine::durable(dir, cfg)?;
         Ok((ProviderService { engine }, report))
-    }
-
-    /// Access the engine (e.g. to preload public tables in tests).
-    pub fn engine_mut(&mut self) -> &mut ProviderEngine {
-        &mut self.engine
     }
 
     /// Shared view of the engine. Execution is `&self`: the engine's

@@ -7,7 +7,9 @@
 //!   (which tables exist, how many rows each holds, which commitments
 //!   were published, and the WAL generation the image supersedes)
 //!   followed by every table's rows as `[len][crc][payload]` records,
-//!   tables in header order,
+//!   tables in header order (a writer frames a record once with
+//!   [`CheckpointWriter::frame`] and may write the same bytes into
+//!   every checkpoint after),
 //! * `wal.log` — the write-ahead log of operations since the checkpoint.
 //!
 //! A checkpoint is written once, front to back, by a
@@ -27,7 +29,7 @@
 use crate::wal::crc32;
 use crate::StorageError;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Why recovery could not produce an engine.
@@ -298,13 +300,20 @@ impl CheckpointWriter {
         })
     }
 
-    /// Append one record.
-    pub fn record(&mut self, payload: &[u8]) -> crate::Result<()> {
+    /// `payload` as one record: its length and CRC, then the payload.
+    pub fn frame(payload: &[u8]) -> crate::Result<Box<[u8]>> {
         let len = u32::try_from(payload.len())
             .map_err(|_| StorageError::RecordTooLarge(payload.len()))?;
-        self.file.write_all(&len.to_le_bytes())?;
-        self.file.write_all(&crc32(payload).to_le_bytes())?;
-        self.file.write_all(payload)?;
+        let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+        record.extend_from_slice(&len.to_le_bytes());
+        record.extend_from_slice(&crc32(payload).to_le_bytes());
+        record.extend_from_slice(payload);
+        Ok(record.into_boxed_slice())
+    }
+
+    /// Append one record made by [`CheckpointWriter::frame`].
+    pub fn record(&mut self, record: &[u8]) -> crate::Result<()> {
+        self.file.write_all(record)?;
         Ok(())
     }
 
@@ -329,22 +338,34 @@ impl CheckpointWriter {
 pub struct CheckpointReader {
     /// `None` for a directory that has never checkpointed.
     file: Option<BufReader<File>>,
+    /// The last record's payload; every record is read into it.
+    record: Vec<u8>,
 }
 
-/// `len` bytes from `r`, or `what` if the file ends first. Grows with
-/// the bytes actually read, so a corrupt length cannot allocate more
-/// than the file holds.
-fn read_exact_vec(
-    r: &mut impl Read,
+/// Replace `buf` with the next `len` bytes of `r`, or fail with `what`
+/// if the file ends first. Grows with the bytes actually read, so a
+/// corrupt length cannot allocate more than the file holds.
+fn read_exact_into(
+    r: &mut impl BufRead,
     len: usize,
+    buf: &mut Vec<u8>,
     what: &'static str,
-) -> Result<Vec<u8>, RecoveryError> {
-    let mut buf = Vec::with_capacity(len.min(1 << 16));
-    r.take(len as u64).read_to_end(&mut buf)?;
+) -> Result<(), RecoveryError> {
+    buf.clear();
+    let mut r = r.take(len as u64);
+    loop {
+        let chunk = r.fill_buf()?;
+        let n = chunk.len();
+        if n == 0 {
+            break;
+        }
+        buf.extend_from_slice(chunk);
+        r.consume(n);
+    }
     if buf.len() != len {
         return Err(RecoveryError::CorruptMeta(what));
     }
-    Ok(buf)
+    Ok(())
 }
 
 impl CheckpointReader {
@@ -366,32 +387,47 @@ impl CheckpointReader {
         let file = match File::open(dir.join(CHECKPOINT_FILE)) {
             Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((CheckpointMeta::default(), CheckpointReader { file: None }))
+                let reader = CheckpointReader {
+                    file: None,
+                    record: Vec::new(),
+                };
+                return Ok((CheckpointMeta::default(), reader));
             }
             Err(e) => return Err(e.into()),
         };
         let mut file = BufReader::with_capacity(1 << 16, file);
-        let head = read_exact_vec(&mut file, META_HEADER_LEN, "truncated header")?;
-        let (body_len, crc) = MetaReader::new(&head).header()?;
-        let body = read_exact_vec(&mut file, body_len, "truncated body")?;
-        let meta = CheckpointMeta::decode_body(&body, crc)?;
-        Ok((meta, CheckpointReader { file: Some(file) }))
+        let mut buf = Vec::new();
+        read_exact_into(&mut file, META_HEADER_LEN, &mut buf, "truncated header")?;
+        let (body_len, crc) = MetaReader::new(&buf).header()?;
+        read_exact_into(&mut file, body_len, &mut buf, "truncated body")?;
+        let meta = CheckpointMeta::decode_body(&buf, crc)?;
+        let reader = CheckpointReader {
+            file: Some(file),
+            record: buf,
+        };
+        Ok((meta, reader))
     }
 
-    /// The next record's payload, CRC-checked.
-    pub fn record(&mut self) -> Result<Vec<u8>, RecoveryError> {
+    /// The next record's payload, CRC-checked. It lives until the next
+    /// call, which reads into the same buffer.
+    pub fn record(&mut self) -> Result<&[u8], RecoveryError> {
         let file = self
             .file
             .as_mut()
             .ok_or(RecoveryError::CorruptMeta("record past the end"))?;
-        let head = read_exact_vec(file, RECORD_HEADER_LEN, "truncated record")?;
-        let mut head = MetaReader::new(&head);
+        read_exact_into(
+            file,
+            RECORD_HEADER_LEN,
+            &mut self.record,
+            "truncated record",
+        )?;
+        let mut head = MetaReader::new(&self.record);
         let (len, crc) = (head.u32()? as usize, head.u32()?);
-        let payload = read_exact_vec(file, len, "truncated record")?;
-        if crc32(&payload) != crc {
+        read_exact_into(file, len, &mut self.record, "truncated record")?;
+        if crc32(&self.record) != crc {
             return Err(RecoveryError::CorruptMeta("record crc mismatch"));
         }
-        Ok(payload)
+        Ok(&self.record)
     }
 
     /// Check that the file ends after the last record the header called
@@ -479,7 +515,9 @@ mod tests {
         let records: [&[u8]; 3] = [b"first", b"", b"third"];
         let mut writer = CheckpointWriter::create(&dir, &meta).unwrap();
         for record in records {
-            writer.record(record).unwrap();
+            writer
+                .record(&CheckpointWriter::frame(record).unwrap())
+                .unwrap();
         }
         writer.commit().unwrap();
         let (read, mut reader) = CheckpointReader::open(&dir).unwrap();

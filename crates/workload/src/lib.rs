@@ -200,12 +200,6 @@ pub mod places {
 pub mod queries {
     use super::*;
 
-    /// `count` random point-lookup keys drawn from `universe`.
-    pub fn exact_keys(universe: u64, count: usize, seed: u64) -> Vec<u64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..count).map(|_| rng.gen_range(0..universe)).collect()
-    }
-
     /// `count` ranges of width `selectivity * universe` (inclusive bounds).
     pub fn ranges(universe: u64, selectivity: f64, count: usize, seed: u64) -> Vec<(u64, u64)> {
         assert!((0.0..=1.0).contains(&selectivity));
