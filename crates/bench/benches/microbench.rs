@@ -8,7 +8,7 @@ use dasp_bigint::{mod_pow, mod_pow_plain, BigUint, MontgomeryCtx};
 use dasp_crypto::{sha256, Aes128, OpeCipher, SipHash24};
 use dasp_field::{Fp, Poly};
 use dasp_server::pmap::PMap;
-use dasp_server::{ProviderEngine, Request, Response, Row};
+use dasp_server::{PredAtom, ProviderEngine, Request, Response, Row};
 use dasp_sss::{DomainKey, FieldSharing, OpSharing, OpssParams, StringCodec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,7 +125,8 @@ fn bench_bigint(c: &mut Criterion) {
 }
 
 /// `PMap` next to `BTreeMap` at 100 000 entries, on the engine's two map
-/// shapes: rows (`id -> shares`, probed by `get` once per candidate row)
+/// shapes: rows (`id -> shares`, walked once by `get_sorted` for a read's
+/// ascending candidate ids; `get` once per id is the row beside it)
 /// and an index (`(share high, share low, id)` keys, walked by `range`,
 /// written on every row change). Reads and unshared inserts (WAL replay, bulk load) should
 /// stay near std; the `_shared` row adds what a published clone costs the
@@ -140,6 +141,16 @@ fn bench_pmap(c: &mut Criterion) {
     let ids: Vec<u64> = (0..1000).map(|_| rng.gen_range(0..100_000u64)).collect();
     g.bench_function("pmap_get_rows_x1000_of_100k", |bench| {
         bench.iter(|| ids.iter().filter_map(|id| pmap_rows.get(id)).count())
+    });
+    let mut sorted_ids = ids.clone();
+    sorted_ids.sort_unstable();
+    sorted_ids.dedup();
+    g.bench_function("pmap_get_sorted_rows_x1000_of_100k", |bench| {
+        bench.iter(|| {
+            let mut found = 0usize;
+            pmap_rows.get_sorted(&sorted_ids, |_, _| found += 1);
+            found
+        })
     });
     g.bench_function("btreemap_get_rows_x1000_of_100k", |bench| {
         bench.iter(|| ids.iter().filter_map(|id| std_rows.get(id)).count())
@@ -213,32 +224,45 @@ fn bench_pmap(c: &mut Criterion) {
     g.finish();
 }
 
+/// An `Insert` of the rows `ids` into the table `t`, each with four
+/// random shares.
+fn random_rows(rng: &mut StdRng, ids: std::ops::Range<u64>) -> Request {
+    Request::Insert {
+        table: "t".into(),
+        rows: ids
+            .map(|id| Row {
+                id,
+                shares: (0..4).map(|_| rng.gen::<u64>() as i128).collect(),
+            })
+            .collect(),
+    }
+}
+
+/// An engine holding the table `t` of `size` random rows, on the
+/// benchmark's employee shape: four columns, the first three indexed.
+fn filled_engine(rng: &mut StdRng, size: u64) -> ProviderEngine {
+    let engine = ProviderEngine::new();
+    let ack = engine.execute(&Request::CreateTable {
+        name: "t".into(),
+        columns: ["eid", "name", "salary", "ssn"].map(String::from).to_vec(),
+        indexed: vec![true, true, true, false],
+    });
+    assert_eq!(ack, Response::Ack);
+    for start in (0..size).step_by(10_000) {
+        let ack = engine.execute(&random_rows(rng, start..(start + 10_000).min(size)));
+        assert_eq!(ack, Response::Ack);
+    }
+    engine
+}
+
 /// One-row `Insert` through `ProviderEngine::execute` at three table
 /// sizes: flat now that a write copies tree paths, not the table.
 fn bench_engine_insert(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     for (label, size) in [("1k", 1_000u64), ("100k", 100_000), ("1m", 1_000_000)] {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut rows = |ids: std::ops::Range<u64>| Request::Insert {
-            table: "t".into(),
-            rows: ids
-                .map(|id| Row {
-                    id,
-                    shares: (0..4).map(|_| rng.gen::<u64>() as i128).collect(),
-                })
-                .collect(),
-        };
-        let engine = ProviderEngine::new();
-        let ack = engine.execute(&Request::CreateTable {
-            name: "t".into(),
-            columns: ["eid", "name", "salary", "ssn"].map(String::from).to_vec(),
-            indexed: vec![true, true, true, false],
-        });
-        assert_eq!(ack, Response::Ack);
-        for start in (0..size).step_by(10_000) {
-            let ack = engine.execute(&rows(start..(start + 10_000).min(size)));
-            assert_eq!(ack, Response::Ack);
-        }
+        let engine = filled_engine(&mut rng, size);
+        let mut rows = |ids| random_rows(&mut rng, ids);
         let mut next = size;
         // The first small write after the bulk fill pays the allocator's
         // one-off consolidation of everything the fill freed; keep it out.
@@ -260,10 +284,39 @@ fn bench_engine_insert(c: &mut Criterion) {
     g.finish();
 }
 
+/// A 1 % range on the salary column of a 100 000-row table through
+/// `ProviderEngine::execute`: the index probe, the rows walk and the
+/// predicate pass of a `range_scan` read, without the wire.
+fn bench_engine_range(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine");
+    // Below a millisecond an iteration: enough of them to settle.
+    g.sample_size(500);
+    let mut rng = StdRng::seed_from_u64(5);
+    let engine = filled_engine(&mut rng, 100_000);
+    let width = u64::MAX / 100;
+    let mut lo = 0u64;
+    g.bench_function("engine_range_1pct_at_100k", |bench| {
+        bench.iter(|| {
+            // A new window each time, as the benchmark's reads have.
+            lo = lo.wrapping_add(width / 7 * 3) % (u64::MAX - width);
+            engine.execute(&Request::Query {
+                table: "t".into(),
+                predicate: vec![PredAtom::Range {
+                    col: 2,
+                    lo: lo.into(),
+                    hi: (lo + width).into(),
+                }],
+                agg: None,
+            })
+        })
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = configured();
     targets = bench_field, bench_sss, bench_crypto, bench_bigint, bench_pmap,
-        bench_engine_insert
+        bench_engine_insert, bench_engine_range
 }
 criterion_main!(benches);

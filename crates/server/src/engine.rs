@@ -974,14 +974,15 @@ impl ProviderEngine {
         }
     }
 
-    /// Candidate row ids for `predicate`. With one usable index the atom
+    /// Candidate row ids for `predicate`, ascending and each once, or
+    /// `None` for every row of the table. With one usable index the atom
     /// is probed directly (Eq beats Range on ties); with two or more
     /// indexed atoms every index is probed and the two smallest hit sets
-    /// are intersected before any row lookup, so a selective conjunction
-    /// examines the intersection instead of the best single atom's range.
-    /// No usable index → full scan; the residual filter in
-    /// [`Self::matching_rows`] re-checks every atom either way.
-    fn candidates(&self, t: &TableSnap, predicate: &[PredAtom]) -> Vec<u64> {
+    /// are merged, so a selective conjunction examines their intersection
+    /// instead of the best single atom's range. No usable index: `None`,
+    /// a full scan. [`Self::matching_rows`] re-checks every atom either
+    /// way.
+    fn candidates(&self, t: &TableSnap, predicate: &[PredAtom]) -> Option<Vec<u64>> {
         // Pair each atom with its index up front, so a pick can't dangle
         // between the filter and the lookup. Eq atoms sort first: equal
         // probe cost, usually tighter hit sets.
@@ -994,62 +995,95 @@ impl ProviderEngine {
             .collect();
         if probes.is_empty() {
             self.stats.full_scans.fetch_add(1, Ordering::Relaxed);
-            return t.rows.keys().copied().collect();
+            return None;
         }
         probes.sort_by_key(|(a, _)| match a {
             PredAtom::Eq { .. } => 0u8,
             PredAtom::Range { .. } => 1u8,
         });
         self.stats.index_probes.fetch_add(1, Ordering::Relaxed);
+        // An index walks `(share, id)`: the ids of one share ascend, those
+        // of a range do not.
         let probe = |atom: &PredAtom, set: &ShareIndex| -> Vec<u64> {
             let (lo, hi) = match atom {
                 PredAtom::Eq { share, .. } => (*share, *share),
                 PredAtom::Range { lo, hi, .. } => (*lo, *hi),
             };
-            set.range(index_key(lo, 0)..=index_key(hi, u64::MAX))
+            let mut ids: Vec<u64> = set
+                .range(index_key(lo, 0)..=index_key(hi, u64::MAX))
                 .map(|(&(_, _, id), ())| id)
-                .collect()
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids
         };
         if let [(atom, set)] = probes[..] {
-            return probe(atom, set);
+            return Some(probe(atom, set));
         }
         let mut sets: Vec<Vec<u64>> = probes.iter().map(|&(a, s)| probe(a, s)).collect();
         sets.sort_by_key(Vec::len);
         let mut sets = sets.into_iter();
         let (Some(smallest), Some(second)) = (sets.next(), sets.next()) else {
-            return Vec::new(); // unreachable: ≥ 2 probes here
+            return Some(Vec::new()); // unreachable: ≥ 2 probes here
         };
-        let second: HashSet<u64> = second.into_iter().collect();
-        smallest
-            .into_iter()
-            .filter(|id| second.contains(id))
-            .collect()
+        let mut both = Vec::with_capacity(smallest.len());
+        let mut second = second.into_iter().peekable();
+        for id in smallest {
+            while second.next_if(|&other| other < id).is_some() {}
+            if second.next_if_eq(&id).is_some() {
+                both.push(id);
+            }
+        }
+        Some(both)
     }
 
+    /// The rows of `table` that satisfy `predicate`, ascending by id: the
+    /// order the wire's id deltas and the client's merge of providers
+    /// rely on. `cols` are the request's other columns of this table;
+    /// they and every atom's column are checked against the table's arity
+    /// first, so whether a request is answered depends on the request and
+    /// the schema, never on the rows.
     fn matching_rows<'s>(
         &self,
         snap: &'s Snapshot,
         table: &str,
         predicate: &[PredAtom],
+        cols: &[usize],
     ) -> Result<Vec<RowRef<'s>>, String> {
         let t = snap.table(table)?;
-        let candidates = self.candidates(t, predicate);
+        let arity = t.columns.len();
+        let atoms = predicate.iter().map(PredAtom::col);
+        if let Some(col) = atoms.chain(cols.iter().copied()).find(|&c| c >= arity) {
+            return Err(format!(
+                "column {col} out of range: {table:?} has {arity} columns"
+            ));
+        }
+        // Two passes: the first walks the rows tree once, in id order,
+        // and only collects references; the second reads the rows to check
+        // the atoms. Checking inside the walk would make each row's reads
+        // wait behind the tree's dependent loads.
+        let (mut out, examined) = match self.candidates(t, predicate) {
+            None => {
+                let all: Vec<RowRef> = t
+                    .rows
+                    .iter()
+                    .map(|(&id, shares)| (id, shares.as_slice()))
+                    .collect();
+                (all, t.rows.len())
+            }
+            Some(ids) => {
+                // An id without a row is impossible by construction
+                // (indexes mirror rows) and is skipped.
+                let mut found = Vec::with_capacity(ids.len());
+                t.rows
+                    .get_sorted(&ids, |&id, shares| found.push((id, shares.as_slice())));
+                (found, ids.len())
+            }
+        };
         self.stats
             .rows_examined
-            .fetch_add(candidates.len() as u64, Ordering::Relaxed);
-        // Two passes: finding the rows walks the tree, reading them does
-        // not, so the reads of the second pass do not queue up behind the
-        // dependent loads of the first. An id without a row is impossible
-        // by construction (indexes mirror rows) and is skipped.
-        let mut out: Vec<RowRef> = candidates
-            .into_iter()
-            .filter_map(|id| Some((id, t.rows.get(&id)?.as_slice())))
-            .collect();
+            .fetch_add(examined as u64, Ordering::Relaxed);
         out.retain(|(_, shares)| predicate.iter().all(|a| a.matches(shares)));
-        // Ascending ids: stable for tests, a merge (not a sort) when the
-        // client zips providers, and one byte per id delta on the wire.
-        out.sort_unstable_by_key(|&(id, _)| id);
-        out.dedup_by_key(|&mut (id, _)| id);
         Ok(out)
     }
 
@@ -1060,7 +1094,16 @@ impl ProviderEngine {
         predicate: &[PredAtom],
         agg: Option<AggOp>,
     ) -> Result<Response, String> {
-        let rows = self.matching_rows(snap, table, predicate)?;
+        let agg_col = match agg {
+            Some(
+                AggOp::Sum { col }
+                | AggOp::Min { col }
+                | AggOp::Max { col }
+                | AggOp::Median { col },
+            ) => Some(col),
+            Some(AggOp::Count) | None => None,
+        };
+        let rows = self.matching_rows(snap, table, predicate, agg_col.as_slice())?;
         let Some(agg) = agg else {
             // One block: every row of a table has the table's arity.
             return Ok(Response::Rows(rows.into_iter().collect()));
@@ -1139,12 +1182,7 @@ impl ProviderEngine {
         desc: bool,
         limit: u64,
     ) -> Result<Response, String> {
-        let rows = self.matching_rows(snap, table, predicate)?;
-        for (_, shares) in &rows {
-            if order_col >= shares.len() {
-                return Err(format!("order column {order_col} out of range"));
-            }
-        }
+        let rows = self.matching_rows(snap, table, predicate, &[order_col])?;
         let top = top_k(rows, order_col, desc, limit as usize);
         Ok(Response::Rows(top.into_iter().collect()))
     }
@@ -1166,7 +1204,8 @@ impl ProviderEngine {
             AggOp::Sum { col } => Some(col),
             other => return Err(format!("{other:?} is not groupable (Count/Sum only)")),
         };
-        let rows = self.matching_rows(snap, table, predicate)?;
+        let cols = [group_col, sum_col.unwrap_or(group_col)];
+        let rows = self.matching_rows(snap, table, predicate, &cols)?;
         let mut groups: HashMap<i128, crate::proto::GroupPartial> = HashMap::new();
         for &(id, shares) in &rows {
             let group_share = *shares
@@ -1244,8 +1283,8 @@ impl ProviderEngine {
     ) -> Result<Response, String> {
         // Hash join on share values. Valid because same-domain values get
         // identical shares at this provider (per-domain polynomials, §V-A).
-        let left_rows = self.matching_rows(snap, left, &[])?;
-        let right_rows = self.matching_rows(snap, right, &[])?;
+        let left_rows = self.matching_rows(snap, left, &[], &[left_col])?;
+        let right_rows = self.matching_rows(snap, right, &[], &[right_col])?;
         let mut by_share: HashMap<i128, Vec<&RowRef>> = HashMap::new();
         for row in &left_rows {
             let share = *row
@@ -1569,9 +1608,31 @@ pub(crate) mod tests {
         assert_eq!(ids, vec![(1, 10), (3, 10)]);
     }
 
+    /// Bad requests are answered with an error. A column past the table's
+    /// arity is refused whatever the rows are: each such request below
+    /// matches no row or reads an empty table, so no row is ever asked
+    /// for the column.
     #[test]
     fn errors_are_responses_not_panics() {
         let e = engine_with_table();
+        let ack = e.execute(&Request::CreateTable {
+            name: "none".into(),
+            columns: vec!["a".into(), "b".into()],
+            indexed: vec![true, false],
+        });
+        assert_eq!(ack, Response::Ack);
+        let nothing = || vec![PredAtom::Eq { col: 0, share: 999 }];
+        let query = |predicate: Vec<PredAtom>, agg: Option<AggOp>| Request::Query {
+            table: "emp".into(),
+            predicate,
+            agg,
+        };
+        let join = |left_col: usize, right_col: usize| Request::Join {
+            left: "none".into(),
+            right: "none".into(),
+            left_col,
+            right_col,
+        };
         for req in [
             Request::Insert {
                 table: "nope".into(),
@@ -1590,15 +1651,57 @@ pub(crate) mod tests {
                 table: "emp".into(),
                 rows: rows(&[(1, &[1, 2])]), // duplicate id
             },
-            Request::Query {
+            query(vec![], Some(AggOp::Sum { col: 99 })),
+            // Out-of-range columns on requests that read no row.
+            query(vec![PredAtom::Eq { col: 9, share: 1 }], None),
+            query(
+                vec![PredAtom::Range {
+                    col: 2,
+                    lo: 0,
+                    hi: 1,
+                }],
+                Some(AggOp::Count),
+            ),
+            query(nothing(), Some(AggOp::Sum { col: 99 })),
+            query(nothing(), Some(AggOp::Min { col: 2 })),
+            query(nothing(), Some(AggOp::Max { col: 99 })),
+            query(nothing(), Some(AggOp::Median { col: 99 })),
+            Request::QueryOrdered {
                 table: "emp".into(),
-                predicate: vec![],
-                agg: Some(AggOp::Sum { col: 99 }),
+                predicate: nothing(),
+                order_col: 99,
+                desc: false,
+                limit: 1,
             },
+            Request::GroupedAggregate {
+                table: "emp".into(),
+                predicate: nothing(),
+                group_col: 99,
+                agg: AggOp::Count,
+            },
+            Request::GroupedAggregate {
+                table: "emp".into(),
+                predicate: nothing(),
+                group_col: 0,
+                agg: AggOp::Sum { col: 99 },
+            },
+            join(2, 0),
+            join(0, 2),
         ] {
             assert!(
                 matches!(e.execute(&req), Response::Error(_)),
                 "{req:?} should error"
+            );
+        }
+        // The same requests on columns in range are answered.
+        for req in [
+            query(nothing(), Some(AggOp::Sum { col: 1 })),
+            query(vec![PredAtom::Eq { col: 1, share: 1 }], None),
+            join(1, 0),
+        ] {
+            assert!(
+                !matches!(e.execute(&req), Response::Error(_)),
+                "{req:?} should be answered"
             );
         }
     }
@@ -1929,6 +2032,147 @@ pub(crate) mod tests {
         assert_eq!(got.len(), 11); // shares 300,303,...,330
         let examined = e.stats().rows_examined - before;
         assert!(examined <= 12, "index probe examined {examined} rows");
+    }
+
+    /// One write of `query_against_model`: the op (insert, delete or
+    /// update), the row id and the row's three shares.
+    type ModelWrite = (u8, u64, (i128, i128, i128));
+
+    /// `Query` against a plaintext filter over a `BTreeMap`, on every
+    /// candidate path: an Eq probe, a Range probe, two indexed atoms (the
+    /// intersection), three atoms, an unindexed atom (full scan) and no
+    /// atom. Rows come back as the model's, ids strictly ascending, and
+    /// `rows_examined` counts the candidates: every row for a scan, the
+    /// hit set for one probe, the intersection for two. The table starts
+    /// with `prefill` rows inserted in descending id order, and `writes`
+    /// land among them.
+    fn query_against_model(
+        prefill: u64,
+        writes: &[ModelWrite],
+        eq: i128,
+        range: (i128, i128),
+        scan: (i128, i128),
+    ) {
+        use std::collections::BTreeMap;
+        let e = ProviderEngine::new();
+        let ack = e.execute(&Request::CreateTable {
+            name: "t".into(),
+            columns: vec!["a".into(), "b".into(), "c".into()],
+            indexed: vec![true, true, false],
+        });
+        assert_eq!(ack, Response::Ack);
+        let mut model: BTreeMap<u64, Vec<i128>> = (0..prefill)
+            .map(|i| {
+                (
+                    i * 3,
+                    [i, i * 7, i * 5].map(|x| i128::from(x % 24)).to_vec(),
+                )
+            })
+            .collect();
+        let seed: Vec<Row> = model
+            .iter()
+            .rev()
+            .map(|(&id, shares)| Row {
+                id,
+                shares: shares.clone(),
+            })
+            .collect();
+        let ack = e.execute(&Request::Insert {
+            table: "t".into(),
+            rows: seed,
+        });
+        assert_eq!(ack, Response::Ack);
+        let span = prefill * 3 + 64;
+        for &(op, id, (a, b, c)) in writes {
+            let (id, shares) = (id % span, [a, b, c]);
+            let table = "t".to_string();
+            let row = || rows(&[(id, &shares)]);
+            let resp = match op % 4 {
+                0 | 1 => {
+                    let fresh = !model.contains_key(&id);
+                    if fresh {
+                        model.insert(id, shares.to_vec());
+                    }
+                    let resp = e.execute(&Request::Insert { table, rows: row() });
+                    assert_eq!(matches!(resp, Response::Ack), fresh, "{resp:?}");
+                    continue;
+                }
+                2 => {
+                    model.remove(&id);
+                    e.execute(&Request::Delete {
+                        table,
+                        ids: vec![id],
+                    })
+                }
+                _ => {
+                    model.insert(id, shares.to_vec());
+                    e.execute(&Request::Update { table, rows: row() })
+                }
+            };
+            assert_eq!(resp, Response::Ack);
+        }
+        let eq_a = PredAtom::Eq { col: 0, share: eq };
+        let range_b = PredAtom::Range {
+            col: 1,
+            lo: range.0,
+            hi: range.1,
+        };
+        let range_c = PredAtom::Range {
+            col: 2,
+            lo: scan.0,
+            hi: scan.1,
+        };
+        let hits = |atom: &PredAtom| model.values().filter(|s| atom.matches(s)).count();
+        let both = model
+            .values()
+            .filter(|s| eq_a.matches(s) && range_b.matches(s))
+            .count();
+        for (predicate, examined) in [
+            (vec![eq_a.clone()], hits(&eq_a)),
+            (vec![range_b.clone()], hits(&range_b)),
+            (vec![range_b.clone(), eq_a.clone()], both),
+            (vec![range_c.clone(), eq_a, range_b], both),
+            (vec![range_c], model.len()),
+            (vec![], model.len()),
+        ] {
+            let before = e.stats().rows_examined;
+            let resp = e.execute(&Request::Query {
+                table: "t".into(),
+                predicate: predicate.clone(),
+                agg: None,
+            });
+            let Response::Rows(got) = resp else {
+                panic!("{resp:?}")
+            };
+            let got: Vec<(u64, Vec<i128>)> = got.iter().map(|r| (r.id, r.shares)).collect();
+            let want: Vec<(u64, Vec<i128>)> = model
+                .iter()
+                .filter(|(_, s)| predicate.iter().all(|a| a.matches(s)))
+                .map(|(&id, s)| (id, s.clone()))
+                .collect();
+            assert_eq!(got, want, "{predicate:?}");
+            assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "ids not ascending");
+            let counted = e.stats().rows_examined - before;
+            assert_eq!(counted, examined as u64, "rows examined for {predicate:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn query_rows_ascend_and_match_a_plaintext_filter(
+            prefill in 0u64..1500,
+            writes in proptest::collection::vec(
+                (0u8..4, proptest::prelude::any::<u64>(), (0i128..24, 0i128..24, 0i128..24)),
+                0..600,
+            ),
+            eq in 0i128..24,
+            range in (0i128..24, 0i128..24),
+            scan in (0i128..24, 0i128..24),
+        ) {
+            query_against_model(prefill, &writes, eq, range, scan);
+        }
     }
 
     // ---- durability & snapshot tests ----

@@ -447,6 +447,58 @@ impl<K: Ord, V> PMap<K, V> {
         }
     }
 
+    /// Hand `found` the entry under each of `keys`, which ascend strictly,
+    /// in ascending order; an absent key is skipped. One walk down the
+    /// tree: an internal node splits the keys among its children by their
+    /// bounds, so each node on the way is entered once, however many of
+    /// the keys lie below it, and a single key costs what [`Self::get`]
+    /// does.
+    pub fn get_sorted<'a>(&'a self, keys: &[K], mut found: impl FnMut(&'a K, &'a V)) {
+        fn walk<'a, K: Ord, V>(
+            node: &'a Node<K, V>,
+            mut keys: &[K],
+            found: &mut impl FnMut(&'a K, &'a V),
+        ) {
+            match &node.below {
+                Below::Vals(vals) => {
+                    let (mut here, mut vals) = (node.keys(), node.vals(vals));
+                    for key in keys {
+                        // Later keys are larger: search only what is left.
+                        let at = rank(here, key);
+                        here = here.get(at..).unwrap_or_default();
+                        vals = vals.get(at..).unwrap_or_default();
+                        if let (Some(k), Some(v)) = (here.first(), vals.first()) {
+                            if k == key {
+                                found(k, v);
+                            }
+                        }
+                    }
+                }
+                Below::Children(children) => {
+                    let (mut bounds, mut children) = (node.keys(), node.children(children));
+                    while let Some(first) = keys.first() {
+                        // The keys below the next child's bound are this
+                        // child's; past the last bound, all of them are.
+                        let idx = child_index(bounds, first);
+                        let mine = match bounds.get(idx + 1) {
+                            Some(next) => keys.iter().take_while(|k| *k < next).count(),
+                            None => keys.len(),
+                        };
+                        if let Some(Some(child)) = children.get(idx) {
+                            walk(child, keys.get(..mine).unwrap_or_default(), found);
+                        }
+                        keys = keys.get(mine..).unwrap_or_default();
+                        // The next key lies past this child. Resume the
+                        // search at it: `child_index` skips the first bound.
+                        bounds = bounds.get(idx..).unwrap_or_default();
+                        children = children.get(idx..).unwrap_or_default();
+                    }
+                }
+            }
+        }
+        walk(&self.root, keys, &mut found);
+    }
+
     /// True iff `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
         self.get(key).is_some()
@@ -812,6 +864,7 @@ mod tests {
         assert_eq!(m.get_mut(&1), None);
         assert_eq!(m.iter().count(), 0);
         assert_eq!(m.range(0..=u64::MAX).count(), 0);
+        assert!(sorted_hits(&m, &[0, 1, u64::MAX]).is_empty());
         assert!(PMap::<u64, u64>::from_sorted(Vec::new()).is_some_and(|m| m.is_empty()));
     }
 
@@ -971,8 +1024,89 @@ mod tests {
         }
     }
 
+    /// What `get_sorted` hands out for `keys`, in the order it does.
+    fn sorted_hits<'a, K: Ord, V>(map: &'a PMap<K, V>, keys: &[K]) -> Vec<(&'a K, &'a V)> {
+        let mut hits = Vec::new();
+        map.get_sorted(keys, |k, v| hits.push((k, v)));
+        hits
+    }
+
+    /// Build a map by `writes` (mostly removals, so nodes merge and first
+    /// bounds go stale), pin a clone, write on, then probe the map and the
+    /// clone with `get_sorted` against `BTreeMap`. Map keys are
+    /// `key_of(1..)`: `key_of(0)` lies below all of them and `key_of(span)`
+    /// above. The probes are sorted and deduplicated, and run with the
+    /// edge keys, alone and together, and with the empty list.
+    fn get_sorted_against_model<K>(
+        key_of: fn(u32) -> K,
+        prefill: u32,
+        writes: &[(u8, u32)],
+        probes: &[Vec<u32>],
+    ) where
+        K: Ord + Clone + Default + std::fmt::Debug,
+    {
+        let seed: Vec<(K, u32)> = (1..=prefill).map(|i| (key_of(i * 2), i)).collect();
+        let mut model: BTreeMap<K, u32> = seed.iter().cloned().collect();
+        let mut map = PMap::from_sorted(seed).expect("ascending input");
+        let span = prefill * 2 + 64;
+        let (half, rest) = writes.split_at(writes.len() / 2);
+        let apply = |map: &mut PMap<K, u32>, model: &mut BTreeMap<K, u32>, ops: &[_]| {
+            for &(op, key) in ops {
+                let key = key_of(1 + key % (span - 1));
+                if op % 4 == 0 {
+                    let value = u32::from(op);
+                    assert_eq!(map.insert(key.clone(), value), model.insert(key, value));
+                } else {
+                    assert_eq!(map.remove(&key), model.remove(&key));
+                }
+            }
+        };
+        apply(&mut map, &mut model, half);
+        let (pinned, pinned_model) = (map.clone(), model.clone());
+        apply(&mut map, &mut model, rest);
+        map.check();
+        pinned.check();
+        let (below, above) = (key_of(0), key_of(span));
+        let mut lists: Vec<Vec<K>> = vec![Vec::new(), vec![below.clone()], vec![above.clone()]];
+        for probe in probes {
+            let mut keys: Vec<K> = probe.iter().map(|&k| key_of(1 + k % (span - 1))).collect();
+            keys.sort();
+            keys.dedup();
+            lists.push(keys.clone());
+            keys.insert(0, below.clone());
+            keys.push(above.clone());
+            lists.push(keys);
+        }
+        // Every key of the map, and every key of its span.
+        lists.push(model.keys().cloned().collect());
+        lists.push((0..=span).map(key_of).collect());
+        for keys in &lists {
+            for (map, model) in [(&map, &model), (&pinned, &pinned_model)] {
+                let want: Vec<(&K, &u32)> =
+                    keys.iter().filter_map(|k| model.get_key_value(k)).collect();
+                assert_eq!(sorted_hits(map, keys), want, "probing {keys:?}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn get_sorted_behaves_like_btreemap(
+            prefill in 0u32..3000,
+            writes in proptest::collection::vec((any::<u8>(), any::<u32>()), 0..4000),
+            probes in proptest::collection::vec(
+                proptest::collection::vec(any::<u32>(), 0..400), 1..6),
+        ) {
+            get_sorted_against_model(u64::from, prefill, &writes, &probes);
+            get_sorted_against_model(
+                |k| (i128::from(k) - 1000, u64::from(k % 3)),
+                prefill,
+                &writes,
+                &probes,
+            );
+        }
 
         #[test]
         fn behaves_like_btreemap(
