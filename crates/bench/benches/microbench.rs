@@ -1,19 +1,21 @@
 //! Micro-benchmarks of the substrates: field arithmetic, share
 //! construction/reconstruction (the client's per-value costs), the
-//! from-scratch crypto used by baselines, and the provider's persistent
-//! table map against std's `BTreeMap`.
+//! from-scratch crypto used by baselines, the provider's persistent
+//! table map against std's `BTreeMap`, and the provider engine's writes,
+//! reads and recovery.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dasp_bigint::{mod_pow, mod_pow_plain, BigUint, MontgomeryCtx};
 use dasp_crypto::{sha256, Aes128, OpeCipher, SipHash24};
 use dasp_field::{Fp, Poly};
 use dasp_server::pmap::PMap;
-use dasp_server::{PredAtom, ProviderEngine, Request, Response, Row};
+use dasp_server::{DurableConfig, PredAtom, ProviderEngine, Request, Response, Row};
 use dasp_sss::{DomainKey, FieldSharing, OpSharing, OpssParams, StringCodec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::path::PathBuf;
 use std::time::Duration;
 
 fn configured() -> Criterion {
@@ -238,21 +240,46 @@ fn random_rows(rng: &mut StdRng, ids: std::ops::Range<u64>) -> Request {
     }
 }
 
-/// An engine holding the table `t` of `size` random rows, on the
-/// benchmark's employee shape: four columns, the first three indexed.
-fn filled_engine(rng: &mut StdRng, size: u64) -> ProviderEngine {
-    let engine = ProviderEngine::new();
+/// Create the table `t` in `engine` on the benchmark's employee shape
+/// (four columns, the first three indexed) and insert `size` random rows,
+/// `step` to an `Insert`.
+fn fill(engine: &ProviderEngine, rng: &mut StdRng, size: u64, step: u64) {
     let ack = engine.execute(&Request::CreateTable {
         name: "t".into(),
         columns: ["eid", "name", "salary", "ssn"].map(String::from).to_vec(),
         indexed: vec![true, true, true, false],
     });
     assert_eq!(ack, Response::Ack);
-    for start in (0..size).step_by(10_000) {
-        let ack = engine.execute(&random_rows(rng, start..(start + 10_000).min(size)));
+    for start in (0..size).step_by(step as usize) {
+        let ack = engine.execute(&random_rows(rng, start..(start + step).min(size)));
         assert_eq!(ack, Response::Ack);
     }
+}
+
+/// A volatile engine holding the table `t` of `size` random rows.
+fn filled_engine(rng: &mut StdRng, size: u64) -> ProviderEngine {
+    let engine = ProviderEngine::new();
+    fill(&engine, rng, size, 10_000);
     engine
+}
+
+/// Only manual checkpoints: the benchmarks decide what is in the image
+/// and what is in the log.
+fn manual_checkpoints() -> DurableConfig {
+    DurableConfig {
+        checkpoint_every: 0,
+        ..DurableConfig::default()
+    }
+}
+
+/// A provider directory written by `write`, run against a fresh durable
+/// engine that is dropped (as a crash would) afterwards.
+fn provider_dir(tag: &str, write: impl FnOnce(&ProviderEngine)) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dasp-microbench-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (engine, _) = ProviderEngine::durable(&dir, manual_checkpoints()).unwrap();
+    write(&engine);
+    dir
 }
 
 /// One-row `Insert` through `ProviderEngine::execute` at three table
@@ -313,10 +340,50 @@ fn bench_engine_range(c: &mut Criterion) {
     g.finish();
 }
 
+/// `ProviderEngine::durable` on a provider directory, at the two shapes
+/// the benchmark's workloads leave behind: `bulk_load`'s, whose 200
+/// logged 1 000-row inserts never reach a checkpoint, and `write_mix`'s,
+/// a 100 000-row image with up to 255 one-row writes logged after it
+/// (`checkpoint_every` 256).
+fn bench_engine_recover(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine");
+    // Hundreds of milliseconds an iteration.
+    g.sample_size(10);
+    let mut rng = StdRng::seed_from_u64(6);
+    let wal_only = provider_dir("wal-only", |e| fill(e, &mut rng, 200_000, 1_000));
+    let image = provider_dir("image", |e| {
+        fill(e, &mut rng, 100_000, 10_000);
+        e.checkpoint().unwrap();
+        for op in 0..255u64 {
+            let request = match random_rows(&mut rng, 100_000 + op..100_001 + op) {
+                // Every other op rewrites an imaged row in place.
+                Request::Insert { table, mut rows } if op % 2 == 1 => {
+                    rows[0].id = op * 391;
+                    Request::Update { table, rows }
+                }
+                insert => insert,
+            };
+            assert_eq!(e.execute(&request), Response::Ack);
+        }
+    });
+    for (label, dir) in [
+        ("recover_wal_only_200k", &wal_only),
+        ("recover_image_100k_plus_255_ops", &image),
+    ] {
+        g.bench_function(label, |bench| {
+            bench.iter(|| ProviderEngine::durable(dir, manual_checkpoints()).unwrap())
+        });
+    }
+    g.finish();
+    for dir in [wal_only, image] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 criterion_group! {
     name = benches;
     config = configured();
     targets = bench_field, bench_sss, bench_crypto, bench_bigint, bench_pmap,
-        bench_engine_insert, bench_engine_range
+        bench_engine_insert, bench_engine_range, bench_engine_recover
 }
 criterion_main!(benches);

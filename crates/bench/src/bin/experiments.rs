@@ -375,23 +375,35 @@ fn e5_range(cfg: &Config) {
     let ranges = queries::ranges(SALARY_DOMAIN, 0.01, 3, 51);
     println!("  ({n} rows, 1% selectivity ranges)");
     println!("  system            compute      bytes       superset  e2e(WAN)");
-    // OP shares.
+    // The baselines are charged one WAN round trip per query, as OP
+    // shares are by the cluster's own count.
+    let round_trips = ranges.len() as u32;
+    let avg = |supersets: &[f64]| supersets.iter().sum::<f64>() / supersets.len() as f64;
+    // OP shares. The providers filter in share space and the client
+    // keeps every row they return, so rows returned over rows matching
+    // is the superset the providers shipped.
     let stats = dep.ds.cluster().stats().clone();
-    let mut total_rows = 0usize;
+    let mut supersets = Vec::new();
     let (_, m) = measure(&stats, || {
         for &(lo, hi) in &ranges {
-            total_rows += dep
+            let returned = dep
                 .ds
                 .select("employees", &[Predicate::between("salary", lo, hi)])
                 .unwrap()
                 .len();
+            let matching = dep
+                .data
+                .iter()
+                .filter(|e| (lo..=hi).contains(&e.salary))
+                .count();
+            supersets.push(returned as f64 / matching.max(1) as f64);
         }
     });
     println!(
         "  OP shares         {:<12} {:<11} {:<9.2} {}",
         fmt_dur(m.compute),
         fmt_bytes(m.bytes),
-        1.0,
+        avg(&supersets),
         fmt_dur(m.end_to_end(&model))
     );
 
@@ -418,13 +430,12 @@ fn e5_range(cfg: &Config) {
             supersets.push(s);
         }
         let t = start.elapsed();
-        let avg_s = supersets.iter().sum::<f64>() / supersets.len() as f64;
         println!(
             "  buckets={buckets:<9} {:<12} {:<11} {:<9.2} {}",
             fmt_dur(t),
             fmt_bytes(qc.total_bytes()),
-            avg_s,
-            fmt_dur(t + model.transfer_time(qc.total_bytes(), 1))
+            avg(&supersets),
+            fmt_dur(t + model.transfer_time(qc.total_bytes(), round_trips))
         );
     }
     {
@@ -438,17 +449,19 @@ fn e5_range(cfg: &Config) {
                 .collect(),
         );
         let mut qc = BaselineCost::default();
+        let mut supersets = Vec::new();
         let start = Instant::now();
         for &(lo, hi) in &ranges {
-            client.range(&server, 0, lo, hi, RangeStrategy::Ope, &mut qc);
+            let (_, s) = client.range(&server, 0, lo, hi, RangeStrategy::Ope, &mut qc);
+            supersets.push(s);
         }
         let t = start.elapsed();
         println!(
             "  OPE               {:<12} {:<11} {:<9.2} {}",
             fmt_dur(t),
             fmt_bytes(qc.total_bytes()),
-            1.0,
-            fmt_dur(t + model.transfer_time(qc.total_bytes(), 1))
+            avg(&supersets),
+            fmt_dur(t + model.transfer_time(qc.total_bytes(), round_trips))
         );
     }
     println!("  expected shape: OP shares and OPE are exact (superset 1.0);\n  coarser buckets → larger supersets → more bytes (the privacy dial)\n");

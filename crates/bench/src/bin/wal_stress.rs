@@ -13,13 +13,17 @@
 //! 1. every acknowledged row is present after recovery (no lost write);
 //! 2. every recovered row carries the deterministic share of its id
 //!    (no phantom or corrupt row);
-//! 3. a Merkle commitment over the recovered table equals the commitment
-//!    over a volatile engine rebuilt from the same rows (indexes and
-//!    commitment machinery agree bit-for-bit).
+//! 3. the recovered index holds every row: an equality probe on each
+//!    recovered row's share returns exactly that row, one range over all
+//!    shares returns every row, and no probe falls back to a full scan;
+//! 4. a Merkle commitment over the recovered table equals the commitment
+//!    over a volatile engine rebuilt from the same rows.
 //!
 //! Exit code 0 = contract held at every crash point.
 
-use dasp_server::{DurableConfig, ProviderEngine, ProviderService, Request, Response, Row};
+use dasp_server::{
+    DurableConfig, PredAtom, ProviderEngine, ProviderService, Request, Response, Row,
+};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -142,7 +146,45 @@ fn run_case(exe: &Path, base: &Path, point: &str, after: u64) -> Result<(), Stri
             return Err(format!("{point}: row {} has corrupt shares", row.id));
         }
     }
-    // 3. Indexes + commitments agree with a clean rebuild.
+    // 3. The index answers for every recovered row, without a scan.
+    let scans = engine.stats().full_scans;
+    let probe = |atom: PredAtom| match engine.execute(&Request::Query {
+        table: "t".into(),
+        predicate: vec![atom],
+        agg: None,
+    }) {
+        Response::Rows(got) => Ok(got.to_rows()),
+        other => Err(format!("{point}: index probe failed: {other:?}")),
+    };
+    for row in &rows {
+        let got = probe(PredAtom::Eq {
+            col: 0,
+            share: share_of(row.id),
+        })?;
+        if got != [row.clone()] {
+            return Err(format!(
+                "{point}: equality probe for row {} returned {} rows",
+                row.id,
+                got.len()
+            ));
+        }
+    }
+    let all = probe(PredAtom::Range {
+        col: 0,
+        lo: i128::MIN,
+        hi: i128::MAX,
+    })?;
+    if all != rows {
+        return Err(format!(
+            "{point}: range over all shares returned {} of {} rows",
+            all.len(),
+            rows.len()
+        ));
+    }
+    if engine.stats().full_scans != scans {
+        return Err(format!("{point}: an index probe fell back to a full scan"));
+    }
+    // 4. Commitments agree with a clean rebuild.
     if !rows.is_empty() {
         let volatile = ProviderEngine::new();
         volatile.execute(&Request::CreateTable {

@@ -51,6 +51,14 @@ pub enum ClientError {
     Unsupported(String),
     /// The lazy-update journal failed (open, append, or replay).
     Journal(String),
+    /// Rebuilding a provider found the surviving providers' shares of
+    /// `table` in disagreement, so it wrote nothing.
+    RebuildMismatch {
+        /// The table whose shares disagree.
+        table: String,
+        /// Which row and column, or which row was missing.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -65,6 +73,12 @@ impl std::fmt::Display for ClientError {
             ClientError::Reconstruction(msg) => write!(f, "reconstruction: {msg}"),
             ClientError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
             ClientError::Journal(msg) => write!(f, "lazy-update journal: {msg}"),
+            ClientError::RebuildMismatch { table, detail } => {
+                write!(
+                    f,
+                    "rebuild refused: providers disagree on {table:?} ({detail})"
+                )
+            }
         }
     }
 }

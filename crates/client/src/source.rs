@@ -2056,34 +2056,45 @@ impl DataSource {
     ///   it held before, and existing (k-of-n) invariants are preserved
     ///   without touching any other provider.
     ///
+    /// Nothing is written until every share is checked. When at least
+    /// k + 1 other providers answer, every row must come back from each
+    /// of them, every deterministic and order-preserving value must
+    /// decode by majority, and every random-mode column's (k+1)-th share
+    /// must lie on the polynomial of the first k. A disagreement is
+    /// [`ClientError::RebuildMismatch`] naming the table, and leaves the
+    /// target as it was. With only k other providers answering (n − 1 = k,
+    /// or one of them down) nothing is checkable: the shares are used as
+    /// they arrive.
+    ///
     /// The target provider must be reachable (it is the replacement
     /// node); at least k *other* providers must be alive.
     pub fn rebuild_provider(&mut self, target: ProviderId) -> Result<usize> {
-        if target >= self.keys.n() {
+        let n = self.keys.n();
+        if target >= n {
             return Err(ClientError::Schema(format!("no provider {target}")));
         }
-        // Start the replacement from a clean slate.
-        let resp = Response::decode(&self.cluster.call(target, Request::DropAllTables.encode())?)?;
-        if !matches!(resp, Response::Ack) {
-            return Err(ClientError::Provider(format!("wipe failed: {resp:?}")));
-        }
-        let tables: Vec<String> = self.tables.keys().cloned().collect();
         let k = self.keys.k();
         let x_target = self.keys.field_point(target)?;
-        let mut total_rows = 0usize;
+        let tables: Vec<String> = self.tables.keys().cloned().collect();
+        let mut rebuilt = Vec::with_capacity(tables.len());
         for table in tables {
             let plan = self.plan(&table)?;
-            let schema = &plan.schema;
-            // Fetch full share tables from k healthy *other* providers.
+            let mismatch = |detail: String| ClientError::RebuildMismatch {
+                table: table.clone(),
+                detail,
+            };
+            // Fetch full share tables from k + 1 other providers, or k
+            // when no more exist.
             let req = Request::Query {
                 table: table.clone(),
                 predicate: vec![],
                 agg: None,
             }
             .encode();
+            let wanted = (k + 1).min(n - 1);
             let mut healthy: Vec<(ProviderId, RowBlock)> = Vec::new();
-            for p in 0..self.keys.n() {
-                if p == target || healthy.len() == k {
+            for p in 0..n {
+                if p == target || healthy.len() == wanted {
                     continue;
                 }
                 let Ok(bytes) = self.cluster.call_with_retry(p, req.clone(), &self.retry) else {
@@ -2100,6 +2111,8 @@ impl DataSource {
                     healthy.len()
                 )));
             }
+            let answered = healthy.len();
+            let checked = answered > k;
             // Zip rows by id.
             let mut by_id: HashMap<u64, Vec<(ProviderId, Vec<i128>)>> = HashMap::new();
             for (p, rows) in healthy {
@@ -2107,62 +2120,96 @@ impl DataSource {
                     by_id.entry(row.id).or_default().push((p, row.shares));
                 }
             }
-            // Recreate the table at the target.
-            let indexed: Vec<bool> = schema
-                .columns
-                .iter()
-                .map(|c| c.mode.supports_equality())
-                .collect();
-            let create = Request::CreateTable {
-                name: table.clone(),
-                columns: schema.columns.iter().map(|c| c.name.clone()).collect(),
-                indexed,
-            };
-            let resp = Response::decode(&self.cluster.call(target, create.encode())?)?;
-            if !matches!(resp, Response::Ack) {
-                return Err(ClientError::Provider(format!("recreate failed: {resp:?}")));
-            }
             // Regenerate this provider's share for every row/column.
-            let mut rebuilt: Vec<Row> = Vec::with_capacity(by_id.len());
+            let mut rows: Vec<Row> = Vec::with_capacity(by_id.len());
             for (id, per_provider) in by_id {
                 if per_provider.len() < k {
                     return Err(ClientError::Reconstruction(format!(
                         "row {id} lacks a quorum"
                     )));
                 }
+                if checked && per_provider.len() < answered {
+                    return Err(mismatch(format!(
+                        "row {id} came back from {} of {answered} providers",
+                        per_provider.len()
+                    )));
+                }
+                if per_provider
+                    .iter()
+                    .any(|(_, s)| s.len() != plan.columns.len())
+                {
+                    return Err(arity_mismatch());
+                }
                 let mut shares = Vec::with_capacity(plan.columns.len());
                 for (col_idx, col) in plan.columns.iter().enumerate() {
                     let col_shares: Vec<(ProviderId, i128)> =
                         per_provider.iter().map(|(p, s)| (*p, s[col_idx])).collect();
+                    let disagree = || mismatch(format!("row {id}, column {col_idx}"));
                     let regenerated: i128 = match &col.share {
                         ShareCodec::Random => {
-                            // Evaluate the original polynomial at x_target.
-                            let pts: Vec<(Fp, Fp)> = col_shares[..k]
+                            // Evaluate the original polynomial at x_target,
+                            // once every further share is found on it.
+                            let pts: Vec<(Fp, Fp)> = col_shares
                                 .iter()
                                 .map(|&(p, y)| Ok((self.keys.field_point(p)?, field_share(y))))
                                 .collect::<Result<_>>()?;
-                            lagrange_eval_at(&pts, x_target)
-                                .map_err(|e| ClientError::Reconstruction(e.to_string()))?
-                                .to_u64() as i128
+                            let (first, rest) = pts.split_at(k);
+                            let at = |x| {
+                                lagrange_eval_at(first, x)
+                                    .map_err(|e| ClientError::Reconstruction(e.to_string()))
+                            };
+                            for &(x, y) in rest {
+                                if at(x)? != y {
+                                    return Err(disagree());
+                                }
+                            }
+                            at(x_target)?.to_u64() as i128
                         }
                         ShareCodec::Deterministic(key) => {
-                            let code = self.decode_column(col, &col_shares, false)?;
+                            let code = self
+                                .decode_column(col, &col_shares, checked)
+                                .map_err(|e| if checked { disagree() } else { e })?;
                             self.keys
                                 .field()
                                 .deterministic_share(code, key, target)?
                                 .to_u64() as i128
                         }
                         ShareCodec::OrderPreserving(sharing) => {
-                            let code = self.decode_column(col, &col_shares, false)?;
+                            let code = self
+                                .decode_column(col, &col_shares, checked)
+                                .map_err(|e| if checked { disagree() } else { e })?;
                             sharing.share_for(code, target)?
                         }
                     };
                     shares.push(regenerated);
                 }
-                rebuilt.push(Row { id, shares });
+                rows.push(Row { id, shares });
             }
-            total_rows += rebuilt.len();
-            for chunk in rebuilt.chunks(2000) {
+            let create = Request::CreateTable {
+                name: table.clone(),
+                columns: plan.schema.columns.iter().map(|c| c.name.clone()).collect(),
+                indexed: plan
+                    .schema
+                    .columns
+                    .iter()
+                    .map(|c| c.mode.supports_equality())
+                    .collect(),
+            };
+            rebuilt.push((table, create, rows));
+        }
+        // Every share checked: wipe the target and write them.
+        let resp = Response::decode(&self.cluster.call(target, Request::DropAllTables.encode())?)?;
+        if !matches!(resp, Response::Ack) {
+            return Err(ClientError::Provider(format!("wipe failed: {resp:?}")));
+        }
+        let mut total_rows = 0usize;
+        for (table, create, rows) in rebuilt {
+            let resp = Response::decode(&self.cluster.call(target, create.encode())?)?;
+            if !matches!(resp, Response::Ack) {
+                return Err(ClientError::Provider(format!("recreate failed: {resp:?}")));
+            }
+            total_rows += rows.len();
+            for chunk in rows.chunks(2000) {
                 let req = Request::Insert {
                     table: table.clone(),
                     rows: chunk.to_vec(),

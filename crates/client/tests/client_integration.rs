@@ -774,6 +774,32 @@ fn rebuild_provider_works_while_another_is_down() {
 }
 
 #[test]
+fn rebuild_provider_refuses_a_byzantine_peers_shares() {
+    let mut ds = source(2, 4);
+    setup_employees(&mut ds);
+    let whole = Request::Query {
+        table: "employees".into(),
+        predicate: vec![],
+        agg: None,
+    }
+    .encode();
+    let before = ds.cluster().call(3, whole.clone()).unwrap();
+    // Provider 3 is rebuilt from the other three, and provider 0 flips
+    // one bit in each of its answers: k + 1 = 3 peers are fetched, so
+    // its answer is checked against the other two.
+    ds.cluster().set_failure(0, FailureMode::Byzantine(1.0));
+    let err = ds.rebuild_provider(3).unwrap_err();
+    assert!(
+        matches!(&err, ClientError::RebuildMismatch { table, .. } if table == "employees"),
+        "{err}"
+    );
+    // The check runs before anything is written: provider 3 is as it was.
+    ds.cluster().set_failure(0, FailureMode::Healthy);
+    assert_eq!(ds.cluster().call(3, whole).unwrap(), before);
+    assert_eq!(ds.rebuild_provider(3).unwrap(), 5);
+}
+
+#[test]
 fn rebuild_fails_without_quorum() {
     let mut ds = source(3, 4);
     setup_employees(&mut ds);

@@ -33,10 +33,11 @@
 //!
 //! [`ProviderEngine::durable`] opens a provider directory
 //! (`checkpoint.bin` + `wal.log`); every write op is logged before it is
-//! acknowledged, and [`ProviderEngine::recover`] rebuilds tables, indexes
-//! and Merkle commitments bit-identical to the pre-crash state:
-//! checkpoint image first, then replay of the log's committed records (a
-//! torn tail is truncated by the WAL layer). A checkpoint streams every
+//! acknowledged, and [`ProviderEngine::recover`] rebuilds rows and Merkle
+//! commitments bit-identical to the pre-crash state, and indexes holding
+//! the same keys: checkpoint image first, then replay of the log's
+//! committed records into the rows trees alone (a torn tail is truncated
+//! by the WAL layer), then one sort per index. A checkpoint streams every
 //! table's packed rows into a fresh file, one record per leaf of the
 //! rows tree (the engine keeps each leaf it wrote, held, with its record,
 //! so only the leaves written since the last checkpoint are encoded),
@@ -125,44 +126,47 @@ struct TableSnap {
 }
 
 impl TableSnap {
-    fn new(columns: &[String], indexed: &[bool]) -> Self {
+    /// An empty table. `with_indexes == false` leaves every index `None`
+    /// (recovery's tables until [`Self::build_indexes`]); `indexed` keeps
+    /// the schema either way.
+    fn new(columns: &[String], indexed: &[bool], with_indexes: bool) -> Self {
         TableSnap {
             columns: columns.into(),
             indexed: indexed.into(),
             rows: PMap::new(),
-            indexes: indexed.iter().map(|&b| b.then(PMap::new)).collect(),
+            indexes: indexed
+                .iter()
+                .map(|&b| (b && with_indexes).then(PMap::new))
+                .collect(),
         }
     }
 
-    /// Bulk-build a table from rows in ascending id order, each of the
-    /// table's arity: the row map straight from `rows`, each index from
-    /// one sort. `None` if the ids do not ascend strictly.
-    fn from_sorted_rows(
-        columns: &[String],
-        indexed: &[bool],
-        rows: Vec<(u64, Vec<i128>)>,
-    ) -> Option<Self> {
-        let indexes = indexed
+    /// Build every indexed column's index from the rows: one pass over
+    /// the rows collects each column's `(share, id)` keys, then one sort
+    /// and one bulk build per column. `None` only if the keys repeat,
+    /// which distinct row ids rule out.
+    fn build_indexes(&mut self) -> Option<()> {
+        let mut keys: Vec<(usize, Vec<(IndexKey, ())>)> = self
+            .indexed
             .iter()
             .enumerate()
-            .map(|(col, &is_indexed)| {
-                if !is_indexed {
-                    return Some(None);
+            .filter(|&(_, &indexed)| indexed)
+            .map(|(col, _)| (col, Vec::with_capacity(self.rows.len())))
+            .collect();
+        for (&id, shares) in self.rows.iter() {
+            for (col, keys) in &mut keys {
+                if let Some(&share) = shares.get(*col) {
+                    keys.push((index_key(share, id), ()));
                 }
-                let mut keys: Vec<(IndexKey, ())> = rows
-                    .iter()
-                    .filter_map(|(id, shares)| Some((index_key(*shares.get(col)?, *id), ())))
-                    .collect();
-                keys.sort_unstable();
-                PMap::from_sorted(keys).map(Some)
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(TableSnap {
-            columns: columns.into(),
-            indexed: indexed.into(),
-            rows: PMap::from_sorted(rows)?,
-            indexes,
-        })
+            }
+        }
+        for (col, mut keys) in keys {
+            keys.sort_unstable();
+            if let Some(index) = self.indexes.get_mut(col) {
+                *index = Some(PMap::from_sorted(keys)?);
+            }
+        }
+        Some(())
     }
 
     fn insert_row(&mut self, id: u64, shares: Vec<i128>) {
@@ -383,9 +387,12 @@ impl ProviderEngine {
 
     /// Open (or create) a durable provider in `dir`, recovering any
     /// existing state: checkpoint image first, then replay of the
-    /// write-ahead log's intact records. Every acknowledged write op is
-    /// in one of the two by construction, so the result is bit-identical
-    /// to the pre-crash tables, indexes and Merkle commitments.
+    /// write-ahead log's intact records, then one sort per index. Every
+    /// acknowledged write op is in the image or the log by construction,
+    /// so the rows and Merkle commitments are bit-identical to the
+    /// pre-crash ones, and each index holds the same keys. An index's
+    /// tree shape is `PMap::from_sorted`'s, not the one the live inserts
+    /// grew; nothing reads the shape.
     pub fn durable(
         dir: &Path,
         cfg: DurableConfig,
@@ -416,9 +423,10 @@ impl ProviderEngine {
                 rows.extend(block.iter().map(|row| (row.id, row.shares)));
             }
             report.checkpoint_rows += rows.len() as u64;
-            // Checkpoints write rows in id order, so the image bulk-builds.
-            let snap = TableSnap::from_sorted_rows(&tm.columns, &tm.indexed, rows)
-                .ok_or_else(|| corrupt("rows out of id order"))?;
+            // Checkpoints write rows in id order, so the rows tree
+            // bulk-builds. The indexes wait for the end of replay.
+            let mut snap = TableSnap::new(&tm.columns, &tm.indexed, false);
+            snap.rows = PMap::from_sorted(rows).ok_or_else(|| corrupt("rows out of id order"))?;
             tables.insert(tm.name.clone(), Arc::new(snap));
         }
         image.finish()?;
@@ -441,6 +449,8 @@ impl ProviderEngine {
         // through the normal apply path (without re-logging). Only ops
         // that succeeded against the pre-crash engine were ever logged,
         // so a replay failure means genuine log/image disagreement.
+        // Replay maintains the rows trees only: every table, loaded or
+        // created by a replayed `CreateTable`, has no index yet.
         let rec = Wal::open(&dir.join(WAL_FILE), meta.generation, cfg.wal)?;
         report.torn_bytes = rec.torn_bytes;
         report.wal_reset = rec.reset;
@@ -464,6 +474,13 @@ impl ProviderEngine {
             Self::apply(&mut ws, &request, None)
                 .map_err(|e| RecoveryError::Replay(format!("replay rejected: {e}")))?;
             report.wal_records += 1;
+        }
+        // Then each index once, from the final rows: one sort instead of
+        // one random-key insert per logged row.
+        for (name, t) in &mut ws.tables {
+            Arc::make_mut(t).build_indexes().ok_or_else(|| {
+                RecoveryError::Replay(format!("duplicate index key in table {name:?}"))
+            })?;
         }
         ws.seq = report.wal_records;
         if let Some(store) = &mut ws.store {
@@ -704,7 +721,8 @@ impl ProviderEngine {
     /// Apply one mutating request to the master state, path-copying
     /// whatever the published snapshot still shares.
     /// Validation precedes mutation: a failed request leaves the master
-    /// untouched (and is never logged). `stats` is `None` during replay.
+    /// untouched (and is never logged). `stats` is `None` during replay,
+    /// whose created tables get no index until the replay ends.
     fn apply(
         ws: &mut WriteState,
         request: &Request,
@@ -715,7 +733,7 @@ impl ProviderEngine {
                 name,
                 columns,
                 indexed,
-            } => Self::apply_create_table(ws, name, columns, indexed),
+            } => Self::apply_create_table(ws, name, columns, indexed, stats.is_some()),
             Request::Insert { table, rows } => Self::apply_insert(ws, table, rows),
             Request::Delete { table, ids } => Self::apply_delete(ws, table, ids),
             Request::Update { table, rows } => Self::apply_update(ws, table, rows),
@@ -747,6 +765,7 @@ impl ProviderEngine {
         name: &str,
         columns: &[String],
         indexed: &[bool],
+        with_indexes: bool,
     ) -> Result<Response, String> {
         if ws.tables.contains_key(name) {
             return Err(format!("table {name:?} already exists"));
@@ -757,8 +776,10 @@ impl ProviderEngine {
         if columns.is_empty() {
             return Err("table needs at least one column".into());
         }
-        ws.tables
-            .insert(name.to_string(), Arc::new(TableSnap::new(columns, indexed)));
+        ws.tables.insert(
+            name.to_string(),
+            Arc::new(TableSnap::new(columns, indexed, with_indexes)),
+        );
         Ok(Response::Ack)
     }
 
@@ -2692,8 +2713,13 @@ pub(crate) mod tests {
         let rows: Vec<(u64, Vec<i128>)> = (0..500u64)
             .map(|id| (id * 2, vec![(id % 13) as i128, id as i128, -(id as i128)]))
             .collect();
-        let bulk = TableSnap::from_sorted_rows(&columns, &indexed, rows.clone()).unwrap();
-        let mut one_by_one = TableSnap::new(&columns, &indexed);
+        // The image loader's path: the rows tree from the sorted rows,
+        // then every index from one sort.
+        let mut bulk = TableSnap::new(&columns, &indexed, false);
+        assert!(bulk.indexes.iter().all(Option::is_none));
+        bulk.rows = PMap::from_sorted(rows.clone()).unwrap();
+        bulk.build_indexes().unwrap();
+        let mut one_by_one = TableSnap::new(&columns, &indexed, true);
         for (id, shares) in rows.iter().rev() {
             one_by_one.insert_row(*id, shares.clone());
         }
@@ -2709,10 +2735,10 @@ pub(crate) mod tests {
         // Ids out of order or repeated mean a corrupt image.
         let mut swapped = rows.clone();
         swapped.swap(3, 4);
-        assert!(TableSnap::from_sorted_rows(&columns, &indexed, swapped).is_none());
+        assert!(PMap::from_sorted(swapped).is_none());
         let mut repeated = rows;
         repeated[4].0 = repeated[3].0;
-        assert!(TableSnap::from_sorted_rows(&columns, &indexed, repeated).is_none());
+        assert!(PMap::from_sorted(repeated).is_none());
     }
 
     #[test]
@@ -3043,5 +3069,160 @@ pub(crate) mod tests {
         assert_eq!((report.checkpoint_rows, report.wal_records), (2500, 0));
         assert_eq!(whole_table(&recovered, "t"), live);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Everything recovery must reproduce, read off the published
+    /// snapshot: per table (by name) its `indexed` flags, rows, the keys
+    /// of each index (`None` where the column has none), and every
+    /// commitment root. Panics if an index's presence disagrees with its
+    /// flag.
+    type EngineImage = (
+        Vec<(
+            String,
+            Vec<bool>,
+            Vec<(u64, Vec<i128>)>,
+            Vec<Option<Vec<IndexKey>>>,
+        )>,
+        Vec<((String, usize), [u8; 32])>,
+    );
+
+    fn engine_image(e: &ProviderEngine) -> EngineImage {
+        let snap = e.published.read().clone();
+        let mut tables: Vec<_> = snap
+            .tables
+            .iter()
+            .map(|(name, t)| {
+                for (index, &indexed) in t.indexes.iter().zip(t.indexed.iter()) {
+                    assert_eq!(index.is_some(), indexed, "table {name:?}: index presence");
+                }
+                (
+                    name.clone(),
+                    t.indexed.to_vec(),
+                    t.rows.iter().map(|(&id, s)| (id, s.clone())).collect(),
+                    t.indexes
+                        .iter()
+                        .map(|i| i.as_ref().map(|i| i.keys().copied().collect()))
+                        .collect(),
+                )
+            })
+            .collect();
+        tables.sort();
+        let mut roots: Vec<_> = snap
+            .commitments
+            .iter()
+            .map(|(key, at)| (key.clone(), at.root()))
+            .collect();
+        roots.sort();
+        (tables, roots)
+    }
+
+    /// Table `a` is `(x, y, z)` with `x` and `z` indexed; table `b` is
+    /// `(p, q)` with `q` indexed. `y` and `p` take increments.
+    fn create_for(table: &str) -> Request {
+        let (columns, indexed) = if table == "a" {
+            (vec!["x", "y", "z"], vec![true, false, true])
+        } else {
+            (vec!["p", "q"], vec![false, true])
+        };
+        Request::CreateTable {
+            name: table.into(),
+            columns: columns.into_iter().map(String::from).collect(),
+            indexed,
+        }
+    }
+
+    /// Run a random program of writes, checkpoints and reopens against
+    /// one durable engine. At every reopen, and at the end, the
+    /// recovered engine must equal the one that was dropped.
+    fn recovery_against_live(program: &[(u8, bool, u64)]) {
+        use rand::{Rng, SeedableRng};
+        let dir = test_dir("recover-live");
+        let (mut e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        let reopen = |e: ProviderEngine| {
+            let live = engine_image(&e);
+            drop(e);
+            let (recovered, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+            assert_eq!(engine_image(&recovered), live, "recovered != live");
+            recovered
+        };
+        for &(kind, table_b, seed) in program {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let table = if table_b { "b" } else { "a" };
+            let arity = if table_b { 2 } else { 3 };
+            let unindexed = usize::from(!table_b);
+            // A run of ids from a small space, so runs overlap (rejected
+            // inserts, updates of live rows), and few share values, so a
+            // share repeats in an index under different ids.
+            let start = rng.gen_range(0..400u64);
+            let run = start..start + rng.gen_range(1..60u64);
+            let rows: Vec<Row> = run
+                .clone()
+                .map(|id| Row {
+                    id,
+                    shares: (0..arity)
+                        .map(|_| rng.gen_range(-3i64..12).into())
+                        .collect(),
+                })
+                .collect();
+            let request = match kind {
+                0..=4 => Request::Insert {
+                    table: table.into(),
+                    rows,
+                },
+                5 => Request::Update {
+                    table: table.into(),
+                    rows: rows.into_iter().step_by(3).collect(),
+                },
+                6 => Request::Delete {
+                    table: table.into(),
+                    ids: run.step_by(2).collect(),
+                },
+                7 => Request::Increment {
+                    table: table.into(),
+                    col: unindexed,
+                    deltas: run
+                        .step_by(4)
+                        .map(|id| (id, rng.gen_range(-5i64..5).into()))
+                        .collect(),
+                },
+                8 => Request::Commit {
+                    table: table.into(),
+                    col: rng.gen_range(0..arity),
+                },
+                9 => create_for(table),
+                10 => {
+                    assert_eq!(e.execute(&Request::DropAllTables), Response::Ack);
+                    create_for(table)
+                }
+                11 => {
+                    e.checkpoint().unwrap();
+                    continue;
+                }
+                _ => {
+                    e = reopen(e);
+                    continue;
+                }
+            };
+            // Rejected requests (a duplicate id, a missing table or row)
+            // are part of the program: they must not reach the log.
+            e.execute(&request);
+        }
+        drop(reopen(e));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn a_recovered_engine_equals_the_live_one_indexes_included(
+            program in proptest::collection::vec(
+                (0u8..13, proptest::prelude::any::<bool>(), proptest::prelude::any::<u64>()),
+                0..80,
+            ),
+        ) {
+            let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
+            recovery_against_live(&program);
+        }
     }
 }
