@@ -14,9 +14,10 @@
 //! address: widening the bucket trades bytes transferred for a larger
 //! anonymity region, a dial the experiments sweep (E10).
 
+use crate::source::{ask, row_blocks, rows_only, write};
 use crate::{ClientError, Result};
-use dasp_net::{Cluster, ProviderId};
-use dasp_server::proto::{PredAtom, Request, Response, Row};
+use dasp_net::{Cluster, ProviderId, QuorumMode::FirstK, RetryPolicy};
+use dasp_server::proto::{PredAtom, Request, Row};
 
 /// Traffic/leakage accounting for one mash-up query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +61,7 @@ impl<'a> BucketJoin<'a> {
             columns: columns.iter().map(|c| c.to_string()).collect(),
             indexed: (0..columns.len()).map(|i| i == key_col).collect(),
         };
-        self.call_ack(create)?;
+        write(self.cluster, vec![(self.provider, create.encode())])?;
         let insert = Request::Insert {
             table: table.to_string(),
             rows: rows
@@ -71,7 +72,7 @@ impl<'a> BucketJoin<'a> {
                 })
                 .collect(),
         };
-        self.call_ack(insert)
+        write(self.cluster, vec![(self.provider, insert.encode())])
     }
 
     /// Fetch the public rows whose `key_col` value falls in the bucket of
@@ -119,9 +120,11 @@ impl<'a> BucketJoin<'a> {
             }],
             agg: None,
         };
-        let resp = self.call(req)?;
-        let Response::Rows(rows) = resp else {
-            return Err(ClientError::Provider("unexpected response".into()));
+        let asked = vec![vec![(self.provider, req.encode())]];
+        let none = RetryPolicy::none();
+        let answers = ask(self.cluster, asked, 1, 0, FirstK, none, &rows_only);
+        let Some((_, rows)) = row_blocks(answers.one()?)?.pop() else {
+            return Err(ClientError::Provider("no answer".into()));
         };
         let rows_fetched = rows.len() as u64;
         let want_lo = private_key.saturating_sub(radius);
@@ -144,18 +147,5 @@ impl<'a> BucketJoin<'a> {
             leaked_interval: hi - lo + 1,
         };
         Ok((matching, stats))
-    }
-
-    fn call(&self, req: Request) -> Result<Response> {
-        let bytes = self.cluster.call(self.provider, req.encode())?;
-        Ok(Response::decode(&bytes)?)
-    }
-
-    fn call_ack(&self, req: Request) -> Result<()> {
-        match self.call(req)? {
-            Response::Ack => Ok(()),
-            Response::Error(msg) => Err(ClientError::Provider(msg)),
-            other => Err(ClientError::Provider(format!("unexpected {other:?}"))),
-        }
     }
 }

@@ -17,7 +17,10 @@ use crate::schema::{Predicate, TableSchema, Value, ValueCodec};
 use crate::{ClientError, Result};
 use dasp_crypto::merkle::MerkleProof;
 use dasp_field::{lagrange_eval_at, Fp};
-use dasp_net::{Cluster, HealthSnapshot, ProviderId, QuorumMode, QuorumOptions, RetryPolicy};
+use dasp_net::QuorumMode::{All, FirstK};
+use dasp_net::{
+    Cluster, HealthSnapshot, ProviderId, QuorumError, QuorumMode, QuorumOptions, RetryPolicy,
+};
 use dasp_server::proto::{AggOp, PredAtom, Request, Response, Row, RowBlock};
 use dasp_server::proto::{WireMerkleProof, WireRangeProof};
 use dasp_sss::{DomainKey, FieldBasis, FieldShare, FieldSharing, OpBasis, OpSharing, ShareMode};
@@ -376,6 +379,181 @@ fn arity_mismatch() -> ClientError {
     ClientError::Reconstruction("row arity mismatch".into())
 }
 
+/// Providers a [`QuorumMode::FirstK`] round asks up front beyond its
+/// response target, racing a straggler.
+const HEDGE: usize = 1;
+
+/// A verdict on one answer: `Err` says what is wrong with it.
+type Verdict = std::result::Result<(), String>;
+
+/// A check of one decoded answer, given its round and provider.
+type Accept<'a> = &'a dyn Fn(usize, ProviderId, &Response) -> Verdict;
+
+/// The check of an answer that needs none beyond decoding.
+fn anything(_: usize, _: ProviderId, _: &Response) -> Verdict {
+    Ok(())
+}
+
+/// The check of an answer that must be rows.
+pub(crate) fn rows_only(_: usize, _: ProviderId, resp: &Response) -> Verdict {
+    match resp {
+        Response::Rows(_) => Ok(()),
+        other => Err(format!("unexpected {other:?}")),
+    }
+}
+
+/// The check of a write's answer.
+fn acked(_: usize, _: ProviderId, resp: &Response) -> Verdict {
+    match resp {
+        Response::Ack => Ok(()),
+        other => Err(format!("unexpected {other:?}")),
+    }
+}
+
+/// A round that fell short of k accepted answers, told as too few `what`.
+fn short_of(k: usize, what: &'static str) -> impl Fn(ClientError) -> ClientError {
+    move |e| match e {
+        ClientError::Quorum(q) => {
+            ClientError::Reconstruction(format!("only {} {what}, need {k}", q.got))
+        }
+        other => other,
+    }
+}
+
+/// What one [`ask`] returned.
+pub(crate) struct Answers {
+    /// The quorum engine's verdict on each round.
+    #[allow(clippy::type_complexity)]
+    results: Vec<std::result::Result<Vec<(ProviderId, Vec<u8>)>, QuorumError>>,
+    /// Each accepted answer but an `Ack`, decoded, by (round, provider).
+    /// The engine settles a request on the first answer it accepts and
+    /// checks nothing after that, so this is the answer it returns.
+    accepted: HashMap<(usize, ProviderId), Response>,
+    /// Every provider with a rejected answer (undecodable, an error, or
+    /// refused by the check), each named once.
+    rejected: Vec<ProviderId>,
+}
+
+impl Answers {
+    /// Each round's accepted `(provider, answer)` pairs in request order,
+    /// or its post-mortem.
+    fn rounds(self) -> Vec<Result<Vec<(ProviderId, Response)>>> {
+        let mut accepted = self.accepted;
+        let mut answer = |round, p| accepted.remove(&(round, p)).unwrap_or(Response::Ack);
+        let mut rounds = Vec::with_capacity(self.results.len());
+        for (round, winners) in self.results.into_iter().enumerate() {
+            rounds.push(match winners {
+                Ok(winners) => Ok(winners
+                    .into_iter()
+                    .map(|(p, _)| (p, answer(round, p)))
+                    .collect()),
+                Err(e) => Err(e.into()),
+            });
+        }
+        rounds
+    }
+
+    /// The answers of a one-round call.
+    pub(crate) fn one(self) -> Result<Vec<(ProviderId, Response)>> {
+        self.rounds().pop().unwrap_or_else(|| {
+            Err(ClientError::Provider(
+                "the quorum engine returned no round".into(),
+            ))
+        })
+    }
+}
+
+/// The one way the client asks providers: `rounds` of per-provider
+/// requests in one quorum-engine run, each round judged on its own.
+/// Every answer is decoded once and must pass `accept`; a provider error,
+/// an undecodable answer or a refused one counts as a failed attempt,
+/// which charges the provider's breaker, is retried per `retry`, and
+/// makes a [`QuorumMode::FirstK`] round ask its next provider.
+/// [`QuorumMode::FirstK`] rounds return once `need + extra` answers are
+/// in (`need` suffices), skip providers with open breakers and hedge by
+/// [`HEDGE`]; [`QuorumMode::All`] rounds wait for every provider.
+pub(crate) fn ask(
+    cluster: &Cluster,
+    rounds: Vec<Vec<(ProviderId, Vec<u8>)>>,
+    need: usize,
+    extra: usize,
+    mode: QuorumMode,
+    retry: RetryPolicy,
+    accept: Accept<'_>,
+) -> Answers {
+    let accepted = RefCell::new(HashMap::new());
+    let rejected = RefCell::new(Vec::new());
+    let validate = |round: usize, p: ProviderId, bytes: &[u8]| {
+        let verdict = match Response::decode(bytes) {
+            Ok(Response::Error(msg)) => Err(msg),
+            Ok(resp) => accept(round, p, &resp).map(|()| resp),
+            Err(e) => Err(format!("undecodable response: {e}")),
+        };
+        match verdict {
+            Ok(Response::Ack) => Ok(()),
+            Ok(resp) => {
+                accepted.borrow_mut().insert((round, p), resp);
+                Ok(())
+            }
+            Err(reason) => {
+                let mut rejected = rejected.borrow_mut();
+                if !rejected.contains(&p) {
+                    rejected.push(p);
+                }
+                Err(format!("provider {p}: {reason}"))
+            }
+        }
+    };
+    let opts = QuorumOptions {
+        retry,
+        hedge: HEDGE,
+        extra,
+        mode,
+        validate: Some(&validate),
+    };
+    let results = cluster.call_quorum_rounds(rounds, need, &opts);
+    Answers {
+        results,
+        accepted: accepted.into_inner(),
+        rejected: rejected.into_inner(),
+    }
+}
+
+/// The write path: every listed provider must acknowledge. All of them
+/// are asked ([`QuorumMode::All`]: a write silently skipping a provider
+/// would fork the share state), and nothing is retried (a provider that
+/// applied the write but dropped the ack would apply it twice).
+pub(crate) fn write(cluster: &Cluster, reqs: Vec<(ProviderId, Vec<u8>)>) -> Result<()> {
+    let need = reqs.len();
+    let none = RetryPolicy::none();
+    let answers = ask(cluster, vec![reqs], need, 0, All, none, &acked);
+    for round in answers.results {
+        round?;
+    }
+    Ok(())
+}
+
+/// One request per provider `0..n`, as `make` builds it.
+fn to_each(
+    n: usize,
+    mut make: impl FnMut(ProviderId) -> Result<Vec<u8>>,
+) -> Result<Vec<(ProviderId, Vec<u8>)>> {
+    (0..n).map(|p| Ok((p, make(p)?))).collect()
+}
+
+/// The row blocks of answers that must all be rows.
+pub(crate) fn row_blocks(
+    answers: Vec<(ProviderId, Response)>,
+) -> Result<Vec<(ProviderId, RowBlock)>> {
+    answers
+        .into_iter()
+        .map(|(p, resp)| match resp {
+            Response::Rows(rows) => Ok((p, rows)),
+            other => Err(ClientError::Provider(format!("unexpected {other:?}"))),
+        })
+        .collect()
+}
+
 struct TableState {
     plan: Arc<ColumnPlan>,
     next_id: u64,
@@ -399,8 +577,6 @@ pub struct DataSource {
     /// an omission-faulty provider applies the write before dropping the
     /// ack, so a retry could double-apply it).
     retry: RetryPolicy,
-    /// Extra providers contacted up front on reads, racing stragglers.
-    hedge: usize,
     /// Reconstruction bases keyed by provider subset (in response order).
     /// Reads from a healthy cluster hit the same subset over and over, so
     /// the O(k²) Lagrange solve happens once per subset, not per value.
@@ -436,7 +612,6 @@ impl DataSource {
             rng: StdRng::from_entropy(),
             lazy: false,
             retry: RetryPolicy::default(),
-            hedge: 1,
             basis_cache: HashMap::new(),
             op_basis_cache: HashMap::new(),
             journal: None,
@@ -480,12 +655,6 @@ impl DataSource {
     /// Replace the read-retry schedule.
     pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
         self.retry = retry;
-    }
-
-    /// Set how many extra providers reads contact up front (hedged
-    /// requests). 0 disables hedging.
-    pub fn set_hedge(&mut self, hedge: usize) {
-        self.hedge = hedge;
     }
 
     /// Point-in-time provider health: breaker states, failure streaks,
@@ -559,7 +728,8 @@ impl DataSource {
         };
         let name = schema.name.clone();
         let plan = Arc::new(ColumnPlan::new(&self.keys, schema)?);
-        self.broadcast_ack(&req)?;
+        let req = req.encode();
+        write(&self.cluster, to_each(self.keys.n(), |_| Ok(req.clone()))?)?;
         // Journal-recovered lazy updates queued for this table by an
         // earlier session re-attach here.
         let pending = self.orphan_pending.remove(&name).unwrap_or_default();
@@ -649,7 +819,7 @@ impl DataSource {
                 )
             })
             .collect();
-        self.send_all_ack(reqs)
+        write(&self.cluster, reqs)
     }
 
     // ---- predicate rewriting ----
@@ -727,114 +897,19 @@ impl DataSource {
         Ok(atoms)
     }
 
-    // ---- transport helpers ----
-
-    fn broadcast_ack(&self, req: &Request) -> Result<()> {
-        let bytes = req.encode();
-        let reqs: Vec<(ProviderId, Vec<u8>)> =
-            (0..self.cluster.n()).map(|p| (p, bytes.clone())).collect();
-        self.send_all_ack(reqs)
+    /// A one-round read: the first k answers to `reqs`.
+    fn first_k(&self, reqs: Vec<(ProviderId, Vec<u8>)>) -> Result<Vec<(ProviderId, Response)>> {
+        let (k, retry) = (self.keys.k(), self.retry.clone());
+        ask(&self.cluster, vec![reqs], k, 0, FirstK, retry, &anything).one()
     }
 
-    /// Every listed provider must acknowledge. Writes: [`QuorumMode::All`]
-    /// (a write silently skipping a provider would fork the share state)
-    /// and no retries (a provider that applied the write but dropped the
-    /// ack would apply a retried write twice).
-    fn send_all_ack(&self, reqs: Vec<(ProviderId, Vec<u8>)>) -> Result<()> {
-        let need = reqs.len();
-        let validate = |_round: usize, p: ProviderId, bytes: &[u8]| match Response::decode(bytes) {
-            Ok(Response::Ack) => Ok(()),
-            Ok(Response::Error(msg)) => Err(format!("provider {p}: {msg}")),
-            Ok(other) => Err(format!("provider {p}: unexpected {other:?}")),
-            Err(e) => Err(format!("provider {p}: undecodable response: {e}")),
-        };
-        let opts = QuorumOptions {
-            mode: QuorumMode::All,
-            validate: Some(&validate),
-            ..Default::default()
-        };
-        self.cluster.call_quorum_opts(reqs, need, &opts)?;
-        Ok(())
-    }
-
-    /// Fan a per-provider request out through the resilient quorum engine
-    /// and return at least `need` (up to `need + extra`) successfully
-    /// decoded responses: [`DataSource::gather_rounds`] with one round.
-    fn gather(
-        &self,
-        mut make_req: impl FnMut(ProviderId) -> Result<Vec<u8>>,
-        need: usize,
-        extra: usize,
-        mode: QuorumMode,
-    ) -> Result<Vec<(ProviderId, Response)>> {
-        let n = self.cluster.n();
-        let mut reqs = Vec::with_capacity(n);
-        for p in 0..n {
-            reqs.push((p, make_req(p)?));
-        }
-        self.gather_rounds(vec![reqs], need, extra, mode)
-            .pop()
-            .ok_or_else(|| ClientError::Provider("the quorum engine returned no round".into()))?
-    }
-
-    /// Run one read quorum per round, all in one engine call, and decode
-    /// each response once: the validator's decode is the one the caller
-    /// gets. [`QuorumMode::FirstK`] reads return as soon as the target is
-    /// met, retry timed-out attempts, skip providers with open breakers,
-    /// and hedge against stragglers; [`QuorumMode::All`] waits for every
-    /// provider (verified reads, which want the full response set for
-    /// fault identification). An erroring provider (e.g. freshly
-    /// re-imaged, missing the table) drops out of its round like a
-    /// crashed one; reads must survive any n-k such failures. The
-    /// rejection reason lands in the round's QuorumError post-mortem if
-    /// its quorum collapses entirely.
-    fn gather_rounds(
-        &self,
-        rounds: Vec<Vec<(ProviderId, Vec<u8>)>>,
-        need: usize,
-        extra: usize,
-        mode: QuorumMode,
-    ) -> Vec<Result<Vec<(ProviderId, Response)>>> {
-        // What each (round, provider)'s accepted response decoded to. The
-        // quorum engine settles a request on the first response it
-        // accepts and validates nothing after that, so a slot only ever
-        // holds the response whose bytes the quorum returns for it.
-        let accepted: RefCell<HashMap<(usize, ProviderId), Response>> =
-            RefCell::new(HashMap::new());
-        let validate = |round: usize, p: ProviderId, bytes: &[u8]| match Response::decode(bytes) {
-            Ok(Response::Error(msg)) => Err(format!("provider {p}: {msg}")),
-            Ok(resp) => {
-                accepted.borrow_mut().insert((round, p), resp);
-                Ok(())
+    /// Name `providers` in [`DataSource::last_faulty`], each once.
+    fn blame(&mut self, providers: impl IntoIterator<Item = ProviderId>) {
+        for p in providers {
+            if !self.last_faulty.contains(&p) {
+                self.last_faulty.push(p);
             }
-            Err(e) => Err(format!("provider {p}: undecodable response: {e}")),
-        };
-        let opts = QuorumOptions {
-            retry: self.retry.clone(),
-            hedge: self.hedge,
-            extra,
-            mode,
-            validate: Some(&validate),
-        };
-        let results = self.cluster.call_quorum_rounds(rounds, need, &opts);
-        let mut accepted = accepted.into_inner();
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(round, winners)| {
-                winners?
-                    .into_iter()
-                    .map(|(p, _)| {
-                        let resp = accepted.remove(&(round, p)).ok_or_else(|| {
-                            ClientError::Provider(format!(
-                                "provider {p}: response was never validated"
-                            ))
-                        })?;
-                        Ok((p, resp))
-                    })
-                    .collect()
-            })
-            .collect()
+        }
     }
 
     // ---- reconstruction ----
@@ -853,11 +928,7 @@ impl DataSource {
                 if verify {
                     let out = majority_reconstruct_op(sharing, shares)
                         .map_err(|e| ClientError::Reconstruction(format!("op majority: {e}")))?;
-                    for f in out.faulty {
-                        if !self.last_faulty.contains(&f) {
-                            self.last_faulty.push(f);
-                        }
-                    }
+                    self.blame(out.faulty);
                     u64::try_from(out.value).map_err(|_| {
                         ClientError::Reconstruction("negative reconstructed value".into())
                     })
@@ -885,11 +956,7 @@ impl DataSource {
                 if verify {
                     let out = majority_reconstruct_field(self.keys.field(), &field_shares)
                         .map_err(|e| ClientError::Reconstruction(format!("field majority: {e}")))?;
-                    for f in out.faulty {
-                        if !self.last_faulty.contains(&f) {
-                            self.last_faulty.push(f);
-                        }
-                    }
+                    self.blame(out.faulty);
                     Ok(out.value.to_u64())
                 } else {
                     if field_shares.len() < k {
@@ -1156,12 +1223,12 @@ impl DataSource {
             // Verified reads wait for every provider (fault identification
             // wants the full response set); the floor is k+1 so a lone
             // corrupt share is always outvoted.
-            ((self.keys.k() + 1).min(self.keys.n()), 0, QuorumMode::All)
+            ((self.keys.k() + 1).min(self.keys.n()), 0, All)
         } else {
             // First-k-wins, but ask for one share beyond k when available:
             // reconstruction then cross-checks instead of silently
             // trusting the first k (detects a corrupt share).
-            (self.keys.k(), 1, QuorumMode::FirstK)
+            (self.keys.k(), 1, FirstK)
         };
         let n = self.cluster.n();
         let mut rounds = Vec::with_capacity(predicates.len());
@@ -1169,19 +1236,18 @@ impl DataSource {
         for predicate in predicates {
             let (server_preds, residual) =
                 self.split_predicate(&plan.schema, predicate.as_ref())?;
-            let mut reqs = Vec::with_capacity(n);
-            for p in 0..n {
-                let query = Request::Query {
+            rounds.push(to_each(n, |p| {
+                Ok(Request::Query {
                     table: table.to_string(),
                     predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
                     agg: None,
-                };
-                reqs.push((p, query.encode()));
-            }
-            rounds.push(reqs);
+                }
+                .encode())
+            })?);
             residuals.push(residual);
         }
-        let gathered = self.gather_rounds(rounds, need, extra, mode);
+        let retry = self.retry.clone();
+        let gathered = ask(&self.cluster, rounds, need, extra, mode, retry, &anything).rounds();
         let mut out = Vec::with_capacity(predicates.len());
         for ((responses, residual), predicate) in
             gathered.into_iter().zip(residuals).zip(predicates)
@@ -1210,14 +1276,7 @@ impl DataSource {
         responses: Vec<(ProviderId, Response)>,
         verify: bool,
     ) -> Result<Vec<DecodedRow>> {
-        let rows: Vec<(ProviderId, RowBlock)> = responses
-            .into_iter()
-            .map(|(p, resp)| match resp {
-                Response::Rows(rows) => Ok((p, rows)),
-                other => Err(ClientError::Provider(format!("unexpected {other:?}"))),
-            })
-            .collect::<Result<_>>()?;
-        let mut decoded = self.reconstruct_rows(plan, rows, verify)?;
+        let mut decoded = self.reconstruct_rows(plan, row_blocks(responses)?, verify)?;
 
         // Residual filtering (random-mode columns, unsupported ranges).
         // Each conjunct's column, codec and code interval are resolved up
@@ -1367,29 +1426,18 @@ impl DataSource {
             keyed.truncate(limit as usize);
             return Ok(keyed.into_iter().map(|(_, row)| row).collect());
         }
-        let k = self.keys.k();
-        let responses = self.gather(
-            |p| {
-                Ok(Request::QueryOrdered {
-                    table: table.to_string(),
-                    predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
-                    order_col: col_idx,
-                    desc,
-                    limit,
-                }
-                .encode())
-            },
-            k,
-            0,
-            QuorumMode::FirstK,
-        )?;
-        let rows: Vec<(ProviderId, RowBlock)> = responses
-            .into_iter()
-            .map(|(p, resp)| match resp {
-                Response::Rows(rows) => Ok((p, rows)),
-                other => Err(ClientError::Provider(format!("unexpected {other:?}"))),
-            })
-            .collect::<Result<_>>()?;
+        let reqs = to_each(self.keys.n(), |p| {
+            Ok(Request::QueryOrdered {
+                table: table.to_string(),
+                predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
+                order_col: col_idx,
+                desc,
+                limit,
+            }
+            .encode())
+        })?;
+        let responses = self.first_k(reqs)?;
+        let rows = row_blocks(responses)?;
         // Providers return the SAME logical rows in the SAME order (order
         // preservation is per-provider but consistent); remember it before
         // reconstruction resorts by id.
@@ -1439,20 +1487,16 @@ impl DataSource {
             Some(col) => AggOp::Sum { col },
         };
         let k = self.keys.k();
-        let responses = self.gather(
-            |p| {
-                Ok(Request::GroupedAggregate {
-                    table: table.to_string(),
-                    predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
-                    group_col: g_idx,
-                    agg,
-                }
-                .encode())
-            },
-            k,
-            0,
-            QuorumMode::FirstK,
-        )?;
+        let reqs = to_each(self.keys.n(), |p| {
+            Ok(Request::GroupedAggregate {
+                table: table.to_string(),
+                predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
+                group_col: g_idx,
+                agg,
+            }
+            .encode())
+        })?;
+        let responses = self.first_k(reqs)?;
         // Zip group partials across providers by rep_row.
         let mut by_rep: HashMap<u64, Vec<(ProviderId, dasp_server::proto::GroupPartial)>> =
             HashMap::new();
@@ -1588,20 +1632,15 @@ impl DataSource {
             AggKind::Max => AggOp::Max { col: col_idx },
             AggKind::Median => AggOp::Median { col: col_idx },
         };
-        let k = self.keys.k();
-        let responses = self.gather(
-            |p| {
-                Ok(Request::Query {
-                    table: table.to_string(),
-                    predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
-                    agg: Some(agg),
-                }
-                .encode())
-            },
-            k,
-            0,
-            QuorumMode::FirstK,
-        )?;
+        let reqs = to_each(self.keys.n(), |p| {
+            Ok(Request::Query {
+                table: table.to_string(),
+                predicate: self.rewrite_for_provider(&plan, &server_preds, p)?,
+                agg: Some(agg),
+            }
+            .encode())
+        })?;
+        let responses = self.first_k(reqs)?;
         let partials: Vec<(ProviderId, i128, u64, Option<Row>)> = responses
             .into_iter()
             .map(|(p, resp)| match resp {
@@ -1754,8 +1793,7 @@ impl DataSource {
             right_col: ri,
         }
         .encode();
-        let k = self.keys.k();
-        let responses = self.gather(|_| Ok(req.clone()), k, 0, QuorumMode::FirstK)?;
+        let responses = self.first_k(to_each(self.keys.n(), |_| Ok(req.clone()))?)?;
         // Zip pairs by (left id, right id); reconstruct each side.
         let mut left_rows: Vec<(ProviderId, RowBlock)> = Vec::new();
         let mut right_rows: Vec<(ProviderId, RowBlock)> = Vec::new();
@@ -1796,8 +1834,9 @@ impl DataSource {
         let req = Request::Delete {
             table: table.to_string(),
             ids: ids.clone(),
-        };
-        self.broadcast_ack(&req)?;
+        }
+        .encode();
+        write(&self.cluster, to_each(self.keys.n(), |_| Ok(req.clone()))?)?;
         let mut cancelled = Vec::new();
         if let Some(state) = self.tables.get_mut(table) {
             for id in &ids {
@@ -1891,7 +1930,7 @@ impl DataSource {
                 )
             })
             .collect();
-        self.send_all_ack(reqs)
+        write(&self.cluster, reqs)
     }
 
     /// §V-C incremental update: add `delta` to a **random-mode** numeric
@@ -1965,7 +2004,7 @@ impl DataSource {
                 )
             })
             .collect();
-        self.send_all_ack(reqs)?;
+        write(&self.cluster, reqs)?;
         Ok(count)
     }
 
@@ -2056,15 +2095,18 @@ impl DataSource {
     ///   it held before, and existing (k-of-n) invariants are preserved
     ///   without touching any other provider.
     ///
-    /// Nothing is written until every share is checked. When at least
-    /// k + 1 other providers answer, every row must come back from each
-    /// of them, every deterministic and order-preserving value must
-    /// decode by majority, and every random-mode column's (k+1)-th share
-    /// must lie on the polynomial of the first k. A disagreement is
-    /// [`ClientError::RebuildMismatch`] naming the table, and leaves the
-    /// target as it was. With only k other providers answering (n − 1 = k,
-    /// or one of them down) nothing is checkable: the shares are used as
-    /// they arrive.
+    /// Nothing is written until every share is checked. Each table is
+    /// fetched from the other providers in one round, which keeps the
+    /// first k + 1 answers (k when no more exist). A peer whose answer is
+    /// not rows is named in [`DataSource::last_faulty`] and passed over
+    /// like a crashed one. When k + 1 answers are in, every row must come
+    /// back from each of them, every deterministic and order-preserving
+    /// value must decode by majority, and every random-mode column's
+    /// (k+1)-th share must lie on the polynomial of the first k. A
+    /// disagreement is [`ClientError::RebuildMismatch`] naming the table,
+    /// and leaves the target as it was. With only k answers (n − 1 = k,
+    /// or a peer down or passed over) nothing is checkable: the shares are
+    /// used as they arrive.
     ///
     /// The target provider must be reachable (it is the replacement
     /// node); at least k *other* providers must be alive.
@@ -2075,6 +2117,7 @@ impl DataSource {
         }
         let k = self.keys.k();
         let x_target = self.keys.field_point(target)?;
+        self.last_faulty.clear();
         let tables: Vec<String> = self.tables.keys().cloned().collect();
         let mut rebuilt = Vec::with_capacity(tables.len());
         for table in tables {
@@ -2083,34 +2126,22 @@ impl DataSource {
                 table: table.clone(),
                 detail,
             };
-            // Fetch full share tables from k + 1 other providers, or k
-            // when no more exist.
             let req = Request::Query {
                 table: table.clone(),
                 predicate: vec![],
                 agg: None,
             }
             .encode();
-            let wanted = (k + 1).min(n - 1);
-            let mut healthy: Vec<(ProviderId, RowBlock)> = Vec::new();
-            for p in 0..n {
-                if p == target || healthy.len() == wanted {
-                    continue;
-                }
-                let Ok(bytes) = self.cluster.call_with_retry(p, req.clone(), &self.retry) else {
-                    continue;
-                };
-                let Ok(Response::Rows(rows)) = Response::decode(&bytes) else {
-                    continue;
-                };
-                healthy.push((p, rows));
-            }
-            if healthy.len() < k {
-                return Err(ClientError::Reconstruction(format!(
-                    "only {} healthy providers, need {k}",
-                    healthy.len()
-                )));
-            }
+            let peers = vec![(0..n)
+                .filter(|&p| p != target)
+                .map(|p| (p, req.clone()))
+                .collect()];
+            let extra = usize::from(n - 1 > k);
+            let retry = self.retry.clone();
+            let answers = ask(&self.cluster, peers, k, extra, FirstK, retry, &rows_only);
+            self.blame(answers.rejected.iter().copied());
+            let healthy = answers.one().map_err(short_of(k, "healthy providers"));
+            let healthy = row_blocks(healthy?)?;
             let answered = healthy.len();
             let checked = answered > k;
             // Zip rows by id.
@@ -2142,8 +2173,10 @@ impl DataSource {
                 }
                 let mut shares = Vec::with_capacity(plan.columns.len());
                 for (col_idx, col) in plan.columns.iter().enumerate() {
-                    let col_shares: Vec<(ProviderId, i128)> =
-                        per_provider.iter().map(|(p, s)| (*p, s[col_idx])).collect();
+                    let col_shares: Vec<(ProviderId, i128)> = per_provider
+                        .iter()
+                        .map(|(p, s)| Ok((*p, *s.get(col_idx).ok_or_else(arity_mismatch)?)))
+                        .collect::<Result<_>>()?;
                     let disagree = || mismatch(format!("row {id}, column {col_idx}"));
                     let regenerated: i128 = match &col.share {
                         ShareCodec::Random => {
@@ -2198,26 +2231,17 @@ impl DataSource {
             rebuilt.push((table, create, rows));
         }
         // Every share checked: wipe the target and write them.
-        let resp = Response::decode(&self.cluster.call(target, Request::DropAllTables.encode())?)?;
-        if !matches!(resp, Response::Ack) {
-            return Err(ClientError::Provider(format!("wipe failed: {resp:?}")));
-        }
+        let to_target = |req: Request| write(&self.cluster, vec![(target, req.encode())]);
+        to_target(Request::DropAllTables)?;
         let mut total_rows = 0usize;
         for (table, create, rows) in rebuilt {
-            let resp = Response::decode(&self.cluster.call(target, create.encode())?)?;
-            if !matches!(resp, Response::Ack) {
-                return Err(ClientError::Provider(format!("recreate failed: {resp:?}")));
-            }
+            to_target(create)?;
             total_rows += rows.len();
             for chunk in rows.chunks(2000) {
-                let req = Request::Insert {
+                to_target(Request::Insert {
                     table: table.clone(),
                     rows: chunk.to_vec(),
-                };
-                let resp = Response::decode(&self.cluster.call(target, req.encode())?)?;
-                if !matches!(resp, Response::Ack) {
-                    return Err(ClientError::Provider(format!("reinsert failed: {resp:?}")));
-                }
+                })?;
             }
         }
         Ok(total_rows)
@@ -2230,7 +2254,8 @@ impl DataSource {
     /// from the share rows it fetches — majority-verifying the values
     /// first — and accepts the provider's root only if it matches, so a
     /// provider cannot commit to tampered data unnoticed (below the
-    /// collusion threshold).
+    /// collusion threshold). Two round trips: the fetch, then the
+    /// challenge.
     ///
     /// Commitments are invalidated by any subsequent mutation; re-commit
     /// after writes.
@@ -2245,14 +2270,10 @@ impl DataSource {
         }
         .encode();
         let want = (self.keys.k() + 1).min(self.keys.n());
-        let responses = self.gather(|_| Ok(req.clone()), want, 0, QuorumMode::All)?;
-        let rows: Vec<(ProviderId, RowBlock)> = responses
-            .into_iter()
-            .map(|(p, resp)| match resp {
-                Response::Rows(rows) => Ok((p, rows)),
-                other => Err(ClientError::Provider(format!("unexpected {other:?}"))),
-            })
-            .collect::<Result<_>>()?;
+        let reqs = to_each(self.keys.n(), |_| Ok(req.clone()))?;
+        let retry = self.retry.clone();
+        let answers = ask(&self.cluster, vec![reqs], want, 0, All, retry, &anything);
+        let rows = row_blocks(answers.one()?)?;
         // Majority-verify the data before pinning it.
         self.last_faulty.clear();
         let _decoded = self.reconstruct_rows(&plan, rows.clone(), true)?;
@@ -2262,7 +2283,8 @@ impl DataSource {
                 self.last_faulty
             )));
         }
-        // Build each provider's expected tree locally and challenge it.
+        // Build each provider's expected tree locally, then challenge
+        // them all at once: each must commit to exactly that tree.
         let mut committed = HashMap::new();
         for (provider, provider_rows) in rows {
             if provider_rows.is_empty() {
@@ -2276,40 +2298,40 @@ impl DataSource {
                 })
                 .collect();
             let expected = dasp_verify::AuthenticatedTable::build(leaves, col_idx);
-            let resp_bytes = self.cluster.call(
-                provider,
-                Request::Commit {
-                    table: table.to_string(),
-                    col: col_idx,
-                }
-                .encode(),
-            )?;
-            let resp = Response::decode(&resp_bytes)?;
-            let Response::Committed { root, total_rows } = resp else {
-                return Err(ClientError::Provider(format!(
-                    "provider {provider}: unexpected commit response"
-                )));
-            };
-            if root != expected.root() || total_rows as usize != expected.len() {
-                return Err(ClientError::Provider(format!(
-                    "provider {provider} committed to a different tree than its data"
-                )));
-            }
-            committed.insert(provider, (root, expected.len()));
+            committed.insert(provider, (expected.root(), expected.len()));
         }
-        let n = committed.len();
+        let challenge = Request::Commit {
+            table: table.to_string(),
+            col: col_idx,
+        }
+        .encode();
+        let reqs: Vec<_> = committed.keys().map(|&p| (p, challenge.clone())).collect();
+        let same_tree = |_: usize, p: ProviderId, resp: &Response| match resp {
+            Response::Committed { root, total_rows }
+                if committed.get(&p) == Some(&(*root, *total_rows as usize)) =>
+            {
+                Ok(())
+            }
+            _ => Err("committed to a different tree than its data".into()),
+        };
+        let need = reqs.len();
+        let none = RetryPolicy::none();
+        ask(&self.cluster, vec![reqs], need, 0, All, none, &same_tree).one()?;
         self.tables
             .get_mut(table)
             .ok_or_else(|| ClientError::Schema(format!("no table {table:?}")))?
             .commitments
             .insert(col.to_string(), committed);
-        Ok(n)
+        Ok(need)
     }
 
     /// Range query with per-provider completeness proofs: any withheld or
     /// forged row fails Merkle verification against the committed root.
-    /// Requires a prior [`DataSource::commit_table`] on an
-    /// order-preserving column.
+    /// The committed providers are asked in one first-k round, each for
+    /// its own share range; an answer whose proof does not verify is
+    /// rejected, named in [`DataSource::last_faulty`], and replaced by the
+    /// next committed provider's. Requires a prior
+    /// [`DataSource::commit_table`] on an order-preserving column.
     pub fn verified_range(
         &mut self,
         table: &str,
@@ -2324,61 +2346,53 @@ impl DataSource {
                 "verified ranges need an order-preserving column".into(),
             ));
         };
-        let commitments = self
-            .table(table)?
-            .commitments
-            .get(col)
-            .cloned()
-            .ok_or_else(|| {
-                ClientError::Unsupported(format!(
-                    "no commitment for {table}.{col}; call commit_table first"
-                ))
-            })?;
-        let k = self.keys.k();
-        let mut verified_rows: Vec<(ProviderId, RowBlock)> = Vec::new();
-        for (&provider, &(root, total)) in &commitments {
-            if verified_rows.len() >= k {
-                break;
-            }
+        let commitments = self.table(table)?.commitments.get(col).ok_or_else(|| {
+            ClientError::Unsupported(format!(
+                "no commitment for {table}.{col}; call commit_table first"
+            ))
+        })?;
+        // Each committed provider's root, size and share range.
+        let mut expect = HashMap::with_capacity(commitments.len());
+        let mut reqs = Vec::with_capacity(commitments.len());
+        for (&provider, &(root, total)) in commitments {
             let (slo, shi) = sharing.range_for(lo, hi, provider)?;
+            expect.insert(provider, (root, total, slo, shi));
             let req = Request::VerifiedRange {
                 table: table.to_string(),
                 col: col_idx,
                 lo: slo,
                 hi: shi,
+            };
+            reqs.push((provider, req.encode()));
+        }
+        let proved = |_: usize, p: ProviderId, resp: &Response| {
+            let (Response::ProvedRows { total_rows, proof }, Some(&(root, total, slo, shi))) =
+                (resp, expect.get(&p))
+            else {
+                return Err(format!("unexpected {resp:?}"));
+            };
+            if *total_rows as usize != total {
+                return Err("changed its table size under a commitment".into());
             }
-            .encode();
-            let Ok(resp_bytes) = self.cluster.call_with_retry(provider, req, &self.retry) else {
-                continue; // crashed provider: try others
-            };
-            let Ok(resp) = Response::decode(&resp_bytes) else {
-                continue;
-            };
-            let Response::ProvedRows { total_rows, proof } = resp else {
-                continue;
-            };
-            if total_rows as usize != total {
-                return Err(ClientError::Provider(format!(
-                    "provider {provider} changed its table size under a commitment"
-                )));
-            }
-            let range_proof = wire_to_range_proof(&proof);
-            range_proof
+            wire_to_range_proof(proof)
                 .verify(&root, slo, shi, col_idx, total)
-                .map_err(|e| {
-                    ClientError::Provider(format!(
-                        "provider {provider} failed completeness verification: {e}"
-                    ))
-                })?;
-            verified_rows.push((provider, proof.rows.iter().collect()));
-        }
-        if verified_rows.len() < k {
-            return Err(ClientError::Reconstruction(format!(
-                "only {} providers passed verification, need {k}",
-                verified_rows.len()
-            )));
-        }
-        self.reconstruct_rows(&plan, verified_rows, false)
+                .map_err(|e| format!("failed completeness verification: {e}"))
+        };
+        let k = self.keys.k();
+        let retry = self.retry.clone();
+        let answers = ask(&self.cluster, vec![reqs], k, 0, FirstK, retry, &proved);
+        self.last_faulty.clone_from(&answers.rejected);
+        let verified = answers
+            .one()
+            .map_err(short_of(k, "providers passed verification"))?;
+        let rows = verified
+            .into_iter()
+            .filter_map(|(p, resp)| match resp {
+                Response::ProvedRows { proof, .. } => Some((p, proof.rows.iter().collect())),
+                _ => None,
+            })
+            .collect();
+        self.reconstruct_rows(&plan, rows, false)
     }
 }
 

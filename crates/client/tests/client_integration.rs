@@ -896,6 +896,75 @@ fn commit_refused_when_provider_data_corrupt() {
 }
 
 #[test]
+fn rebuild_names_a_peer_whose_answer_is_not_rows() {
+    let mut ds = source(2, 4);
+    setup_employees(&mut ds);
+    // Provider 0 lost its tables, so it answers the fetch with an error:
+    // the rebuild passes it over, charges it, and names it.
+    ds.cluster()
+        .call(0, Request::DropAllTables.encode())
+        .unwrap();
+    assert_eq!(ds.rebuild_provider(3).unwrap(), 5);
+    assert_eq!(ds.last_faulty, vec![0]);
+    assert!(ds.health().providers[0].total_failures > 0);
+}
+
+#[test]
+fn verified_range_hedges_past_a_byzantine_provider() {
+    let mut ds = source(2, 3);
+    setup_employees(&mut ds);
+    ds.commit_table("employees", "salary").unwrap();
+    ds.cluster().set_failure(0, FailureMode::Byzantine(1.0));
+    for _ in 0..20 {
+        let rows = ds
+            .verified_range("employees", "salary", 10_000, 40_000)
+            .unwrap();
+        let salaries: Vec<&Value> = rows.iter().map(|(_, v)| &v[1]).collect();
+        assert_eq!(
+            salaries,
+            vec![
+                &Value::Int(10_000),
+                &Value::Int(20_000),
+                &Value::Int(40_000)
+            ]
+        );
+        assert!(
+            ds.last_faulty.iter().all(|&p| p == 0),
+            "{:?}",
+            ds.last_faulty
+        );
+    }
+}
+
+#[test]
+fn each_authenticated_and_rebuild_step_is_one_round_trip() {
+    let mut ds = source(2, 4);
+    setup_employees(&mut ds);
+    let round_trips = |ds: &DataSource| ds.cluster().stats().snapshot().round_trips;
+
+    // commit_table: one fetch, one challenge.
+    let before = round_trips(&ds);
+    assert_eq!(ds.commit_table("employees", "salary").unwrap(), 4);
+    assert_eq!(round_trips(&ds) - before, 2);
+
+    // verified_range: every committed provider in one round.
+    let before = round_trips(&ds);
+    assert_eq!(
+        ds.verified_range("employees", "salary", 0, 1_000_000)
+            .unwrap()
+            .len(),
+        5
+    );
+    assert_eq!(round_trips(&ds) - before, 1);
+
+    // rebuild_provider of one 5-row table: one fetch, then the wipe, the
+    // create and one insert, each a write to the target.
+    let before = round_trips(&ds);
+    assert_eq!(ds.rebuild_provider(3).unwrap(), 5);
+    assert_eq!(round_trips(&ds) - before, 1 + 3);
+}
+
+#[test]
 fn dictionary_codec_handles_arbitrary_text_end_to_end() {
     // §V-B "compressed data": arbitrary-alphabet strings are interned
     // client-side; the providers only ever see shares of dense codes.

@@ -150,8 +150,7 @@ pub enum QuorumMode {
     All,
 }
 
-/// Tuning for [`Cluster::call_quorum_opts`] and
-/// [`Cluster::call_quorum_rounds`].
+/// Tuning for [`Cluster::call_quorum_rounds`].
 pub struct QuorumOptions<'a> {
     /// Retry schedule for failed attempts. Use [`RetryPolicy::none`] for
     /// non-idempotent requests.
@@ -504,65 +503,19 @@ impl Cluster {
         }
     }
 
-    /// Call one provider, counting the exchange as a round trip.
+    /// Call one provider once, counting the exchange as a round trip.
     pub fn call(&self, provider: ProviderId, request: Vec<u8>) -> Result<Vec<u8>, RpcError> {
-        self.call_with_retry(provider, request, &RetryPolicy::none())
-    }
-
-    /// Call one provider, retrying failed attempts per `policy` with
-    /// jittered exponential backoff. Counts one round trip. Only use for
-    /// idempotent requests.
-    pub fn call_with_retry(
-        &self,
-        provider: ProviderId,
-        request: Vec<u8>,
-        policy: &RetryPolicy,
-    ) -> Result<Vec<u8>, RpcError> {
-        let mut results = self.call_all(vec![(provider, request)], policy.clone());
-        results
-            .pop()
-            .map_or(Err(RpcError::Closed), |(_, result)| result)
-    }
-
-    /// Fan a (provider-specific) request out to a subset of providers in
-    /// parallel; returns per-provider results. Counts one round trip.
-    pub fn call_many(
-        &self,
-        requests: Vec<(ProviderId, Vec<u8>)>,
-    ) -> Vec<(ProviderId, Result<Vec<u8>, RpcError>)> {
-        self.call_all(requests, RetryPolicy::none())
-    }
-
-    /// Send every request, breakers notwithstanding, and retry each per
-    /// `retry` until it answers or runs out of attempts. Results come
-    /// back in request order.
-    fn call_all(
-        &self,
-        requests: Vec<(ProviderId, Vec<u8>)>,
-        retry: RetryPolicy,
-    ) -> Vec<(ProviderId, Result<Vec<u8>, RpcError>)> {
-        let n = self.n();
-        let need = requests.len();
         let opts = QuorumOptions {
-            retry,
             mode: QuorumMode::All,
             ..Default::default()
         };
-        let mut rounds = self.run_quorum(vec![requests], need, &opts);
-        rounds
-            .pop()
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(provider, resolution)| {
-                let result = match resolution {
-                    Ok(response) => Ok(response),
-                    Err(_) if provider >= n => Err(RpcError::UnknownProvider(provider)),
-                    Err(ProviderOutcome::Disconnected) => Err(RpcError::Closed),
-                    Err(_) => Err(RpcError::Timeout(provider)),
-                };
-                (provider, result)
-            })
-            .collect()
+        let resolution = self.run_quorum(vec![vec![(provider, request)]], 1, &opts);
+        match resolution.into_iter().flatten().next() {
+            Some((_, Ok(response))) => Ok(response),
+            Some(_) if provider >= self.n() => Err(RpcError::UnknownProvider(provider)),
+            Some((_, Err(ProviderOutcome::Disconnected))) | None => Err(RpcError::Closed),
+            Some(_) => Err(RpcError::Timeout(provider)),
+        }
     }
 
     /// Fan out and return as soon as `k` successes arrive (the paper's
@@ -577,35 +530,25 @@ impl Cluster {
             hedge: usize::MAX,
             ..Default::default()
         };
-        self.call_quorum_opts(requests, k, &opts)
-            .map_err(|e| RpcError::QuorumUnreachable {
+        let mut rounds = self.run_quorum(vec![requests], k, &opts);
+        quorum_result(k, rounds.pop().unwrap_or_default()).map_err(|e| {
+            RpcError::QuorumUnreachable {
                 needed: e.needed,
                 got: e.got,
-            })
+            }
+        })
     }
 
-    /// First-k-wins quorum call with retries, hedging, and breaker-aware
-    /// provider selection. Returns the successful `(provider, response)`
-    /// pairs in request order — at least `need` of them, up to
-    /// `need + extra` — or a [`QuorumError`] post-mortem. The one-round
-    /// form of [`call_quorum_rounds`](Self::call_quorum_rounds).
-    pub fn call_quorum_opts(
-        &self,
-        requests: Vec<(ProviderId, Vec<u8>)>,
-        need: usize,
-        opts: &QuorumOptions<'_>,
-    ) -> Result<Vec<(ProviderId, Vec<u8>)>, QuorumError> {
-        let mut rounds = self.run_quorum(vec![requests], need, opts);
-        quorum_result(need, rounds.pop().unwrap_or_default())
-    }
-
-    /// Several independent quorum calls in one engine run, so their
-    /// requests overlap on the wire and at the providers while the caller
-    /// waits once. Each round is judged on its own — its retries,
-    /// escalations and breaker top-ups, its success count — and resolves
-    /// exactly as [`call_quorum_opts`](Self::call_quorum_opts) would
-    /// resolve it alone; `opts.validate` receives the round's index.
-    /// Results come back in round order. Counts one round trip.
+    /// First-k-wins quorum calls with retries, hedging and breaker-aware
+    /// provider selection, several in one engine run, so their requests
+    /// overlap on the wire and at the providers while the caller waits
+    /// once. Each round is judged on its own — its retries, escalations
+    /// and breaker top-ups, its success count — and resolves exactly as
+    /// it would alone; `opts.validate` receives the round's index. Each
+    /// round returns its successful `(provider, response)` pairs in
+    /// request order — at least `need` of them, up to `need + extra` — or
+    /// a [`QuorumError`] post-mortem. Results come back in round order.
+    /// Counts one round trip.
     #[allow(clippy::type_complexity)]
     pub fn call_quorum_rounds(
         &self,
@@ -1154,6 +1097,31 @@ mod tests {
         Cluster::spawn_concurrent(services, Duration::from_millis(200), 1)
     }
 
+    /// [`Cluster::call_quorum_rounds`] with a single round.
+    fn one_round(
+        cluster: &Cluster,
+        requests: Vec<(ProviderId, Vec<u8>)>,
+        need: usize,
+        opts: &QuorumOptions<'_>,
+    ) -> Result<Vec<(ProviderId, Vec<u8>)>, QuorumError> {
+        cluster
+            .call_quorum_rounds(vec![requests], need, opts)
+            .remove(0)
+    }
+
+    /// Send every request, breakers notwithstanding; each must answer.
+    fn fan_out(
+        cluster: &Cluster,
+        requests: Vec<(ProviderId, Vec<u8>)>,
+    ) -> Result<Vec<(ProviderId, Vec<u8>)>, QuorumError> {
+        let need = requests.len();
+        let opts = QuorumOptions {
+            mode: QuorumMode::All,
+            ..Default::default()
+        };
+        one_round(cluster, requests, need, &opts)
+    }
+
     /// Two plain echo providers whose breakers open after
     /// `failure_threshold` failures and cool down on `clock`.
     fn breaker_cluster(
@@ -1201,10 +1169,10 @@ mod tests {
     fn fan_out_hits_all() {
         let cluster = echo_cluster(4);
         let reqs = (0..4).map(|i| (i, vec![i as u8])).collect();
-        let results = cluster.call_many(reqs);
+        let results = fan_out(&cluster, reqs).unwrap();
         assert_eq!(results.len(), 4);
         for (provider, result) in results {
-            assert_eq!(result.unwrap(), vec![provider as u8, provider as u8]);
+            assert_eq!(result, vec![provider as u8, provider as u8]);
         }
         // One fan-out = one round trip.
         assert_eq!(cluster.stats().snapshot().round_trips, 1);
@@ -1213,11 +1181,16 @@ mod tests {
     #[test]
     fn fan_out_reports_unknown_providers_in_order() {
         let cluster = echo_cluster(2);
-        let results = cluster.call_many(vec![(0, vec![1]), (7, vec![2]), (1, vec![3])]);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].1.is_ok());
-        assert_eq!(results[1].1, Err(RpcError::UnknownProvider(7)));
-        assert!(results[2].1.is_ok());
+        let err = fan_out(&cluster, vec![(0, vec![1]), (7, vec![2]), (1, vec![3])]).unwrap_err();
+        assert_eq!(err.got, 2);
+        assert_eq!(
+            err.per_provider,
+            vec![
+                (0, ProviderOutcome::Ok),
+                (7, ProviderOutcome::Unsent),
+                (1, ProviderOutcome::Ok)
+            ]
+        );
     }
 
     #[test]
@@ -1267,7 +1240,7 @@ mod tests {
             ..Default::default()
         };
         let reqs = (0..4).map(|i| (i, vec![1])).collect();
-        let got = cluster.call_quorum_opts(reqs, 2, &opts).unwrap();
+        let got = one_round(&cluster, reqs, 2, &opts).unwrap();
         assert_eq!(got.len(), 3, "need + extra responses collected");
     }
 
@@ -1281,7 +1254,7 @@ mod tests {
             ..Default::default()
         };
         let reqs = (0..3).map(|i| (i, vec![1])).collect();
-        let got = cluster.call_quorum_opts(reqs, 2, &opts).unwrap();
+        let got = one_round(&cluster, reqs, 2, &opts).unwrap();
         assert_eq!(got.len(), 2, "extra is best-effort, need is the floor");
     }
 
@@ -1301,11 +1274,11 @@ mod tests {
             ..Default::default()
         };
         let reqs: Vec<_> = (0..3).map(|i| (i, vec![1])).collect();
-        let got = cluster.call_quorum_opts(reqs.clone(), 2, &opts).unwrap();
+        let got = one_round(&cluster, reqs.clone(), 2, &opts).unwrap();
         assert_eq!(got.len(), 2);
         assert!(got.iter().all(|(p, _)| *p != 0));
 
-        let err = cluster.call_quorum_opts(reqs, 3, &opts).unwrap_err();
+        let err = one_round(&cluster, reqs, 3, &opts).unwrap_err();
         assert_eq!(err.needed, 3);
         assert_eq!(err.got, 2);
         assert!(err.per_provider.iter().any(|(p, o)| {
@@ -1324,10 +1297,13 @@ mod tests {
             per_attempt_timeout: Some(Duration::from_millis(25)),
             jitter_seed: 7,
         };
-        let resp = cluster
-            .call_with_retry(0, b"hi".to_vec(), &policy)
+        let opts = QuorumOptions {
+            retry: policy,
+            ..Default::default()
+        };
+        let resp = one_round(&cluster, vec![(0, b"hi".to_vec())], 1, &opts)
             .expect("retries ride out omission faults");
-        assert_eq!(resp, b"\x00hi");
+        assert_eq!(resp, vec![(0, b"\x00hi".to_vec())]);
         assert_eq!(cluster.stats().snapshot().round_trips, 1);
     }
 
@@ -1347,7 +1323,7 @@ mod tests {
             ..Default::default()
         };
         let reqs = (0..3).map(|i| (i, vec![5])).collect();
-        let got = cluster.call_quorum_opts(reqs, 3, &opts).unwrap();
+        let got = one_round(&cluster, reqs, 3, &opts).unwrap();
         assert_eq!(got.len(), 3, "omitting provider healed by retries");
     }
 
@@ -1368,7 +1344,7 @@ mod tests {
             ..Default::default()
         };
         let sent = cluster.stats().snapshot().messages_sent;
-        let got = cluster.call_quorum_opts(reqs.clone(), 1, &opts).unwrap();
+        let got = one_round(&cluster, reqs.clone(), 1, &opts).unwrap();
         assert_eq!(got, vec![(1, vec![2])]);
         assert_eq!(
             cluster.stats().snapshot().messages_sent - sent,
@@ -1379,7 +1355,7 @@ mod tests {
         // After healing + cooldown, a half-open probe re-admits it.
         cluster.set_failure(0, FailureMode::Healthy);
         clock.advance(Duration::from_millis(100));
-        let got = cluster.call_quorum_opts(reqs, 2, &opts).unwrap();
+        let got = one_round(&cluster, reqs, 2, &opts).unwrap();
         assert_eq!(got.len(), 2, "probe re-admits the healed provider");
         assert_eq!(cluster.health().breaker_state(0), BreakerState::Closed);
         cluster.shutdown();
@@ -1394,9 +1370,7 @@ mod tests {
         // Breaker on 0 is open with an hour of cooldown left, but a
         // quorum of 2 of 2 cannot be met without it.
         let reqs: Vec<_> = (0..2).map(|i| (i, vec![3])).collect();
-        let got = cluster
-            .call_quorum_opts(reqs, 2, &QuorumOptions::default())
-            .unwrap();
+        let got = one_round(&cluster, reqs, 2, &QuorumOptions::default()).unwrap();
         assert_eq!(got.len(), 2);
     }
 
@@ -1412,8 +1386,11 @@ mod tests {
             start.elapsed() < Duration::from_millis(50),
             "no timeout wait"
         );
-        let results = cluster.call_many(vec![(0, vec![1]), (1, vec![2])]);
-        assert!(results.iter().all(|(_, r)| *r == Err(RpcError::Closed)));
+        let err = fan_out(&cluster, vec![(0, vec![1]), (1, vec![2])]).unwrap_err();
+        assert!(err
+            .per_provider
+            .iter()
+            .all(|(_, o)| *o == ProviderOutcome::Disconnected));
         let err = cluster
             .call_quorum((0..2).map(|i| (i, vec![])).collect(), 1)
             .unwrap_err();
@@ -1465,8 +1442,7 @@ mod tests {
         );
         // Fan-out to all three in parallel: latency is paid once, not 3×.
         let start = std::time::Instant::now();
-        let results = cluster.call_many((0..3).map(|p| (p, vec![2])).collect());
-        assert!(results.iter().all(|(_, r)| r.is_ok()));
+        fan_out(&cluster, (0..3).map(|p| (p, vec![2])).collect()).unwrap();
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_millis(30));
         assert!(
@@ -1517,12 +1493,16 @@ mod tests {
         let cluster =
             Cluster::spawn_concurrent(vec![sleepy_shared_provider()], Duration::from_secs(2), 2);
         let start = Instant::now();
-        let results = cluster.call_many(vec![(0, vec![60, 1]), (0, vec![20, 2]), (0, vec![20, 3])]);
+        let results = fan_out(
+            &cluster,
+            vec![(0, vec![60, 1]), (0, vec![20, 2]), (0, vec![20, 3])],
+        )
+        .unwrap();
         let elapsed = start.elapsed();
         // Every request got its own reply despite the shared channel.
         assert_eq!(results.len(), 3);
         for (i, expect) in [vec![60u8, 1], vec![20, 2], vec![20, 3]].iter().enumerate() {
-            assert_eq!(results[i].1.as_ref().unwrap(), expect, "slot {i}");
+            assert_eq!(&results[i].1, expect, "slot {i}");
         }
         // Compare against a serial replay rather than a wall-clock bound,
         // so the assertion holds on loaded machines too: one worker pays
@@ -1536,9 +1516,11 @@ mod tests {
                 1,
             );
             let start = Instant::now();
-            let results =
-                cluster.call_many(vec![(0, vec![60, 1]), (0, vec![20, 2]), (0, vec![20, 3])]);
-            assert!(results.iter().all(|(_, r)| r.is_ok()));
+            fan_out(
+                &cluster,
+                vec![(0, vec![60, 1]), (0, vec![20, 2]), (0, vec![20, 3])],
+            )
+            .unwrap();
             start.elapsed()
         };
         assert!(
@@ -1609,7 +1591,7 @@ mod tests {
             } else {
                 assert_eq!(got, &Ok(vec![(0, vec![0, tag]), (2, vec![2, tag])]));
             }
-            let alone = cluster.call_quorum_opts(requests, 2, &opts);
+            let alone = one_round(&cluster, requests, 2, &opts);
             assert_eq!(got, &alone, "round {r} resolved differently alone");
         }
     }

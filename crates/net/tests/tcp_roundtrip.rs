@@ -172,7 +172,15 @@ fn cluster_runs_over_sockets() {
         assert_eq!(resp[0], 0xC0 + i as u8);
         assert_eq!(&resp[1..], b"ping");
     }
-    let all = cluster.call_many((0..3).map(|i| (i, b"fan".to_vec())).collect());
+    let all: Vec<_> = cluster
+        .call_quorum_rounds(
+            (0..3).map(|i| vec![(i, b"fan".to_vec())]).collect(),
+            1,
+            &QuorumOptions::default(),
+        )
+        .into_iter()
+        .enumerate()
+        .collect();
     assert!(all.iter().all(|(_, r)| r.is_ok()));
     let mut cluster = cluster;
     cluster.shutdown();
@@ -242,7 +250,8 @@ fn a_send_held_by_a_stalled_peer_times_out_no_provider_that_answered() {
         ..Default::default()
     };
     let got = cluster
-        .call_quorum_opts(reqs, 2, &opts)
+        .call_quorum_rounds(vec![reqs], 2, &opts)
+        .remove(0)
         .expect("two healthy providers answered");
     assert_eq!(got, vec![(0, b"\x20a".to_vec()), (1, b"\x21b".to_vec())]);
     let health = cluster.health().snapshot();
@@ -281,7 +290,8 @@ fn a_reset_connection_escalates_a_read_at_once() {
     let start = Instant::now();
     let got = std::thread::scope(|s| {
         s.spawn(|| reset_after_first_request(&flaky));
-        cluster.call_quorum_opts((0..3).map(|p| (p, b"r".to_vec())).collect(), 2, &opts)
+        let reqs = (0..3).map(|p| (p, b"r".to_vec())).collect();
+        cluster.call_quorum_rounds(vec![reqs], 2, &opts).remove(0)
     })
     .expect("providers 1 and 2 answer");
     assert_eq!(got, vec![(1, b"\x31r".to_vec()), (2, b"\x32r".to_vec())]);
@@ -327,7 +337,9 @@ fn a_reset_connection_resends_a_read_within_its_attempt() {
             reset_after_first_request(&flaky);
             echo_frames(flaky.accept().expect("the redial").0);
         });
-        let got = cluster.call_quorum_opts(vec![(0, b"again".to_vec())], 1, &opts);
+        let got = cluster
+            .call_quorum_rounds(vec![vec![(0, b"again".to_vec())]], 1, &opts)
+            .remove(0);
         drop(cluster);
         // Frees the peer should no redial have come.
         drop(TcpStream::connect(addr));

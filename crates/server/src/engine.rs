@@ -244,12 +244,25 @@ type LeafRecords = Vec<(Leaf<u64, Vec<i128>>, Box<[u8]>)>;
 struct WriteState {
     tables: HashMap<String, Arc<TableSnap>>,
     commitments: HashMap<(String, usize), Arc<AuthenticatedTable>>,
+    /// Commitments recovery owes: those of the checkpoint image and of
+    /// replayed `Commit`s, dropped as built ones are by a later write to
+    /// their table. Recovery builds what is left once, after the last
+    /// record. Empty outside recovery.
+    unbuilt: HashSet<(String, usize)>,
     seq: u64,
     /// `None` for a volatile engine.
     store: Option<Store>,
     /// Set when disk state may disagree with memory (failed append or
     /// checkpoint); all further writes are refused until recovery.
     broken: Option<String>,
+}
+
+impl WriteState {
+    /// A write to `table` voids its commitments, built or owed.
+    fn drop_commitments(&mut self, table: &str) {
+        self.commitments.retain(|(t, _), _| t != table);
+        self.unbuilt.retain(|(t, _)| t != table);
+    }
 }
 
 /// Tuning for a durable provider.
@@ -376,6 +389,7 @@ impl ProviderEngine {
             write: Mutex::new(WriteState {
                 tables: HashMap::new(),
                 commitments: HashMap::new(),
+                unbuilt: HashSet::new(),
                 seq: 0,
                 store: None,
                 broken: None,
@@ -387,7 +401,8 @@ impl ProviderEngine {
 
     /// Open (or create) a durable provider in `dir`, recovering any
     /// existing state: checkpoint image first, then replay of the
-    /// write-ahead log's intact records, then one sort per index. Every
+    /// write-ahead log's intact records, then one sort per index and one
+    /// build per surviving Merkle commitment. Every
     /// acknowledged write op is in the image or the log by construction,
     /// so the rows and Merkle commitments are bit-identical to the
     /// pre-crash ones, and each index holds the same keys. An index's
@@ -432,17 +447,16 @@ impl ProviderEngine {
         image.finish()?;
         report.checkpoint_tables = tables.len() as u64;
 
-        // Rebuild published commitments. `AuthenticatedTable::build` is
-        // deterministic on row content, so roots match pre-crash ones.
-        let mut commitments = HashMap::new();
+        // The image's commitments are owed, not built: a logged write may
+        // drop them.
+        let mut unbuilt = HashSet::with_capacity(meta.committed.len());
         for (tname, col) in &meta.committed {
-            let Some(snap) = tables.get(tname) else {
+            if !tables.contains_key(tname) {
                 return Err(RecoveryError::CorruptMeta(
                     "commitment references missing table",
                 ));
-            };
-            let at = Self::build_commitment(snap, *col as usize).map_err(RecoveryError::Replay)?;
-            commitments.insert((tname.clone(), *col as usize), Arc::new(at));
+            }
+            unbuilt.insert((tname.clone(), *col as usize));
         }
 
         // Open the log for this generation and replay its records
@@ -450,13 +464,15 @@ impl ProviderEngine {
         // that succeeded against the pre-crash engine were ever logged,
         // so a replay failure means genuine log/image disagreement.
         // Replay maintains the rows trees only: every table, loaded or
-        // created by a replayed `CreateTable`, has no index yet.
+        // created by a replayed `CreateTable`, has no index yet, and a
+        // replayed `Commit` is checked and owed, not built.
         let rec = Wal::open(&dir.join(WAL_FILE), meta.generation, cfg.wal)?;
         report.torn_bytes = rec.torn_bytes;
         report.wal_reset = rec.reset;
         let mut ws = WriteState {
             tables,
-            commitments,
+            commitments: HashMap::new(),
+            unbuilt,
             seq: 0,
             store: Some(Store {
                 dir: dir.to_path_buf(),
@@ -476,11 +492,20 @@ impl ProviderEngine {
             report.wal_records += 1;
         }
         // Then each index once, from the final rows: one sort instead of
-        // one random-key insert per logged row.
+        // one random-key insert per logged row. And each commitment still
+        // owed, once: `AuthenticatedTable::build` is deterministic on row
+        // content, so roots match pre-crash ones.
         for (name, t) in &mut ws.tables {
             Arc::make_mut(t).build_indexes().ok_or_else(|| {
                 RecoveryError::Replay(format!("duplicate index key in table {name:?}"))
             })?;
+        }
+        for (table, col) in std::mem::take(&mut ws.unbuilt) {
+            let t = ws.tables.get(&table).ok_or_else(|| {
+                RecoveryError::Replay(format!("commitment to missing table {table:?}"))
+            })?;
+            let at = Self::build_commitment(t, col).map_err(RecoveryError::Replay)?;
+            ws.commitments.insert((table, col), Arc::new(at));
         }
         ws.seq = report.wal_records;
         if let Some(store) = &mut ws.store {
@@ -744,6 +769,7 @@ impl ProviderEngine {
             Request::DropAllTables => {
                 ws.tables.clear();
                 ws.commitments.clear();
+                ws.unbuilt.clear();
                 Ok(Response::Ack)
             }
             other => Err(format!("not a write request: {other:?}")),
@@ -804,7 +830,7 @@ impl ProviderEngine {
                 }
             }
         }
-        ws.commitments.retain(|(t, _), _| t != table);
+        ws.drop_commitments(table);
         let t = Self::table_mut(&mut ws.tables, table)?;
         for row in rows {
             t.insert_row(row.id, row.shares.clone());
@@ -816,7 +842,7 @@ impl ProviderEngine {
         if !ws.tables.contains_key(table) {
             return Err(format!("no such table {table:?}"));
         }
-        ws.commitments.retain(|(t, _), _| t != table);
+        ws.drop_commitments(table);
         let t = Self::table_mut(&mut ws.tables, table)?;
         for &id in ids {
             t.remove_row(id); // deleting a missing row is a no-op
@@ -848,7 +874,7 @@ impl ProviderEngine {
                 }
             }
         }
-        ws.commitments.retain(|(t, _), _| t != table);
+        ws.drop_commitments(table);
         let t = Self::table_mut(&mut ws.tables, table)?;
         for row in rows {
             t.remove_row(row.id);
@@ -893,7 +919,7 @@ impl ProviderEngine {
             }
             changed
         };
-        ws.commitments.retain(|(t, _), _| t != table);
+        ws.drop_commitments(table);
         let t = Self::table_mut(&mut ws.tables, table)?;
         for (id, value) in changed {
             if let Some(shares) = t.rows.get_mut(&id) {
@@ -905,7 +931,7 @@ impl ProviderEngine {
         Ok(Response::Ack)
     }
 
-    fn build_commitment(t: &TableSnap, col: usize) -> Result<AuthenticatedTable, String> {
+    fn check_commitment(t: &TableSnap, col: usize) -> Result<(), String> {
         if t.rows.is_empty() {
             return Err("cannot commit to an empty table".into());
         }
@@ -914,6 +940,11 @@ impl ProviderEngine {
                 return Err(format!("commit column {col} out of range"));
             }
         }
+        Ok(())
+    }
+
+    fn build_commitment(t: &TableSnap, col: usize) -> Result<AuthenticatedTable, String> {
+        Self::check_commitment(t, col)?;
         let committed: Vec<CommittedRow> = t
             .rows
             .iter()
@@ -925,7 +956,9 @@ impl ProviderEngine {
         Ok(AuthenticatedTable::build(committed, col))
     }
 
-    /// Build a commitment over the table sorted by `col`'s shares.
+    /// Build a commitment over the table sorted by `col`'s shares. A
+    /// replayed one (`stats` is `None`) is checked and owed: recovery
+    /// builds it after the last record unless a later write drops it.
     fn apply_commit(
         ws: &mut WriteState,
         table: &str,
@@ -936,14 +969,17 @@ impl ProviderEngine {
             .tables
             .get(table)
             .ok_or_else(|| format!("no such table {table:?}"))?;
-        if let Some(stats) = stats {
-            // The commitment reads every row, which the stats report as
-            // one full scan (as the pre-snapshot engine did).
-            stats.full_scans.fetch_add(1, Ordering::Relaxed);
-            stats
-                .rows_examined
-                .fetch_add(t.rows.len() as u64, Ordering::Relaxed);
-        }
+        let Some(stats) = stats else {
+            Self::check_commitment(t, col)?;
+            ws.unbuilt.insert((table.to_string(), col));
+            return Ok(Response::Ack); // replay discards its responses
+        };
+        // The commitment reads every row, which the stats report as one
+        // full scan (as the pre-snapshot engine did).
+        stats.full_scans.fetch_add(1, Ordering::Relaxed);
+        stats
+            .rows_examined
+            .fetch_add(t.rows.len() as u64, Ordering::Relaxed);
         let at = Self::build_commitment(t, col)?;
         let root = at.root();
         let total = t.rows.len() as u64;
@@ -3208,6 +3244,56 @@ pub(crate) mod tests {
             e.execute(&request);
         }
         drop(reopen(e));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_builds_only_the_commitments_no_later_write_dropped() {
+        let _gate = HOOK_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = test_dir("owed-commitments");
+        let (e, _) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        let ok = |request: Request| {
+            let resp = e.execute(&request);
+            assert!(matches!(resp, Response::Committed { .. }), "{resp:?}");
+        };
+        for table in ["a", "b"] {
+            assert_eq!(e.execute(&create_for(table)), Response::Ack);
+        }
+        e.execute(&Request::Insert {
+            table: "a".into(),
+            rows: rows(&[(1, &[1, 2, 3]), (2, &[4, 5, 6])]),
+        });
+        e.execute(&Request::Insert {
+            table: "b".into(),
+            rows: rows(&[(1, &[7, 8]), (2, &[9, 10])]),
+        });
+        let commit = |table: &str, col| Request::Commit {
+            table: table.into(),
+            col,
+        };
+        ok(commit("a", 0));
+        ok(commit("b", 0));
+        e.checkpoint().unwrap();
+        // The log drops the image's commitment to `b`, commits `b` again
+        // and drops that too, and adds one to `a`.
+        e.execute(&Request::Delete {
+            table: "b".into(),
+            ids: vec![2],
+        });
+        ok(commit("b", 1));
+        e.execute(&Request::Update {
+            table: "b".into(),
+            rows: rows(&[(1, &[11, 12])]),
+        });
+        ok(commit("a", 2));
+        let live = engine_image(&e);
+        let committed: Vec<_> = live.1.iter().map(|(key, _)| key.clone()).collect();
+        assert_eq!(committed, vec![("a".to_string(), 0), ("a".to_string(), 2)]);
+        drop(e);
+        let (recovered, report) = ProviderEngine::durable(&dir, tight_cfg()).unwrap();
+        assert_eq!(report.wal_records, 4);
+        assert_eq!(engine_image(&recovered), live);
+        drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -172,7 +172,11 @@ fn hedged_reads_race_stragglers_on_both_transports() {
         };
         let reqs: Vec<_> = (0..4).map(|p| (p, b"h".to_vec())).collect();
         let start = Instant::now();
-        let got = fx.cluster.call_quorum_opts(reqs, 2, &opts).expect("quorum");
+        let got = fx
+            .cluster
+            .call_quorum_rounds(vec![reqs], 2, &opts)
+            .remove(0)
+            .expect("quorum");
         let elapsed = start.elapsed();
         assert!(got.len() >= 2, "{t:?}");
         assert!(
@@ -225,7 +229,16 @@ fn retries_heal_omission_identically_on_both_transports() {
         // every transport; retries recover within the schedule either way.
         let resp = fx
             .cluster
-            .call_with_retry(1, b"r".to_vec(), &policy)
+            .call_quorum_rounds(
+                vec![vec![(1, b"r".to_vec())]],
+                1,
+                &QuorumOptions {
+                    retry: policy.clone(),
+                    ..Default::default()
+                },
+            )
+            .remove(0)
+            .map(|mut got| got.remove(0).1)
             .expect("retries heal omission");
         assert_eq!(resp, expected(1, b"r"), "{t:?}");
     }
@@ -254,7 +267,11 @@ fn byzantine_injection_sits_above_the_socket_on_both_transports() {
             validate: Some(&validate),
         };
         let reqs: Vec<_> = (0..3).map(|p| (p, b"b".to_vec())).collect();
-        let got = fx.cluster.call_quorum_opts(reqs, 2, &opts).expect("quorum");
+        let got = fx
+            .cluster
+            .call_quorum_rounds(vec![reqs], 2, &opts)
+            .remove(0)
+            .expect("quorum");
         assert!(got.len() >= 2, "{t:?}");
         assert!(
             got.iter().all(|(p, r)| *r == expected(*p as u8, b"b")),
@@ -335,12 +352,22 @@ fn query_many_positions_identical_with_batching_on_and_off() {
 fn worker_pools_multiplex_identically_on_both_transports() {
     // Out-of-order completion: a slow request issued first must not
     // block a fast one (token multiplexing), channel or socket alike.
-    // call_many fans out concurrently on every transport.
+    // One engine run fans out concurrently on every transport.
     for t in TRANSPORTS {
         let fx = fixture(t, 4, Duration::from_secs(2), BreakerConfig::default());
         let reqs: Vec<_> = (0..4).map(|p| (p, vec![p as u8; 1000])).collect();
         let start = Instant::now();
-        let results = fx.cluster.call_many(reqs);
+        let results: Vec<_> = fx
+            .cluster
+            .call_quorum_rounds(
+                reqs.into_iter().map(|r| vec![r]).collect(),
+                1,
+                &QuorumOptions::default(),
+            )
+            .into_iter()
+            .enumerate()
+            .map(|(p, r)| (p, r.map(|mut got| got.remove(0).1)))
+            .collect();
         assert_eq!(results.len(), 4);
         for (p, r) in &results {
             assert_eq!(
