@@ -1,13 +1,14 @@
 //! Micro-benchmarks of the substrates: field arithmetic, share
 //! construction/reconstruction (the client's per-value costs), the
 //! from-scratch crypto used by baselines, the provider's persistent
-//! table map against std's `BTreeMap`, and the provider engine's writes,
-//! reads and recovery.
+//! table map against std's `BTreeMap`, the provider engine's writes,
+//! reads and recovery, and a call through a provider's worker pool.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dasp_bigint::{mod_pow, mod_pow_plain, BigUint, MontgomeryCtx};
 use dasp_crypto::{sha256, Aes128, OpeCipher, SipHash24};
 use dasp_field::{Fp, Poly};
+use dasp_net::{Cluster, SharedService};
 use dasp_server::pmap::PMap;
 use dasp_server::{DurableConfig, PredAtom, ProviderEngine, Request, Response, Row};
 use dasp_sss::{DomainKey, FieldSharing, OpSharing, OpssParams, StringCodec};
@@ -16,6 +17,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn configured() -> Criterion {
@@ -380,10 +382,27 @@ fn bench_engine_recover(c: &mut Criterion) {
     }
 }
 
+/// `Cluster::call` to an in-process echo provider: the quorum engine,
+/// the provider's request queue and the reply channel, at one and at four
+/// workers sharing the queue. Each request wakes one worker either way,
+/// so the two rows should agree.
+fn bench_net(c: &mut Criterion) {
+    let mut g = c.benchmark_group("net");
+    g.sample_size(20_000);
+    for workers in [1, 4] {
+        let echo: Arc<dyn SharedService> = Arc::new(|req: &[u8]| req.to_vec());
+        let cluster = Cluster::spawn_concurrent(vec![echo], Duration::from_secs(5), workers);
+        g.bench_function(format!("pool_roundtrip_w{workers}"), |bench| {
+            bench.iter(|| cluster.call(0, vec![7; 64]).unwrap())
+        });
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = configured();
     targets = bench_field, bench_sss, bench_crypto, bench_bigint, bench_pmap,
-        bench_engine_insert, bench_engine_range, bench_engine_recover
+        bench_engine_insert, bench_engine_range, bench_engine_recover, bench_net
 }
 criterion_main!(benches);

@@ -19,7 +19,8 @@ use dasp_crypto::merkle::MerkleProof;
 use dasp_field::{lagrange_eval_at, Fp};
 use dasp_net::QuorumMode::{All, FirstK};
 use dasp_net::{
-    Cluster, HealthSnapshot, ProviderId, QuorumError, QuorumMode, QuorumOptions, RetryPolicy,
+    Cluster, HealthSnapshot, ProviderId, QuorumError, QuorumMode, QuorumOptions, Refusal,
+    RetryPolicy,
 };
 use dasp_server::proto::{AggOp, PredAtom, Request, Response, Row, RowBlock};
 use dasp_server::proto::{WireMerkleProof, WireRangeProof};
@@ -467,8 +468,10 @@ impl Answers {
 /// requests in one quorum-engine run, each round judged on its own.
 /// Every answer is decoded once and must pass `accept`; a provider error,
 /// an undecodable answer or a refused one counts as a failed attempt,
-/// which charges the provider's breaker, is retried per `retry`, and
-/// makes a [`QuorumMode::FirstK`] round ask its next provider.
+/// which charges the provider's breaker and makes a
+/// [`QuorumMode::FirstK`] round ask its next provider. An undecodable or
+/// refused answer is retried per `retry`; a provider error is final, as
+/// asking again would only repeat it.
 /// [`QuorumMode::FirstK`] rounds return once `need + extra` answers are
 /// in (`need` suffices), skip providers with open breakers and hedge by
 /// [`HEDGE`]; [`QuorumMode::All`] rounds wait for every provider.
@@ -485,9 +488,13 @@ pub(crate) fn ask(
     let rejected = RefCell::new(Vec::new());
     let validate = |round: usize, p: ProviderId, bytes: &[u8]| {
         let verdict = match Response::decode(bytes) {
-            Ok(Response::Error(msg)) => Err(msg),
-            Ok(resp) => accept(round, p, &resp).map(|()| resp),
-            Err(e) => Err(format!("undecodable response: {e}")),
+            Ok(Response::Error(msg)) => Err(Refusal::Final(format!("provider {p}: {msg}"))),
+            Ok(resp) => accept(round, p, &resp)
+                .map(|()| resp)
+                .map_err(|reason| Refusal::Retry(format!("provider {p}: {reason}"))),
+            Err(e) => Err(Refusal::Retry(format!(
+                "provider {p}: undecodable response: {e}"
+            ))),
         };
         match verdict {
             Ok(Response::Ack) => Ok(()),
@@ -495,12 +502,12 @@ pub(crate) fn ask(
                 accepted.borrow_mut().insert((round, p), resp);
                 Ok(())
             }
-            Err(reason) => {
+            Err(refusal) => {
                 let mut rejected = rejected.borrow_mut();
                 if !rejected.contains(&p) {
                     rejected.push(p);
                 }
-                Err(format!("provider {p}: {reason}"))
+                Err(refusal)
             }
         }
     };
@@ -2255,7 +2262,9 @@ impl DataSource {
     /// first — and accepts the provider's root only if it matches, so a
     /// provider cannot commit to tampered data unnoticed (below the
     /// collusion threshold). Two round trips: the fetch, then the
-    /// challenge.
+    /// challenge. A provider whose fetched table is rejected (undecodable
+    /// or an error) is left out of the commitment and named in
+    /// [`DataSource::last_faulty`].
     ///
     /// Commitments are invalidated by any subsequent mutation; re-commit
     /// after writes.
@@ -2272,7 +2281,8 @@ impl DataSource {
         let want = (self.keys.k() + 1).min(self.keys.n());
         let reqs = to_each(self.keys.n(), |_| Ok(req.clone()))?;
         let retry = self.retry.clone();
-        let answers = ask(&self.cluster, vec![reqs], want, 0, All, retry, &anything);
+        let mut answers = ask(&self.cluster, vec![reqs], want, 0, All, retry, &anything);
+        let rejected = std::mem::take(&mut answers.rejected);
         let rows = row_blocks(answers.one()?)?;
         // Majority-verify the data before pinning it.
         self.last_faulty.clear();
@@ -2283,6 +2293,9 @@ impl DataSource {
                 self.last_faulty
             )));
         }
+        // The commitment leaves out every provider whose table was
+        // rejected: name them.
+        self.blame(rejected);
         // Build each provider's expected tree locally, then challenge
         // them all at once: each must commit to exactly that tree.
         let mut committed = HashMap::new();

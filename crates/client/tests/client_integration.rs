@@ -891,8 +891,49 @@ fn commit_refused_when_provider_data_corrupt() {
     // from covering provider 1.
     match ds.commit_table("employees", "salary") {
         Err(_) => {}
-        Ok(n) => assert!(n < 4, "corrupt provider must not be committed"),
+        Ok(n) => {
+            assert!(n < 4, "corrupt provider must not be committed");
+            assert!(ds.last_faulty.contains(&1), "{:?}", ds.last_faulty);
+        }
     }
+}
+
+#[test]
+fn commit_names_a_provider_whose_table_it_rejects() {
+    let mut ds = source(2, 4);
+    setup_employees(&mut ds);
+    // Provider 1 lost its tables: the fetch passes it over, and the
+    // commitment covers the other three.
+    ds.cluster()
+        .call(1, Request::DropAllTables.encode())
+        .unwrap();
+    assert_eq!(ds.commit_table("employees", "salary").unwrap(), 3);
+    assert_eq!(ds.last_faulty, [1]);
+}
+
+#[test]
+fn a_provider_error_is_final_and_charged_once() {
+    let mut ds = source(2, 3);
+    setup_employees(&mut ds);
+    ds.commit_table("employees", "salary").unwrap();
+    // The write drops every provider's commitment, so each answers the
+    // verified range with the same error however often it is asked.
+    ds.insert(
+        "employees",
+        &[vec!["NEW".into(), Value::Int(33_333), Value::Int(9)]],
+    )
+    .unwrap();
+    let sent = ds.cluster().stats().snapshot().messages_sent;
+    let err = ds
+        .verified_range("employees", "salary", 0, 100_000)
+        .unwrap_err();
+    assert!(matches!(err, ClientError::Reconstruction(_)), "{err:?}");
+    let sent = ds.cluster().stats().snapshot().messages_sent - sent;
+    assert_eq!(sent, 3, "one request per provider");
+    let health = ds.health();
+    let failures: Vec<u64> = health.providers.iter().map(|p| p.total_failures).collect();
+    assert_eq!(failures, [1, 1, 1], "one breaker charge per provider");
+    assert_eq!(ds.last_faulty.len(), 3);
 }
 
 #[test]

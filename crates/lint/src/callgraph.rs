@@ -19,10 +19,10 @@
 //!    every workspace method of that name, except when the name
 //!    collides with ubiquitous std APIs (`get`, `push`, `clone`, …),
 //!    where linking to everything would drown the graph in false
-//!    edges. The vendored concurrency APIs (`send`, `recv`, `lock`,
-//!    `read`, `write`, …) are the exception to the exception: those
-//!    std-colliding names still link into `vendor/` fns, because the
-//!    vendored rewrite *is* the implementation that actually runs.
+//!    edges. The vendored lock API (`lock`, `read`, `write`) is the
+//!    exception to the exception: those std-colliding names still link
+//!    into `vendor/` fns, because the vendored rewrite *is* the
+//!    implementation that actually runs.
 //!
 //! A bare `name(…)` call resolves to a fn declared inside a body around
 //! it ([`FnItem::scope`]), innermost first, before any module-level fn;
@@ -114,18 +114,9 @@ const STD_COLLIDING: &[&str] = &[
     "zip",
 ];
 
-/// Std-colliding names that are exactly the vendored concurrency API:
-/// bare calls still link to `vendor/` definitions of these.
-const VENDOR_API: &[&str] = &[
-    "lock",
-    "read",
-    "recv",
-    "recv_timeout",
-    "send",
-    "send_timeout",
-    "try_send",
-    "write",
-];
+/// Std-colliding names that are exactly the vendored lock API: bare
+/// calls still link to `vendor/` definitions of these.
+const VENDOR_API: &[&str] = &["lock", "read", "write"];
 
 /// One resolved call edge.
 #[derive(Debug, Clone, Copy)]

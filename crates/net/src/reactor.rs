@@ -39,11 +39,11 @@
 //! * **Shutdown.** [`TcpServer::shutdown`] returns only after every
 //!   thread above has exited and every socket is closed.
 
+use crate::channel::{bounded, spawn_workers, Sender, TrySendError};
 use crate::wire::{
     batch_items, encode_frame_into, BatchFrameBuilder, FrameDecoder, FrameKind, MAX_FRAME_BODY,
 };
 use crate::SharedService;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -504,14 +504,6 @@ impl Drop for ConnThread {
     }
 }
 
-fn worker_loop(jobs: Receiver<Job>, shared: Arc<Shared>) {
-    while let Ok(job) = jobs.recv() {
-        let response = shared.service.handle(&job.payload);
-        job.conn.stage(job.token, response, true);
-        job.conn.flush(&shared);
-    }
-}
-
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, jobs: Option<Sender<Job>>) {
     let stats = &shared.stats.0;
     for id in 0u64.. {
@@ -586,7 +578,7 @@ impl TcpServer {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let (jobs_tx, jobs_rx) = bounded::<Job>(cfg.job_queue.max(1));
+        let (jobs_tx, jobs_rx) = bounded(cfg.job_queue.max(1));
         let pool = cfg.workers; // 0 = inline mode, no pool
         let shared = Arc::new(Shared {
             service,
@@ -595,20 +587,20 @@ impl TcpServer {
             shutdown: AtomicBool::new(false),
             registry: Mutex::default(),
         });
+        let served = Arc::clone(&shared);
+        let name = |w| format!("dasp-tcp-worker-{w}");
+        let workers = spawn_workers(pool, name, &jobs_rx, move |job: Job| {
+            let response = served.service.handle(&job.payload);
+            job.conn.stage(job.token, response, true);
+            job.conn.flush(&served);
+        });
+        drop(jobs_rx);
         let mut server = TcpServer {
             local_addr,
             shared: Arc::clone(&shared),
             acceptor: None,
-            workers: Vec::new(),
+            workers,
         };
-        for w in 0..pool {
-            let (jobs_rx, shared) = (jobs_rx.clone(), Arc::clone(&shared));
-            let spawned = std::thread::Builder::new()
-                .name(format!("dasp-tcp-worker-{w}"))
-                .spawn(move || worker_loop(jobs_rx, shared));
-            server.workers.extend(spawned); // a failed spawn adds none
-        }
-        drop(jobs_rx);
         if pool > 0 && server.workers.is_empty() {
             return Err(std::io::Error::other("could not spawn any worker thread"));
         }

@@ -3,7 +3,7 @@
 //!
 //! A provider is reached one of two ways. An in-process
 //! [`SharedService`] runs as a pool of OS threads serving requests from
-//! a crossbeam channel ([`Cluster::spawn_concurrent`]) — the closest
+//! one shared queue ([`Cluster::spawn_concurrent`]) — the closest
 //! laptop analogue of the paper's independent DAS sites. A remote
 //! provider sits behind a [`TcpClient`] ([`Cluster::connect_tcp`]): the
 //! engine writes the request frame on the caller's own thread, and the
@@ -44,17 +44,18 @@
 //!   then sent by the engine's own deadline loop; a delay occupies no
 //!   thread.
 
+use crate::channel::{self, spawn_workers, unbounded};
 use crate::cost::TrafficStats;
 use crate::resilience::{
     Admission, BreakerConfig, Clock, HealthTracker, ProviderOutcome, QuorumError, RetryPolicy,
     SystemClock,
 };
 use crate::transport::{Reply, TcpClient, TcpClientConfig, TransportError};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -164,11 +165,24 @@ pub struct QuorumOptions<'a> {
     /// Fan-out / return discipline.
     pub mode: QuorumMode,
     /// Application-level response check, given the round index (0 for a
-    /// one-round call), the provider and the response; a rejected
-    /// response counts as a failed attempt (retried, then reported as
-    /// [`ProviderOutcome::Rejected`]).
+    /// one-round call), the provider and the response; a refused
+    /// response counts as a failed attempt, retried as its [`Refusal`]
+    /// says, then reported as [`ProviderOutcome::Rejected`].
     #[allow(clippy::type_complexity)]
-    pub validate: Option<&'a dyn Fn(usize, ProviderId, &[u8]) -> Result<(), String>>,
+    pub validate: Option<&'a dyn Fn(usize, ProviderId, &[u8]) -> Result<(), Refusal>>,
+}
+
+/// Why a [`QuorumOptions::validate`] check refused a response. Either
+/// way the attempt failed, the provider's breaker is charged once and a
+/// [`QuorumMode::FirstK`] round asks its next provider.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Refusal {
+    /// A damaged or wrong answer, which asking again may heal: retried
+    /// per [`RetryPolicy`].
+    Retry(String),
+    /// The provider's own answer, which asking again would only repeat:
+    /// never retried.
+    Final(String),
 }
 
 impl Default for QuorumOptions<'_> {
@@ -209,15 +223,15 @@ impl FailureSwitch {
 /// How attempts reach one provider.
 enum Link {
     /// An in-process service: worker threads drain one request channel.
-    /// `tx` is `None` once the cluster has been shut down.
     Pool {
-        tx: Option<Sender<Envelope>>,
+        tx: channel::Sender<Envelope>,
         threads: Vec<JoinHandle<()>>,
     },
     /// A remote provider: the engine writes each frame itself and the
-    /// client's reader answers onto the engine's reply channel. `None`
-    /// once the cluster has been shut down.
-    Tcp(Option<TcpClient>),
+    /// client's reader answers onto the engine's reply channel.
+    Tcp(TcpClient),
+    /// Shut down, or no worker thread could be started.
+    Closed,
 }
 
 /// The provider is shut down: nothing can be sent to it.
@@ -243,10 +257,7 @@ impl ProviderHandle {
     }
 
     fn is_open(&self) -> bool {
-        match &self.link {
-            Link::Pool { tx, .. } => tx.is_some(),
-            Link::Tcp(client) => client.is_some(),
-        }
+        !matches!(self.link, Link::Closed)
     }
 
     /// Put attempt `token` on its way; a crashed provider swallows it.
@@ -264,7 +275,7 @@ impl ProviderHandle {
             return Ok(None);
         }
         match &self.link {
-            Link::Pool { tx: Some(tx), .. } => tx
+            Link::Pool { tx, .. } => tx
                 .send(Envelope {
                     request: request.to_vec(),
                     reply_to: reply.clone(),
@@ -272,12 +283,12 @@ impl ProviderHandle {
                 })
                 .map(|()| None)
                 .map_err(|_| Closed),
-            Link::Tcp(Some(client)) => match client.submit(request, reply.clone(), token) {
+            Link::Tcp(client) => match client.submit(request, reply.clone(), token) {
                 Ok(entry) => Ok(Some(entry)),
                 Err(TransportError::Closed) => Err(Closed),
                 Err(_) => Ok(None),
             },
-            Link::Pool { tx: None, .. } | Link::Tcp(None) => Err(Closed),
+            Link::Closed => Err(Closed),
         }
     }
 
@@ -304,7 +315,7 @@ impl ProviderHandle {
 
     /// Forget an abandoned attempt's [`TcpClient`] entry.
     fn cancel(&self, entry: u64) {
-        if let Link::Tcp(Some(client)) = &self.link {
+        if let Link::Tcp(client) = &self.link {
             client.cancel(entry);
         }
     }
@@ -343,33 +354,23 @@ impl Cluster {
     ) -> Self {
         let workers = workers.max(1);
         let links = services.into_iter().enumerate().map(|(id, service)| {
-            let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
-            let mut threads = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let service = Arc::clone(&service);
-                let rx = rx.clone();
-                let spawned = std::thread::Builder::new()
-                    .name(format!("dasp-provider-{id}-w{w}"))
-                    .spawn(move || {
-                        while let Ok(env) = rx.recv() {
-                            // dasp::allow(E1): the caller may have timed out
-                            // and dropped its reply rx; a dead waiter is not
-                            // an error here.
-                            let _ = env
-                                .reply_to
-                                .send((env.token, Ok(service.handle(&env.request))));
-                        }
-                    });
-                if let Ok(handle) = spawned {
-                    threads.push(handle);
-                }
+            let (tx, rx) = unbounded();
+            let name = |w| format!("dasp-provider-{id}-w{w}");
+            let threads = spawn_workers(workers, name, &rx, move |env: Envelope| {
+                // dasp::allow(E1): the caller may have timed out and
+                // dropped its reply rx; a dead waiter is not an error here.
+                let _ = env
+                    .reply_to
+                    .send((env.token, Ok(service.handle(&env.request))));
+            });
+            // If the OS refuses every worker thread, every call to this
+            // provider fails with RpcError::Closed (a dead provider),
+            // instead of panicking the whole cluster at construction.
+            if threads.is_empty() {
+                Link::Closed
+            } else {
+                Link::Pool { tx, threads }
             }
-            // If the OS refuses every worker thread, keep the handle
-            // but drop the sender: every call to this provider then
-            // fails with RpcError::Closed (a dead provider), instead
-            // of panicking the whole cluster at construction.
-            let tx = if threads.is_empty() { None } else { Some(tx) };
-            Link::Pool { tx, threads }
         });
         Self::from_links(links.collect(), timeout)
     }
@@ -423,7 +424,7 @@ impl Cluster {
         };
         let mut links = Vec::with_capacity(addrs.len());
         for addr in addrs {
-            links.push(Link::Tcp(Some(TcpClient::connect(*addr, cfg.clone())?)));
+            links.push(Link::Tcp(TcpClient::connect(*addr, cfg.clone())?));
         }
         Ok(Self::from_links(links, timeout))
     }
@@ -490,12 +491,10 @@ impl Cluster {
     pub fn shutdown(&mut self) {
         let mut threads = Vec::new();
         for p in &mut self.providers {
-            match &mut p.link {
-                Link::Pool { tx, threads: t } => {
-                    *tx = None;
-                    threads.append(t);
-                }
-                Link::Tcp(client) => drop(client.take()),
+            // A pool's workers drain their queue and exit once its sender
+            // is dropped; a dropped `TcpClient` closes.
+            if let Link::Pool { threads: t, .. } = std::mem::replace(&mut p.link, Link::Closed) {
+                threads.extend(t);
             }
         }
         for t in threads {
@@ -669,7 +668,7 @@ impl Cluster {
             });
         }
 
-        let (reply_tx, reply_rx) = unbounded::<Reply>();
+        let (reply_tx, reply_rx) = mpsc::channel();
         let mut fl = Flights {
             map: HashMap::new(),
             next_token: 0,
@@ -798,13 +797,21 @@ impl Cluster {
                         // replies still queued behind this one are late.
                         s.settled = s.successes >= s.want;
                     }
-                    Err(reason) => {
+                    Err(refusal) => {
                         self.health.record_failure(c.provider);
-                        if c.live.map(|(t, _, _)| t) == Some(token) {
+                        let (reason, retry) = match refusal {
+                            Refusal::Retry(reason) => (reason, true),
+                            Refusal::Final(reason) => (reason, false),
+                        };
+                        if !retry {
+                            // A final answer settles the candidate, even
+                            // with another of its attempts still out.
+                            (c.live, c.retry_at) = (None, None);
+                        } else if c.live.map(|(t, _, _)| t) == Some(token) {
                             c.live = None;
                         }
                         if c.live.is_none() && c.retry_at.is_none() {
-                            if c.attempts < max_attempts && s.successes < need {
+                            if retry && c.attempts < max_attempts && s.successes < need {
                                 c.retry_at = Some(
                                     Instant::now() + opts.retry.backoff_for(c.provider, c.attempts),
                                 );
@@ -1263,7 +1270,7 @@ mod tests {
         let cluster = echo_cluster(3);
         let reject_p0 = |_round: usize, p: ProviderId, _resp: &[u8]| {
             if p == 0 {
-                Err("untrusted share".to_string())
+                Err(Refusal::Retry("untrusted share".to_string()))
             } else {
                 Ok(())
             }
@@ -1618,7 +1625,7 @@ mod tests {
         }
         assert_eq!(cluster.stats().snapshot().messages_sent, 300);
         for (p, h) in cluster.providers.iter().enumerate() {
-            let Link::Tcp(Some(client)) = &h.link else {
+            let Link::Tcp(client) = &h.link else {
                 panic!("provider {p} is not a TCP link");
             };
             assert_eq!(client.pending_len(), 0, "provider {p}");

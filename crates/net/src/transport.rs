@@ -9,10 +9,11 @@
 //! framed-and-tokened onto one shared connection, and a dedicated reader
 //! thread routes response frames back by token — the same out-of-order
 //! multiplexing the worker pools use. A response goes where its request
-//! said: [`TcpClient::submit`] names a channel and a tag, and the reader
-//! sends the response there (the cluster's quorum engine hands it its
-//! own reply channel, so a TCP call wakes no thread but the reader);
-//! [`TcpClient::call`] blocks until its own response arrives.
+//! said: [`TcpClient::submit`] names a `std::sync::mpsc` sender and a
+//! tag, and the reader sends the response there (the cluster's quorum
+//! engine hands it its own reply channel, so a TCP call wakes no thread
+//! but the reader); [`TcpClient::call`] opens a channel of its own and
+//! blocks on it until its response arrives.
 //!
 //! Writes follow the leader/follower rule of the WAL's group commit and
 //! the server's response flush: a caller that finds no write in flight
@@ -41,12 +42,12 @@ use crate::wire::{
     FrameKind, MAX_FRAME_BODY,
 };
 use crate::SharedService;
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -132,9 +133,8 @@ pub type Reply = (u64, Result<Vec<u8>, TransportError>);
 struct Waiter(Sender<Reply>, u64);
 
 impl Waiter {
-    /// Hand over the outcome. Never blocks: a call's channel holds its
-    /// one result and a submitter's is unbounded. Run it outside
-    /// `pending`.
+    /// Hand over the outcome. Never blocks: every reply channel is an
+    /// unbounded `mpsc`. Run it outside `pending`.
     fn finish(self, result: Result<Vec<u8>, TransportError>) {
         let Waiter(tx, tag) = self;
         // dasp::allow(E1): the waiter may have timed out and dropped its
@@ -221,7 +221,7 @@ impl TcpClient {
     /// One request/response exchange with a typed error. Concurrent
     /// callers share the connection; responses are matched by token.
     pub fn call(&self, payload: &[u8]) -> Result<Vec<u8>, TransportError> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::channel();
         let token = self.send(payload, Waiter(tx, 0))?;
         match rx.recv_timeout(self.inner.cfg.call_timeout) {
             Ok((_, result)) => result,
@@ -407,7 +407,7 @@ fn lead_writes(inner: &Arc<Inner>, token: u64, payload: &[u8]) {
 /// Write one encoded frame under the connection lock, dialing first if
 /// the connection dropped. On failure every call packed in the frame is
 /// woken with the error through `pending` (each token is removed at
-/// most once, so the capacity-1 reply channels never see a second send).
+/// most once, so a call's reply channel never sees a second send).
 fn write_pack(inner: &Arc<Inner>, frame: &[u8], tokens: impl IntoIterator<Item = u64>) {
     let result = {
         let mut st = inner.state.lock();
@@ -417,22 +417,13 @@ fn write_pack(inner: &Arc<Inner>, frame: &[u8], tokens: impl IntoIterator<Item =
                 // thread — that chain does not run under this guard.
                 TcpClient::dial(inner, &mut st)?;
             }
-            let Some(stream) = st.stream.as_mut() else {
-                return Err(TransportError::Closed);
-            };
+            let stream = st.stream.as_mut().ok_or(TransportError::Closed)?;
+            // A write timeout may have left a partial frame on the wire,
+            // so any failure tears the connection down.
             if let Err(e) = stream.write_all(frame) {
                 let _ = stream.shutdown(Shutdown::Both);
                 st.stream = None;
-                // A write timeout (WouldBlock on Unix, TimedOut on
-                // Windows) may have left a partial frame on the wire;
-                // the connection is already torn down above.
-                return Err(
-                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                        TransportError::TimedOut
-                    } else {
-                        TransportError::Io(e.to_string())
-                    },
-                );
+                return Err(io_error(e));
             }
             Ok(())
         })()
@@ -451,64 +442,19 @@ fn write_pack(inner: &Arc<Inner>, frame: &[u8], tokens: impl IntoIterator<Item =
     }
 }
 
-fn reader_loop(inner: Arc<Inner>, mut stream: TcpStream, my_epoch: u64) {
+fn reader_loop(inner: Arc<Inner>, stream: TcpStream, my_epoch: u64) {
     let mut decoder = FrameDecoder::with_max_body(inner.cfg.max_frame_body);
     let mut buf = vec![0u8; 64 * 1024];
+    let answer = |token, payload: &[u8]| {
+        let waiter = inner.pending.lock().remove(&token);
+        if let Some(waiter) = waiter {
+            waiter.finish(Ok(payload.to_vec()));
+        }
+    };
     let error = loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break TransportError::Closed,
-            Ok(n) => {
-                // dasp::allow(P3): `read` returns `n <= buf.len()`.
-                decoder.extend(&buf[..n]);
-                let mut failed = None;
-                loop {
-                    match decoder.next_frame_view() {
-                        Ok(Some(view)) => match view.kind {
-                            FrameKind::Response => {
-                                let waiter = inner.pending.lock().remove(&view.token);
-                                if let Some(waiter) = waiter {
-                                    waiter.finish(Ok(view.payload.to_vec()));
-                                }
-                            }
-                            FrameKind::BatchResponse => {
-                                for item in batch_items(view.payload) {
-                                    match item {
-                                        Ok((token, payload)) => {
-                                            let waiter = inner.pending.lock().remove(&token);
-                                            if let Some(waiter) = waiter {
-                                                waiter.finish(Ok(payload.to_vec()));
-                                            }
-                                        }
-                                        Err(e) => {
-                                            failed = Some(TransportError::Frame(e));
-                                            break;
-                                        }
-                                    }
-                                }
-                                if failed.is_some() {
-                                    break;
-                                }
-                            }
-                            FrameKind::Request | FrameKind::BatchRequest => {
-                                failed = Some(TransportError::Frame(FrameError::BadKind(
-                                    view.kind.to_u8(),
-                                )));
-                                break;
-                            }
-                        },
-                        Ok(None) => break,
-                        Err(e) => {
-                            failed = Some(TransportError::Frame(e));
-                            break;
-                        }
-                    }
-                }
-                if let Some(e) = failed {
-                    break e;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => break TransportError::Io(e.to_string()),
+        let read = read_into(&stream, &mut buf, &mut decoder);
+        if let Err(e) = read.and_then(|()| take_responses(&mut decoder, answer)) {
+            break e;
         }
     };
     let _ = stream.shutdown(Shutdown::Both);
@@ -531,6 +477,58 @@ fn reader_loop(inner: Arc<Inner>, mut stream: TcpStream, my_epoch: u64) {
     for waiter in waiters {
         waiter.finish(Err(error.clone()));
     }
+}
+
+/// Read once from `stream` into `decoder`, through `buf`.
+fn read_into(
+    mut stream: &TcpStream,
+    buf: &mut [u8],
+    decoder: &mut FrameDecoder,
+) -> Result<(), TransportError> {
+    loop {
+        match stream.read(buf) {
+            Ok(0) => return Err(TransportError::Closed),
+            Ok(n) => {
+                decoder.extend(buf.get(..n).unwrap_or_default());
+                return Ok(());
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(io_error(e)),
+        }
+    }
+}
+
+/// A socket error as the caller sees it: a read or write that ran out
+/// its timeout (`WouldBlock` on Unix, `TimedOut` on Windows) timed out.
+fn io_error(e: std::io::Error) -> TransportError {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => TransportError::TimedOut,
+        _ => TransportError::Io(e.to_string()),
+    }
+}
+
+/// Pass every complete response in `decoder`, a plain frame or a batch
+/// sub-message, to `answer` with its token. A damaged frame or one of a
+/// request kind is the peer's error.
+fn take_responses(
+    decoder: &mut FrameDecoder,
+    mut answer: impl FnMut(u64, &[u8]),
+) -> Result<(), TransportError> {
+    while let Some(view) = decoder.next_frame_view().map_err(TransportError::Frame)? {
+        match view.kind {
+            FrameKind::Response => answer(view.token, view.payload),
+            FrameKind::BatchResponse => {
+                for item in batch_items(view.payload) {
+                    let (token, payload) = item.map_err(TransportError::Frame)?;
+                    answer(token, payload);
+                }
+            }
+            kind @ (FrameKind::Request | FrameKind::BatchRequest) => {
+                return Err(TransportError::Frame(FrameError::BadKind(kind.to_u8())))
+            }
+        }
+    }
+    Ok(())
 }
 
 impl SharedService for TcpClient {
@@ -593,37 +591,15 @@ impl BlockingConn {
         self.next_token += 1;
         self.frame.clear();
         encode_frame_into(&mut self.frame, token, FrameKind::Request, payload);
-        self.stream
-            .write_all(&self.frame)
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        loop {
-            match self.decoder.next_frame() {
-                Ok(Some(f)) if f.token == token && f.kind == FrameKind::Response => {
-                    return Ok(f.payload)
-                }
-                Ok(Some(_)) => continue, // stale response from a past call
-                Ok(None) => {}
-                Err(e) => return Err(TransportError::Frame(e)),
-            }
-            match self.stream.read(&mut self.buf) {
-                Ok(0) => return Err(TransportError::Closed),
-                Ok(n) => self.decoder.extend(&self.buf[..n]),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Err(TransportError::TimedOut)
-                }
-                Err(e) => return Err(TransportError::Io(e.to_string())),
-            }
-        }
+        Ok(self.exchange(token, 1)?.pop().unwrap_or_default())
     }
 
     /// Send `payloads` as one [`FrameKind::BatchRequest`] frame and
     /// collect every response, returned in request order. One CRC, one
     /// length prefix, one `write` for the whole batch; responses may
     /// arrive as individual frames or coalesced batch frames in any
-    /// order. A missing (never-produced) response surfaces as an empty
-    /// payload, mirroring [`SharedService`] error mapping; the combined
-    /// request body must stay under the server's frame cap.
+    /// order. The combined request body must stay under the server's
+    /// frame cap.
     pub fn call_many(&mut self, payloads: &[&[u8]]) -> Result<Vec<Vec<u8>>, TransportError> {
         if payloads.is_empty() {
             return Ok(Vec::new());
@@ -632,54 +608,37 @@ impl BlockingConn {
         self.next_token += payloads.len() as u64;
         self.frame.clear();
         let mut b = BatchFrameBuilder::begin(&mut self.frame, FrameKind::BatchRequest);
-        for (i, payload) in payloads.iter().enumerate() {
-            b.push(base + i as u64, payload);
+        for (token, payload) in (base..).zip(payloads) {
+            b.push(token, payload);
         }
         b.finish();
+        self.exchange(base, payloads.len())
+    }
+
+    /// Write the encoded `frame`, then read until the responses to tokens
+    /// `base..base + count` are in; they come back in token order, and a
+    /// response to any other token (a past call's) is skipped.
+    fn exchange(&mut self, base: u64, count: usize) -> Result<Vec<Vec<u8>>, TransportError> {
         self.stream
             .write_all(&self.frame)
             .map_err(|e| TransportError::Io(e.to_string()))?;
-        let mut results: Vec<Option<Vec<u8>>> = vec![None; payloads.len()];
-        let mut got = 0usize;
-        let mut fill = |token: u64, payload: Vec<u8>, got: &mut usize| {
-            if token >= base {
-                if let Some(slot) = results.get_mut((token - base) as usize) {
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                        *got += 1;
-                    }
+        let mut results: Vec<Option<Vec<u8>>> = vec![None; count];
+        let mut missing = count;
+        loop {
+            take_responses(&mut self.decoder, |token, payload| {
+                let slot = usize::try_from(token.wrapping_sub(base))
+                    .ok()
+                    .and_then(|i| results.get_mut(i));
+                if let Some(slot) = slot.filter(|slot| slot.is_none()) {
+                    *slot = Some(payload.to_vec());
+                    missing -= 1;
                 }
+            })?;
+            if missing == 0 {
+                return Ok(results.into_iter().flatten().collect());
             }
-        };
-        while got < payloads.len() {
-            match self.decoder.next_frame() {
-                Ok(Some(f)) => {
-                    match f.kind {
-                        FrameKind::Response => fill(f.token, f.payload, &mut got),
-                        FrameKind::BatchResponse => {
-                            for item in batch_items(&f.payload) {
-                                let (token, payload) = item.map_err(TransportError::Frame)?;
-                                fill(token, payload.to_vec(), &mut got);
-                            }
-                        }
-                        _ => continue, // stale or unexpected: skip
-                    }
-                    continue;
-                }
-                Ok(None) => {}
-                Err(e) => return Err(TransportError::Frame(e)),
-            }
-            match self.stream.read(&mut self.buf) {
-                Ok(0) => return Err(TransportError::Closed),
-                Ok(n) => self.decoder.extend(&self.buf[..n]),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Err(TransportError::TimedOut)
-                }
-                Err(e) => return Err(TransportError::Io(e.to_string())),
-            }
+            read_into(&self.stream, &mut self.buf, &mut self.decoder)?;
         }
-        Ok(results.into_iter().map(|r| r.unwrap_or_default()).collect())
     }
 }
 

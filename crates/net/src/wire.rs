@@ -42,8 +42,6 @@
 //! `*_into` form that appends to a caller-owned scratch buffer, which is
 //! what the reactor and transport use to keep the hot path allocation-free.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -82,7 +80,7 @@ const MAX_LEN: u64 = 1 << 32;
 /// An append-only message encoder.
 #[derive(Default)]
 pub struct WireWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl WireWriter {
@@ -95,7 +93,7 @@ impl WireWriter {
     /// in place — no copy on this path (it sits under every encoded RPC
     /// payload in the workspace).
     pub fn finish(self) -> Vec<u8> {
-        self.buf.into()
+        self.buf
     }
 
     /// Bytes written so far.
@@ -110,37 +108,37 @@ impl WireWriter {
 
     /// Append a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
+        self.buf.push(v);
         self
     }
 
     /// Append a `u16`.
     pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.put_u16_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Append a `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Append a `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Append an `i128`.
     pub fn i128(&mut self, v: i128) -> &mut Self {
-        self.buf.put_i128_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Append a `u128`.
     pub fn u128(&mut self, v: u128) -> &mut Self {
-        self.buf.put_u128_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
@@ -152,14 +150,14 @@ impl WireWriter {
     /// Append length-prefixed bytes.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u64(v.len() as u64);
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
         self
     }
 
     /// Append bytes as they are, no length prefix: for a layout whose
     /// reader learns the length some other way (see [`WireReader::raw`]).
     pub fn raw(&mut self, v: &[u8]) -> &mut Self {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
         self
     }
 
@@ -203,6 +201,12 @@ impl<'a> WireReader<'a> {
         }
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.buf.len() < n {
             return Err(WireError::Truncated {
@@ -222,27 +226,27 @@ impl<'a> WireReader<'a> {
 
     /// Read a `u16`.
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(self.take(2)?.get_u16_le())
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Read a `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(self.take(4)?.get_u32_le())
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Read a `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(self.take(8)?.get_u64_le())
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Read an `i128`.
     pub fn i128(&mut self) -> Result<i128, WireError> {
-        Ok(self.take(16)?.get_i128_le())
+        Ok(i128::from_le_bytes(self.array()?))
     }
 
     /// Read a `u128`.
     pub fn u128(&mut self) -> Result<u128, WireError> {
-        Ok(self.take(16)?.get_u128_le())
+        Ok(u128::from_le_bytes(self.array()?))
     }
 
     /// Read a bool, rejecting tags other than 0/1.

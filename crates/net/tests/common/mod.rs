@@ -1,9 +1,9 @@
 //! The gated service and the poll helper the `tcp_server*` tests share.
 #![allow(dead_code)] // each test binary uses its own part
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use dasp_net::{ReactorConfig, SharedService, TcpServer};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The first request byte picks the behaviour:
@@ -16,7 +16,8 @@ use std::time::{Duration, Instant};
 /// and a `|`, then echoes the request (`b`: then pads to [`BIG`]).
 pub struct Gated {
     entered: Sender<()>,
-    release: Receiver<()>,
+    /// Parked writers queue on the lock; each token frees one of them.
+    release: Mutex<Receiver<()>>,
 }
 
 pub const BIG: usize = 512 * 1024;
@@ -25,7 +26,8 @@ impl SharedService for Gated {
     fn handle(&self, request: &[u8]) -> Vec<u8> {
         if request.first() == Some(&b'w') {
             self.entered.send(()).expect("test dropped `entered`");
-            self.release.recv().expect("test dropped `release`");
+            let release = self.release.lock().expect("a writer panicked");
+            release.recv().expect("test dropped `release`");
         }
         let mut out = std::thread::current()
             .name()
@@ -54,11 +56,11 @@ pub struct Gates {
 }
 
 pub fn serve_gated(cfg: ReactorConfig) -> (TcpServer, Gates) {
-    let (entered_tx, entered) = unbounded();
-    let (release, release_rx) = unbounded();
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
     let service = Arc::new(Gated {
         entered: entered_tx,
-        release: release_rx,
+        release: Mutex::new(release_rx),
     });
     let server = TcpServer::serve("127.0.0.1:0", service.clone(), cfg).expect("bind");
     let gates = Gates {

@@ -11,7 +11,8 @@
 
 use dasp_net::{
     BreakerConfig, BreakerState, Cluster, FailureMode, QuorumMode, QuorumOptions, ReactorConfig,
-    RetryPolicy, RpcError, SharedService, SystemClock, TcpClient, TcpClientConfig, TcpServer,
+    Refusal, RetryPolicy, RpcError, SharedService, SystemClock, TcpClient, TcpClientConfig,
+    TcpServer,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -256,7 +257,7 @@ fn byzantine_injection_sits_above_the_socket_on_both_transports() {
             if r == expected(p as u8, b"b").as_slice() {
                 Ok(())
             } else {
-                Err("corrupt share".to_string())
+                Err(Refusal::Retry("corrupt share".to_string()))
             }
         };
         let opts = QuorumOptions {
