@@ -28,6 +28,18 @@ fi
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== layering (no cipher bignum in the product, no storage under dasp-net, nothing under dasp-crypto) =="
+layering_failed() {
+    echo "layering FAILED: $1" >&2
+    exit 1
+}
+deps=$(cargo tree --offline -e normal -p dasp-client -p dasp-server)
+if grep -q dasp-bigint <<<"$deps"; then layering_failed "dasp-client or dasp-server depends on dasp-bigint"; fi
+deps=$(cargo tree --offline -e normal -p dasp-net)
+if grep -q dasp-storage <<<"$deps"; then layering_failed "dasp-net depends on dasp-storage"; fi
+deps=$(cargo tree --offline -e normal -p dasp-crypto)
+if [ "$(wc -l <<<"$deps")" -ne 1 ]; then layering_failed "dasp-crypto has a normal dependency"; fi
+
 echo "== cargo test =="
 cargo test -q --workspace
 

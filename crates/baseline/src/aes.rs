@@ -1,6 +1,6 @@
 //! AES-128 (FIPS 197) with ECB-style single-block access and CTR mode.
 //!
-//! The encryption-model DBSP baseline (`dasp-baseline`) uses:
+//! The encrypted DBSP baseline ([`crate::encdb`]) uses:
 //! * single-block deterministic encryption (ECB over fixed-width encoded
 //!   values) for exact-match indexes — the Hacigümüş et al. model, and
 //! * CTR for bulk tuple payloads.

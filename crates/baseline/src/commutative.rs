@@ -4,13 +4,13 @@
 //! set intersection protocol (paper reference \[26\], SIGMOD'03) whose cost
 //! — "2 hours of computation and ~3 Gbit of transfer" for a modest
 //! document workload — motivates the paper's move away from encryption.
-//! `dasp-baseline` uses it to reproduce that experiment (E2).
+//! [`crate::intersection`] uses it to reproduce that experiment (E2).
 //!
 //! E_k(m) = m^k mod p over a safe prime p = 2q + 1, with k odd and
 //! invertible mod p − 1. Commutativity: E_a(E_b(m)) = E_b(E_a(m)).
 
-use crate::sha256::sha256;
 use dasp_bigint::{gcd, mod_inv, mod_pow, BigUint};
+use dasp_crypto::sha256::sha256;
 use rand::Rng;
 
 /// A commutative cipher: a key `k` over a shared safe-prime group.

@@ -7,8 +7,7 @@
 //! only; the client decrypts and post-filters the superset. Bucket count
 //! is the privacy dial: fewer buckets leak less, return more.
 
-use crate::BaselineCost;
-use dasp_crypto::{Aes128, CtrMode, OpeCipher};
+use crate::{Aes128, BaselineCost, CtrMode, OpeCipher};
 
 /// How the server evaluates range predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

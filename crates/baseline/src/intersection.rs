@@ -16,8 +16,8 @@
 //! modexps per element pair of lists — which is exactly where the hours
 //! go.
 
+use crate::CommutativeCipher;
 use dasp_bigint::BigUint;
-use dasp_crypto::CommutativeCipher;
 use rand::Rng;
 
 /// Detailed cost report for one intersection run.
@@ -107,7 +107,7 @@ pub fn predicted_cost(a_len: u64, b_len: u64, prime_bits: u64) -> IntersectionCo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dasp_crypto::commutative::shared_test_prime;
+    use crate::commutative::shared_test_prime;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -17,13 +17,38 @@
 //! * [`intersection`] — the Agrawal–Evfimievski–Srikant SIGMOD'03
 //!   protocol whose measured costs ("~2 hours / ~3 Gbit") the paper
 //!   quotes as the case against encryption (experiment E2).
+//!
+//! The ciphers these comparators run on live here too, since nothing on
+//! the secret-shared path uses them:
+//!
+//! * [`aes`] — FIPS 197 AES-128 with ECB (deterministic encryption
+//!   baseline) and CTR modes.
+//! * [`ope`] — deterministic order-preserving encryption via recursive
+//!   keyed interval splitting (a practical stand-in for Boldyreva et al.,
+//!   the scheme the paper's reference \[3\] inspired).
+//! * [`paillier`] — additively homomorphic encryption (the Ge–Zdonik
+//!   secure-aggregation baseline, paper reference \[23\]).
+//! * [`commutative`] — Pohlig–Hellman exponentiation cipher (the
+//!   Agrawal–Evfimievski–Srikant intersection protocol, reference \[26\]).
+//!
+//! **These are benchmarking-grade reference implementations.** They are
+//! functionally correct (test vectors included) but make no constant-time
+//! or side-channel claims; do not deploy them against real adversaries.
 
+pub mod aes;
+pub mod commutative;
 pub mod encdb;
 pub mod intersection;
+pub mod ope;
+pub mod paillier;
 pub mod paillier_agg;
 
+pub use aes::{Aes128, CtrMode};
+pub use commutative::CommutativeCipher;
 pub use encdb::{EncClient, EncServer, RangeStrategy};
 pub use intersection::{commutative_intersection, IntersectionCost};
+pub use ope::OpeCipher;
+pub use paillier::{PaillierCiphertext, PaillierKeypair, PaillierPublicKey};
 pub use paillier_agg::{PaillierAggClient, PaillierAggServer};
 
 /// Crypto-operation and traffic counters for a baseline run.

@@ -11,7 +11,7 @@
 //! very weakness the paper's §IV discussion echoes ("order preservation
 //! may weaken data security"). That leakage is part of experiment E5.
 
-use crate::siphash::SipHash24;
+use dasp_crypto::siphash::SipHash24;
 
 /// Extra low-order bits of ciphertext space per plaintext, which is what
 /// hides exact plaintext distances.

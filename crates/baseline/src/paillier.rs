@@ -1,7 +1,7 @@
 //! Paillier additively homomorphic encryption.
 //!
 //! The paper's reference \[23\] (Ge & Zdonik, VLDB'07) outsources aggregates
-//! under an additively homomorphic scheme; `dasp-baseline` uses this
+//! under an additively homomorphic scheme; [`crate::paillier_agg`] uses this
 //! implementation for the encryption-model aggregation comparator in E6.
 //!
 //! Standard scheme with g = n + 1: Enc(m, r) = (1 + m·n) · rⁿ mod n²,

@@ -8,8 +8,8 @@
 //! one full Paillier encryption at load time — the compute the paper's
 //! secret-sharing approach eliminates.
 
+use crate::paillier::{PaillierCiphertext, PaillierKeypair, PaillierPublicKey};
 use crate::BaselineCost;
-use dasp_crypto::paillier::{PaillierCiphertext, PaillierKeypair};
 use rand::Rng;
 
 /// The untrusted aggregation server.
@@ -25,11 +25,7 @@ impl PaillierAggServer {
 
     /// Homomorphically sum ciphertexts whose group key matches; returns
     /// the product ciphertext, the match count, and mod-muls spent.
-    pub fn sum_group(
-        &self,
-        pk: &dasp_crypto::paillier::PaillierPublicKey,
-        group: u64,
-    ) -> (PaillierCiphertext, u64, u64) {
+    pub fn sum_group(&self, pk: &PaillierPublicKey, group: u64) -> (PaillierCiphertext, u64, u64) {
         let mut acc = pk.one_ciphertext();
         let mut count = 0;
         let mut muls = 0;

@@ -5,8 +5,9 @@
 //! reads and recovery, and a call through a provider's worker pool.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use dasp_baseline::{Aes128, OpeCipher};
 use dasp_bigint::{mod_pow, mod_pow_plain, BigUint, MontgomeryCtx};
-use dasp_crypto::{sha256, Aes128, OpeCipher, SipHash24};
+use dasp_crypto::{sha256, SipHash24};
 use dasp_field::{Fp, Poly};
 use dasp_net::{Cluster, SharedService};
 use dasp_server::pmap::PMap;

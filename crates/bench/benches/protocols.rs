@@ -3,11 +3,11 @@
 //! baseline), and encrypted-DBSP query paths (E4/E5 baselines).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use dasp_baseline::commutative::shared_test_prime;
 use dasp_baseline::encdb::{EncClient, EncServer, RangeStrategy};
 use dasp_baseline::intersection::commutative_intersection;
 use dasp_baseline::paillier_agg::{PaillierAggClient, PaillierAggServer};
 use dasp_baseline::BaselineCost;
-use dasp_crypto::commutative::shared_test_prime;
 use dasp_pir::{BitDatabase, QrClient, QrServer, TrivialPir, TwoServerClient, TwoServerServer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -10,6 +10,7 @@
 //! `--quick` shrinks the sweeps (used when capturing bench_output.txt).
 //! An unknown id runs nothing: it prints the valid ids and exits 2.
 
+use dasp_baseline::commutative::shared_test_prime;
 use dasp_baseline::encdb::{EncClient, EncServer, RangeStrategy};
 use dasp_baseline::intersection::{commutative_intersection, predicted_cost};
 use dasp_baseline::paillier_agg::{PaillierAggClient, PaillierAggServer};
@@ -19,7 +20,6 @@ use dasp_bench::{
 };
 use dasp_client::{BucketJoin, ColumnSpec, Predicate, QueryOptions, TableSchema, Value};
 use dasp_core::client::{ClientKeys, DataSource};
-use dasp_crypto::commutative::shared_test_prime;
 use dasp_field::{Fp, Poly};
 use dasp_net::{Cluster, FailureMode, NetworkModel, RetryPolicy};
 use dasp_pir::{

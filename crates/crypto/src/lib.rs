@@ -1,41 +1,29 @@
-//! From-scratch cryptographic substrate for `dasp`.
+//! From-scratch hashing and checksum substrate for `dasp`.
 //!
-//! The paper positions secret sharing *against* encryption-based
-//! outsourcing, so a faithful reproduction needs the encryption side too.
 //! The offline crate set has no crypto, so everything here is implemented
-//! from the primary specifications:
+//! from the primary specifications, with no dependency at all:
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256 and RFC 2104 HMAC.
 //! * [`siphash`] — SipHash-2-4 keyed PRF (used for order-preserving slot
 //!   selection in `dasp-sss` and for cheap fingerprints).
-//! * [`aes`] — FIPS 197 AES-128 with ECB (deterministic encryption
-//!   baseline) and CTR modes.
-//! * [`ope`] — deterministic order-preserving encryption via recursive
-//!   keyed interval splitting (a practical stand-in for Boldyreva et al.,
-//!   the scheme the paper's reference \[3\] inspired).
-//! * [`paillier`] — additively homomorphic encryption (the Ge–Zdonik
-//!   secure-aggregation baseline, paper reference \[23\]).
-//! * [`commutative`] — Pohlig–Hellman exponentiation cipher (the
-//!   Agrawal–Evfimievski–Srikant intersection protocol, reference \[26\]).
 //! * [`merkle`] — Merkle hash trees for the trust mechanisms in
 //!   `dasp-verify`.
+//! * [`mod@crc32`] — the CRC-32 that frames WAL records, checkpoint files
+//!   and RPC frames.
+//!
+//! The encryption comparators the paper argues against (deterministic
+//! AES, OPE, Paillier, commutative encryption) live in `dasp-baseline`.
 //!
 //! **These are benchmarking-grade reference implementations.** They are
 //! functionally correct (test vectors included) but make no constant-time
 //! or side-channel claims; do not deploy them against real adversaries.
 
-pub mod aes;
-pub mod commutative;
+pub mod crc32;
 pub mod merkle;
-pub mod ope;
-pub mod paillier;
 pub mod sha256;
 pub mod siphash;
 
-pub use aes::{Aes128, CtrMode};
-pub use commutative::CommutativeCipher;
+pub use crc32::crc32;
 pub use merkle::{MerkleProof, MerkleTree};
-pub use ope::OpeCipher;
-pub use paillier::{PaillierCiphertext, PaillierKeypair, PaillierPublicKey};
 pub use sha256::{hmac_sha256, sha256, Sha256};
 pub use siphash::SipHash24;

@@ -82,7 +82,7 @@ impl MerkleTree {
 
     /// Number of leaves.
     pub fn len(&self) -> usize {
-        self.levels[0].len()
+        self.levels.first().map_or(0, Vec::len)
     }
 
     /// True iff the tree has exactly one leaf.
@@ -97,9 +97,10 @@ impl MerkleTree {
     /// Panics if `index` is out of bounds.
     pub fn prove(&self, index: usize) -> MerkleProof {
         assert!(index < self.len(), "leaf index out of bounds");
-        let mut siblings = Vec::with_capacity(self.levels.len() - 1);
+        let below_root = self.levels.len().saturating_sub(1);
+        let mut siblings = Vec::with_capacity(below_root);
         let mut idx = index;
-        for level in &self.levels[..self.levels.len() - 1] {
+        for level in self.levels.iter().take(below_root) {
             let sibling_idx = idx ^ 1;
             siblings.push(level.get(sibling_idx).copied());
             idx /= 2;

@@ -27,6 +27,10 @@
 //! A bare `name(…)` call resolves to a fn declared inside a body around
 //! it ([`FnItem::scope`]), innermost first, before any module-level fn;
 //! no call from outside that body reaches such a local item.
+//!
+//! Every tier sees only the fns of the caller's crate and its transitive
+//! dependencies ([`crate::manifest`]): a same-named method in a crate the
+//! caller cannot name is no candidate.
 
 use crate::ir::{Ctx, CtxKind, FnId, FnItem, PanicKind, WorkspaceIr};
 use crate::lexer::{Token, TokenKind};
@@ -236,7 +240,7 @@ pub(crate) fn resolve_call(ws: &WorkspaceIr, caller: &FnItem, ctx: &Ctx) -> Vec<
             if STD_COLLIDING.contains(&name) {
                 if VENDOR_API.contains(&name) {
                     return ws
-                        .by_name(name)
+                        .by_name(caller.file, name)
                         .filter(|&id| {
                             ws.files[ws.fns[id].file].vendor && ws.fns[id].impl_type.is_some()
                         })
@@ -247,7 +251,7 @@ pub(crate) fn resolve_call(ws: &WorkspaceIr, caller: &FnItem, ctx: &Ctx) -> Vec<
             // A fallback edge back to the caller itself is dynamic
             // dispatch (`self.inner.lock().backend.page_count()`),
             // never recursion.
-            ws.by_name(name)
+            ws.by_name(caller.file, name)
                 .filter(|&id| ws.fns[id].impl_type.is_some() && !std::ptr::eq(&ws.fns[id], caller))
                 .collect()
         }
@@ -273,14 +277,14 @@ fn resolve(
             None
         };
         if let Some(ty) = ty {
-            return match ws.method(&ty, name) {
+            return match ws.method(caller.file, &ty, name) {
                 Some(id) => Resolution::Exact(vec![id]),
                 None => Resolution::External,
             };
         }
         // Module-qualified free fn: match module-level fns of that name.
         let free: Vec<FnId> = ws
-            .by_name(name)
+            .by_name(caller.file, name)
             .filter(|&id| ws.fns[id].impl_type.is_none() && ws.fns[id].scope.is_none())
             .collect();
         return if free.is_empty() {
@@ -293,7 +297,7 @@ fn resolve(
         // Tier 2: typed receiver chain (params, `self`, locals).
         if let Some(ty) = recv_types_with(ws, caller, locals, &ctx.recv) {
             for t in &ty {
-                if let Some(id) = ws.method(t, name) {
+                if let Some(id) = ws.method(caller.file, t, name) {
                     return Resolution::Exact(vec![id]);
                 }
             }
@@ -312,7 +316,7 @@ fn resolve(
     // module-level fns, the innermost first; a bare name never targets
     // methods.
     let local = ws
-        .by_name(name)
+        .by_name(caller.file, name)
         .filter(|&id| {
             let f = &ws.fns[id];
             f.file == caller.file
@@ -324,7 +328,7 @@ fn resolve(
         return Resolution::Exact(vec![id]);
     }
     let free: Vec<FnId> = ws
-        .by_name(name)
+        .by_name(caller.file, name)
         .filter(|&id| ws.fns[id].impl_type.is_none() && ws.fns[id].scope.is_none())
         .collect();
     if free.is_empty() {
@@ -370,7 +374,7 @@ fn resolve_chained(
                 return Some(Resolution::Unknown);
             }
             for t in &ty {
-                if let Some(id) = ws.method(t, ctx.callee.as_str()) {
+                if let Some(id) = ws.method(caller.file, t, ctx.callee.as_str()) {
                     return Some(Resolution::Exact(vec![id]));
                 }
             }

@@ -20,6 +20,9 @@ pub struct FileIr {
     pub path: String,
     /// True for files under `vendor/` (relaxed ruleset: U1 + P3 only).
     pub vendor: bool,
+    /// Index into [`WorkspaceIr::closures`] of the crate owning the
+    /// file; `None` outside every manifest.
+    pub krate: Option<usize>,
     /// The lexed token stream (comments included; rules skip them).
     pub tokens: Vec<Token>,
     /// True for tokens under `#[cfg(test)]` / `#[test]` items.
@@ -206,23 +209,28 @@ pub struct WorkspaceIr {
     /// struct name → field name → type identifiers. Used to resolve
     /// `self.field.method(…)` receivers to the field's declared type.
     pub structs: BTreeMap<String, BTreeMap<String, Vec<String>>>,
+    /// Per crate: itself plus its transitive dependencies
+    /// ([`crate::manifest::Crates::closures`]).
+    pub closures: Vec<BTreeSet<usize>>,
 }
 
 impl WorkspaceIr {
-    /// Functions defined in `impl ty` blocks with the given name.
-    pub fn method(&self, ty: &str, name: &str) -> Option<FnId> {
-        self.fns
-            .iter()
-            .position(|f| f.name == name && f.impl_type.as_deref() == Some(ty))
+    /// The fn `name` in an `impl ty` block that code in file `from` can
+    /// link to.
+    pub fn method(&self, from: usize, ty: &str, name: &str) -> Option<FnId> {
+        self.by_name(from, name)
+            .find(|&id| self.fns[id].impl_type.as_deref() == Some(ty))
     }
 
-    /// All `FnId`s whose function has the given name (any impl type).
-    pub fn by_name<'a>(&'a self, name: &'a str) -> impl Iterator<Item = FnId> + 'a {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(move |(_, f)| f.name == name)
-            .map(|(i, _)| i)
+    /// All fns called `name` (any impl type) that code in file `from` can
+    /// link to: those in its crate's dependency closure. A file outside
+    /// every manifest links, and is linked to, everywhere.
+    pub fn by_name<'a>(&'a self, from: usize, name: &'a str) -> impl Iterator<Item = FnId> + 'a {
+        let reach = self.files[from].krate.map(|c| &self.closures[c]);
+        (0..self.fns.len()).filter(move |&id| {
+            let krate = self.files[self.fns[id].file].krate;
+            self.fns[id].name == name && reach.zip(krate).is_none_or(|(r, k)| r.contains(&k))
+        })
     }
 
     /// A short `file:line`-free label for path messages: `Type::name`

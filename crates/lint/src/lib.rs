@@ -36,6 +36,7 @@ pub mod deadlock;
 pub mod ir;
 pub mod lexer;
 pub mod locks;
+pub mod manifest;
 pub mod ordering;
 pub mod parser;
 pub mod report;
@@ -333,7 +334,7 @@ pub fn analyze_workspace_timed(root: &Path) -> std::io::Result<(Report, Timing)>
     timing.token_rules = t.elapsed();
 
     let t = std::time::Instant::now();
-    let ws = parser::build_workspace_tokens(inputs);
+    let ws = parser::build_workspace_tokens(inputs, manifest::Crates::read(root));
     let graph = callgraph::CallGraph::build(&ws);
     timing.parse = t.elapsed();
 

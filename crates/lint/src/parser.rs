@@ -10,6 +10,7 @@
 
 use crate::ir::{Ctx, CtxKind, FileIr, FnItem, PanicKind, PanicSite, Param, Unit, WorkspaceIr};
 use crate::lexer::{Token, TokenKind};
+use crate::manifest::Crates;
 use std::collections::BTreeMap;
 
 /// Reserved words that can precede `(` / `[` without forming a call or
@@ -35,16 +36,21 @@ pub fn build_workspace(inputs: Vec<(String, bool, String)>) -> WorkspaceIr {
             .into_iter()
             .map(|(path, vendor, src)| (path, vendor, crate::lexer::lex(&src)))
             .collect(),
+        Crates::default(),
     )
 }
 
 /// [`build_workspace`] over already-lexed token streams, so a driver
 /// that also runs the token rules lexes each file exactly once.
-pub fn build_workspace_tokens(inputs: Vec<(String, bool, Vec<Token>)>) -> WorkspaceIr {
+pub fn build_workspace_tokens(
+    inputs: Vec<(String, bool, Vec<Token>)>,
+    crates: Crates,
+) -> WorkspaceIr {
     let mut ir = WorkspaceIr {
         files: Vec::new(),
         fns: Vec::new(),
         structs: BTreeMap::new(),
+        closures: Vec::new(),
     };
     for (path, vendor, tokens) in inputs {
         let test_mask = crate::rules::test_mask(&tokens);
@@ -76,6 +82,7 @@ pub fn build_workspace_tokens(inputs: Vec<(String, bool, Vec<Token>)>) -> Worksp
             ir.fns.push(item);
         }
         ir.files.push(FileIr {
+            krate: crates.of(&path),
             path,
             vendor,
             tokens,
@@ -83,6 +90,7 @@ pub fn build_workspace_tokens(inputs: Vec<(String, bool, Vec<Token>)>) -> Worksp
             waivers,
         });
     }
+    ir.closures = crates.closures;
     crate::callgraph::annotate_locals(&mut ir);
     ir
 }
@@ -126,6 +134,18 @@ pub(crate) fn close_of(tokens: &[Token], open: usize, oc: char, cc: char) -> usi
         }
     }
     tokens.len().saturating_sub(1)
+}
+
+/// The token after a `::<…>` turbofish that starts at `colon`, if one
+/// does.
+fn after_turbofish(tokens: &[Token], colon: usize) -> Option<usize> {
+    let colon2 = next_nc(tokens, colon + 1)?;
+    let open = next_nc(tokens, colon2 + 1)?;
+    if tokens[colon].is_punct(':') && tokens[colon2].is_punct(':') && tokens[open].is_punct('<') {
+        next_nc(tokens, skip_angles_raw(tokens, open))
+    } else {
+        None
+    }
 }
 
 /// Skip a balanced `<…>` group opening at `open`, tolerating `->`
@@ -663,7 +683,8 @@ fn extract_ctxs(
                 continue;
             }
         }
-        // Function / method call: `name(…)`.
+        // Function / method call: `name(…)`, or `name::<T>(…)`.
+        let j = after_turbofish(tokens, j).unwrap_or(j);
         if tokens[j].is_punct('(') && !is_keyword(name) {
             let is_def = prev_nc(tokens, i).is_some_and(|p| tokens[p].is_ident("fn"));
             if !is_def {

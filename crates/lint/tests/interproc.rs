@@ -173,6 +173,27 @@ fn p3_bad_reports_cross_crate_reachability_paths() {
 }
 
 #[test]
+fn p3_follows_a_turbofish_call() {
+    let got = of_rule(&run("p3", "turbofish"), Rule::P3);
+    let msg = "P3 panic reachability: indexing without get in helper, reachable via \
+               DataSource::select -> helper";
+    assert_eq!(got, [(APP.to_string(), 7, msg.to_string())]);
+}
+
+/// `app` depends on `dep` but not on `other`; both define `frob`, and
+/// `app` calls it on an untypable receiver. Only `dep`'s can be linked.
+#[test]
+fn p3_links_only_along_crate_dependencies() {
+    let got = of_rule(&run("p3", "closure"), Rule::P3);
+    let msg = "P3 panic reachability: indexing without get in Widget::frob, reachable \
+               via DataSource::poke -> Widget::frob";
+    assert_eq!(
+        got,
+        [("crates/dep/src/lib.rs".to_string(), 5, msg.to_string())]
+    );
+}
+
+#[test]
 fn p3_good_checked_access_passes_waiver_surfaces() {
     let report = run("p3", "good");
     assert_eq!(
@@ -400,6 +421,18 @@ fn c2_bad_reports_reconnect_join_and_bounded_ring() {
         ),
     ];
     assert_eq!(got, want, "C2 bad fixture findings");
+}
+
+/// The bounded ring of `c2/bad`, its channels built by `bounded::<u64>(…)`.
+#[test]
+fn c2_sees_a_turbofish_channel_constructor() {
+    let got = of_rule(&run("c2", "turbofish"), Rule::C2);
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert_eq!((got[0].0.as_str(), got[0].1), (APP, 13));
+    assert!(
+        got[0].2.starts_with("C2 bounded-channel wait cycle"),
+        "{got:?}"
+    );
 }
 
 /// The fixed shapes: guard dropped before join, single-channel

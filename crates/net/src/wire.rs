@@ -321,7 +321,7 @@ pub const MAX_FRAME_BODY: u32 = 64 << 20;
 
 /// CRC-32 (IEEE 802.3) of a frame body: the same checksum, and the same
 /// function, that frames WAL and checkpoint records.
-pub use dasp_storage::wal::crc32;
+pub use dasp_crypto::crc32;
 
 /// Direction tag of a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2858,7 +2858,7 @@ pub(crate) mod tests {
         body.extend(0u32.to_le_bytes()); // committed columns
         let mut meta = b"DCKP\x02\0\0\0".to_vec();
         meta.extend((body.len() as u32).to_le_bytes());
-        meta.extend(dasp_storage::wal::crc32(&body).to_le_bytes());
+        meta.extend(dasp_crypto::crc32(&body).to_le_bytes());
         meta.extend(body);
         // A heap page: type, one slot, free space from 4091, the slot
         // (offset 4091, 5 bytes), and the row block of (1, [10]) at 4091.
@@ -2873,7 +2873,7 @@ pub(crate) mod tests {
         let mut log = b"DWAL\x02\0\0\0".to_vec();
         log.extend(1u64.to_le_bytes());
         log.extend((insert.len() as u32).to_le_bytes());
-        log.extend(dasp_storage::wal::crc32(&insert).to_le_bytes());
+        log.extend(dasp_crypto::crc32(&insert).to_le_bytes());
         log.extend(insert);
         let files = [("meta.bin", meta), ("data.db", page), (WAL_FILE, log)];
         for (name, bytes) in &files {

@@ -26,8 +26,8 @@
 //! corrupt input (truncation and bit-flip fuzzing in
 //! `tests/fault_injection.rs` holds this line at every byte offset).
 
-use crate::wal::crc32;
 use crate::StorageError;
+use dasp_crypto::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};

@@ -107,23 +107,23 @@ impl AuthenticatedTable {
         false
     }
 
-    /// Answer `lo ≤ share(sort_col) ≤ hi` with a completeness proof.
+    /// Answer `lo ≤ share(sort_col) ≤ hi` with a completeness proof. A
+    /// reversed range (`lo > hi`) is empty and is proven as any empty
+    /// range is: by the rows on either side of where it would sit.
     pub fn prove_range(&self, lo: i128, hi: i128) -> RangeProof {
-        let start = self.rows.partition_point(|r| r.shares[self.sort_col] < lo);
-        let end = self.rows.partition_point(|r| r.shares[self.sort_col] <= hi);
-        let rows = self.rows[start..end].to_vec();
-        let proofs = (start..end).map(|i| self.tree.prove(i)).collect();
-        let left_boundary = start
-            .checked_sub(1)
-            .map(|i| (self.rows[i].clone(), self.tree.prove(i)));
-        let right_boundary =
-            (end < self.rows.len()).then(|| (self.rows[end].clone(), self.tree.prove(end)));
+        let share = |r: &CommittedRow| r.shares.get(self.sort_col).copied();
+        let start = self.rows.partition_point(|r| share(r) < Some(lo));
+        let end = self
+            .rows
+            .partition_point(|r| share(r) <= Some(hi))
+            .max(start);
+        let proved = |i: usize| self.rows.get(i).map(|r| (r.clone(), self.tree.prove(i)));
         RangeProof {
             start,
-            rows,
-            proofs,
-            left_boundary,
-            right_boundary,
+            rows: self.rows.get(start..end).unwrap_or_default().to_vec(),
+            proofs: (start..end).map(|i| self.tree.prove(i)).collect(),
+            left_boundary: start.checked_sub(1).and_then(proved),
+            right_boundary: proved(end),
         }
     }
 }

@@ -7,10 +7,10 @@
 //! cargo run --release -p dasp-apps --bin agencies
 //! ```
 
+use dasp_baseline::commutative::shared_test_prime;
 use dasp_baseline::intersection::{commutative_intersection, predicted_cost};
 use dasp_client::{ColumnSpec, DataSource, TableSchema, Value};
 use dasp_core::client::ClientKeys;
-use dasp_crypto::commutative::shared_test_prime;
 use dasp_net::{Cluster, NetworkModel};
 use dasp_server::service::provider_fleet;
 use dasp_sss::ShareMode;
