@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dasp_baseline::{Aes128, OpeCipher};
 use dasp_bigint::{mod_pow, mod_pow_plain, BigUint, MontgomeryCtx};
+use dasp_client::ClientKeys;
 use dasp_crypto::{sha256, SipHash24};
 use dasp_field::{Fp, Poly};
 use dasp_net::{Cluster, SharedService};
@@ -51,6 +52,20 @@ fn bench_sss(c: &mut Criterion) {
     });
     g.bench_function("split_deterministic_k2_n4", |bench| {
         bench.iter(|| sharing.split_deterministic(black_box(12345), &key))
+    });
+    // The client's rewrite of `eid = x` into the share each of three
+    // providers filters on, with the column's PRFs from its plan.
+    let keys = ClientKeys::generate(2, 3, &mut rng).unwrap();
+    let prfs = keys.coeff_prfs("eid");
+    g.bench_function("point_rewrite_n3", |bench| {
+        bench.iter(|| {
+            (0..3)
+                .map(|p| {
+                    keys.field()
+                        .deterministic_share_with(black_box(42), &prfs, p)
+                })
+                .collect::<Result<Vec<_>, _>>()
+        })
     });
     let shares = sharing.split_random(Fp::from_u64(777), &mut rng);
     g.bench_function("reconstruct_k2", |bench| {

@@ -9,7 +9,7 @@
 
 use crate::{ClientError, Result};
 use dasp_field::{Fp, Secret};
-use dasp_sss::{DomainKey, FieldSharing, OpSharing, OpssParams};
+use dasp_sss::{CoeffPrfs, DomainKey, FieldSharing, OpSharing, OpssParams};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -77,6 +77,12 @@ impl ClientKeys {
     /// The domain key for a named value domain.
     pub fn domain_key(&self, domain: &str) -> DomainKey {
         DomainKey::derive(self.master.expose(), domain)
+    }
+
+    /// The coefficient PRFs of `domain`'s deterministic polynomials under
+    /// this configuration's threshold.
+    pub fn coeff_prfs(&self, domain: &str) -> CoeffPrfs {
+        self.field.coeff_prfs(&self.domain_key(domain))
     }
 
     /// An order-preserving sharer for `domain` over values `< domain_size`.

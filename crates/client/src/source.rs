@@ -24,7 +24,7 @@ use dasp_net::{
 };
 use dasp_server::proto::{AggOp, PredAtom, Request, Response, Row, RowBlock};
 use dasp_server::proto::{WireMerkleProof, WireRangeProof};
-use dasp_sss::{DomainKey, FieldBasis, FieldShare, FieldSharing, OpBasis, OpSharing, ShareMode};
+use dasp_sss::{CoeffPrfs, FieldBasis, FieldShare, FieldSharing, OpBasis, OpSharing, ShareMode};
 use dasp_verify::merkle_table::{CommittedRow, RangeProof};
 use dasp_verify::{majority_reconstruct_field, majority_reconstruct_op, RingerSet};
 use rand::rngs::StdRng;
@@ -120,7 +120,8 @@ impl std::fmt::Display for ExplainReport {
 /// schema and the keys alone, so it is resolved once when the table is
 /// registered, and every statement shares it: encode, the batched decode
 /// and the per-share decode all read it, and none rebuilds a text codec,
-/// re-derives a domain key or clones an OPSS sharer.
+/// re-derives a domain key or its coefficient PRFs, or clones an OPSS
+/// sharer.
 struct ColumnPlan {
     schema: TableSchema,
     /// Parallel to `schema.columns`.
@@ -134,7 +135,9 @@ struct PlannedColumn {
 
 enum ShareCodec {
     Random,
-    Deterministic(DomainKey),
+    /// The domain's coefficient PRFs, derived once: every insert, rewrite
+    /// and rebuild evaluates with them and runs no HMAC.
+    Deterministic(CoeffPrfs),
     OrderPreserving(OpSharing),
 }
 
@@ -148,7 +151,7 @@ impl ColumnPlan {
                 let share = match col.mode {
                     ShareMode::Random => ShareCodec::Random,
                     ShareMode::Deterministic => {
-                        ShareCodec::Deterministic(keys.domain_key(&col.domain))
+                        ShareCodec::Deterministic(keys.coeff_prfs(&col.domain))
                     }
                     ShareMode::OrderPreserving => ShareCodec::OrderPreserving(
                         keys.op_sharing(&col.domain, value.domain_size())?,
@@ -199,8 +202,8 @@ fn encode_chunk(
                     push_shares(row, split.iter().map(|s| s.y.to_u64() as i128));
                 }
             }
-            ShareCodec::Deterministic(key) => {
-                let split = field.split_deterministic_batch(&codes, key);
+            ShareCodec::Deterministic(prfs) => {
+                let split = field.split_deterministic_batch_with(&codes, prfs);
                 for (row, shares) in out.iter_mut().zip(split) {
                     push_shares(row, shares.iter().map(|s| s.y.to_u64() as i128));
                 }
@@ -867,12 +870,12 @@ impl DataSource {
             let col_idx = schema.col(pred.col())?;
             let (lo, hi) = pred.code_interval(&schema.columns[col_idx].ctype)?;
             match &plan.column(col_idx)?.share {
-                ShareCodec::Deterministic(key) => {
+                ShareCodec::Deterministic(prfs) => {
                     debug_assert_eq!(lo, hi, "split_predicate admits only Eq here");
                     let share = self
                         .keys
                         .field()
-                        .deterministic_share(lo, key, provider)?
+                        .deterministic_share_with(lo, prfs, provider)?
                         .to_u64() as i128;
                     atoms.push(PredAtom::Eq {
                         col: col_idx,
@@ -2205,13 +2208,13 @@ impl DataSource {
                             }
                             at(x_target)?.to_u64() as i128
                         }
-                        ShareCodec::Deterministic(key) => {
+                        ShareCodec::Deterministic(prfs) => {
                             let code = self
                                 .decode_column(col, &col_shares, checked)
                                 .map_err(|e| if checked { disagree() } else { e })?;
                             self.keys
                                 .field()
-                                .deterministic_share(code, key, target)?
+                                .deterministic_share_with(code, prfs, target)?
                                 .to_u64() as i128
                         }
                         ShareCodec::OrderPreserving(sharing) => {

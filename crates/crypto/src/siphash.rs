@@ -15,9 +15,10 @@ pub struct SipHash24 {
 impl SipHash24 {
     /// Create from a 16-byte key.
     pub fn new(key: &[u8; 16]) -> Self {
+        let [a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p] = *key;
         SipHash24 {
-            k0: u64::from_le_bytes(key[0..8].try_into().expect("8 bytes")),
-            k1: u64::from_le_bytes(key[8..16].try_into().expect("8 bytes")),
+            k0: u64::from_le_bytes([a, b, c, d, e, f, g, h]),
+            k1: u64::from_le_bytes([i, j, k, l, m, n, o, p]),
         }
     }
 
@@ -35,7 +36,7 @@ impl SipHash24 {
 
         let mut chunks = data.chunks_exact(8);
         for chunk in &mut chunks {
-            let m = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+            let m = le_u64(chunk);
             v3 ^= m;
             for _ in 0..2 {
                 sipround(&mut v0, &mut v1, &mut v2, &mut v3);
@@ -44,11 +45,7 @@ impl SipHash24 {
         }
 
         // Final block: remaining bytes plus the length in the top byte.
-        let rem = chunks.remainder();
-        let mut last = (data.len() as u64 & 0xff) << 56;
-        for (i, &b) in rem.iter().enumerate() {
-            last |= (b as u64) << (8 * i);
-        }
+        let last = (data.len() as u64 & 0xff) << 56 | le_u64(chunks.remainder());
         v3 ^= last;
         for _ in 0..2 {
             sipround(&mut v0, &mut v1, &mut v2, &mut v3);
@@ -71,6 +68,15 @@ impl SipHash24 {
     pub fn hash_u128(&self, v: u128) -> u64 {
         self.hash(&v.to_le_bytes())
     }
+}
+
+/// Up to 8 bytes as a little-endian integer.
+#[inline]
+fn le_u64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .rev()
+        .fold(0, |acc, &b| acc << 8 | u64::from(b))
 }
 
 #[inline]

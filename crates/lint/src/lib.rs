@@ -155,6 +155,7 @@ impl Default for Config {
                 "OpssParams",
                 "OpSharing",
                 "DomainKey",
+                "CoeffPrfs",
                 "ClientKeys",
                 "Poly",
             ],

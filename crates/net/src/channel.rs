@@ -1,8 +1,10 @@
-//! The work channel every worker pool in this crate drains, and the one
-//! function that starts a pool.
+//! The work channel every worker pool in this crate drains, the one
+//! function that starts a pool, and the reply queue a caller waits on.
 //!
-//! A reply has one receiver and travels on `std::sync::mpsc`. Work has
-//! several: a provider's `dasp-provider-{id}-w{w}` threads share one
+//! A reply has one receiver: the quorum engine run or the
+//! [`crate::TcpClient::call`] that asked. It travels on a [`Replies`]
+//! queue, where a send wakes the receiver only if it is parked, and the
+//! receiver takes everything queued at once. Work has several: a provider's `dasp-provider-{id}-w{w}` threads share one
 //! request queue, a server's `dasp-tcp-worker-{w}` threads one job queue.
 //! Shared behind a mutex, an `mpsc` receiver would be held by the worker
 //! blocked in `recv`, so each message would also wake a sibling only to
@@ -14,6 +16,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 struct State<T> {
     items: VecDeque<T>,
@@ -193,6 +196,85 @@ where
         .collect()
 }
 
+struct ReplyState<T> {
+    items: VecDeque<T>,
+    /// The receiver waits on `arrived` and must be woken by a send.
+    parked: bool,
+}
+
+struct ReplyChan<T> {
+    state: Mutex<ReplyState<T>>,
+    arrived: Condvar,
+}
+
+impl<T> ReplyChan<T> {
+    /// As [`Chan::lock`]: no critical section leaves the state invalid.
+    fn lock(&self) -> MutexGuard<'_, ReplyState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The sending end of a reply queue; clones share it.
+pub(crate) struct ReplyTo<T>(Arc<ReplyChan<T>>);
+
+/// The one receiving end of a reply queue.
+pub(crate) struct Replies<T>(Arc<ReplyChan<T>>);
+
+/// A reply queue: any number of senders, one receiver.
+pub(crate) fn replies<T>() -> (ReplyTo<T>, Replies<T>) {
+    let chan = Arc::new(ReplyChan {
+        state: Mutex::new(ReplyState {
+            items: VecDeque::new(),
+            parked: false,
+        }),
+        arrived: Condvar::new(),
+    });
+    (ReplyTo(Arc::clone(&chan)), Replies(chan))
+}
+
+impl<T> ReplyTo<T> {
+    /// Queue `item`, waking the receiver if it is parked. Never blocks.
+    /// Once the receiver is gone nobody takes the item, and it is freed
+    /// with the queue when the last sender goes.
+    pub(crate) fn send(&self, item: T) {
+        let mut st = self.0.lock();
+        st.items.push_back(item);
+        let wake = std::mem::replace(&mut st.parked, false);
+        drop(st);
+        if wake {
+            self.0.arrived.notify_one();
+        }
+    }
+}
+
+impl<T> Clone for ReplyTo<T> {
+    fn clone(&self) -> Self {
+        ReplyTo(Arc::clone(&self.0))
+    }
+}
+
+impl<T> Replies<T> {
+    /// Move everything queued onto the back of `into`, in arrival order.
+    /// With nothing queued, park until a send or `deadline`, whichever
+    /// comes first; a deadline already passed takes without waiting.
+    pub(crate) fn take(&self, deadline: Instant, into: &mut VecDeque<T>) {
+        let mut st = self.0.lock();
+        while st.items.is_empty() {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if wait.is_zero() {
+                break;
+            }
+            st.parked = true;
+            st = match self.0.arrived.wait_timeout(st, wait) {
+                Ok((st, _)) => st,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+            st.parked = false;
+        }
+        into.append(&mut st.items);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +294,67 @@ mod tests {
         let workers = spawn_workers(count, |w| format!("w{w}"), jobs, report);
         assert_eq!(workers.len(), count);
         (workers, seen)
+    }
+
+    /// Everything `rx` has queued, or receives by `deadline`.
+    fn taken<T>(rx: &Replies<T>, deadline: Instant) -> Vec<T> {
+        let mut got = VecDeque::new();
+        rx.take(deadline, &mut got);
+        got.into()
+    }
+
+    #[test]
+    fn replies_come_out_in_fifo_order() {
+        let (tx, rx) = replies();
+        let tx2 = tx.clone();
+        (0..5).for_each(|v| if v % 2 == 0 { tx.send(v) } else { tx2.send(v) });
+        let mut got = VecDeque::from([-1]);
+        rx.take(Instant::now(), &mut got);
+        assert_eq!(got, [-1, 0, 1, 2, 3, 4], "appended in arrival order");
+        tx.send(5);
+        assert_eq!(taken(&rx, Instant::now()), [5]);
+    }
+
+    #[test]
+    fn parked_receiver_wakes_on_first_send() {
+        let (tx, rx) = replies();
+        std::thread::scope(|s| {
+            let start = Instant::now();
+            let deadline = start + Duration::from_secs(30);
+            let rx = &rx;
+            let waiting = s.spawn(move || taken(rx, deadline));
+            while !rx.0.lock().parked {
+                std::thread::yield_now();
+            }
+            tx.send(7);
+            assert_eq!(waiting.join().unwrap(), [7]);
+            assert!(start.elapsed() < Duration::from_secs(10), "woke late");
+        });
+    }
+
+    #[test]
+    fn wait_without_reply_ends_empty_at_its_deadline() {
+        let (_tx, rx) = replies::<u32>();
+        let start = Instant::now();
+        let wait = Duration::from_millis(30);
+        assert!(taken(&rx, start + wait).is_empty());
+        assert!(start.elapsed() >= wait, "returned before its deadline");
+        // A deadline already past takes without parking.
+        assert!(taken(&rx, start).is_empty());
+    }
+
+    #[test]
+    fn send_never_blocks_or_panics() {
+        let (tx, rx) = replies();
+        // Nobody parked: queued, nobody woken.
+        tx.send(1);
+        assert!(!rx.0.lock().parked);
+        assert_eq!(taken(&rx, Instant::now()), [1]);
+        // Receiver gone: nobody is woken, and the queue goes with the
+        // last sender.
+        drop(rx);
+        tx.send(2);
+        assert!(!tx.0.lock().parked);
     }
 
     #[test]

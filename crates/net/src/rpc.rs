@@ -8,20 +8,21 @@
 //! provider sits behind a [`TcpClient`] ([`Cluster::connect_tcp`]): the
 //! engine writes the request frame on the caller's own thread, and the
 //! client's reader thread puts the answer straight onto the engine's
-//! reply channel, so a TCP call wakes no client thread but that reader.
+//! reply queue, so a TCP call wakes no client thread but that reader.
 //! Either way the caller waits with a timeout, so a crashed provider
 //! degrades into a timeout exactly as a dead site would. A request the
 //! TCP transport loses is reported to the engine: the attempt still ends
 //! at its deadline, but a [`QuorumMode::FirstK`] read escalates to its
 //! next provider at once and resends the lost request after a short
-//! pause (a write is never resent: it may have been applied). The engine
-//! takes every reply already queued before it judges a deadline, so a
-//! send that held the caller's thread never times out an answer that
-//! arrived meanwhile.
+//! pause (a write is never resent: it may have been applied). An
+//! in-process handler that panics loses its request the same way, and
+//! its worker serves the next. The engine takes every reply already
+//! queued before it judges a deadline, so a send that held the caller's
+//! thread never times out an answer that arrived meanwhile.
 //!
 //! Every call — one provider or many, first-k or all — goes through one
 //! quorum engine. Quorum calls are *first-k-wins*: every in-flight
-//! attempt replies onto one shared channel tagged with an attempt token,
+//! attempt replies onto one reply queue tagged with an attempt token,
 //! and the engine returns the moment enough valid responses have arrived
 //! — stragglers are abandoned, timed-out attempts are retried per
 //! [`RetryPolicy`], failures escalate to hedge launches at the
@@ -30,7 +31,7 @@
 //! them. Independent calls can share one engine run as *rounds*
 //! ([`Cluster::call_quorum_rounds`]): each round is judged alone, and
 //! all their requests are in flight at once while the caller waits on
-//! one channel.
+//! one queue.
 //!
 //! Failure injection (per provider, switchable at runtime) happens in
 //! the engine, above either kind of provider, from one seeded RNG per
@@ -44,7 +45,7 @@
 //!   then sent by the engine's own deadline loop; a delay occupies no
 //!   thread.
 
-use crate::channel::{self, spawn_workers, unbounded};
+use crate::channel::{self, spawn_workers, unbounded, ReplyTo};
 use crate::cost::TrafficStats;
 use crate::resilience::{
     Admission, BreakerConfig, Clock, HealthTracker, ProviderOutcome, QuorumError, RetryPolicy,
@@ -55,7 +56,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{self, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -199,7 +200,7 @@ impl Default for QuorumOptions<'_> {
 
 struct Envelope {
     request: Vec<u8>,
-    reply_to: Sender<Reply>,
+    reply_to: ReplyTo<Reply>,
     token: u64,
 }
 
@@ -228,7 +229,7 @@ enum Link {
         threads: Vec<JoinHandle<()>>,
     },
     /// A remote provider: the engine writes each frame itself and the
-    /// client's reader answers onto the engine's reply channel.
+    /// client's reader answers onto the engine's reply queue.
     Tcp(TcpClient),
     /// Shut down, or no worker thread could be started.
     Closed,
@@ -268,7 +269,7 @@ impl ProviderHandle {
     fn deliver(
         &self,
         request: &[u8],
-        reply: &Sender<Reply>,
+        reply: &ReplyTo<Reply>,
         token: u64,
     ) -> Result<Option<u64>, Closed> {
         if *self.failure.lock() == FailureMode::Crashed {
@@ -357,11 +358,12 @@ impl Cluster {
             let (tx, rx) = unbounded();
             let name = |w| format!("dasp-provider-{id}-w{w}");
             let threads = spawn_workers(workers, name, &rx, move |env: Envelope| {
-                // dasp::allow(E1): the caller may have timed out and
-                // dropped its reply rx; a dead waiter is not an error here.
-                let _ = env
-                    .reply_to
-                    .send((env.token, Ok(service.handle(&env.request))));
+                // A handler that panics answers its one request with an
+                // error, which the engine escalates past at once, and
+                // leaves the worker serving the next.
+                let answer = catch_unwind(AssertUnwindSafe(|| service.handle(&env.request)))
+                    .map_err(|_| TransportError::Io("provider handler panicked".into()));
+                env.reply_to.send((env.token, answer));
             });
             // If the OS refuses every worker thread, every call to this
             // provider fails with RpcError::Closed (a dead provider),
@@ -561,10 +563,10 @@ impl Cluster {
             .collect()
     }
 
-    /// The quorum engine: one shared reply channel, token-tagged
+    /// The quorum engine: one reply queue per run, token-tagged
     /// attempts, an event loop over response/timeout/retry deadlines.
     /// Every round runs the same rules over its own requests; the rounds
-    /// share only the channel, the token map and the wait. Returns each
+    /// share only the queue, the token map and the wait. Returns each
     /// round's resolutions in request order.
     fn run_quorum(
         &self,
@@ -668,7 +670,8 @@ impl Cluster {
             });
         }
 
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply_tx, reply_rx) = channel::replies();
+        let mut arrived = VecDeque::new();
         let mut fl = Flights {
             map: HashMap::new(),
             next_token: 0,
@@ -850,8 +853,9 @@ impl Cluster {
             // Take every reply already here before judging deadlines: a
             // send that held this thread (a dial, a write to a peer that
             // stopped reading) must not time out an answer that arrived
-            // meanwhile.
-            while let Ok(reply) = reply_rx.try_recv() {
+            // meanwhile. Each is judged alone, in arrival order.
+            reply_rx.take(Instant::now(), &mut arrived);
+            for reply in arrived.drain(..) {
                 take(reply, &mut cands, &mut states, &mut fl);
             }
             let now = Instant::now();
@@ -986,12 +990,7 @@ impl Cluster {
                 .chain(fl.delayed.iter().map(|&(at, _)| at))
                 .min();
             let Some(next_event) = next_event else { break };
-            let wait = next_event
-                .checked_duration_since(Instant::now())
-                .unwrap_or(Duration::ZERO);
-            if let Ok(reply) = reply_rx.recv_timeout(wait) {
-                take(reply, &mut cands, &mut states, &mut fl);
-            }
+            reply_rx.take(next_event, &mut arrived);
         }
 
         // Unanswered attempts are abandoned: free their transport entries.
@@ -1630,6 +1629,59 @@ mod tests {
             };
             assert_eq!(client.pending_len(), 0, "provider {p}");
         }
+    }
+
+    #[test]
+    fn a_late_reply_never_answers_the_next_run() {
+        // One worker, which holds request 0 for 100 ms. Run A gives up on
+        // it after 20 ms; run B's request waits behind it at the worker.
+        // A's reply then arrives while B waits, under the same attempt
+        // token 0 that B's request carries.
+        let slow_zero = Arc::new(|req: &[u8]| {
+            if req == [0] {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            req.to_vec()
+        });
+        let cluster = Cluster::spawn_concurrent(vec![slow_zero], Duration::from_secs(5), 1);
+        let opts = QuorumOptions {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                per_attempt_timeout: Some(Duration::from_millis(20)),
+                ..RetryPolicy::none()
+            },
+            ..Default::default()
+        };
+        let a = one_round(&cluster, vec![(0, vec![0])], 1, &opts);
+        assert_eq!(a.unwrap_err().got, 0, "run A times out");
+        let b = one_round(&cluster, vec![(0, vec![1])], 1, &Default::default());
+        assert_eq!(b.unwrap(), vec![(0, vec![1])], "run B gets its own answer");
+    }
+
+    #[test]
+    fn a_panicking_handler_loses_one_request_not_its_worker() {
+        // Provider 0 panics on request 9; its one worker must live on.
+        // Provider 1 stands by, and a read escalates to it at once.
+        let services: Vec<Arc<dyn SharedService>> = vec![
+            Arc::new(|req: &[u8]| {
+                assert_ne!(req, [9], "marked request");
+                req.to_vec()
+            }),
+            Arc::new(|req: &[u8]| req.to_vec()),
+        ];
+        let cluster = Cluster::spawn_concurrent(services, Duration::from_secs(30), 1);
+        let start = Instant::now();
+        // No hedge: provider 0, never measured and first by id, is asked
+        // alone until it fails.
+        let got = one_round(
+            &cluster,
+            vec![(0, vec![9]), (1, vec![9])],
+            1,
+            &Default::default(),
+        );
+        assert_eq!(got, Ok(vec![(1, vec![9])]));
+        assert!(start.elapsed() < Duration::from_secs(10), "no escalation");
+        assert_eq!(cluster.call(0, vec![1]), Ok(vec![1]), "the worker lives");
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! framed-and-tokened onto one shared connection, and a dedicated reader
 //! thread routes response frames back by token — the same out-of-order
 //! multiplexing the worker pools use. A response goes where its request
-//! said: [`TcpClient::submit`] names a `std::sync::mpsc` sender and a
-//! tag, and the reader sends the response there (the cluster's quorum
-//! engine hands it its own reply channel, so a TCP call wakes no thread
-//! but the reader); [`TcpClient::call`] opens a channel of its own and
-//! blocks on it until its response arrives.
+//! said: `TcpClient::submit` names a reply queue and a tag, and the
+//! reader queues the response there, waking the queue's receiver only if
+//! it is parked (the cluster's quorum engine hands it its own queue, so a
+//! TCP call wakes no thread but the reader, and at most once per engine
+//! wait); [`TcpClient::call`] opens a queue of its own and parks on it
+//! until its response arrives.
 //!
 //! Writes follow the leader/follower rule of the WAL's group commit and
 //! the server's response flush: a caller that finds no write in flight
@@ -37,17 +38,17 @@
 //! payload (providers never produce empty responses, so downstream
 //! share-consistency checks treat it like a corrupt Byzantine response).
 
+use crate::channel::{self, ReplyTo};
 use crate::wire::{
     batch_items, encode_frame, encode_frame_into, BatchFrameBuilder, FrameDecoder, FrameError,
     FrameKind, MAX_FRAME_BODY,
 };
 use crate::SharedService;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,22 +125,21 @@ const MAX_BATCH_SUBS: usize = 128;
 /// Most payload bytes one outbound batch frame packs.
 const MAX_BATCH_BYTES: usize = 1 << 20;
 
-/// Where a request's outcome goes: the waiter's channel, under its tag.
+/// Where a request's outcome goes: the waiter's queue, under its tag.
 /// `Err` is a request the transport failed to deliver or answer.
-pub type Reply = (u64, Result<Vec<u8>, TransportError>);
+pub(crate) type Reply = (u64, Result<Vec<u8>, TransportError>);
 
-/// Who waits for a request's response: a channel and the tag to send
-/// the outcome under.
-struct Waiter(Sender<Reply>, u64);
+/// Who waits for a request's response: a reply queue and the tag to
+/// send the outcome under.
+struct Waiter(ReplyTo<Reply>, u64);
 
 impl Waiter {
-    /// Hand over the outcome. Never blocks: every reply channel is an
-    /// unbounded `mpsc`. Run it outside `pending`.
+    /// Hand over the outcome. Never blocks, and a waiter that timed out
+    /// and dropped its queue is simply not told. Run it outside
+    /// `pending`.
     fn finish(self, result: Result<Vec<u8>, TransportError>) {
         let Waiter(tx, tag) = self;
-        // dasp::allow(E1): the waiter may have timed out and dropped its
-        // receiver; nobody is left to tell.
-        let _ = tx.send((tag, result));
+        tx.send((tag, result));
     }
 }
 
@@ -221,11 +221,18 @@ impl TcpClient {
     /// One request/response exchange with a typed error. Concurrent
     /// callers share the connection; responses are matched by token.
     pub fn call(&self, payload: &[u8]) -> Result<Vec<u8>, TransportError> {
-        let (tx, rx) = mpsc::channel();
+        let (tx, rx) = channel::replies();
         let token = self.send(payload, Waiter(tx, 0))?;
-        match rx.recv_timeout(self.inner.cfg.call_timeout) {
-            Ok((_, result)) => result,
-            Err(_) => {
+        let now = Instant::now();
+        // A timeout past the clock's range waits as good as forever.
+        let deadline = now
+            .checked_add(self.inner.cfg.call_timeout)
+            .unwrap_or_else(|| now + Duration::from_secs(1 << 32));
+        let mut got = VecDeque::new();
+        rx.take(deadline, &mut got);
+        match got.pop_front() {
+            Some((_, result)) => result,
+            None => {
                 self.cancel(token);
                 Err(TransportError::TimedOut)
             }
@@ -238,10 +245,10 @@ impl TcpClient {
     /// entry, which [`cancel`](Self::cancel) frees if no answer is wanted
     /// any more. Only a closed client or an oversized request is refused
     /// outright.
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         payload: &[u8],
-        reply: Sender<Reply>,
+        reply: ReplyTo<Reply>,
         tag: u64,
     ) -> Result<u64, TransportError> {
         self.send(payload, Waiter(reply, tag))
@@ -407,7 +414,7 @@ fn lead_writes(inner: &Arc<Inner>, token: u64, payload: &[u8]) {
 /// Write one encoded frame under the connection lock, dialing first if
 /// the connection dropped. On failure every call packed in the frame is
 /// woken with the error through `pending` (each token is removed at
-/// most once, so a call's reply channel never sees a second send).
+/// most once, so a call's reply queue never sees a second send).
 fn write_pack(inner: &Arc<Inner>, frame: &[u8], tokens: impl IntoIterator<Item = u64>) {
     let result = {
         let mut st = inner.state.lock();

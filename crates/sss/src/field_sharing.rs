@@ -67,6 +67,19 @@ pub struct FieldShare {
     pub y: Fp,
 }
 
+/// The coefficient PRFs of one domain's deterministic polynomials,
+/// derived once by [`FieldSharing::coeff_prfs`] for the configuration
+/// that evaluates them. Key-derived, so held like the key itself.
+#[derive(Clone)]
+pub struct CoeffPrfs(Secret<Vec<SipHash24>>);
+
+// dasp::allow(S1): sanctioned redacting impl — PRF state never prints.
+impl std::fmt::Debug for CoeffPrfs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "CoeffPrfs(..)")
+    }
+}
+
 /// A (k, n) Shamir configuration over GF(p) with client-secret points X.
 #[derive(Clone)]
 pub struct FieldSharing {
@@ -141,13 +154,27 @@ impl FieldSharing {
         self.eval_all(&poly)
     }
 
+    /// The coefficient PRFs of `key`'s deterministic polynomials, one per
+    /// coefficient above the constant term. Each is an HMAC-SHA256
+    /// derivation, which costs more than evaluating a polynomial, so a
+    /// caller that shares or rewrites in one domain many times derives
+    /// them once here and passes them to the `_with` entry points.
+    pub fn coeff_prfs(&self, key: &DomainKey) -> CoeffPrfs {
+        CoeffPrfs(Secret::new((1..self.k).map(|j| key.coeff_prf(j)).collect()))
+    }
+
     /// Split `secret` with the *deterministic* PRF-derived polynomial for
     /// its domain ([`crate::ShareMode::Deterministic`]): the same (key,
     /// value) pair always produces the same shares, so the client can
     /// recompute a share to rewrite an exact-match query (§V-A).
     pub fn split_deterministic(&self, secret: u64, key: &DomainKey) -> Vec<FieldShare> {
-        let poly = self.deterministic_poly(secret, key);
-        self.eval_all(&poly)
+        self.split_deterministic_with(secret, &self.coeff_prfs(key))
+    }
+
+    /// [`split_deterministic`](Self::split_deterministic) with the
+    /// domain's PRFs already derived by [`coeff_prfs`](Self::coeff_prfs).
+    pub fn split_deterministic_with(&self, secret: u64, prfs: &CoeffPrfs) -> Vec<FieldShare> {
+        self.eval_all(&self.deterministic_poly_with(secret, prfs))
     }
 
     /// The share provider `i` would hold for `secret` under deterministic
@@ -158,26 +185,25 @@ impl FieldSharing {
         key: &DomainKey,
         provider: usize,
     ) -> Result<Fp, SssError> {
+        self.deterministic_share_with(secret, &self.coeff_prfs(key), provider)
+    }
+
+    /// [`deterministic_share`](Self::deterministic_share) with the
+    /// domain's PRFs already derived by [`coeff_prfs`](Self::coeff_prfs).
+    pub fn deterministic_share_with(
+        &self,
+        secret: u64,
+        prfs: &CoeffPrfs,
+        provider: usize,
+    ) -> Result<Fp, SssError> {
         let x = self.point(provider)?;
-        Ok(self.deterministic_poly(secret, key).eval(x))
+        Ok(self.deterministic_poly_with(secret, prfs).eval(x))
     }
 
-    fn deterministic_poly(&self, secret: u64, key: &DomainKey) -> Poly {
-        let prfs = self.coeff_prfs(key);
-        self.deterministic_poly_with(secret, &prfs)
-    }
-
-    /// The per-coefficient PRFs for `key`, derived once. Each derivation
-    /// is an HMAC-SHA256, which dominates the per-row deterministic-share
-    /// cost — batch paths hoist this out of the row loop.
-    fn coeff_prfs(&self, key: &DomainKey) -> Vec<SipHash24> {
-        (1..self.k).map(|j| key.coeff_prf(j)).collect()
-    }
-
-    fn deterministic_poly_with(&self, secret: u64, prfs: &[SipHash24]) -> Poly {
+    fn deterministic_poly_with(&self, secret: u64, prfs: &CoeffPrfs) -> Poly {
         let mut coeffs = Vec::with_capacity(self.k);
         coeffs.push(Fp::from_u64(secret));
-        for (j, prf) in prfs.iter().enumerate() {
+        for (j, prf) in prfs.0.expose().iter().enumerate() {
             // Two PRF outputs folded to cover the 61-bit field closely; the
             // tiny bias is irrelevant for a deterministic index.
             let raw = prf.hash_u64(secret);
@@ -252,19 +278,28 @@ impl FieldSharing {
         secrets.iter().map(|&s| self.split_random(s, rng)).collect()
     }
 
-    /// Split a batch of secrets in deterministic mode. Bit-identical to
-    /// calling [`FieldSharing::split_deterministic`] per secret, but the
-    /// per-coefficient PRFs (one HMAC-SHA256 derivation each) are derived
-    /// once for the whole batch instead of once per row.
+    /// Split a batch of secrets in deterministic mode: bit-identical to
+    /// calling [`FieldSharing::split_deterministic`] per secret, with the
+    /// PRFs derived once for the whole batch.
     pub fn split_deterministic_batch(
         &self,
         secrets: &[u64],
         key: &DomainKey,
     ) -> Vec<Vec<FieldShare>> {
-        let prfs = self.coeff_prfs(key);
+        self.split_deterministic_batch_with(secrets, &self.coeff_prfs(key))
+    }
+
+    /// [`split_deterministic_batch`](Self::split_deterministic_batch)
+    /// with the domain's PRFs already derived by
+    /// [`coeff_prfs`](Self::coeff_prfs).
+    pub fn split_deterministic_batch_with(
+        &self,
+        secrets: &[u64],
+        prfs: &CoeffPrfs,
+    ) -> Vec<Vec<FieldShare>> {
         secrets
             .iter()
-            .map(|&s| self.eval_all(&self.deterministic_poly_with(s, &prfs)))
+            .map(|&s| self.split_deterministic_with(s, prfs))
             .collect()
     }
 
@@ -525,6 +560,63 @@ mod tests {
             sharing.reconstruct(&shares).unwrap(),
             Fp::from_u64(values.iter().sum())
         );
+    }
+
+    /// Provider `x`'s deterministic share of `secret`, every coefficient
+    /// PRF derived afresh from `key`: the reference the prepared forms
+    /// must match bit for bit.
+    fn fresh_share(k: usize, secret: u64, key: &DomainKey, x: Fp) -> Fp {
+        let mut coeffs = vec![Fp::from_u64(secret)];
+        for j in 1..k {
+            let mut c = Fp::from_u64(key.coeff_prf(j).hash_u64(secret));
+            if j == k - 1 && c.is_zero() {
+                c = Fp::ONE;
+            }
+            coeffs.push(c);
+        }
+        Poly::new(coeffs).eval(x)
+    }
+
+    #[test]
+    fn prepared_prfs_are_bit_identical_to_fresh_derivation() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let key = DomainKey::derive(b"master", "eid");
+        let secrets = [0, 1, 42, 1 << 32, (1 << 60) - 1];
+        for k in 2..=6 {
+            let sharing = FieldSharing::generate(k, 7, &mut rng).unwrap();
+            let prfs = sharing.coeff_prfs(&key);
+            let fresh: Vec<Vec<Fp>> = secrets
+                .iter()
+                .map(|&s| {
+                    let xs = sharing.points.expose();
+                    xs.iter().map(|&x| fresh_share(k, s, &key, x)).collect()
+                })
+                .collect();
+            let ys = |split: Vec<FieldShare>| split.iter().map(|s| s.y).collect::<Vec<_>>();
+            for (&s, want) in secrets.iter().zip(&fresh) {
+                assert_eq!(&ys(sharing.split_deterministic_with(s, &prfs)), want);
+                assert_eq!(&ys(sharing.split_deterministic(s, &key)), want);
+                for (p, &y) in want.iter().enumerate() {
+                    assert_eq!(sharing.deterministic_share_with(s, &prfs, p), Ok(y));
+                    assert_eq!(sharing.deterministic_share(s, &key, p), Ok(y));
+                }
+            }
+            let batch = |split: Vec<Vec<FieldShare>>| split.into_iter().map(ys).collect::<Vec<_>>();
+            assert_eq!(
+                batch(sharing.split_deterministic_batch_with(&secrets, &prfs)),
+                fresh
+            );
+            assert_eq!(
+                batch(sharing.split_deterministic_batch(&secrets, &key)),
+                fresh
+            );
+        }
+    }
+
+    #[test]
+    fn coeff_prfs_debug_redacts() {
+        let prfs = fig1_sharing().coeff_prfs(&DomainKey::new([7u8; 32]));
+        assert_eq!(format!("{prfs:?}"), "CoeffPrfs(..)");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod field_sharing;
 pub mod opss;
 
 pub use codec::{DictionaryCodec, StringCodec, UPPERCASE_ALPHABET};
-pub use field_sharing::{EvalPoints, FieldBasis, FieldShare, FieldSharing};
+pub use field_sharing::{CoeffPrfs, EvalPoints, FieldBasis, FieldShare, FieldSharing};
 pub use opss::{AffineStrawman, OpBasis, OpSharing, OpssParams};
 
 use dasp_crypto::hmac_sha256;
@@ -86,7 +86,7 @@ impl DomainKey {
     pub fn coeff_prf(&self, j: usize) -> SipHash24 {
         let d = hmac_sha256(self.key.expose(), &(j as u64).to_le_bytes());
         let mut k = [0u8; 16];
-        k.copy_from_slice(&d[..16]);
+        k.iter_mut().zip(d).for_each(|(k, d)| *k = d);
         SipHash24::new(&k)
     }
 }
