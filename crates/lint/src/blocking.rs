@@ -29,23 +29,8 @@
 
 use crate::callgraph::{resolve_call, resolve_recv_types, CallGraph, Reach};
 use crate::ir::{Ctx, CtxKind, FnId, FnItem, WorkspaceIr};
+use crate::{Hit, Rule};
 use std::collections::BTreeMap;
-
-/// One B1 result, pre-waiver: one finding per (reachable fn, blocking
-/// operation kind), anchored at the first site of that kind.
-pub struct B1Hit {
-    /// The fn containing the blocking call sites.
-    pub fn_id: FnId,
-    /// Human-readable blocking-operation kind.
-    pub desc: &'static str,
-    /// Lines of all unwaived sites of this kind (first anchors the
-    /// finding).
-    pub lines: Vec<u32>,
-    /// Lines of waived sites of this kind.
-    pub waived_lines: Vec<u32>,
-    /// Root-to-fn call chain labels.
-    pub path: Vec<String>,
-}
 
 /// The B1 entry points: `ProviderEngine::execute_read` in an
 /// `engine.rs` — what `runs_inline` promises about — and every bodied
@@ -142,8 +127,9 @@ fn blocking_desc(
 }
 
 /// Run B1 over the workspace: every blocking operation inside a fn
-/// reachable from [`b1_roots`], grouped per (fn, kind).
-pub fn run_b1(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<B1Hit> {
+/// reachable from [`b1_roots`], one hit per (fn, kind) with the
+/// root-to-fn chain in its message.
+pub fn run_b1(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<Hit> {
     let roots = b1_roots(ws);
     let mut edges = graph.edges.clone();
     for es in &mut edges {
@@ -157,8 +143,7 @@ pub fn run_b1(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<B1Hit> {
             continue;
         }
         let aware = wouldblock_aware(ws, f);
-        let file = &ws.files[f.file];
-        let mut by_desc: BTreeMap<&'static str, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
+        let mut by_desc: BTreeMap<&'static str, Vec<u32>> = BTreeMap::new();
         for ctx in &f.ctxs {
             if ctx.kind != CtxKind::Call {
                 continue;
@@ -167,28 +152,22 @@ pub fn run_b1(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<B1Hit> {
             let Some(desc) = blocking_desc(ws, f, ctx, &resolved, aware) else {
                 continue;
             };
-            let waived = file
-                .waivers
-                .get(&ctx.line)
-                .is_some_and(|rules| rules.contains("B1"));
-            let entry = by_desc.entry(desc).or_default();
-            if waived {
-                entry.1.push(ctx.line);
-            } else {
-                entry.0.push(ctx.line);
-            }
+            by_desc.entry(desc).or_default().push(ctx.line);
         }
         if by_desc.is_empty() {
             continue;
         }
-        let path = reach.path(ws, id);
-        for (desc, (lines, waived_lines)) in by_desc {
-            hits.push(B1Hit {
+        let path = reach.path(ws, id).join(" -> ");
+        for (desc, lines) in by_desc {
+            let message = format!(
+                "B1 blocking on inline path: {desc} in {}, reachable via {path}",
+                ws.label(id)
+            );
+            hits.push(Hit {
+                rule: Rule::B1,
                 fn_id: id,
-                desc,
                 lines,
-                waived_lines,
-                path: path.clone(),
+                message,
             });
         }
     }

@@ -32,7 +32,7 @@
 //! dependencies ([`crate::manifest`]): a same-named method in a crate the
 //! caller cannot name is no candidate.
 
-use crate::ir::{Ctx, CtxKind, FnId, FnItem, PanicKind, WorkspaceIr};
+use crate::ir::{Ctx, CtxKind, FnId, FnItem, WorkspaceIr};
 use crate::lexer::{Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -586,25 +586,10 @@ impl Reach {
     }
 }
 
-/// A raw P3 result, before waiver/baseline handling: one finding per
-/// (reachable fn, panic kind), anchored at the first site of that kind.
-pub struct P3Hit {
-    /// The fn containing the panic sites.
-    pub fn_id: FnId,
-    /// Panic construct kind.
-    pub kind: PanicKind,
-    /// Lines of all unwaived sites of this kind (first anchors the
-    /// finding).
-    pub lines: Vec<u32>,
-    /// Lines of waived sites of this kind.
-    pub waived_lines: Vec<u32>,
-    /// Root-to-fn call chain labels.
-    pub path: Vec<String>,
-}
-
 /// Run P3 over the workspace: every panic-capable construct inside a fn
-/// reachable from [`p3_roots`], grouped per (fn, kind).
-pub fn run_p3(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<P3Hit> {
+/// reachable from [`p3_roots`], one hit per (fn, kind) with the
+/// root-to-fn chain in its message.
+pub fn run_p3(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<crate::Hit> {
     let roots = p3_roots(ws);
     let reach = Reach::from(graph, &roots);
     let mut hits = Vec::new();
@@ -612,31 +597,21 @@ pub fn run_p3(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<P3Hit> {
         if !reach.reachable(id) || f.panics.is_empty() {
             continue;
         }
-        let file = &ws.files[f.file];
-        let mut by_kind: BTreeMap<&'static str, (PanicKind, Vec<u32>, Vec<u32>)> = BTreeMap::new();
+        let mut by_kind: BTreeMap<&'static str, Vec<u32>> = BTreeMap::new();
         for p in &f.panics {
-            let waived = file
-                .waivers
-                .get(&p.line)
-                .is_some_and(|rules| rules.contains("P3"));
-            let entry =
-                by_kind
-                    .entry(p.kind.describe())
-                    .or_insert((p.kind, Vec::new(), Vec::new()));
-            if waived {
-                entry.2.push(p.line);
-            } else {
-                entry.1.push(p.line);
-            }
+            by_kind.entry(p.kind.describe()).or_default().push(p.line);
         }
-        let path = reach.path(ws, id);
-        for (_, (kind, lines, waived_lines)) in by_kind {
-            hits.push(P3Hit {
+        let path = reach.path(ws, id).join(" -> ");
+        for (kind, lines) in by_kind {
+            let message = format!(
+                "P3 panic reachability: {kind} in {}, reachable via {path}",
+                ws.label(id)
+            );
+            hits.push(crate::Hit {
+                rule: crate::Rule::P3,
                 fn_id: id,
-                kind,
                 lines,
-                waived_lines,
-                path: path.clone(),
+                message,
             });
         }
     }

@@ -1,23 +1,37 @@
-//! Rules **C1** and **C2** — whole-program deadlock detection.
+//! Rules **C1** and **C2** — whole-program deadlock detection — and the
+//! one model of guard lifetimes and callee effects that C1, C2 and W1
+//! read.
 //!
-//! **C1 — lock-order cycles.** Every lock acquisition is given an
-//! identity ([`crate::locks::LockId`]: `Inner.state`, `BufferPool
-//! .shards[]`, …). A guard walk per function — run once for the code
-//! outside `spawn(…)` closures, and once per spawn closure with the
-//! caller's guards cleared, because the closure runs on another thread —
-//! records which identities are held when another is acquired, directly
-//! or through a callee (per-fn transitive-acquire summaries, computed
-//! to a fixpoint like L1's). The acquired-while-held edges form a
-//! global graph; any cycle is a potential deadlock: two threads
-//! interleaving the witness paths block each other forever. Findings
-//! carry a two-sided witness (thread A's order vs thread B's).
+//! **The guard walk.** [`walk_scope`] follows a fn body unit by unit. A
+//! named guard (`let g = x.lock();`) lives to the end of its block or an
+//! explicit `drop(g)`; any other guard (`let v = *x.lock();`,
+//! `f(&mut x.write())`) is a temporary that lives to the end of its
+//! statement, so a call in that statement, arguments included, runs
+//! under it. The walk runs once for the code outside `spawn(…)`
+//! closures, and once per spawn closure with the caller's guards
+//! cleared, because the closure runs on another thread.
 //!
-//! **C2 — blocking-wait cycles over threads and bounded channels.**
-//! The spawn/channel topology is recovered statically: threads are the
-//! `spawn(…)` sites plus a synthetic caller thread; channel endpoints
-//! are matched from `let (tx, rx) = bounded(n)/unbounded()` construction
-//! sites and propagated through `clone()` aliases, captured closures,
-//! and argument positions. Two checks:
+//! **The summary.** [`LockFacts::collect`] runs one fixpoint over the
+//! calls the walks record outside spawn closures. It gives each fn the
+//! lock identities it acquires, whether it makes a channel send or a
+//! service call, and whether it appends to the WAL durably or publishes
+//! a snapshot ([`crate::ordering`]), directly or through its callees,
+//! each with the first witness chain found.
+//!
+//! **C1 — lock-order cycles.** Every acquisition is given an identity
+//! ([`LockId`]: `Inner.state`, `Wal.file`, …). The acquired-while-held
+//! edges, direct or through a callee, form a global graph; any cycle is
+//! a potential deadlock: two threads interleaving the witness paths
+//! block each other forever. A one-lock cycle is a lock taken again
+//! while its own guard is held, and the thread waits for itself. Findings
+//! carry the witness of every edge (thread A's order vs thread B's).
+//!
+//! **C2 — blocking waits.** The spawn/channel topology is recovered
+//! statically: threads are the `spawn(…)` sites plus a synthetic caller
+//! thread; channel endpoints are matched from `let (tx, rx) =
+//! bounded(n)/unbounded()` construction sites and propagated through
+//! `clone()` aliases, captured closures, and argument positions. Three
+//! checks:
 //!
 //! * **wait ring** — a cycle in the thread wait graph (bounded `send` →
 //!   receiver thread, blocking `recv` → sender thread, `join` → joined
@@ -28,6 +42,10 @@
 //!   thread acquires: the exact shape of the PR 7 reconnect deadlock
 //!   (fixed in e3a2826), where `reconnect` held the connection-state
 //!   mutex while joining a reader thread that locks the same state.
+//! * **blocking op under guard** — a channel send or service call,
+//!   directly or through a callee, while a write-capable guard (a mutex
+//!   or an `RwLock` write guard) is held: a blocked peer stalls every
+//!   thread that needs the lock. A read guard is shared and passes.
 //!
 //! Endpoints that vanish into fields or collections are deliberately
 //! untracked (no edges): C2 under-approximates rather than guess.
@@ -35,43 +53,60 @@
 use crate::callgraph::resolve_call;
 use crate::ir::{Ctx, CtxKind, FnId, FnItem, WorkspaceIr};
 use crate::locks::{lock_class, lock_identity, LockClass, LockId};
+use crate::ordering::{is_durable_seed, is_publish_ctx};
+use crate::{Hit, Rule};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// One C1/C2 result, pre-waiver.
-pub struct DeadlockHit {
-    /// Fn anchoring the finding (first witness site).
-    pub fn_id: FnId,
-    /// 1-based line of the anchor site.
-    pub line: u32,
-    /// Line-free message (stable under unrelated edits).
-    pub message: String,
+/// The guard walks of every first-party fn, and their summary.
+pub struct LockFacts {
+    facts: BTreeMap<FnId, FnFacts>,
+    sums: Vec<Summary>,
 }
 
-/// Both passes share the per-fn walks; run them together.
-pub struct DeadlockAnalysis {
-    /// C1 lock-order cycle findings.
-    pub c1: Vec<DeadlockHit>,
-    /// C2 wait-cycle findings.
-    pub c2: Vec<DeadlockHit>,
+impl LockFacts {
+    /// Walk every first-party fn, then summarize to a fixpoint.
+    /// Vendored internals keep their own locks ordered; modeling them
+    /// would only add noise.
+    pub fn collect(ws: &WorkspaceIr) -> LockFacts {
+        let mut facts = BTreeMap::new();
+        for (id, f) in ws.fns.iter().enumerate() {
+            if ws.files[f.file].vendor || f.body.is_none() {
+                continue;
+            }
+            let spans = spawn_spans(f);
+            let own = walk_scope(ws, f, &|i| !spans.iter().any(|&(_, s, e)| s <= i && i < e));
+            let mut spawned = Vec::new();
+            for &(ctx_idx, s, e) in &spans {
+                // Exclude spawn closures nested inside this one: they
+                // are their own threads.
+                let inner: Vec<(usize, usize)> = spans
+                    .iter()
+                    .filter(|&&(_, s2, e2)| s2 > s && e2 <= e)
+                    .map(|&(_, s2, e2)| (s2, e2))
+                    .collect();
+                let scope = walk_scope(ws, f, &|i| {
+                    s <= i && i < e && !inner.iter().any(|&(s2, e2)| s2 <= i && i < e2)
+                });
+                spawned.push((ctx_idx, scope));
+            }
+            facts.insert(id, FnFacts { own, spawned });
+        }
+        let sums = summarize(ws, &facts);
+        LockFacts { facts, sums }
+    }
+
+    /// What fn `id` does on its own thread.
+    pub(crate) fn summary(&self, id: FnId) -> &Summary {
+        &self.sums[id]
+    }
 }
 
-/// Run C1 only (fuzz entry point).
-pub fn run_c1(ws: &WorkspaceIr) -> Vec<DeadlockHit> {
-    run(ws).c1
-}
-
-/// Run C2 only (fuzz entry point).
-pub fn run_c2(ws: &WorkspaceIr) -> Vec<DeadlockHit> {
-    run(ws).c2
-}
-
-/// Run both deadlock passes over the workspace.
-pub fn run(ws: &WorkspaceIr) -> DeadlockAnalysis {
-    let facts = collect_facts(ws);
-    let sums = acquire_summaries(ws, &facts);
-    let c1 = find_lock_cycles(ws, &facts, &sums);
-    let c2 = find_wait_cycles(ws, &facts, &sums);
-    DeadlockAnalysis { c1, c2 }
+/// Run C1 and C2 over the workspace.
+pub fn run(ws: &WorkspaceIr, lf: &LockFacts) -> Vec<Hit> {
+    let mut hits = find_lock_cycles(ws, &lf.facts, &lf.sums);
+    hits.extend(find_wait_cycles(ws, &lf.facts, &lf.sums));
+    hits.extend(find_blocking_under_guard(ws, &lf.facts, &lf.sums));
+    hits
 }
 
 /// A lock acquisition with identity (when derivable).
@@ -80,6 +115,16 @@ struct Acq {
     id: Option<LockId>,
     class: LockClass,
     line: u32,
+}
+
+impl Acq {
+    /// `` `Inner.state` (mutex guard) ``, or `a mutex guard` unnamed.
+    fn describe(&self) -> String {
+        match &self.id {
+            Some(id) => format!("`{id}` ({})", self.class.describe()),
+            None => format!("a {}", self.class.describe()),
+        }
+    }
 }
 
 /// One non-lock call made during a walk.
@@ -100,6 +145,8 @@ struct ScopeFacts {
     acq_edges: Vec<(Acq, Acq)>,
     /// Every acquisition in scope.
     acquires: Vec<Acq>,
+    /// True when one of them publishes a snapshot (W1).
+    publishes: bool,
     /// Every resolved call in scope with the guards held at it.
     calls: Vec<CallSite>,
 }
@@ -110,6 +157,13 @@ struct FnFacts {
     own: ScopeFacts,
     /// `(ctx index of the spawn call, facts of its closure)`.
     spawned: Vec<(usize, ScopeFacts)>,
+}
+
+impl FnFacts {
+    /// Every scope: the fn's own, then each spawn closure's.
+    fn scopes(&self) -> impl Iterator<Item = &ScopeFacts> {
+        std::iter::once(&self.own).chain(self.spawned.iter().map(|(_, s)| s))
+    }
 }
 
 /// Spawn-call contexts: `spawn(…)` by any path/receiver. The closure
@@ -123,38 +177,8 @@ fn spawn_spans(f: &FnItem) -> Vec<(usize, usize, usize)> {
         .collect()
 }
 
-/// Walk every first-party fn. Vendored internals keep their own locks
-/// ordered; modeling them would only add noise.
-fn collect_facts(ws: &WorkspaceIr) -> BTreeMap<FnId, FnFacts> {
-    let mut out = BTreeMap::new();
-    for (id, f) in ws.fns.iter().enumerate() {
-        if ws.files[f.file].vendor || f.body.is_none() {
-            continue;
-        }
-        let spans = spawn_spans(f);
-        let own = walk_scope(ws, f, &|i| !spans.iter().any(|&(_, s, e)| s <= i && i < e));
-        let mut spawned = Vec::new();
-        for &(ctx_idx, s, e) in &spans {
-            // Exclude spawn closures nested inside this one: they are
-            // their own threads.
-            let inner: Vec<(usize, usize)> = spans
-                .iter()
-                .filter(|&&(_, s2, e2)| s2 > s && e2 <= e)
-                .map(|&(_, s2, e2)| (s2, e2))
-                .collect();
-            let facts = walk_scope(ws, f, &|i| {
-                s <= i && i < e && !inner.iter().any(|&(s2, e2)| s2 <= i && i < e2)
-            });
-            spawned.push((ctx_idx, facts));
-        }
-        out.insert(id, FnFacts { own, spawned });
-    }
-    out
-}
-
-/// The identity-aware guard walk: L1's lifetime model (named guards to
-/// block close or `drop`, temporaries to the statement end) tracking
-/// [`LockId`]s instead of classes, restricted to `scope`.
+/// The guard walk over the part of `f` that `scope` admits (see the
+/// module doc for the lifetime model).
 fn walk_scope(ws: &WorkspaceIr, f: &FnItem, scope: &dyn Fn(usize) -> bool) -> ScopeFacts {
     let tokens = &ws.files[f.file].tokens;
     let mut facts = ScopeFacts::default();
@@ -179,7 +203,21 @@ fn walk_scope(ws: &WorkspaceIr, f: &FnItem, scope: &dyn Fn(usize) -> bool) -> Sc
         }
         active.retain(|g| g.depth <= u.depth);
         // Temporary guards born in this unit: (name token, acquisition).
-        let mut unit_locks: Vec<(usize, Acq)> = Vec::new();
+        let unit_locks: Vec<(usize, Acq)> = ctxs
+            .iter()
+            .filter_map(|&(_, c)| {
+                let class = lock_class(ws, f, c)?;
+                let id = lock_identity(ws, f, c);
+                Some((
+                    c.name_tok,
+                    Acq {
+                        id,
+                        class,
+                        line: c.line,
+                    },
+                ))
+            })
+            .collect();
         for &(ctx_idx, ctx) in &ctxs {
             if ctx.kind == CtxKind::MacroCall {
                 continue;
@@ -193,26 +231,21 @@ fn walk_scope(ws: &WorkspaceIr, f: &FnItem, scope: &dyn Fn(usize) -> bool) -> Sc
                 }
                 continue;
             }
-            if let Some(class) = lock_class(ws, f, ctx) {
-                let acq = Acq {
-                    id: lock_identity(ws, f, ctx),
-                    class,
-                    line: ctx.line,
-                };
-                for held in active
-                    .iter()
-                    .map(|g| &g.acq)
-                    .chain(unit_locks.iter().map(|(_, a)| a))
-                {
+            if let Some(k) = unit_locks.iter().position(|(t, _)| *t == ctx.name_tok) {
+                let acq = &unit_locks[k].1;
+                let earlier = unit_locks[..k].iter().map(|(_, a)| a);
+                for held in active.iter().map(|g| &g.acq).chain(earlier) {
                     facts.acq_edges.push((held.clone(), acq.clone()));
                 }
+                facts.publishes |= is_publish_ctx(ws, f, ctx);
                 facts.acquires.push(acq.clone());
-                unit_locks.push((ctx.name_tok, acq));
                 continue;
             }
             if ctx.kind != CtxKind::Call {
                 continue;
             }
+            // The statement's temporaries born before the call, or
+            // inside its arguments, are alive while it runs.
             let held: Vec<Acq> = active
                 .iter()
                 .map(|g| g.acq.clone())
@@ -251,40 +284,104 @@ fn walk_scope(ws: &WorkspaceIr, f: &FnItem, scope: &dyn Fn(usize) -> bool) -> Sc
     facts
 }
 
-/// Per-fn transitive acquire summary: lock identity → (class, witness
-/// chain of fn labels to the direct acquisition). Spawn closures are
-/// excluded — a spawned thread's acquisitions happen concurrently, not
-/// on the caller's thread.
-fn acquire_summaries(
-    ws: &WorkspaceIr,
-    facts: &BTreeMap<FnId, FnFacts>,
-) -> BTreeMap<FnId, BTreeMap<LockId, (LockClass, Vec<String>)>> {
-    let mut sums: BTreeMap<FnId, BTreeMap<LockId, (LockClass, Vec<String>)>> = BTreeMap::new();
-    for (&id, ff) in facts {
-        let entry = sums.entry(id).or_default();
-        for a in &ff.own.acquires {
-            if let Some(lid) = &a.id {
-                entry
-                    .entry(lid.clone())
-                    .or_insert_with(|| (a.class, vec![ws.label(id)]));
+/// A chain of fn labels from a fn down to the site of an effect.
+type Chain = Vec<String>;
+
+/// What a fn does on its own thread, directly or through the fns it
+/// calls there; a spawn closure's work happens on another thread and is
+/// left out. Each fact keeps the first witness chain found.
+#[derive(Default, Clone)]
+pub(crate) struct Summary {
+    /// Lock identities acquired, with the class of the acquisition.
+    acquires: BTreeMap<LockId, (LockClass, Chain)>,
+    /// A channel send or service call, named by [`op_desc`].
+    sends: Option<(&'static str, Chain)>,
+    /// A durable WAL append.
+    pub durable: Option<Chain>,
+    /// A snapshot publish.
+    pub publish: Option<Chain>,
+}
+
+impl Summary {
+    /// Add the facts of `callee` that this fn lacks, their chains
+    /// prefixed with `caller`. True when anything was added.
+    fn absorb(&mut self, callee: &Summary, caller: &dyn Fn() -> String) -> bool {
+        let via = |chain: &Chain| -> Chain {
+            std::iter::once(caller())
+                .chain(chain.iter().cloned())
+                .collect()
+        };
+        let mut changed = false;
+        for (lid, (class, chain)) in &callee.acquires {
+            if !self.acquires.contains_key(lid) {
+                self.acquires.insert(lid.clone(), (*class, via(chain)));
+                changed = true;
             }
         }
+        if let (None, Some((desc, chain))) = (&self.sends, &callee.sends) {
+            self.sends = Some((desc, via(chain)));
+            changed = true;
+        }
+        for (mine, theirs) in [
+            (&mut self.durable, &callee.durable),
+            (&mut self.publish, &callee.publish),
+        ] {
+            if mine.is_none() {
+                if let Some(chain) = theirs {
+                    *mine = Some(via(chain));
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
+}
+
+/// Channel-send and service-call method names.
+fn op_desc(ctx: &Ctx) -> Option<&'static str> {
+    if ctx.kind != CtxKind::Call || !ctx.method {
+        return None;
+    }
+    match ctx.callee.as_str() {
+        "send" | "send_timeout" | "try_send" => Some("channel send"),
+        "handle" => Some("service call"),
+        c if c == "call" || c.starts_with("call_") => Some("service call"),
+        _ => None,
+    }
+}
+
+/// Seed each fn's [`Summary`] with its direct effects, then propagate
+/// along the calls outside spawn closures until nothing changes.
+fn summarize(ws: &WorkspaceIr, facts: &BTreeMap<FnId, FnFacts>) -> Vec<Summary> {
+    let mut sums = vec![Summary::default(); ws.fns.len()];
+    for (&id, ff) in facts {
+        let (f, me, own) = (&ws.fns[id], &mut sums[id], &ff.own);
+        let direct = || vec![ws.label(id)];
+        for a in &own.acquires {
+            if let Some(lid) = &a.id {
+                me.acquires
+                    .entry(lid.clone())
+                    .or_insert_with(|| (a.class, direct()));
+            }
+        }
+        let op = own.calls.iter().find_map(|c| op_desc(&f.ctxs[c.ctx]));
+        me.sends = op.map(|desc| (desc, direct()));
+        me.durable = is_durable_seed(f).then(direct);
+        me.publish = own.publishes.then(direct);
     }
     loop {
         let mut changed = false;
         for (&id, ff) in facts {
             for call in &ff.own.calls {
-                for &callee in &call.callees {
-                    let callee_sum = sums.get(&callee).cloned().unwrap_or_default();
-                    let me = sums.entry(id).or_default();
-                    for (lid, (class, chain)) in callee_sum {
-                        me.entry(lid).or_insert_with(|| {
-                            changed = true;
-                            let mut c = vec![ws.label(id)];
-                            c.extend(chain);
-                            (class, c)
-                        });
-                    }
+                for &callee in call.callees.iter().filter(|&&c| c != id) {
+                    let (me, from) = if id < callee {
+                        let (lo, hi) = sums.split_at_mut(callee);
+                        (&mut lo[id], &hi[0])
+                    } else {
+                        let (lo, hi) = sums.split_at_mut(id);
+                        (&mut hi[0], &lo[callee])
+                    };
+                    changed |= me.absorb(from, &|| ws.label(id));
                 }
             }
         }
@@ -308,17 +405,15 @@ struct EdgeWit {
 fn find_lock_cycles(
     ws: &WorkspaceIr,
     facts: &BTreeMap<FnId, FnFacts>,
-    sums: &BTreeMap<FnId, BTreeMap<LockId, (LockClass, Vec<String>)>>,
-) -> Vec<DeadlockHit> {
+    sums: &[Summary],
+) -> Vec<Hit> {
     let mut edges: BTreeMap<(LockId, LockId), EdgeWit> = BTreeMap::new();
     let mut add = |from: &LockId, to: &LockId, wit: EdgeWit| {
-        if from != to {
-            edges.entry((from.clone(), to.clone())).or_insert(wit);
-        }
+        edges.entry((from.clone(), to.clone())).or_insert(wit);
     };
     for (&id, ff) in facts {
         let label = ws.label(id);
-        for scope in std::iter::once(&ff.own).chain(ff.spawned.iter().map(|(_, s)| s)) {
+        for scope in ff.scopes() {
             for (held, acq) in &scope.acq_edges {
                 let (Some(h), Some(a)) = (&held.id, &acq.id) else {
                     continue;
@@ -338,10 +433,7 @@ fn find_lock_cycles(
             }
             for call in &scope.calls {
                 for &callee in &call.callees {
-                    let Some(callee_sum) = sums.get(&callee) else {
-                        continue;
-                    };
-                    for (lid, (class, chain)) in callee_sum {
+                    for (lid, (class, chain)) in &sums[callee].acquires {
                         for held in &call.held {
                             let Some(h) = &held.id else { continue };
                             let line = ws.fns[id].ctxs[call.ctx].line;
@@ -377,7 +469,7 @@ fn find_lock_cycles(
         };
         // Cycle nodes in order: from -> to -> … -> from.
         let mut cycle: Vec<LockId> = vec![from.clone()];
-        cycle.extend(path.into_iter().take_while(|n| n != from));
+        cycle.extend(path.into_iter().take_while(|&n| n != from).cloned());
         let canon = canonical(&cycle);
         if !seen.insert(canon) {
             continue;
@@ -391,7 +483,13 @@ fn find_lock_cycles(
             Some(w) => (w.fn_id, w.line),
             None => continue,
         };
-        let message = if cycle.len() == 2 {
+        let message = if cycle.len() == 1 {
+            format!(
+                "C1 lock-order cycle on `{}` alone: {} — the lock is not reentrant, so the thread waits for itself",
+                cycle[0],
+                descs.first().map(|w| w.desc.as_str()).unwrap_or(""),
+            )
+        } else if cycle.len() == 2 {
             format!(
                 "C1 lock-order cycle between `{}` and `{}`: one thread {}; another thread {} — interleaved, each waits for the lock the other holds",
                 cycle[0],
@@ -414,39 +512,28 @@ fn find_lock_cycles(
                     .join("; "),
             )
         };
-        hits.push(DeadlockHit {
-            fn_id: anchor.0,
-            line: anchor.1,
-            message,
-        });
+        hits.push(Hit::at(Rule::C1, anchor.0, anchor.1, message));
     }
-    hits.sort_by_key(|h| (h.fn_id, h.line, h.message.clone()));
     hits
 }
 
 /// Shortest path `from -> … -> to` (inclusive) over the adjacency map.
-fn bfs_path(
-    adj: &BTreeMap<&LockId, Vec<&LockId>>,
-    from: &LockId,
-    to: &LockId,
-) -> Option<Vec<LockId>> {
-    let mut parent: BTreeMap<&LockId, &LockId> = BTreeMap::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    let mut visited: BTreeSet<&LockId> = BTreeSet::new();
-    visited.insert(from);
+fn bfs_path<T: Ord + Copy>(adj: &BTreeMap<T, Vec<T>>, from: T, to: T) -> Option<Vec<T>> {
+    let mut parent: BTreeMap<T, T> = BTreeMap::new();
+    let mut visited = BTreeSet::from([from]);
+    let mut queue = VecDeque::from([from]);
     while let Some(n) = queue.pop_front() {
         if n == to {
-            let mut path = vec![to.clone()];
+            let mut path = vec![n];
             let mut cur = n;
-            while let Some(&p) = parent.get(cur) {
-                path.push(p.clone());
+            while let Some(&p) = parent.get(&cur) {
+                path.push(p);
                 cur = p;
             }
             path.reverse();
             return Some(path);
         }
-        for &next in adj.get(n).into_iter().flatten() {
+        for &next in adj.get(&n).into_iter().flatten() {
             if visited.insert(next) {
                 parent.insert(next, n);
                 queue.push_back(next);
@@ -818,8 +905,8 @@ struct WaitEdge {
 fn find_wait_cycles(
     ws: &WorkspaceIr,
     facts: &BTreeMap<FnId, FnFacts>,
-    sums: &BTreeMap<FnId, BTreeMap<LockId, (LockClass, Vec<String>)>>,
-) -> Vec<DeadlockHit> {
+    sums: &[Summary],
+) -> Vec<Hit> {
     let topo = build_threads(ws, facts);
     let mut hits = Vec::new();
 
@@ -999,7 +1086,7 @@ fn find_wait_cycles(
     }
     let mut seen: BTreeSet<Vec<ThreadNode>> = BTreeSet::new();
     for (from, to) in edges.keys() {
-        let Some(path) = thread_bfs(&adj, *to, *from) else {
+        let Some(path) = bfs_path(&adj, *to, *from) else {
             continue;
         };
         let mut cycle: Vec<ThreadNode> = vec![*from];
@@ -1027,17 +1114,14 @@ fn find_wait_cycles(
         let Some(anchor) = wits.iter().find(|w| w.bounded_send).or(wits.first()) else {
             continue;
         };
-        hits.push(DeadlockHit {
-            fn_id: anchor.fn_id,
-            line: anchor.line,
-            message: format!(
-                "C2 bounded-channel wait cycle: {} — every thread in the ring waits for the next, and the bounded queue can be full",
-                wits.iter()
-                    .map(|w| w.desc.as_str())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            ),
-        });
+        let message = format!(
+            "C2 bounded-channel wait cycle: {} — every thread in the ring waits for the next, and the bounded queue can be full",
+            wits.iter()
+                .map(|w| w.desc.as_str())
+                .collect::<Vec<_>>()
+                .join("; ")
+        );
+        hits.push(Hit::at(Rule::C2, anchor.fn_id, anchor.line, message));
     }
 
     // Check 2: blocking wait while holding a lock the awaited thread
@@ -1045,7 +1129,7 @@ fn find_wait_cycles(
     let thread_acquires = |node: ThreadNode| -> BTreeMap<LockId, Vec<String>> {
         let mut out = BTreeMap::new();
         for &g in topo.members.get(&node).into_iter().flatten() {
-            for (lid, (_, chain)) in sums.get(&g).into_iter().flatten() {
+            for (lid, (_, chain)) in &sums[g].acquires {
                 out.entry(lid.clone()).or_insert_with(|| chain.clone());
             }
         }
@@ -1065,7 +1149,7 @@ fn find_wait_cycles(
     };
     let mut emitted: BTreeSet<String> = BTreeSet::new();
     for (&g, ff) in facts {
-        for scope in std::iter::once(&ff.own).chain(ff.spawned.iter().map(|(_, s)| s)) {
+        for scope in ff.scopes() {
             let ops: BTreeMap<usize, ChanOp> =
                 scope_ops(ws, &topo.env, &topo.channels, g, g, scope)
                     .into_iter()
@@ -1113,49 +1197,45 @@ fn find_wait_cycles(
                             chain.join(" -> ")
                         );
                         if emitted.insert(message.clone()) {
-                            hits.push(DeadlockHit {
-                                fn_id: g,
-                                line,
-                                message,
-                            });
+                            hits.push(Hit::at(Rule::C2, g, line, message));
                         }
                     }
                 }
             }
         }
     }
-    hits.sort_by_key(|h| (h.fn_id, h.line, h.message.clone()));
     hits
 }
 
-/// [`bfs_path`] over thread nodes (Copy, so no borrow juggling).
-fn thread_bfs(
-    adj: &BTreeMap<ThreadNode, Vec<ThreadNode>>,
-    from: ThreadNode,
-    to: ThreadNode,
-) -> Option<Vec<ThreadNode>> {
-    let mut parent: BTreeMap<ThreadNode, ThreadNode> = BTreeMap::new();
-    let mut visited: BTreeSet<ThreadNode> = BTreeSet::new();
-    let mut queue = VecDeque::new();
-    visited.insert(from);
-    queue.push_back(from);
-    while let Some(n) = queue.pop_front() {
-        if n == to {
-            let mut path = vec![n];
-            let mut cur = n;
-            while let Some(&p) = parent.get(&cur) {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for &next in adj.get(&n).into_iter().flatten() {
-            if visited.insert(next) {
-                parent.insert(next, n);
-                queue.push_back(next);
-            }
+/// C2's blocking-op-under-guard check: a channel send or service call,
+/// made directly or through a callee, while a write-capable guard is
+/// held. One finding per call site, naming the first such guard.
+fn find_blocking_under_guard(
+    ws: &WorkspaceIr,
+    facts: &BTreeMap<FnId, FnFacts>,
+    sums: &[Summary],
+) -> Vec<Hit> {
+    let mut hits = Vec::new();
+    for (&id, ff) in facts {
+        for call in ff.scopes().flat_map(|s| &s.calls) {
+            let Some(guard) = call.held.iter().find(|a| a.class.write_capable()) else {
+                continue;
+            };
+            let ctx = &ws.fns[id].ctxs[call.ctx];
+            let (what, via) = match op_desc(ctx) {
+                Some(desc) => (desc, String::new()),
+                None => match call.callees.iter().find_map(|&c| sums[c].sends.as_ref()) {
+                    Some((desc, chain)) => (*desc, format!(" via {}", chain.join(" -> "))),
+                    None => continue,
+                },
+            };
+            let message = format!(
+                "C2 blocking op under guard: `{}` makes a {what}{via} while holding {} — a blocked peer stalls every thread that needs the lock",
+                ws.label(id),
+                guard.describe()
+            );
+            hits.push(Hit::at(Rule::C2, id, ctx.line, message));
         }
     }
-    None
+    hits
 }

@@ -1,9 +1,9 @@
 //! Intermediate representation for the workspace analyzer.
 //!
 //! The token-level rules (S1–U1) see one file at a time; the
-//! interprocedural rules (T1, L1, P3) need a workspace-wide view: which
-//! functions exist, what they call, which locks they take, where their
-//! bodies start and end. [`crate::parser`] extracts that view from the
+//! interprocedural rules (T1, P3, B1, W1, C1, C2) need a workspace-wide
+//! view: which functions exist, what they call, which locks they take,
+//! where their bodies start and end. [`crate::parser`] extracts that view from the
 //! lexed token streams into the types here — deliberately *syntactic*
 //! (names and token spans, no type inference) so the analyzer stays
 //! dependency-free and never executes anything.
@@ -137,9 +137,9 @@ pub struct Unit {
     pub let_name: Option<String>,
     /// Binding introduced by a refutable-pattern `let`: `if let
     /// Some(x) = …`, `while let Ok(x) = …`, `let Some(x) = … else`.
-    /// Kept separate from [`Unit::let_name`] so the L1 guard-promotion
-    /// logic (which models plain `let g = x.lock();` only) is
-    /// unaffected.
+    /// Kept separate from [`Unit::let_name`] so the guard walk's
+    /// promotion of a named guard (which models plain `let g =
+    /// x.lock();` only) is unaffected.
     pub pat_name: Option<String>,
     /// Identifiers of an explicit `let name: Type = …` annotation.
     pub let_ty: Vec<String>,

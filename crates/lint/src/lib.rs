@@ -24,6 +24,15 @@
 //! * **U1** — every `unsafe` carries a `// SAFETY:` comment (the
 //!   workspace denies `unsafe_code` outright; the rule keeps fixtures
 //!   and future waivers honest).
+//! * **E1** — no silently discarded `Result` from a send or append.
+//!
+//! The interprocedural rules run over the parsed workspace and its call
+//! graph: **T1** secret taint ([`taint`]), **P3** panic reachability
+//! ([`callgraph`]), **B1** blocking on the inline path ([`blocking`]),
+//! **W1** durability ordering ([`ordering`]), and **C1**/**C2** lock-order
+//! cycles and blocking waits ([`deadlock`]). C1, C2 and W1 read one
+//! guard walk and one summary fixpoint ([`deadlock::LockFacts`]); every
+//! rule's hits pass through one waiver check.
 //!
 //! A finding is waived by `// dasp::allow(RULE): reason` on the line
 //! above (or the same line as) the construct. The analyzer is
@@ -63,8 +72,6 @@ pub enum Rule {
     U1,
     /// Secret values may only flow into sanctioned share encoders.
     T1,
-    /// Lock discipline: declared order, no sends under write guards.
-    L1,
     /// Transitive panic reachability from provider/client entry points.
     P3,
     /// No blocking operations reachable from what runs inline on a
@@ -92,7 +99,6 @@ impl Rule {
             Rule::D1 => "D1",
             Rule::U1 => "U1",
             Rule::T1 => "T1",
-            Rule::L1 => "L1",
             Rule::P3 => "P3",
             Rule::B1 => "B1",
             Rule::W1 => "W1",
@@ -132,6 +138,33 @@ impl fmt::Display for Finding {
             "{}:{}: {}: {}{}",
             self.file, self.line, self.rule, self.message, tag
         )
+    }
+}
+
+/// One interprocedural result before waivers. `lines` holds every site
+/// the finding covers, in source order: the first one without a waiver
+/// anchors it, and when all are waived the first anchors a waived
+/// finding.
+pub struct Hit {
+    /// Which rule fired.
+    pub rule: Rule,
+    /// The fn the sites are in.
+    pub fn_id: ir::FnId,
+    /// 1-based lines of the sites.
+    pub lines: Vec<u32>,
+    /// Line-free message (stable under unrelated edits).
+    pub message: String,
+}
+
+impl Hit {
+    /// A hit at one site.
+    pub fn at(rule: Rule, fn_id: ir::FnId, line: u32, message: String) -> Hit {
+        Hit {
+            rule,
+            fn_id,
+            lines: vec![line],
+            message,
+        }
     }
 }
 
@@ -179,8 +212,8 @@ impl Config {
     /// target the layers where their failure mode lives.
     pub fn in_scope(&self, rule: Rule, path: &str) -> bool {
         match rule {
-            // The interprocedural rules manage their own scope: T1/L1
-            // skip vendor/, P3 follows the call graph wherever it
+            // The interprocedural rules manage their own scope: T1
+            // skips vendor/, P3 follows the call graph wherever it
             // goes, B1 starts from the inline roots, W1 from the
             // WAL/publish effect seeds, C1/C2 model every first-party
             // fn.
@@ -188,7 +221,6 @@ impl Config {
             | Rule::S2
             | Rule::U1
             | Rule::T1
-            | Rule::L1
             | Rule::P3
             | Rule::B1
             | Rule::W1
@@ -262,7 +294,7 @@ pub struct Timing {
     pub token_rules: std::time::Duration,
     /// IR construction + call-graph linking.
     pub parse: std::time::Duration,
-    /// All interprocedural passes (T1/L1/P3/B1/W1/C1/C2).
+    /// All interprocedural passes (T1/P3/B1/W1/C1/C2).
     pub interproc: std::time::Duration,
     /// End-to-end, including normalization.
     pub total: std::time::Duration,
@@ -274,9 +306,9 @@ pub struct Timing {
 ///
 /// Two phases: the per-file token rules run first, then the files are
 /// parsed into a [`ir::WorkspaceIr`], linked into a call graph, and the
-/// interprocedural rules (T1 taint, L1 lock discipline, P3 transitive
-/// panic reachability, B1 inline-path blocking, W1 durability ordering,
-/// C1/C2 deadlock detection) run over the whole program. Each file is
+/// interprocedural rules (T1 taint, P3 transitive panic reachability,
+/// B1 inline-path blocking, W1 durability ordering, C1/C2 deadlock
+/// detection) run over the whole program. Each file is
 /// lexed exactly once; the token stream is shared between the token
 /// rules and the IR. Findings come back normalized: sorted by (file,
 /// line, rule, message), deduplicated.
@@ -350,103 +382,42 @@ pub fn analyze_workspace_timed(root: &Path) -> std::io::Result<(Report, Timing)>
     Ok((report, timing))
 }
 
-/// Convert T1/L1/P3/B1/W1 hits into [`Finding`]s, applying waivers.
+/// Run every interprocedural rule and turn its hits into
+/// [`Finding`]s, applying waivers in one place.
 fn interproc_findings(
     ws: &ir::WorkspaceIr,
     graph: &callgraph::CallGraph,
     cfg: &Config,
 ) -> Vec<Finding> {
+    let locks = deadlock::LockFacts::collect(ws);
+    let hits = taint::run_t1(ws, cfg.secret_types)
+        .into_iter()
+        .chain(callgraph::run_p3(ws, graph))
+        .chain(blocking::run_b1(ws, graph))
+        .chain(ordering::run_w1(ws, &locks))
+        .chain(deadlock::run(ws, &locks));
     let mut out = Vec::new();
-    let waived_at = |fn_id: ir::FnId, line: u32, rule: Rule| -> bool {
-        let file = &ws.files[ws.fns[fn_id].file];
-        file.waivers
-            .get(&line)
-            .is_some_and(|rules| rules.contains(rule.as_str()))
-    };
-    let file_of = |fn_id: ir::FnId| ws.files[ws.fns[fn_id].file].path.clone();
-
-    for hit in taint::run_t1(ws, cfg.secret_types) {
-        out.push(Finding {
-            rule: Rule::T1,
-            file: file_of(hit.fn_id),
-            line: hit.line,
-            message: hit.message,
-            waived: waived_at(hit.fn_id, hit.line, Rule::T1),
-        });
-    }
-    for hit in locks::run_l1(ws, graph) {
-        out.push(Finding {
-            rule: Rule::L1,
-            file: file_of(hit.fn_id),
-            line: hit.line,
-            message: hit.message,
-            waived: waived_at(hit.fn_id, hit.line, Rule::L1),
-        });
-    }
-    for hit in callgraph::run_p3(ws, graph) {
-        let message = format!(
-            "P3 panic reachability: {} in {}, reachable via {}",
-            hit.kind.describe(),
-            ws.label(hit.fn_id),
-            hit.path.join(" -> ")
-        );
-        let (line, waived) = if let Some(&l) = hit.lines.first() {
-            (l, false)
-        } else if let Some(&l) = hit.waived_lines.first() {
-            (l, true)
-        } else {
-            continue;
+    for hit in hits {
+        let file = &ws.files[ws.fns[hit.fn_id].file];
+        let waived = |line: &u32| {
+            file.waivers
+                .get(line)
+                .is_some_and(|rules| rules.contains(hit.rule.as_str()))
+        };
+        let (line, waived) = match hit.lines.iter().find(|l| !waived(l)) {
+            Some(&line) => (line, false),
+            None => match hit.lines.first() {
+                Some(&line) => (line, true),
+                None => continue,
+            },
         };
         out.push(Finding {
-            rule: Rule::P3,
-            file: file_of(hit.fn_id),
+            rule: hit.rule,
+            file: file.path.clone(),
             line,
-            message,
-            waived,
-        });
-    }
-    for hit in blocking::run_b1(ws, graph) {
-        let message = format!(
-            "B1 blocking on inline path: {} in {}, reachable via {}",
-            hit.desc,
-            ws.label(hit.fn_id),
-            hit.path.join(" -> ")
-        );
-        let (line, waived) = if let Some(&l) = hit.lines.first() {
-            (l, false)
-        } else if let Some(&l) = hit.waived_lines.first() {
-            (l, true)
-        } else {
-            continue;
-        };
-        out.push(Finding {
-            rule: Rule::B1,
-            file: file_of(hit.fn_id),
-            line,
-            message,
-            waived,
-        });
-    }
-    for hit in ordering::run_w1(ws, graph) {
-        out.push(Finding {
-            rule: Rule::W1,
-            file: file_of(hit.fn_id),
-            line: hit.line,
             message: hit.message,
-            waived: waived_at(hit.fn_id, hit.line, Rule::W1),
+            waived,
         });
-    }
-    let dl = deadlock::run(ws);
-    for (rule, hits) in [(Rule::C1, dl.c1), (Rule::C2, dl.c2)] {
-        for hit in hits {
-            out.push(Finding {
-                rule,
-                file: file_of(hit.fn_id),
-                line: hit.line,
-                message: hit.message,
-                waived: waived_at(hit.fn_id, hit.line, rule),
-            });
-        }
     }
     out
 }

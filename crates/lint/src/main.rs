@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! dasp-lint [--root DIR] [--format text|json] [--baseline FILE]
-//!           [--deny-all | --deny-new | --explain-new]
+//!           [--deny-all | --deny-new]
 //!           [--write-baseline FILE] [--quiet] [--timing]
 //! ```
 //!
@@ -13,11 +13,11 @@
 //! (file, line, rule, message) in both modes.
 //!
 //! Gates: `--deny-all` exits 1 on any unwaived finding; `--deny-new`
-//! exits 1 only on unwaived findings absent from the baseline file
-//! (`--baseline`, default `lint-baseline.json` under the root);
-//! `--explain-new` is `--deny-new` plus, on failure, a unified diff of
-//! current findings against the baseline — new entries prefixed `+`,
-//! stale ones `-` — so a red CI run explains itself.
+//! exits 1 when the unwaived findings differ from the baseline file
+//! (`--baseline`, default `lint-baseline.json` under the root): a new
+//! finding, or a baseline entry that no longer fires. On failure it
+//! prints the unified diff — new findings prefixed `+`, stale entries
+//! `-` — so a red CI run explains itself.
 //! `--write-baseline` records the current unwaived findings and exits.
 //! `--timing` prints the per-phase wall-clock breakdown (lex, token
 //! rules, parse, interprocedural, total) to stderr; CI asserts the
@@ -36,7 +36,6 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut deny_all = false;
     let mut deny_new = false;
-    let mut explain_new = false;
     let mut quiet = false;
     let mut timing = false;
     let mut format = Format::Text;
@@ -64,10 +63,6 @@ fn main() -> ExitCode {
             },
             "--deny-all" => deny_all = true,
             "--deny-new" => deny_new = true,
-            "--explain-new" => {
-                deny_new = true;
-                explain_new = true;
-            }
             "--quiet" => quiet = true,
             "--timing" => timing = true,
             "--help" | "-h" => {
@@ -80,13 +75,12 @@ fn main() -> ExitCode {
                      --format text|json     output format (default: text; json goes to stdout)\n\
                      --baseline FILE        known-findings file (default: <root>/lint-baseline.json)\n\
                      --deny-all             exit 1 on any unwaived finding\n\
-                     --deny-new             exit 1 on unwaived findings not in the baseline\n\
-                     --explain-new          --deny-new, plus a unified diff of findings vs\n\
-                     \x20                      baseline on failure (new and stale entries)\n\
+                     --deny-new             exit 1 when unwaived findings differ from the\n\
+                     \x20                      baseline (new or stale), printing the diff\n\
                      --write-baseline FILE  record current unwaived findings and exit\n\
                      --quiet                suppress the summary line\n\
                      --timing               print the per-phase wall-clock breakdown to stderr\n\n\
-                     Token rules: S1 S2 P1 P2 D1 U1 E1; interprocedural: T1 L1 P3 B1 W1 C1 C2\n\
+                     Token rules: S1 S2 P1 P2 D1 U1 E1; interprocedural: T1 P3 B1 W1 C1 C2\n\
                      (DESIGN.md §8).\n\
                      vendor/ is scanned with the relaxed set (U1 + P3).\n\
                      Waive a line with: // dasp::allow(RULE): reason"
@@ -170,24 +164,21 @@ fn main() -> ExitCode {
     }
 
     if let Some(baseline) = &baseline {
-        let new = baseline.new_findings(&report);
-        if !new.is_empty() {
+        let drift = baseline.drift(&report);
+        if !drift.is_empty() {
             eprintln!(
-                "dasp-lint: {} new finding(s) not in the baseline ({} known):",
-                new.len(),
+                "dasp-lint: findings differ from the baseline ({} known); a stale entry goes with its fix:",
                 baseline.len()
             );
-            for f in &new {
-                eprintln!("  {f}");
-            }
-            if explain_new {
-                eprint!("{}", baseline.explain_new(&report));
+            eprintln!("--- baseline (committed)\n+++ findings (current, unwaived)");
+            for line in &drift {
+                eprintln!("{line}");
             }
             return ExitCode::FAILURE;
         }
         if !quiet {
             eprintln!(
-                "dasp-lint: no new findings ({} known in baseline)",
+                "dasp-lint: findings match the baseline ({} known)",
                 baseline.len()
             );
         }

@@ -11,8 +11,8 @@
 //!   callee) and performs a durable WAL append (`Wal::commit` /
 //!   `Wal::append_durable`, directly or through a callee), every
 //!   publish must sit at or after the first durable append in the
-//!   statement sequence. Callee effects are summarized to a fixpoint
-//!   over the call graph, so the events carry L1-style witness chains.
+//!   statement sequence. Callee effects come from the one summary of
+//!   [`crate::deadlock::LockFacts`], so the events carry witness chains.
 //! * **ack ordering** — in any fn that performs a durable append, no
 //!   `return Ok` may precede the first durable append: an early success
 //!   ack promises durability the WAL has not delivered yet.
@@ -23,85 +23,24 @@
 //!   never returns/breaks falls through and keeps mutating state the
 //!   simulated crash should have frozen.
 
-use crate::callgraph::{resolve_call, CallGraph};
+use crate::callgraph::resolve_call;
+use crate::deadlock::LockFacts;
 use crate::ir::{CtxKind, FnId, FnItem, Unit, WorkspaceIr};
 use crate::locks::{lock_class, LockClass};
-
-/// One W1 result, pre-waiver.
-pub struct W1Hit {
-    /// Fn the violation occurs in.
-    pub fn_id: FnId,
-    /// 1-based line of the offending publish / return / crash point.
-    pub line: u32,
-    /// Line-free message (stable under unrelated edits).
-    pub message: String,
-}
-
-/// Per-fn effect summary: `Some(chain)` when the fn (transitively)
-/// performs the effect; the chain lists fn labels down to a direct
-/// performer.
-#[derive(Default, Clone)]
-struct Effects {
-    /// Durable WAL append (`Wal::commit` / `Wal::append_durable`).
-    durable: Option<Vec<String>>,
-    /// Snapshot publish (`RwLock::write` on a `published` field).
-    publish: Option<Vec<String>>,
-}
+use crate::{Hit, Rule};
 
 /// True for the fns that *are* the durable append: blocking until a
 /// group-commit leader (possibly the caller) has fsynced past the
 /// requested LSN.
-fn is_durable_seed(f: &FnItem) -> bool {
+pub(crate) fn is_durable_seed(f: &FnItem) -> bool {
     f.impl_type.as_deref() == Some("Wal") && (f.name == "commit" || f.name == "append_durable")
 }
 
 /// True for a direct snapshot-publish context: a write-capable lock on
 /// a field named `published`.
-fn is_publish_ctx(ws: &WorkspaceIr, f: &FnItem, ctx: &crate::ir::Ctx) -> bool {
+pub(crate) fn is_publish_ctx(ws: &WorkspaceIr, f: &FnItem, ctx: &crate::ir::Ctx) -> bool {
     lock_class(ws, f, ctx) == Some(LockClass::RwWrite)
         && ctx.recv.last().is_some_and(|s| s == "published")
-}
-
-/// Compute durable/publish summaries to a fixpoint over the call graph.
-fn effects(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<Effects> {
-    let mut sums: Vec<Effects> = vec![Effects::default(); ws.fns.len()];
-    for (id, f) in ws.fns.iter().enumerate() {
-        if is_durable_seed(f) {
-            sums[id].durable = Some(vec![ws.label(id)]);
-        }
-        if f.ctxs.iter().any(|c| is_publish_ctx(ws, f, c)) {
-            sums[id].publish = Some(vec![ws.label(id)]);
-        }
-    }
-    loop {
-        let mut changed = false;
-        for id in 0..ws.fns.len() {
-            for e in &graph.edges[id] {
-                let callee = sums[e.to].clone();
-                let me = &mut sums[id];
-                if me.durable.is_none() {
-                    if let Some(chain) = callee.durable {
-                        let mut c = vec![ws.label(id)];
-                        c.extend(chain);
-                        me.durable = Some(c);
-                        changed = true;
-                    }
-                }
-                if me.publish.is_none() {
-                    if let Some(chain) = callee.publish {
-                        let mut c = vec![ws.label(id)];
-                        c.extend(chain);
-                        me.publish = Some(c);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    sums
 }
 
 /// Format a witness suffix for an event that happens through a callee
@@ -115,17 +54,15 @@ fn via(chain: &[String]) -> String {
 }
 
 /// Run W1 over every first-party fn.
-pub fn run_w1(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<W1Hit> {
-    let sums = effects(ws, graph);
+pub fn run_w1(ws: &WorkspaceIr, locks: &LockFacts) -> Vec<Hit> {
     let mut hits = Vec::new();
     for (id, f) in ws.fns.iter().enumerate() {
         if ws.files[f.file].vendor || f.body.is_none() {
             continue;
         }
-        check_ordering(ws, f, id, &sums, &mut hits);
+        check_ordering(ws, f, id, locks, &mut hits);
         check_crash_points(ws, f, id, &mut hits);
     }
-    hits.sort_by_key(|h| (h.fn_id, h.line));
     hits
 }
 
@@ -134,7 +71,7 @@ pub fn run_w1(ws: &WorkspaceIr, graph: &CallGraph) -> Vec<W1Hit> {
 /// callee that both publishes and appends (a correct write path called
 /// whole) yields both events at the same position, which the strict
 /// `<` comparisons treat as ordered.
-fn check_ordering(ws: &WorkspaceIr, f: &FnItem, id: FnId, sums: &[Effects], hits: &mut Vec<W1Hit>) {
+fn check_ordering(ws: &WorkspaceIr, f: &FnItem, id: FnId, locks: &LockFacts, hits: &mut Vec<Hit>) {
     let label = ws.label(id);
     // (token, line, chain) per event, in source order.
     let mut durables: Vec<(usize, u32, Vec<String>)> = Vec::new();
@@ -148,10 +85,11 @@ fn check_ordering(ws: &WorkspaceIr, f: &FnItem, id: FnId, sums: &[Effects], hits
             continue;
         }
         for callee in resolve_call(ws, f, ctx) {
-            if let Some(chain) = &sums[callee].durable {
+            let sum = locks.summary(callee);
+            if let Some(chain) = &sum.durable {
                 durables.push((ctx.name_tok, ctx.line, chain.clone()));
             }
-            if let Some(chain) = &sums[callee].publish {
+            if let Some(chain) = &sum.publish {
                 publishes.push((ctx.name_tok, ctx.line, chain.clone()));
             }
         }
@@ -161,14 +99,11 @@ fn check_ordering(ws: &WorkspaceIr, f: &FnItem, id: FnId, sums: &[Effects], hits
     };
     for (tok, line, chain) in &publishes {
         if *tok < first_durable {
-            hits.push(W1Hit {
-                fn_id: id,
-                line: *line,
-                message: format!(
-                    "W1 durability ordering: snapshot publish precedes durable WAL append in {label}{}",
-                    via(chain)
-                ),
-            });
+            let message = format!(
+                "W1 durability ordering: snapshot publish precedes durable WAL append in {label}{}",
+                via(chain)
+            );
+            hits.push(Hit::at(Rule::W1, id, *line, message));
         }
     }
     // An early `return Ok` acks a write the WAL has not made durable.
@@ -189,13 +124,10 @@ fn check_ordering(ws: &WorkspaceIr, f: &FnItem, id: FnId, sums: &[Effects], hits
         let ok = crate::parser::next_nc(tokens, ret + 1)
             .is_some_and(|i| i <= u.end && tokens[i].is_ident("Ok"));
         if ok {
-            hits.push(W1Hit {
-                fn_id: id,
-                line: tokens[ret].line,
-                message: format!(
-                    "W1 durability ordering: success ack returned before durable WAL append in {label}"
-                ),
-            });
+            let message = format!(
+                "W1 durability ordering: success ack returned before durable WAL append in {label}"
+            );
+            hits.push(Hit::at(Rule::W1, id, tokens[ret].line, message));
         }
     }
 }
@@ -208,7 +140,7 @@ fn unit_head(tokens: &[crate::lexer::Token], u: &Unit) -> Option<usize> {
 /// The crash-point discipline check: every `crash_point_hit(…)` call
 /// must be consumed as a value or steer control out of the enclosing
 /// block.
-fn check_crash_points(ws: &WorkspaceIr, f: &FnItem, id: FnId, hits: &mut Vec<W1Hit>) {
+fn check_crash_points(ws: &WorkspaceIr, f: &FnItem, id: FnId, hits: &mut Vec<Hit>) {
     let label = ws.label(id);
     let tokens = &ws.files[f.file].tokens;
     for ctx in &f.ctxs {
@@ -234,13 +166,10 @@ fn check_crash_points(ws: &WorkspaceIr, f: &FnItem, id: FnId, hits: &mut Vec<W1H
             let guarded = crate::parser::next_nc(tokens, head + 1)
                 .is_some_and(|i| i <= ctx.name_tok && path_prefix_from(tokens, i, ctx.name_tok));
             if guarded && !guard_body_diverges(tokens, f, ui, u) {
-                hits.push(W1Hit {
-                    fn_id: id,
-                    line: ctx.line,
-                    message: format!(
-                        "W1 crash-point discipline: execution continues past crash point guard in {label}"
-                    ),
-                });
+                let message = format!(
+                    "W1 crash-point discipline: execution continues past crash point guard in {label}"
+                );
+                hits.push(Hit::at(Rule::W1, id, ctx.line, message));
             }
             continue;
         }
@@ -256,13 +185,9 @@ fn check_crash_points(ws: &WorkspaceIr, f: &FnItem, id: FnId, hits: &mut Vec<W1H
             None => true,
         };
         if terminated {
-            hits.push(W1Hit {
-                fn_id: id,
-                line: ctx.line,
-                message: format!(
-                    "W1 crash-point discipline: crash_point_hit result discarded in {label}"
-                ),
-            });
+            let message =
+                format!("W1 crash-point discipline: crash_point_hit result discarded in {label}");
+            hits.push(Hit::at(Rule::W1, id, ctx.line, message));
         }
     }
 }

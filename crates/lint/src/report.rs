@@ -3,10 +3,11 @@
 //! `--format json` emits the full report as JSON with findings sorted
 //! by (file, line, rule, message) — byte-stable across platforms and
 //! runs. A committed `lint-baseline.json` records known findings as
-//! (rule, file, message) triples; `--deny-new` fails only on findings
-//! not in the baseline. Lines are deliberately *not* part of the
-//! baseline key (and the interprocedural messages carry no line
-//! numbers), so unrelated edits that shift code do not churn CI.
+//! (rule, file, message) triples; `--deny-new` fails when the unwaived
+//! findings differ from it in either direction. Lines are deliberately
+//! *not* part of the baseline key (and the interprocedural messages
+//! carry no line numbers), so unrelated edits that shift code do not
+//! churn CI.
 //!
 //! Both the writer and the reader here are hand-rolled: the analyzer
 //! stays dependency-free, and the baseline subset of JSON (one object,
@@ -91,15 +92,6 @@ impl Baseline {
         }
     }
 
-    /// True when the finding is already recorded.
-    pub fn contains(&self, f: &Finding) -> bool {
-        // BTreeSet<(String,…)> lookup without cloning: range scan is
-        // overkill for these sizes; a linear probe stays simple.
-        self.entries
-            .iter()
-            .any(|(r, file, m)| r == f.rule.as_str() && file == &f.file && m == &f.message)
-    }
-
     /// Number of recorded entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -108,11 +100,6 @@ impl Baseline {
     /// True when no entries are recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Unwaived findings not present in the baseline.
-    pub fn new_findings<'r>(&self, report: &'r Report) -> Vec<&'r Finding> {
-        report.violations().filter(|f| !self.contains(f)).collect()
     }
 
     /// Serialize as the committed `lint-baseline.json` format.
@@ -133,30 +120,24 @@ impl Baseline {
         out
     }
 
-    /// Render a unified-diff-style explanation of the drift between
-    /// this baseline and the current unwaived findings: `+` lines are
-    /// findings absent from the baseline (these fail `--deny-new`),
-    /// `-` lines are baseline entries that no longer fire (stale —
-    /// candidates for a `--write-baseline` refresh). One merged walk
-    /// in (rule, file, message) order, so the output is stable and a
-    /// CI log is actionable without rerunning locally.
-    pub fn explain_new(&self, report: &Report) -> String {
+    /// The drift between this baseline and the current unwaived
+    /// findings, as unified-diff lines in (rule, file, message) order:
+    /// `+` for a finding absent from the baseline, `-` for an entry that
+    /// no longer fires. `--deny-new` fails on either, so the baseline
+    /// only shrinks, and only together with the fix.
+    pub fn drift(&self, report: &Report) -> Vec<String> {
         let current: BTreeSet<(String, String, String)> = report
             .violations()
             .map(|f| (f.rule.to_string(), f.file.clone(), f.message.clone()))
             .collect();
-        let mut out = String::new();
-        out.push_str("--- baseline (committed)\n");
-        out.push_str("+++ findings (current, unwaived)\n");
-        for entry in self.entries.union(&current) {
-            let (rule, file, message) = entry;
-            match (self.entries.contains(entry), current.contains(entry)) {
-                (true, false) => out.push_str(&format!("-{rule}: {file}: {message}\n")),
-                (false, true) => out.push_str(&format!("+{rule}: {file}: {message}\n")),
-                _ => {}
-            }
-        }
-        out
+        let stale = self.entries.difference(&current).map(|e| ('-', e));
+        let new = current.difference(&self.entries).map(|e| ('+', e));
+        let mut lines: Vec<_> = stale.chain(new).collect();
+        lines.sort_by(|a, b| a.1.cmp(b.1));
+        lines
+            .into_iter()
+            .map(|(sign, (rule, file, message))| format!("{sign}{rule}: {file}: {message}"))
+            .collect()
     }
 
     /// Parse the `lint-baseline.json` format. Unknown keys are ignored;

@@ -21,7 +21,7 @@
 //! full chain.
 
 use crate::callgraph::resolve_call;
-use crate::ir::{Ctx, CtxKind, FnId, FnItem, WorkspaceIr};
+use crate::ir::{Ctx, CtxKind, FnItem, WorkspaceIr};
 use std::collections::BTreeMap;
 
 /// Sanctioned share-encoding / key-derivation / basis functions: a
@@ -51,16 +51,6 @@ const SANITIZERS: &[&str] = &[
 /// Value-free chain consumers: `secret.expose().len()` leaks a length,
 /// not the secret.
 const CONSUMERS: &[&str] = &["count", "is_empty", "len"];
-
-/// One T1 result, pre-waiver.
-pub struct T1Hit {
-    /// Fn the leak occurs in.
-    pub fn_id: FnId,
-    /// 1-based line of the sink.
-    pub line: u32,
-    /// Line-free message with origin, sink, and call chain.
-    pub message: String,
-}
 
 /// A sink reached during one fn walk.
 struct SinkReach {
@@ -343,7 +333,7 @@ fn walk(
 }
 
 /// Run T1 over every first-party fn, returning hits in fn order.
-pub fn run_t1(ws: &WorkspaceIr, secret_types: &[&str]) -> Vec<T1Hit> {
+pub fn run_t1(ws: &WorkspaceIr, secret_types: &[&str]) -> Vec<crate::Hit> {
     // Fixpoint the summaries (bounded; the lattice is finite and small).
     let mut sums = Summaries {
         param_sink: ws.fns.iter().map(|f| vec![None; f.params.len()]).collect(),
@@ -396,17 +386,14 @@ pub fn run_t1(ws: &WorkspaceIr, secret_types: &[&str]) -> Vec<T1Hit> {
             } else {
                 format!(" via {}", s.via.join(" -> "))
             };
-            hits.push(T1Hit {
-                fn_id: id,
-                line: s.line,
-                message: format!(
-                    "T1 secret taint: value from {} reaches {} in {}{}",
-                    s.origin,
-                    s.sink,
-                    ws.label(id),
-                    via
-                ),
-            });
+            let message = format!(
+                "T1 secret taint: value from {} reaches {} in {}{}",
+                s.origin,
+                s.sink,
+                ws.label(id),
+                via
+            );
+            hits.push(crate::Hit::at(crate::Rule::T1, id, s.line, message));
         }
     }
     hits

@@ -191,22 +191,18 @@ fn workspace_self_check_is_clean_modulo_baseline() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = dasp_lint::analyze_workspace(&root).unwrap();
     // Known findings (the interprocedural P3 tail) live in the
-    // committed baseline; anything beyond it fails this test the same
-    // way `--deny-new` fails CI.
+    // committed baseline; a finding beyond it, or an entry that no
+    // longer fires, fails this test the same way `--deny-new` fails CI.
     let baseline_path = root.join("lint-baseline.json");
     let baseline_src = std::fs::read_to_string(&baseline_path)
         .unwrap_or_else(|e| panic!("read {}: {e}", baseline_path.display()));
     let baseline = dasp_lint::report::Baseline::parse(&baseline_src).unwrap();
     assert!(!baseline.is_empty(), "committed baseline must not be empty");
-    let new: Vec<String> = baseline
-        .new_findings(&report)
-        .iter()
-        .map(ToString::to_string)
-        .collect();
+    let drift = baseline.drift(&report);
     assert!(
-        new.is_empty(),
-        "workspace has findings not in lint-baseline.json:\n{}",
-        new.join("\n")
+        drift.is_empty(),
+        "workspace findings differ from lint-baseline.json:\n{}",
+        drift.join("\n")
     );
     assert!(
         report.files_scanned > 50,

@@ -28,3 +28,22 @@ impl Engine {
         drop(t);
     }
 }
+
+/// `record` holds `Stats.hits` and calls `reset`, which takes the same
+/// mutex again: the lock is not reentrant, so the thread waits for itself.
+pub struct Stats {
+    pub hits: Mutex<u32>,
+}
+
+impl Stats {
+    pub fn record(&self) {
+        let h = self.hits.lock();
+        self.reset();
+        drop(h);
+    }
+
+    fn reset(&self) {
+        let h = self.hits.lock();
+        drop(h);
+    }
+}

@@ -49,3 +49,27 @@ impl Journal {
         drop(i);
     }
 }
+
+/// Two distinct mutexes held together, and a mutex taken before an
+/// `RwLock` in one fn and after it in another: every pair is a
+/// different pair of locks, so no order cycle.
+pub fn double_mutex(a: &Mutex<u32>, b: &Mutex<u32>) {
+    let ga = a.lock();
+    let gb = b.lock();
+    drop(gb);
+    drop(ga);
+}
+
+pub fn inversion(shard: &Mutex<u32>, tables: &RwLock<u32>) {
+    let g = shard.lock();
+    let t = tables.read();
+    drop(t);
+    drop(g);
+}
+
+pub fn declared_order(tables: &RwLock<u32>, shard: &Mutex<u32>) {
+    let t = tables.read();
+    let s = shard.lock();
+    drop(s);
+    drop(t);
+}

@@ -1,4 +1,4 @@
-//! C2 bad fixture: both wait-cycle shapes.
+//! C2 bad fixture: both wait-cycle shapes, and sends under a write guard.
 //!
 //! `Conn::reconnect` is the e3a2826 regression: it holds `Conn.state`
 //! while joining the reader thread, and the reader's first act is to
@@ -42,4 +42,27 @@ fn feed(job_tx: Sender<u32>, res_rx: Receiver<u32>) {
 fn worker(job_rx: Receiver<u32>, res_tx: Sender<u32>) {
     let _j = job_rx.recv();
     let _ok = res_tx.send(2);
+}
+
+/// A send made under a write guard, directly and through a helper.
+pub struct Channel;
+
+impl Channel {
+    pub fn send(&self, _v: u64) {}
+}
+
+fn notify(ch: &Channel) {
+    ch.send(1);
+}
+
+pub fn send_under_write(tables: &RwLock<u32>, ch: &Channel) {
+    let g = tables.write();
+    ch.send(7);
+    drop(g);
+}
+
+pub fn send_via_helper(tables: &RwLock<u32>, ch: &Channel) {
+    let g = tables.write();
+    notify(ch);
+    drop(g);
 }

@@ -58,3 +58,23 @@ impl Flusher {
         drop(g);
     }
 }
+
+/// A send after the write guard is dropped, and one under a shared read
+/// guard.
+pub struct Channel;
+
+impl Channel {
+    pub fn send(&self, _v: u64) {}
+}
+
+pub fn send_after_drop(tables: &RwLock<u32>, ch: &Channel) {
+    let g = tables.write();
+    drop(g);
+    ch.send(7);
+}
+
+pub fn send_under_read(tables: &RwLock<u32>, ch: &Channel) {
+    let g = tables.read();
+    ch.send(7);
+    drop(g);
+}

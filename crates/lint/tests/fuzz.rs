@@ -25,9 +25,10 @@ fn build(src: String) {
         }
     }
     let graph = callgraph::CallGraph::build(&ws);
+    let locks = deadlock::LockFacts::collect(&ws);
     let _ = blocking::run_b1(&ws, &graph);
-    let _ = ordering::run_w1(&ws, &graph);
-    let _ = deadlock::run(&ws);
+    let _ = ordering::run_w1(&ws, &locks);
+    let _ = deadlock::run(&ws, &locks);
 }
 
 proptest! {

@@ -1,8 +1,8 @@
 //! Interprocedural rule tests. Each fixture under `tests/fixtures/{t1,
-//! l1,p3,b1,w1}/{bad,good}/` is a miniature workspace (its own
+//! p3,b1,w1,c1,c2}/{bad,good}/` is a miniature workspace (its own
 //! `crates/` and, for P3, a `vendor/` tree) fed through the real
 //! [`analyze_workspace`] pipeline: lexer → item parser → call graph →
-//! T1/L1/P3/B1/W1. The bad fixtures pin the exact firing line *and* the
+//! T1/P3/B1/W1/C1/C2. The bad fixtures pin the exact firing line *and* the
 //! full propagation or witness chain; the good fixtures must stay
 //! silent for the rule under test (waived findings excepted, which are
 //! asserted explicitly).
@@ -82,49 +82,6 @@ fn t1_good_sanitizers_consumers_and_waivers_stay_quiet() {
     let waived = waived_of_rule(&report, Rule::T1);
     assert_eq!(waived.len(), 1, "exactly the waived dump: {waived:?}");
     assert_eq!(waived[0].line, 28);
-}
-
-#[test]
-fn l1_bad_reports_discipline_violations_with_witness_chains() {
-    let report = run("l1", "bad");
-    let got = of_rule(&report, Rule::L1);
-    let want = [
-        (
-            APP.to_string(),
-            15,
-            "L1 double acquisition: mutex guard taken while a mutex guard is already \
-             held in double_mutex"
-                .to_string(),
-        ),
-        (
-            APP.to_string(),
-            22,
-            "L1 lock-order inversion: RwLock read guard taken while a mutex guard is \
-             held in inversion (declared order: tables-RwLock before pool-shard mutex)"
-                .to_string(),
-        ),
-        (
-            APP.to_string(),
-            29,
-            "L1 blocking op under guard: channel send while holding a RwLock write \
-             guard in send_under_write"
-                .to_string(),
-        ),
-        (
-            APP.to_string(),
-            35,
-            "L1 blocking op under guard: call chain notify sends while send_via_helper \
-             holds a RwLock write guard"
-                .to_string(),
-        ),
-    ];
-    assert_eq!(got, want, "L1 bad fixture findings");
-}
-
-#[test]
-fn l1_good_declared_order_and_read_guards_pass() {
-    let report = run("l1", "good");
-    assert_eq!(of_rule(&report, Rule::L1), vec![], "L1 in good fixture");
 }
 
 #[test]
@@ -364,16 +321,26 @@ fn w1_good_append_then_publish_passes_waiver_surfaces() {
 fn c1_bad_reports_lock_order_cycle_with_two_sided_witness() {
     let report = run("c1", "bad");
     let got = of_rule(&report, Rule::C1);
-    let want = [(
-        APP.to_string(),
-        22,
-        "C1 lock-order cycle between `Engine.pool` and `Engine.tables`: one thread \
-         `Engine::evict` acquires `Engine.tables` (mutex guard) while holding \
-         `Engine.pool` via Engine::flush; another thread `Engine::publish` acquires \
-         `Engine.pool` (mutex guard) while holding `Engine.tables` — interleaved, \
-         each waits for the lock the other holds"
-            .to_string(),
-    )];
+    let want = [
+        (
+            APP.to_string(),
+            22,
+            "C1 lock-order cycle between `Engine.pool` and `Engine.tables`: one thread \
+             `Engine::evict` acquires `Engine.tables` (mutex guard) while holding \
+             `Engine.pool` via Engine::flush; another thread `Engine::publish` acquires \
+             `Engine.pool` (mutex guard) while holding `Engine.tables` — interleaved, \
+             each waits for the lock the other holds"
+                .to_string(),
+        ),
+        (
+            APP.to_string(),
+            41,
+            "C1 lock-order cycle on `Stats.hits` alone: `Stats::record` acquires \
+             `Stats.hits` (mutex guard) while holding `Stats.hits` via Stats::reset — \
+             the lock is not reentrant, so the thread waits for itself"
+                .to_string(),
+        ),
+    ];
     assert_eq!(got, want, "C1 bad fixture findings");
 }
 
@@ -391,8 +358,9 @@ fn c1_good_consistent_order_passes_waiver_surfaces() {
 }
 
 /// The e3a2826 regression (reconnect joining its reader thread while
-/// holding the state lock the reader's loop takes) plus a two-channel
-/// bounded ring. Both must fire with full witness chains.
+/// holding the state lock the reader's loop takes), a two-channel
+/// bounded ring, and a send under a write guard, directly and through a
+/// helper. All must fire with full witness chains.
 #[test]
 fn c2_bad_reports_reconnect_join_and_bounded_ring() {
     let report = run("c2", "bad");
@@ -419,6 +387,22 @@ fn c2_bad_reports_reconnect_join_and_bounded_ring() {
              the next, and the bounded queue can be full"
                 .to_string(),
         ),
+        (
+            APP.to_string(),
+            60,
+            "C2 blocking op under guard: `send_under_write` makes a channel send while \
+             holding `send_under_write::tables` (RwLock write guard) — a blocked peer \
+             stalls every thread that needs the lock"
+                .to_string(),
+        ),
+        (
+            APP.to_string(),
+            66,
+            "C2 blocking op under guard: `send_via_helper` makes a channel send via \
+             notify while holding `send_via_helper::tables` (RwLock write guard) — a \
+             blocked peer stalls every thread that needs the lock"
+                .to_string(),
+        ),
     ];
     assert_eq!(got, want, "C2 bad fixture findings");
 }
@@ -436,8 +420,8 @@ fn c2_sees_a_turbofish_channel_constructor() {
 }
 
 /// The fixed shapes: guard dropped before join, single-channel
-/// producer/consumer (rendezvous, never a deadlock), and one waived
-/// lock-held join.
+/// producer/consumer (rendezvous, never a deadlock), one waived
+/// lock-held join, and sends after a drop or under a read guard.
 #[test]
 fn c2_good_fixed_shapes_pass_waiver_surfaces() {
     let report = run("c2", "good");
@@ -510,7 +494,6 @@ impl Cluster {
 fn output_is_deterministic_and_sorted() {
     for (rule, which) in [
         ("t1", "bad"),
-        ("l1", "bad"),
         ("p3", "bad"),
         ("b1", "bad"),
         ("w1", "bad"),

@@ -358,11 +358,12 @@ impl Cluster {
             let (tx, rx) = unbounded();
             let name = |w| format!("dasp-provider-{id}-w{w}");
             let threads = spawn_workers(workers, name, &rx, move |env: Envelope| {
-                // A handler that panics answers its one request with an
-                // error, which the engine escalates past at once, and
-                // leaves the worker serving the next.
+                // A handler that panics answers its one request with a
+                // final error, which the engine escalates past at once
+                // and never resends, and leaves the worker serving the
+                // next.
                 let answer = catch_unwind(AssertUnwindSafe(|| service.handle(&env.request)))
-                    .map_err(|_| TransportError::Io("provider handler panicked".into()));
+                    .map_err(|_| TransportError::HandlerFailed);
                 env.reply_to.send((env.token, answer));
             });
             // If the OS refuses every worker thread, every call to this
@@ -731,39 +732,44 @@ impl Cluster {
         };
 
         // Take one reply. A response settles its candidate or, rejected,
-        // counts as a failed attempt. A lost request (the transport's
-        // error) leaves the attempt to its deadline, as with a crashed
-        // provider, but a read need not wait for that: on the first loss
-        // the round escalates to its next provider, and the request goes
-        // out again after a pause, which heals a reset connection.
+        // counts as a failed attempt; a failed handler is a final
+        // rejection. A lost request (any other transport error) leaves
+        // the attempt to its deadline, as with a crashed provider, but a
+        // read need not wait for that: on the first loss the round
+        // escalates to its next provider, and the request goes out again
+        // after a pause, which heals a reset connection.
         let take =
             |(token, reply): Reply, cands: &mut [Cand], states: &mut [Round], fl: &mut Flights| {
-                let Ok(mut payload) = reply else {
-                    let Some(attempt) = fl.map.get_mut(&token) else {
-                        return;
-                    };
-                    attempt.entry = None;
-                    let first_loss = !std::mem::replace(&mut attempt.lost, true);
-                    let Some(c) = cands.get(attempt.cand) else {
-                        return;
-                    };
-                    let Some(s) = states.get_mut(c.round) else {
-                        return;
-                    };
-                    if opts.mode != QuorumMode::FirstK
-                        || s.settled
-                        || c.done.is_some()
-                        || c.live.map(|(t, _, _)| t) != Some(token)
-                    {
-                        return;
-                    }
-                    fl.delayed.push((Instant::now() + RESEND_GAP, token));
-                    if first_loss && s.successes < s.want {
-                        if let Some(next) = s.ready.pop_front() {
-                            launch(cands, next, fl);
+                let answer = match reply {
+                    Ok(payload) => Ok(payload),
+                    Err(e @ TransportError::HandlerFailed) => Err(Refusal::Final(e.to_string())),
+                    Err(_) => {
+                        let Some(attempt) = fl.map.get_mut(&token) else {
+                            return;
+                        };
+                        attempt.entry = None;
+                        let first_loss = !std::mem::replace(&mut attempt.lost, true);
+                        let Some(c) = cands.get(attempt.cand) else {
+                            return;
+                        };
+                        let Some(s) = states.get_mut(c.round) else {
+                            return;
+                        };
+                        if opts.mode != QuorumMode::FirstK
+                            || s.settled
+                            || c.done.is_some()
+                            || c.live.map(|(t, _, _)| t) != Some(token)
+                        {
+                            return;
                         }
+                        fl.delayed.push((Instant::now() + RESEND_GAP, token));
+                        if first_loss && s.successes < s.want {
+                            if let Some(next) = s.ready.pop_front() {
+                                launch(cands, next, fl);
+                            }
+                        }
+                        return;
                     }
-                    return;
                 };
                 let Some(Attempt { cand, sent_at, .. }) = fl.map.remove(&token) else {
                     return;
@@ -777,20 +783,25 @@ impl Cluster {
                 if s.settled || c.done.is_some() {
                     return; // late response for a settled round or candidate
                 }
-                if !self
-                    .providers
-                    .get(c.provider)
-                    .is_some_and(|h| h.inject(&mut payload))
-                {
-                    return; // omitted on the way back
-                }
-                self.stats.record_recv(payload.len());
-                let verdict = match opts.validate {
-                    Some(f) => f(c.round, c.provider, &payload),
-                    None => Ok(()),
+                let verdict = match answer {
+                    Ok(mut payload) => {
+                        if !self
+                            .providers
+                            .get(c.provider)
+                            .is_some_and(|h| h.inject(&mut payload))
+                        {
+                            return; // omitted on the way back
+                        }
+                        self.stats.record_recv(payload.len());
+                        match opts.validate {
+                            Some(f) => f(c.round, c.provider, &payload).map(|()| payload),
+                            None => Ok(payload),
+                        }
+                    }
+                    Err(refusal) => Err(refusal),
                 };
                 match verdict {
-                    Ok(()) => {
+                    Ok(payload) => {
                         self.health.record_success(c.provider, sent_at.elapsed());
                         c.live = None;
                         c.retry_at = None;
@@ -1682,6 +1693,44 @@ mod tests {
         assert_eq!(got, Ok(vec![(1, vec![9])]));
         assert!(start.elapsed() < Duration::from_secs(10), "no escalation");
         assert_eq!(cluster.call(0, vec![1]), Ok(vec![1]), "the worker lives");
+    }
+
+    #[test]
+    fn a_panicking_handler_runs_once_and_is_never_resent() {
+        // n = 2, need 2: the round still needs provider 0 after its
+        // handler panics. The failure is final, not a lost request, so
+        // the engine neither resends it nor waits out the deadline.
+        let runs = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counted = Arc::clone(&runs);
+        let services: Vec<Arc<dyn SharedService>> = vec![
+            Arc::new(move |req: &[u8]| {
+                counted.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                assert_ne!(req, [9], "marked request");
+                req.to_vec()
+            }),
+            Arc::new(|req: &[u8]| req.to_vec()),
+        ];
+        let cluster = Cluster::spawn_concurrent(services, Duration::from_secs(1), 1);
+        let start = Instant::now();
+        let got = one_round(
+            &cluster,
+            vec![(0, vec![9]), (1, vec![9])],
+            2,
+            &Default::default(),
+        );
+        let err = got.expect_err("provider 0 cannot answer");
+        assert!(
+            matches!(
+                err.per_provider.iter().find(|(p, _)| *p == 0),
+                Some((_, ProviderOutcome::Rejected { attempts: 1, .. }))
+            ),
+            "{err:?}"
+        );
+        assert_eq!(runs.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert!(
+            start.elapsed() < Duration::from_millis(900),
+            "waited out the deadline"
+        );
     }
 
     #[test]

@@ -65,6 +65,10 @@ pub enum TransportError {
     TimedOut,
     /// The client was closed.
     Closed,
+    /// The provider's handler failed on this request (an in-process
+    /// handler panicked). The same request fails the same way again, so
+    /// it is final: never resent.
+    HandlerFailed,
 }
 
 impl std::fmt::Display for TransportError {
@@ -75,6 +79,7 @@ impl std::fmt::Display for TransportError {
             TransportError::Frame(e) => write!(f, "frame error: {e}"),
             TransportError::TimedOut => write!(f, "call timed out"),
             TransportError::Closed => write!(f, "client closed"),
+            TransportError::HandlerFailed => write!(f, "provider handler failed"),
         }
     }
 }
@@ -210,8 +215,6 @@ impl TcpClient {
         };
         {
             let mut st = client.inner.state.lock();
-            // dasp::allow(L1): `dial` spawns `reader_loop` on a fresh thread —
-            // the analyzer's call chain into it does not run under this guard.
             Self::dial(&client.inner, &mut st)
                 .map_err(|e| std::io::Error::new(ErrorKind::ConnectionRefused, e.to_string()))?;
         }
@@ -420,8 +423,6 @@ fn write_pack(inner: &Arc<Inner>, frame: &[u8], tokens: impl IntoIterator<Item =
         let mut st = inner.state.lock();
         (|| -> Result<(), TransportError> {
             if st.stream.is_none() {
-                // dasp::allow(L1): `dial` spawns `reader_loop` on a fresh
-                // thread — that chain does not run under this guard.
                 TcpClient::dial(inner, &mut st)?;
             }
             let stream = st.stream.as_mut().ok_or(TransportError::Closed)?;
@@ -476,8 +477,8 @@ fn reader_loop(inner: Arc<Inner>, stream: TcpStream, my_epoch: u64) {
         if let Some(s) = st.stream.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        // dasp::allow(L1): `state` -> `pending` is the crate-wide lock
-        // order; the waiters are told after both are released.
+        // `state` -> `pending` is the crate-wide lock order; the waiters
+        // are told after both are released.
         let drained = inner.pending.lock().drain().map(|(_, w)| w).collect();
         drained
     };
